@@ -1,31 +1,21 @@
 """Centralized references: whole-system Gauss-Newton and a dense KKT solver.
 
 The centralized solver runs on the merged, unpartitioned case through the
-same residual and Jacobian code as the regional models, so any disagreement
-with the distributed path isolates the consensus machinery rather than the
-physics.  The dense saddle-point solver is the independent oracle for the
-condensed consensus QP.
+same residual and Jacobian code and the same outer loop as the distributed
+path, but factors the whole regularized Gauss-Newton matrix itself, so any
+disagreement with the distributed path isolates the condensation and
+consensus machinery rather than the physics.  The dense saddle-point
+solver is the independent oracle for the condensed consensus QP.
 """
 
 from __future__ import annotations
 
-import math
-import time
-
 import numpy as np
-import scipy.linalg as sla
 
-from .condense import FactorizationError
-from .driver import SolverConfig
-from .network import ModelError, NetworkModel, StateVector, flat_start
-from .residual import linearize
-from .trace import (
-    STATUS_BREAKDOWN,
-    STATUS_CONVERGED,
-    STATUS_MAX_ITER,
-    IterationRecord,
-    SolveTrace,
-)
+from .condense import FactorizationError, _cho_factor, _cho_solve
+from .driver import SolverConfig, _iterate
+from .network import NetworkModel, StateVector, flat_start
+from .trace import SolveTrace
 
 __all__ = ["central_solve", "dense_kkt_solve"]
 
@@ -41,41 +31,17 @@ def central_solve(net: NetworkModel, cfg: SolverConfig | None = None,
     if cfg is None:
         cfg = SolverConfig(tol_residual=1e-12)
     s = x0.copy() if x0 is not None else flat_start(net)
-    records: list[IterationRecord] = []
-    status = STATUS_MAX_ITER
-
-    for k in range(1, cfg.max_iter + 1):
-        t0 = time.perf_counter_ns()
-        try:
-            lin = linearize(net, s, cfg.eps)
-        except ModelError:
-            status = STATUS_BREAKDOWN
-            break
-        rss = float(lin.r @ lin.r)
-        r_norm2 = math.sqrt(rss)
-        if r_norm2 <= cfg.tol_residual:
-            status = STATUS_CONVERGED
-            break
-        chi = s.free()
-        rhs = lin.hess @ chi - lin.g
-        try:
-            chol = sla.cho_factor(lin.hess, lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            status = STATUS_BREAKDOWN
-            break
-        chi_next = sla.cho_solve(chol, rhs, check_finite=False)
-        dchi = float(np.max(np.abs(chi_next - chi))) if len(chi) else 0.0
-        s = s.with_free(chi_next)
-        records.append(IterationRecord(
-            iter=k, f=0.5 * rss, r_norm2=r_norm2, dchi_inf=dchi,
-            primal_residual=0.0, comm_floats=0,
-            wall_ns=time.perf_counter_ns() - t0,
-        ))
-        if dchi <= cfg.tol_step:
-            status = STATUS_CONVERGED
-            break
-
+    (s,), _, records, status = _iterate([net], [s], None, cfg, _full_space_step)
     return s, SolveTrace(records=records, status=status)
+
+
+def _full_space_step(lins, chis):
+    """chi+ = B^-1 (B chi - g) with B = J'J + eps*I, by a dense Cholesky
+    factorization of the whole matrix: no condensation, no consensus."""
+    (lin,), (chi,) = lins, chis
+    rhs = lin.hess @ chi - lin.g
+    chol = _cho_factor(lin.hess, "full-space Gauss-Newton matrix")
+    return [_cho_solve(chol, rhs)], None, 0.0
 
 
 def dense_kkt_solve(b_bars: list[np.ndarray], g_bars: list[np.ndarray],

@@ -1,39 +1,32 @@
 """Simulated message-passing execution with communication accounting.
 
-Regions run as workers that exchange flat float64 buffers with a single
-coordinator through in-process queues; delivery order is fixed by region
-index.  Per outer iteration each region uploads its dense consensus payload
+:func:`run_distributed` runs the driver's outer loop and consensus step
+with one change: the consensus pass goes through explicit flat float64
+buffers between the regions and a single coordinator, delivered in region
+order.  Per outer iteration each region uploads its dense consensus payload
 (the z-block of E' Bbar E plus the weighted local move, n^2 + n floats for
 n active consensus columns) and downloads its slice of the consensus vector
 (n floats).  Convergence scalars are control plane and are not metered.
 
-The harness reroutes communication only; every arithmetic step reuses the
-driver's phase functions, so final states and traces are bit-identical to
-the direct path.  Message wire time is out of scope: the ledger measures
-volume, not latency.
+Only the transport differs from :func:`hdpf.driver.solve`; every arithmetic
+step is the same code, so final states and traces are bit-identical to the
+direct path by construction.  Message wire time is out of scope: the ledger
+measures volume, not latency.
 """
 
 from __future__ import annotations
 
-import math
-import time
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .condense import FactorizationError, condense_region, recover_local
-from .consensus import local_unconstrained, region_contribution, weighted_average
-from .driver import SolverConfig, _condense_gap, _lm_error, comm_floats_per_iteration, stitch_state
-from .network import ModelError, StateVector, build_network, flat_start
-from .partition import PartitionedProblem, RegionStructure
-from .residual import linearize, q_term
-from .trace import (
-    STATUS_BREAKDOWN,
-    STATUS_CONVERGED,
-    STATUS_MAX_ITER,
-    IterationRecord,
-    SolveTrace,
-)
+from .condense import CondensedQP
+from .consensus import ConsensusSolution, local_unconstrained, region_contribution, weighted_average
+from .driver import SolverConfig, _solve
+from .network import StateVector
+from .partition import PartitionedProblem, RegionStructure, consensus_dims
+from .trace import SolveTrace
 
 __all__ = ["CommLedger", "LedgerEntry", "run_distributed", "cost_model", "flop_estimates", "CostEstimate"]
 
@@ -82,147 +75,49 @@ class CommLedger:
         return n_active
 
 
-class _Queue:
-    """Tiny FIFO standing in for a network channel."""
-
-    def __init__(self):
-        self._items: list[np.ndarray] = []
-
-    def put(self, buf: np.ndarray) -> None:
-        self._items.append(np.array(buf, dtype=np.float64, copy=True))
-
-    def get(self) -> np.ndarray:
-        return self._items.pop(0)
-
-
-class _RegionWorker:
-    """Executes one region's share of an outer iteration."""
-
-    def __init__(self, reg: RegionStructure, cfg: SolverConfig):
-        self.reg = reg
-        self.cfg = cfg
-        self.state = flat_start(reg.net)
-        self.up: _Queue = _Queue()
-        self.down: _Queue = _Queue()
-        n = reg.n_cpl
-        self.lam = np.zeros(n)
-        self.lin = None
-        self.cqp = None
-        self.chi_k = None
-        self.x_bar = None
-        self._order = np.argsort(reg.z_cols, kind="stable") if n else np.zeros(0, int)
-
-    def evaluate(self):
-        self.lin = linearize(self.reg.net, self.state, self.cfg.eps)
-        return float(self.lin.r @ self.lin.r)
-
-    def condense_and_send(self):
-        self.chi_k = self.state.free()
-        self.cqp = condense_region(self.lin, self.reg.coupling_free_cols, self.chi_k)
-        self.x_bar = local_unconstrained(self.cqp)
-        cols, s_block, b_vec = region_contribution(self.cqp, self.reg, self.x_bar)
-        self.up.put(np.concatenate([s_block.ravel(), b_vec]))
-        return cols
-
-    def receive_and_recover(self):
-        z_slice = self.down.get()
-        n = self.reg.n_cpl
-        z_vals = np.empty(n)
-        z_vals[self._order] = z_slice
-        self.lam = self.cqp.b_bar @ (self.x_bar - z_vals) if n else np.zeros(0)
-        new_free = recover_local(self.cqp, z_vals, self.chi_k)
-        dchi = float(np.max(np.abs(new_free - self.chi_k))) if len(new_free) else 0.0
-        primal = 0.0
-        if n:
-            primal = float(np.max(np.abs(new_free[self.reg.coupling_free_cols] - z_vals)))
-        self.state = self.state.with_free(new_free)
-        return dchi, primal
-
-
 def run_distributed(p: PartitionedProblem, cfg: SolverConfig | None = None,
                     ref: StateVector | None = None,
                     ) -> tuple[StateVector, list[np.ndarray], SolveTrace, CommLedger]:
     """Execute the solver through explicit messages and meter the traffic."""
-    if cfg is None:
-        cfg = SolverConfig()
-    merged_net = build_network(p.merged_case)
-    workers = [_RegionWorker(r, cfg) for r in p.regions]
     ledger = CommLedger()
-    records: list[IterationRecord] = []
-    status = STATUS_MAX_ITER
-    comm = comm_floats_per_iteration(p)
-    ref_free = ref.free() if ref is not None else None
+    iteration = itertools.count(1)
 
-    for k in range(1, cfg.max_iter + 1):
-        t0 = time.perf_counter_ns()
-        try:
-            rss = sum(w.evaluate() for w in workers)
-        except ModelError:
-            status = STATUS_BREAKDOWN
-            break
-        r_norm2 = math.sqrt(rss)
-        f = 0.5 * rss
-        if r_norm2 <= cfg.tol_residual:
-            status = STATUS_CONVERGED
-            break
+    def exchange(cqps, regions, n_z):
+        return _message_pass(cqps, regions, n_z, ledger, next(iteration))
 
-        try:
-            # upload phase, region order
-            col_lists = [w.condense_and_send() for w in workers]
-            contribs = []
-            for w, cols in zip(workers, col_lists):
-                buf = w.up.get()
-                n = len(cols)
-                ledger.record(k, w.reg.index, len(buf), n)
-                contribs.append((cols, buf[:n * n].reshape(n, n), buf[n * n:]))
-            z_bar = weighted_average(contribs, p.n_z)
-            # download phase
-            for w, cols in zip(workers, col_lists):
-                w.down.put(z_bar[cols])
-            steps = [w.receive_and_recover() for w in workers]
-        except FactorizationError:
-            status = STATUS_BREAKDOWN
-            break
-
-        dchi = max(s[0] for s in steps)
-        primal = max(s[1] for s in steps)
-
-        lm_error = None
-        gap = None
-        if cfg.diagnose:
-            # diagnostics are out-of-band analysis, computed exactly as the
-            # direct path computes them
-            lm_error, gap = _harness_diagnostics(p, workers)
-
-        dist = None
-        if ref_free is not None:
-            stitched = stitch_state(p, [w.state for w in workers], merged_net)
-            dist = float(np.max(np.abs(stitched.free() - ref_free)))
-
-        records.append(IterationRecord(
-            iter=k, f=f, r_norm2=r_norm2, dchi_inf=dchi, primal_residual=primal,
-            comm_floats=comm, wall_ns=time.perf_counter_ns() - t0,
-            lm_error=lm_error, condense_gap=gap, dist_to_ref=dist,
-        ))
-        if dchi <= cfg.tol_step:
-            status = STATUS_CONVERGED
-            break
-
-    final = stitch_state(p, [w.state for w in workers], merged_net)
-    lams = [w.lam for w in workers]
-    return final, lams, SolveTrace(records=records, status=status), ledger
+    state, lams, trace = _solve(p, cfg, ref, exchange)
+    return state, lams, trace, ledger
 
 
-def _harness_diagnostics(p: PartitionedProblem, workers) -> tuple[float, float | None]:
-    lins = [w.lin for w in workers]
-    states_prev = [w.state.with_free(w.chi_k) for w in workers]
-    q_terms = [q_term(w.reg.net, s) for w, s in zip(workers, states_prev)]
-    chi_ks = [w.chi_k for w in workers]
-    x_plus = [w.state.free()[w.reg.coupling_free_cols] for w in workers]
-    gap = _condense_gap(p, lins, q_terms, chi_ks, x_plus)
-    q_new = [q_term(w.reg.net, w.state) for w in workers]
-    lm = _lm_error(lins, q_new)
-    return lm, gap
+def _message_pass(cqps: list[CondensedQP], regions: list[RegionStructure], n_z: int,
+                  ledger: CommLedger, k: int) -> ConsensusSolution:
+    """One consensus pass in which every cross-region value travels as a buffer.
+
+    The coordinator solves the weighted average from the uploaded buffers
+    alone; each region forms its multipliers from the slice it downloads.
+    """
+    x_bars, col_lists, ups = [], [], []
+    for cqp, reg in zip(cqps, regions):
+        x_bar = local_unconstrained(cqp)
+        cols, s_block, b_vec = region_contribution(cqp, reg, x_bar)
+        x_bars.append(x_bar)
+        col_lists.append(cols)
+        ups.append(np.concatenate([s_block.ravel(), b_vec]))
+
+    contribs = []
+    for reg, cols, buf in zip(regions, col_lists, ups):
+        n = len(cols)
+        ledger.record(k, reg.index, len(buf), n)
+        contribs.append((cols, buf[:n * n].reshape(n, n), buf[n * n:]))
+    z_bar = weighted_average(contribs, n_z)
+
+    lams = []
+    for cqp, reg, cols, x_bar in zip(cqps, regions, col_lists, x_bars):
+        down = z_bar[cols]
+        z_vals = np.empty(len(cols))
+        z_vals[np.argsort(reg.z_cols, kind="stable")] = down
+        lams.append(cqp.b_bar @ (x_bar - z_vals) if len(cols) else np.zeros(0))
+    return ConsensusSolution(x_bar=x_bars, z_bar=z_bar, lam=lams)
 
 
 @dataclass(frozen=True)
@@ -251,11 +146,5 @@ def flop_estimates(region_state_dims: list[int], n_cpl: int) -> CostEstimate:
 
 def cost_model(p: PartitionedProblem) -> CostEstimate:
     """The cubic per-iteration cost model on a partitioned problem."""
-    _, n_cpl, _ = _dims(p)
+    _, n_cpl, _ = consensus_dims(p)
     return flop_estimates([r.n_state_entries for r in p.regions], n_cpl)
-
-
-def _dims(p: PartitionedProblem) -> tuple[int, int, int]:
-    from .partition import consensus_dims
-
-    return consensus_dims(p)

@@ -1,10 +1,21 @@
-"""Outer solve loop: linearize, condense, one consensus pass, recover.
+"""The outer iteration, written once, and the distributed solve built on it.
 
-Full-step iterations only; there is no line search or trust region, so a
-diverging run surfaces as a ``max_iter`` status rather than an exception.
-Stopping combines a step-size test (infinity norm) with a residual test
-(2-norm).  All cross-region reductions run in a fixed region order, so two
-runs with identical inputs produce identical traces.
+Every solver in the package runs the same loop: linearize every network,
+stop when the residual 2-norm is at most ``tol_residual``, take a step,
+stop when the step's infinity norm is at most ``tol_step``.  Only the step
+differs.  :func:`solve` condenses each region onto its coupling variables,
+makes one consensus pass and recovers; :func:`hdpf.comm.run_distributed`
+runs the same step with the consensus pass carried by float buffers; and
+:func:`hdpf.central.central_solve` takes a full-space step on the merged
+network.
+
+Full-step iterations only; there is no line search or trust region.  A run
+that does not contract ends ``max_iter`` and returns its last iterate.  An
+iterate that cannot be linearized (a non-positive voltage magnitude) or a
+factorization that fails in the step ends the run ``numerical_breakdown``;
+it then returns the last iterate that linearized, with its multipliers,
+never the broken one.  All cross-region reductions run in a fixed region
+order, so two runs with identical inputs produce identical traces.
 """
 
 from __future__ import annotations
@@ -124,6 +135,111 @@ def _condense_gap(p: PartitionedProblem, lins, q_terms, chi_ks, x_plus) -> float
     return gap
 
 
+def _iterate(nets: list[NetworkModel], states: list[StateVector], lams, cfg: SolverConfig,
+             step, comm_floats: int = 0, extras=None):
+    """The outer iteration shared by every solver.
+
+    ``step(lins, chis)`` maps the linearizations and free vectors of the
+    current iterate to the next free vectors, their multipliers and the
+    primal residual; it may raise :class:`FactorizationError`.
+    ``extras(lins, states, chis, new_free, new_states)`` returns the optional
+    record fields.  Returns the final states and multipliers, the records and
+    the status.
+    """
+    records: list[IterationRecord] = []
+    status = STATUS_MAX_ITER
+    valid = states, lams  # the last iterate that linearized
+    for k in range(1, cfg.max_iter + 1):
+        t0 = time.perf_counter_ns()
+        try:
+            lins = [linearize(net, s, cfg.eps) for net, s in zip(nets, states)]
+        except ModelError:
+            states, lams = valid
+            status = STATUS_BREAKDOWN
+            break
+        valid = states, lams
+        rss = sum(float(lin.r @ lin.r) for lin in lins)
+        r_norm2 = math.sqrt(rss)
+        if r_norm2 <= cfg.tol_residual:
+            status = STATUS_CONVERGED
+            break
+
+        chis = [s.free() for s in states]
+        try:
+            new_free, new_lams, primal = step(lins, chis)
+        except FactorizationError:
+            status = STATUS_BREAKDOWN
+            break
+        dchi = max(float(np.max(np.abs(nf - chi))) if len(nf) else 0.0
+                   for nf, chi in zip(new_free, chis))
+        new_states = [s.with_free(nf) for s, nf in zip(states, new_free)]
+        fields = extras(lins, states, chis, new_free, new_states) if extras else {}
+        states, lams = new_states, new_lams
+
+        records.append(IterationRecord(
+            iter=k, f=0.5 * rss, r_norm2=r_norm2, dchi_inf=dchi, primal_residual=primal,
+            comm_floats=comm_floats, wall_ns=time.perf_counter_ns() - t0, **fields,
+        ))
+        if dchi <= cfg.tol_step:
+            status = STATUS_CONVERGED
+            break
+    return states, lams, records, status
+
+
+def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | None,
+           exchange) -> tuple[StateVector, list[np.ndarray], SolveTrace]:
+    """The distributed solve with the consensus exchange as a parameter.
+
+    ``exchange(cqps, regions, n_z)`` has the contract of
+    :func:`consensus_pass`.  Each region condenses its model, the exchange
+    resolves the consensus, and each region recovers its step from its
+    consensus values ``E_l zbar``.
+    """
+    if cfg is None:
+        cfg = SolverConfig()
+    merged_net = build_network(p.merged_case)
+    ref_free = ref.free() if ref is not None else None
+
+    def step(lins, chis):
+        cqps = [condense_region(lin, r.coupling_free_cols, chi)
+                for lin, r, chi in zip(lins, p.regions, chis)]
+        sol = exchange(cqps, p.regions, p.n_z)
+        new_free = []
+        primal = 0.0
+        for c, reg, chi in zip(cqps, p.regions, chis):
+            z = sol.z_bar[reg.z_cols]
+            nf = recover_local(c, z, chi)
+            new_free.append(nf)
+            if reg.n_cpl:
+                primal = max(primal, float(np.max(np.abs(nf[reg.coupling_free_cols] - z))))
+        return new_free, sol.lam, primal
+
+    def extras(lins, states, chis, new_free, new_states):
+        fields = {}
+        if cfg.diagnose:
+            q_terms = [q_term(r.net, s) for r, s in zip(p.regions, states)]
+            x_plus = [nf[r.coupling_free_cols] for r, nf in zip(p.regions, new_free)]
+            fields["condense_gap"] = _condense_gap(p, lins, q_terms, chis, x_plus)
+            # attributed to the iterate just produced, like dist_to_ref; an
+            # iterate with a non-positive magnitude gets none, and the next
+            # linearize ends the run
+            try:
+                q_new = [q_term(r.net, s) for r, s in zip(p.regions, new_states)]
+            except ModelError:
+                pass
+            else:
+                fields["lm_error"] = _lm_error(lins, q_new)
+        if ref_free is not None:
+            stitched = stitch_state(p, new_states, merged_net)
+            fields["dist_to_ref"] = float(np.max(np.abs(stitched.free() - ref_free)))
+        return fields
+
+    states, lams, records, status = _iterate(
+        [r.net for r in p.regions], [flat_start(r.net) for r in p.regions],
+        [np.zeros(r.n_cpl) for r in p.regions], cfg, step, comm_floats_per_iteration(p), extras)
+    return stitch_state(p, states, merged_net), lams, SolveTrace(records=records, status=status)
+
+
 def solve(p: PartitionedProblem, cfg: SolverConfig | None = None,
           ref: StateVector | None = None) -> tuple[StateVector, list[np.ndarray], SolveTrace]:
     """Run the distributed solver from a flat start.
@@ -133,79 +249,7 @@ def solve(p: PartitionedProblem, cfg: SolverConfig | None = None,
     state, typically from the centralized baseline) is given, each record
     carries the distance to it; the reference never influences stopping.
     """
-    if cfg is None:
-        cfg = SolverConfig()
-    merged_net = build_network(p.merged_case)
-    states = [flat_start(r.net) for r in p.regions]
-    lams = [np.zeros(r.n_cpl) for r in p.regions]
-    records: list[IterationRecord] = []
-    status = STATUS_MAX_ITER
-    comm = comm_floats_per_iteration(p)
-    ref_free = ref.free() if ref is not None else None
-
-    for k in range(1, cfg.max_iter + 1):
-        t0 = time.perf_counter_ns()
-        try:
-            lins = [linearize(r.net, s, cfg.eps) for r, s in zip(p.regions, states)]
-        except ModelError:
-            status = STATUS_BREAKDOWN
-            break
-        rss = sum(float(lin.r @ lin.r) for lin in lins)
-        r_norm2 = math.sqrt(rss)
-        f = 0.5 * rss
-        if r_norm2 <= cfg.tol_residual:
-            status = STATUS_CONVERGED
-            break
-
-        chi_ks = [s.free() for s in states]
-        try:
-            cqps = [condense_region(lin, r.coupling_free_cols, chi)
-                    for lin, r, chi in zip(lins, p.regions, chi_ks)]
-            sol = consensus_pass(cqps, p.regions, p.n_z)
-            new_free = [recover_local(c, sol.z_bar[r.z_cols], chi)
-                        for c, r, chi in zip(cqps, p.regions, chi_ks)]
-        except FactorizationError:
-            status = STATUS_BREAKDOWN
-            break
-
-        dchi = max(float(np.max(np.abs(nf - chi))) if len(nf) else 0.0
-                   for nf, chi in zip(new_free, chi_ks))
-        primal = 0.0
-        for reg, nf in zip(p.regions, new_free):
-            if reg.n_cpl:
-                x_next = nf[reg.coupling_free_cols]
-                primal = max(primal, float(np.max(np.abs(x_next - sol.z_bar[reg.z_cols]))))
-
-        gap = None
-        if cfg.diagnose:
-            q_terms = [q_term(r.net, s) for r, s in zip(p.regions, states)]
-            x_plus = [nf[reg.coupling_free_cols] for reg, nf in zip(p.regions, new_free)]
-            gap = _condense_gap(p, lins, q_terms, chi_ks, x_plus)
-
-        states = [s.with_free(nf) for s, nf in zip(states, new_free)]
-        lams = sol.lam
-
-        lm_error = None
-        if cfg.diagnose:
-            # attributed to the iterate just produced, like dist_to_ref
-            q_new = [q_term(r.net, s) for r, s in zip(p.regions, states)]
-            lm_error = _lm_error(lins, q_new)
-
-        dist = None
-        if ref_free is not None:
-            dist = float(np.max(np.abs(stitch_state(p, states, merged_net).free() - ref_free)))
-
-        records.append(IterationRecord(
-            iter=k, f=f, r_norm2=r_norm2, dchi_inf=dchi, primal_residual=primal,
-            comm_floats=comm, wall_ns=time.perf_counter_ns() - t0,
-            lm_error=lm_error, condense_gap=gap, dist_to_ref=dist,
-        ))
-        if dchi <= cfg.tol_step:
-            status = STATUS_CONVERGED
-            break
-
-    final = stitch_state(p, states, merged_net)
-    return final, lams, SolveTrace(records=records, status=status)
+    return _solve(p, cfg, ref, consensus_pass)
 
 
 def convergence_order(trace: SolveTrace, floor: float = 1e-14,

@@ -31,7 +31,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .caseio import BusType, Interconnection, MergeManifest, RawBranch, RawBus, RawCase, RawGen
-from .network import BranchSpec, BusSpec, NetworkModel
+from .network import (
+    BranchSpec,
+    BusSpec,
+    NetworkModel,
+    _branch_specs_from_case,
+    _bus_specs_from_case,
+)
 
 __all__ = [
     "PartitionError",
@@ -52,10 +58,9 @@ class PartitionError(ValueError):
 
 @dataclass(frozen=True)
 class GlobalIndex:
-    """Bidirectional map between merged bus ids and (region, local id)."""
+    """Map from (region, local bus id) to merged bus id."""
 
-    merged_of: dict[tuple[int, int], int]  # (region, local bus id) -> merged id
-    local_of: dict[int, tuple[int, int]]   # merged id -> (region, local bus id)
+    merged_of: dict[tuple[int, int], int]
 
 
 @dataclass(frozen=True)
@@ -222,14 +227,12 @@ def merge_cases(manifest: MergeManifest, raws: list[RawCase]) -> tuple[RawCase, 
     _check_manifest(manifest, raws)
 
     merged_of: dict[tuple[int, int], int] = {}
-    local_of: dict[int, tuple[int, int]] = {}
     next_id = 1
     for reg, case in enumerate(raws):
         for b in sorted(case.buses, key=lambda bb: bb.id):
             merged_of[(reg, b.id)] = next_id
-            local_of[next_id] = (reg, b.id)
             next_id += 1
-    gidx = GlobalIndex(merged_of, local_of)
+    gidx = GlobalIndex(merged_of)
 
     buses: list[RawBus] = []
     gens: list[RawGen] = []
@@ -264,33 +267,9 @@ def _region_network(reg: int, case: RawCase, copies: list[tuple[int, RawBus]],
     ``local_pos`` maps a local bus id, or a ("copy", home region, bus id)
     key for copied foreign buses, to the bus position in the region.
     """
-    own = sorted(case.buses, key=lambda b: b.id)
-    base = case.base_mva
-
-    gens_p = {b.id: 0.0 for b in case.buses}
-    gens_q = {b.id: 0.0 for b in case.buses}
-    vset: dict[int, float] = {}
-    for g in case.generators:
-        if not g.in_service:
-            continue
-        gens_p[g.bus_id] += g.p_gen
-        gens_q[g.bus_id] += g.q_gen
-        vset.setdefault(g.bus_id, g.v_setpoint)
-
-    specs: list[BusSpec] = []
-    for b in own:
-        b = _demote_foreign_slack(b, reg, slack_region)
-        fixed_v = vset.get(b.id, b.v_mag) if b.type in (BusType.PV, BusType.SLACK) else b.v_mag
-        specs.append(BusSpec(
-            bus_id=b.id,
-            type=b.type,
-            p_inj=(gens_p[b.id] - b.p_demand) / base,
-            q_inj=(gens_q[b.id] - b.q_demand) / base,
-            shunt_g=b.shunt_g / base,
-            shunt_b=b.shunt_b / base,
-            v_spec=fixed_v,
-            theta_spec=math.radians(b.v_ang),
-        ))
+    own = tuple(_demote_foreign_slack(b, reg, slack_region)
+                for b in sorted(case.buses, key=lambda b: b.id))
+    specs = _bus_specs_from_case(RawCase(case.base_mva, own, case.generators, case.branches))
     for local_id, src in copies:
         specs.append(BusSpec(
             bus_id=local_id,
@@ -303,15 +282,7 @@ def _region_network(reg: int, case: RawCase, copies: list[tuple[int, RawBus]],
             theta_spec=0.0,
         ))
 
-    branches: list[BranchSpec] = []
-    for br in case.branches:
-        if not br.in_service:
-            continue
-        branches.append(BranchSpec(
-            f=local_pos[br.from_bus], t=local_pos[br.to_bus], r=br.r, x=br.x,
-            b=br.total_line_charging_b, tap=br.tap_ratio if br.tap_ratio != 0.0 else 1.0,
-            shift=math.radians(br.phase_shift),
-        ))
+    branches = _branch_specs_from_case(case, local_pos)
     for t, outgoing in ties:
         # tie image keeps the manifest orientation; the foreign endpoint is
         # the local copy
@@ -326,7 +297,7 @@ def _region_network(reg: int, case: RawCase, copies: list[tuple[int, RawBus]],
             shift=math.radians(t.phase_shift),
         ))
 
-    return NetworkModel(specs, branches, base, require_slack=False)
+    return NetworkModel(specs, branches, case.base_mva, require_slack=False)
 
 
 def partition(manifest: MergeManifest, raws: list[RawCase]) -> PartitionedProblem:

@@ -41,6 +41,26 @@ def test_solve_malformed_case_exits_one(tmp_path, capsys):
 def test_solve_nonconvergence_exits_two(tmp_path, capsys):
     rc = main(["solve", fixture_path("case53.manifest"), "--max-iter", "2"])
     assert rc == 2
+    # a diverging diagnosed solve ends numerical_breakdown, not in an error:
+    # the 2-bus voltage-collapse case of test_driver.py
+    (tmp_path / "x.m").write_text("""
+mpc.baseMVA = 100;
+mpc.bus = [
+  1 3 0 0 0 0 1 1.0 0 0 1 0 0;
+  2 1 500 150 0 0 1 1.0 0 0 1 0 0;
+];
+mpc.gen = [
+  1 0 0 0 0 1.0 100 1;
+];
+mpc.branch = [
+  1 2 0.02 1.0 0 0 0 0 0 0 1;
+];
+""")
+    mf = tmp_path / "x.manifest"
+    mf.write_text("region x.m\nslack_region 0\n")
+    rc = main(["solve", str(mf), "--max-iter", "40", "--diagnose"])
+    assert rc == 2
+    assert "status=numerical_breakdown" in capsys.readouterr().out
 
 
 def test_check_reports_dimensions(capsys):

@@ -7,6 +7,7 @@ from hdpf import (
     central_solve,
     convergence_order,
     parse_case,
+    run_distributed,
     solve,
 )
 from hdpf.residual import residual
@@ -290,8 +291,29 @@ mpc.branch = [
 """
     case = parse_case(text)
     p = partition(MergeManifest(("x.m",), (), 0), [case])
-    _, _, trace = solve(p, SolverConfig(max_iter=40))
+    state, lams, trace = solve(p, SolverConfig(max_iter=40))
     assert trace.status == STATUS_BREAKDOWN
     net = build_network(case)
-    _, ctrace = central_solve(net, SolverConfig(max_iter=40))
+    cstate, ctrace = central_solve(net, SolverConfig(max_iter=40))
     assert ctrace.status == STATUS_BREAKDOWN
+
+    # each path returns the last iterate that linearized, not the broken one
+    assert np.all(state.vm > 0)
+    assert np.all(cstate.vm > 0)
+    dstate, dlams, dtrace, _ = run_distributed(p, SolverConfig(max_iter=40))
+    assert np.all(dstate.vm > 0)
+    for q in ("theta", "vm", "p", "q"):
+        assert np.array_equal(getattr(state, q), getattr(dstate, q)), q
+    assert len(lams) == len(dlams)
+    for a, b in zip(lams, dlams):
+        assert np.array_equal(a, b)
+    assert trace_signature(trace) == trace_signature(dtrace)
+
+    # diagnostics leave the status and the record count of the plain run
+    cfg = SolverConfig(max_iter=40, diagnose=True)
+    _, _, diag = solve(p, cfg)
+    _, _, ddiag, _ = run_distributed(p, cfg)
+    for t in (diag, ddiag):
+        assert t.status == STATUS_BREAKDOWN
+        assert t.n_iter == trace.n_iter
+    assert trace_signature(diag) == trace_signature(ddiag)
