@@ -18,7 +18,7 @@ from .condense import FactorizationError, condense_region, recover_local
 from .consensus import TOL_KKT, averaging_projector, consensus_pass, verify_kkt
 from .driver import SolverConfig, solve
 from .network import ModelError, build_network, flat_start
-from .partition import PartitionError, consensus_dims, merge_cases, partition
+from .partition import PartitionError, consensus_dims, partition
 from .residual import linearize
 from .trace import read_state, write_state, write_trace
 
@@ -64,10 +64,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_merge(args) -> int:
     manifest, raws = load_manifest(args.manifest)
-    merged, _ = merge_cases(manifest, raws)
+    prob = partition(manifest, raws)
+    merged = prob.merged_case
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(serialize_case(merged))
-    prob = partition(manifest, raws)
     n_state, n_cpl, n_z = consensus_dims(prob)
     print(f"merged {len(raws)} regions -> {merged.n_bus} buses, "
           f"{len(merged.branches)} branches ({args.output})")
@@ -88,9 +88,8 @@ def _cmd_solve(args) -> int:
                        max_iter=args.max_iter, diagnose=args.diagnose)
     ref = None
     if args.reference:
-        merged_net = build_network(prob.merged_case)
         with open(args.reference, "rb") as fh:
-            ref = read_state(fh, merged_net)
+            ref = read_state(fh, prob.merged_net)
     if args.distributed:
         state, lams, trace, ledger = run_distributed(prob, cfg, ref)
         print(f"consensus traffic: {ledger.total} floats "

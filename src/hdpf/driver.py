@@ -30,7 +30,7 @@ import scipy.sparse.linalg as spla
 
 from .condense import FactorizationError, condense_region, recover_local
 from .consensus import consensus_pass
-from .network import ModelError, NetworkModel, StateVector, build_network, flat_start
+from .network import ModelError, NetworkModel, StateVector, flat_start
 from .partition import PartitionedProblem
 from .residual import RegionLinearization, linearize, q_term
 from .trace import (
@@ -197,7 +197,6 @@ def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | N
     """
     if cfg is None:
         cfg = SolverConfig()
-    merged_net = build_network(p.merged_case)
     ref_free = ref.free() if ref is not None else None
 
     def step(lins, chis):
@@ -230,14 +229,14 @@ def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | N
             else:
                 fields["lm_error"] = _lm_error(lins, q_new)
         if ref_free is not None:
-            stitched = stitch_state(p, new_states, merged_net)
+            stitched = stitch_state(p, new_states, p.merged_net)
             fields["dist_to_ref"] = float(np.max(np.abs(stitched.free() - ref_free)))
         return fields
 
     states, lams, records, status = _iterate(
         [r.net for r in p.regions], [flat_start(r.net) for r in p.regions],
         [np.zeros(r.n_cpl) for r in p.regions], cfg, step, comm_floats_per_iteration(p), extras)
-    return stitch_state(p, states, merged_net), lams, SolveTrace(records=records, status=status)
+    return stitch_state(p, states, p.merged_net), lams, SolveTrace(records=records, status=status)
 
 
 def solve(p: PartitionedProblem, cfg: SolverConfig | None = None,

@@ -1,11 +1,14 @@
 """Multi-region decomposition with shared boundary buses.
 
-Every tie line named in the manifest copies its opposite endpoint into the
-local region, so each regional power-flow problem is self-contained.  All
-instances of one physical boundary bus (the core instance plus every copy)
-form one hyperedge; a bus touched by ties into several regions yields a
-hyperedge with more than two instances, which is exactly what a plain graph
-cannot express.
+The decomposition starts from its hyperedges.  Every bus at either end of a
+tie line in the manifest is a boundary bus, keyed by its merged id; its
+hyperedge holds the home instance plus one copy in each region it is tied
+to.  A bus tied into several regions yields a hyperedge with more than two
+instances, which is exactly what a plain graph cannot express.  Each
+region's buses are its own buses in local-id order followed by copies of the
+boundary buses it is tied to, in merged-id order, so each regional
+power-flow problem is self-contained; one map from merged id to position
+per region places own buses, copies and both ends of every tie image.
 
 Consensus bookkeeping per region l:
 
@@ -24,13 +27,17 @@ buses contribute no rows.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
-from .caseio import BusType, Interconnection, MergeManifest, RawBranch, RawBus, RawCase, RawGen
+from . import network
+from .caseio import BusType, MergeManifest, RawBranch, RawBus, RawCase, RawGen
 from .network import (
     BranchSpec,
     BusSpec,
@@ -77,19 +84,8 @@ class Hypergraph:
     def __post_init__(self):
         self.n_z = 2 * len(self.edges)
 
-    def z_index(self, edge: int, quantity: str) -> int:
-        """Column of z for (hyperedge, quantity in {'theta', 'v'})."""
-        if quantity == "theta":
-            return edge
-        if quantity == "v":
-            return len(self.edges) + edge
-        raise ValueError(f"unknown quantity {quantity!r}")
-
     def cardinality_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for e in self.edges:
-            hist[len(e.instances)] = hist.get(len(e.instances), 0) + 1
-        return dict(sorted(hist.items()))
+        return dict(sorted(Counter(len(e.instances) for e in self.edges).items()))
 
 
 @dataclass
@@ -137,6 +133,11 @@ class PartitionedProblem:
     merged_case: RawCase
     manifest: MergeManifest
 
+    @functools.cached_property
+    def merged_net(self) -> NetworkModel:
+        """The merged case's network, built on first use."""
+        return network.build_network(self.merged_case)
+
     @property
     def n_z(self) -> int:
         return self.hypergraph.n_z
@@ -163,29 +164,24 @@ def _check_manifest(manifest: MergeManifest, raws: list[RawCase]):
         raise PartitionError(
             f"slack region {manifest.slack_region} contains no slack bus"
         )
-    if len(raws) > 1:
-        # every region needs a path of tie lines to the slack region, or its
-        # angles have no reference and the coupled system turns singular
-        parent = list(range(len(raws)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for t in manifest.interconnections:
-            parent[find(t.from_region)] = find(t.to_region)
-        anchored = find(manifest.slack_region)
-        stranded = [i for i in range(len(raws)) if find(i) != anchored]
-        if stranded:
+    # every region needs a path of tie lines to the slack region, or its
+    # angles have no reference and the coupled system turns singular
+    ties = manifest.interconnections
+    links = sp.coo_matrix((np.ones(len(ties)), ([t.from_region for t in ties],
+                                                [t.to_region for t in ties])),
+                          shape=(len(raws), len(raws)))
+    _, label = connected_components(links, directed=False)
+    stranded = np.flatnonzero(label != label[manifest.slack_region]).tolist()
+    if stranded:
+        raise PartitionError(f"region(s) {stranded} have no tie-line path to the slack region")
+    buses_of = [{b.id: b for b in c.buses} for c in raws]
+    for t in ties:
+        if t.from_region == t.to_region:
             raise PartitionError(
-                f"region(s) {stranded} have no tie-line path to the slack region"
+                f"tie {t.from_bus}-{t.to_bus} joins region {t.from_region} to itself"
             )
-    for t in manifest.interconnections:
         for reg, bus in ((t.from_region, t.from_bus), (t.to_region, t.to_bus)):
-            case = raws[reg]
-            hit = next((b for b in case.buses if b.id == bus), None)
+            hit = buses_of[reg].get(bus)
             if hit is None:
                 raise PartitionError(f"link references bus {bus} absent from region {reg}")
             if hit.type != BusType.PQ:
@@ -193,9 +189,7 @@ def _check_manifest(manifest: MergeManifest, raws: list[RawCase]):
                     f"boundary bus {bus} in region {reg} is {hit.type.name}; tie lines "
                     "must terminate on PQ buses so both coupled quantities stay free"
                 )
-    for t in manifest.interconnections:
-        fb = next(b for b in raws[t.from_region].buses if b.id == t.from_bus)
-        tb = next(b for b in raws[t.to_region].buses if b.id == t.to_bus)
+        fb, tb = buses_of[t.from_region][t.from_bus], buses_of[t.to_region][t.to_bus]
         if (
             fb.base_kv is not None
             and tb.base_kv is not None
@@ -227,18 +221,12 @@ def merge_cases(manifest: MergeManifest, raws: list[RawCase]) -> tuple[RawCase, 
     _check_manifest(manifest, raws)
 
     merged_of: dict[tuple[int, int], int] = {}
-    next_id = 1
-    for reg, case in enumerate(raws):
-        for b in sorted(case.buses, key=lambda bb: bb.id):
-            merged_of[(reg, b.id)] = next_id
-            next_id += 1
-    gidx = GlobalIndex(merged_of)
-
     buses: list[RawBus] = []
     gens: list[RawGen] = []
     branches: list[RawBranch] = []
     for reg, case in enumerate(raws):
         for b in sorted(case.buses, key=lambda bb: bb.id):
+            merged_of[(reg, b.id)] = len(buses) + 1
             nb = _demote_foreign_slack(b, reg, manifest.slack_region)
             buses.append(RawBus(merged_of[(reg, b.id)], nb.type, nb.p_demand, nb.q_demand,
                                 nb.shunt_g, nb.shunt_b, nb.v_mag, nb.v_ang, nb.base_kv))
@@ -256,48 +244,7 @@ def merge_cases(manifest: MergeManifest, raws: list[RawCase]) -> tuple[RawCase, 
 
     merged = RawCase(raws[0].base_mva, tuple(buses), tuple(gens), tuple(branches),
                      name="merged")
-    return merged, gidx
-
-
-def _region_network(reg: int, case: RawCase, copies: list[tuple[int, RawBus]],
-                    ties: list[tuple[Interconnection, bool]], slack_region: int,
-                    local_pos: dict) -> NetworkModel:
-    """Build one region's model: own buses, copy buses, tie-line images.
-
-    ``local_pos`` maps a local bus id, or a ("copy", home region, bus id)
-    key for copied foreign buses, to the bus position in the region.
-    """
-    own = tuple(_demote_foreign_slack(b, reg, slack_region)
-                for b in sorted(case.buses, key=lambda b: b.id))
-    specs = _bus_specs_from_case(RawCase(case.base_mva, own, case.generators, case.branches))
-    for local_id, src in copies:
-        specs.append(BusSpec(
-            bus_id=local_id,
-            type=BusType.COPY,
-            p_inj=0.0,
-            q_inj=0.0,
-            shunt_g=0.0,
-            shunt_b=0.0,
-            v_spec=src.v_mag,
-            theta_spec=0.0,
-        ))
-
-    branches = _branch_specs_from_case(case, local_pos)
-    for t, outgoing in ties:
-        # tie image keeps the manifest orientation; the foreign endpoint is
-        # the local copy
-        if outgoing:
-            f = local_pos[t.from_bus]
-            tt = local_pos[("copy", t.to_region, t.to_bus)]
-        else:
-            f = local_pos[("copy", t.from_region, t.from_bus)]
-            tt = local_pos[t.to_bus]
-        branches.append(BranchSpec(
-            f=f, t=tt, r=t.r, x=t.x, b=t.b, tap=t.tap_ratio,
-            shift=math.radians(t.phase_shift),
-        ))
-
-    return NetworkModel(specs, branches, case.base_mva, require_slack=False)
+    return merged, GlobalIndex(merged_of)
 
 
 def partition(manifest: MergeManifest, raws: list[RawCase]) -> PartitionedProblem:
@@ -308,98 +255,82 @@ def partition(manifest: MergeManifest, raws: list[RawCase]) -> PartitionedProble
     magnitudes, so runs are reproducible.
     """
     merged, gidx = merge_cases(manifest, raws)
-    n_region = len(raws)
+    merged_of = gidx.merged_of
+    ties = manifest.interconnections
 
-    # foreign buses each region must copy, keyed and ordered by merged id
-    needed: list[dict[int, tuple[int, int]]] = [dict() for _ in range(n_region)]
-    for t in manifest.interconnections:
-        needed[t.from_region][gidx.merged_of[(t.to_region, t.to_bus)]] = (t.to_region, t.to_bus)
-        needed[t.to_region][gidx.merged_of[(t.from_region, t.from_bus)]] = (t.from_region, t.from_bus)
-
-    bus_lookup = [{b.id: b for b in case.buses} for case in raws]
+    # hyperedges first: each boundary bus's home region and the regions
+    # holding a copy of it
+    home: dict[int, int] = {}
+    tied: dict[int, set[int]] = {}
+    for t in ties:
+        for reg, bus, other in ((t.from_region, t.from_bus, t.to_region),
+                                (t.to_region, t.to_bus, t.from_region)):
+            merged_id = merged_of[(reg, bus)]
+            home[merged_id] = reg
+            tied.setdefault(merged_id, set()).add(other)
+    boundary = sorted(tied)
+    edge_of = {merged_id: e for e, merged_id in enumerate(boundary)}
+    copies: list[list[int]] = [[] for _ in raws]
+    for merged_id in boundary:
+        for reg in tied[merged_id]:
+            copies[reg].append(merged_id)
 
     regions: list[RegionStructure] = []
-    copy_pos: list[dict[tuple[int, int], int]] = []  # (home region, bus id) -> local position
+    pos_of: list[dict[int, int]] = []
     for reg, case in enumerate(raws):
-        own = sorted(case.buses, key=lambda b: b.id)
-        local_pos = {b.id: i for i, b in enumerate(own)}
-        max_id = max(b.id for b in own)
+        own = tuple(_demote_foreign_slack(b, reg, manifest.slack_region)
+                    for b in sorted(case.buses, key=lambda b: b.id))
+        merged_ids = [merged_of[(reg, b.id)] for b in own] + copies[reg]
+        pos = {merged_id: i for i, merged_id in enumerate(merged_ids)}
+        pos_of.append(pos)
 
-        copies: list[tuple[int, RawBus]] = []
-        cpos: dict[tuple[int, int], int] = {}
-        for off, merged_id in enumerate(sorted(needed[reg])):
-            src_reg, src_bus = needed[reg][merged_id]
-            local_id = max_id + 1 + off
-            pos = len(own) + off
-            copies.append((local_id, bus_lookup[src_reg][src_bus]))
-            cpos[(src_reg, src_bus)] = pos
-            local_pos[("copy", src_reg, src_bus)] = pos
-        copy_pos.append(cpos)
+        # own buses, then the copies, which carry their home bus's magnitude
+        specs = _bus_specs_from_case(RawCase(case.base_mva, own, case.generators, case.branches))
+        for local_id, merged_id in enumerate(copies[reg], start=own[-1].id + 1):
+            specs.append(BusSpec(
+                bus_id=local_id,
+                type=BusType.COPY,
+                p_inj=0.0,
+                q_inj=0.0,
+                shunt_g=0.0,
+                shunt_b=0.0,
+                v_spec=merged.buses[merged_id - 1].v_mag,
+                theta_spec=0.0,
+            ))
+        # internal branches, then one image per tie, outgoing ties first, each
+        # oriented as in the manifest with the local copy as foreign end
+        branches = _branch_specs_from_case(case, {b.id: i for i, b in enumerate(own)})
+        for tie in ([t for t in ties if t.from_region == reg]
+                    + [t for t in ties if t.to_region == reg]):
+            branches.append(BranchSpec(
+                f=pos[merged_of[(tie.from_region, tie.from_bus)]],
+                t=pos[merged_of[(tie.to_region, tie.to_bus)]],
+                r=tie.r, x=tie.x, b=tie.b, tap=tie.tap_ratio,
+                shift=math.radians(tie.phase_shift),
+            ))
+        net = NetworkModel(specs, branches, case.base_mva, require_slack=False)
 
-        ties = [(t, True) for t in manifest.interconnections if t.from_region == reg]
-        ties += [(t, False) for t in manifest.interconnections if t.to_region == reg]
-
-        net = _region_network(reg, case, copies, ties, manifest.slack_region, local_pos)
-        if net.n_core == 0:
-            raise PartitionError(f"region {reg} has no core buses")
-
-        merged_ids = np.array(
-            [gidx.merged_of[(reg, b.id)] for b in own]
-            + [gidx.merged_of[needed[reg][m]] for m in sorted(needed[reg])],
-            dtype=np.int64,
-        )
-        local_ids = np.array([b.id for b in own] + [lid for lid, _ in copies], dtype=np.int64)
-        regions.append(RegionStructure(
-            index=reg, net=net, local_ids=local_ids, merged_ids=merged_ids,
-            is_copy=net.is_copy.copy(),
-            coupling_free_cols=np.empty(0, dtype=np.int64),
-            z_cols=np.empty(0, dtype=np.int64),
-        ))
-
-    # hyperedges: one per physical boundary bus, home instance first
-    boundary: dict[int, tuple[int, int]] = {}
-    for t in manifest.interconnections:
-        boundary[gidx.merged_of[(t.from_region, t.from_bus)]] = (t.from_region, t.from_bus)
-        boundary[gidx.merged_of[(t.to_region, t.to_bus)]] = (t.to_region, t.to_bus)
-
-    edges: list[Hyperedge] = []
-    for merged_id in sorted(boundary):
-        home_reg, home_bus = boundary[merged_id]
-        home_pos = int(np.flatnonzero(regions[home_reg].local_ids == home_bus)[0])
-        inst = [(home_reg, home_pos)]
-        for reg in range(n_region):
-            if (home_reg, home_bus) in copy_pos[reg]:
-                inst.append((reg, copy_pos[reg][(home_reg, home_bus)]))
-        inst = [inst[0]] + sorted(inst[1:])
-        if len(inst) < 2:
-            raise PartitionError(f"hyperedge for merged bus {merged_id} has a single instance")
-        edges.append(Hyperedge(merged_bus=merged_id, instances=tuple(inst)))
-    graph = Hypergraph(edges)
-
-    # per-region coupling rows: theta block then v block, by local position
-    touch: list[list[tuple[int, int]]] = [[] for _ in range(n_region)]  # (local pos, edge)
-    for e_idx, e in enumerate(graph.edges):
-        for reg, pos in e.instances:
-            touch[reg].append((pos, e_idx))
-    for reg_struct in regions:
-        entries = sorted(touch[reg_struct.index])
-        a_cols: list[int] = []
-        z_cols: list[int] = []
-        net = reg_struct.net
-        for pos, e_idx in entries:
-            a_cols.append(int(net.col_theta[pos]))
-            z_cols.append(graph.z_index(e_idx, "theta"))
-        for pos, e_idx in entries:
-            a_cols.append(int(net.col_v[pos]))
-            z_cols.append(graph.z_index(e_idx, "v"))
-        if any(c < 0 for c in a_cols):
+        # coupling rows: theta block then v block, by local position
+        cpl = [i for i, merged_id in enumerate(merged_ids) if merged_id in edge_of]
+        edges = np.array([edge_of[merged_ids[i]] for i in cpl], dtype=np.int64)
+        a_cols = np.concatenate([net.col_theta[cpl], net.col_v[cpl]])
+        if np.any(a_cols < 0):
             raise PartitionError(
-                f"region {reg_struct.index}: a coupled quantity is fixed; boundary buses "
+                f"region {reg}: a coupled quantity is fixed; boundary buses "
                 "must keep both theta and v free"
             )
-        reg_struct.coupling_free_cols = np.array(a_cols, dtype=np.int64)
-        reg_struct.z_cols = np.array(z_cols, dtype=np.int64)
+        regions.append(RegionStructure(
+            index=reg, net=net, local_ids=net.bus_ids.copy(),
+            merged_ids=np.array(merged_ids, dtype=np.int64), is_copy=net.is_copy.copy(),
+            coupling_free_cols=a_cols, z_cols=np.concatenate([edges, len(boundary) + edges]),
+        ))
 
+    # instances: home first, then the copies by region
+    graph = Hypergraph([
+        Hyperedge(merged_bus=m, instances=tuple(
+            (reg, pos_of[reg][m]) for reg in [home[m]] + sorted(tied[m])))
+        for m in boundary
+    ])
     return PartitionedProblem(
         regions=regions, hypergraph=graph, global_index=gidx,
         merged_case=merged, manifest=manifest,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import IO
 
 import numpy as np
@@ -74,17 +74,28 @@ class SolveTrace:
         return self.records[-1] if self.records else None
 
 
-_FIELDS = ("iter", "f", "r_norm2", "dchi_inf", "primal_residual", "comm_floats", "wall_ns")
-_OPTIONAL = ("lm_error", "condense_gap", "dist_to_ref")
+# the schema is the dataclass: required fields with their types, then the
+# optional ones, written only when set
+_FIELDS = {f.name: {"int": int, "float": float}[f.type]
+           for f in fields(IterationRecord) if f.default is MISSING}
+_OPTIONAL = tuple(f.name for f in fields(IterationRecord) if f.name not in _FIELDS)
+_DETERMINISTIC = tuple(f.name for f in fields(IterationRecord) if f.name != "wall_ns")
+
+
+def _write(sink: IO, payload: str) -> None:
+    if isinstance(sink, (io.RawIOBase, io.BufferedIOBase)) or "b" in getattr(sink, "mode", ""):
+        sink.write(payload.encode("utf-8"))
+    else:
+        sink.write(payload)
+
+
+def _read(source: IO) -> str:
+    data = source.read()
+    return data.decode("utf-8") if isinstance(data, bytes) else data
 
 
 def _record_dict(rec: IterationRecord) -> dict:
-    d = {k: getattr(rec, k) for k in _FIELDS}
-    for k in _OPTIONAL:
-        v = getattr(rec, k)
-        if v is not None:
-            d[k] = v
-    return d
+    return {k: v for k, v in vars(rec).items() if k in _FIELDS or v is not None}
 
 
 def write_trace(trace: SolveTrace, sink: IO) -> None:
@@ -92,18 +103,11 @@ def write_trace(trace: SolveTrace, sink: IO) -> None:
     lines = [json.dumps({"type": "header", "format": "hdpf-trace", "version": 1,
                          "status": trace.status})]
     lines += [json.dumps(_record_dict(r)) for r in trace.records]
-    payload = "\n".join(lines) + "\n"
-    if isinstance(sink, (io.RawIOBase, io.BufferedIOBase)) or "b" in getattr(sink, "mode", ""):
-        sink.write(payload.encode("utf-8"))
-    else:
-        sink.write(payload)
+    _write(sink, "\n".join(lines) + "\n")
 
 
 def read_trace(source: IO) -> SolveTrace:
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    lines = [ln for ln in data.splitlines() if ln.strip()]
+    lines = [ln for ln in _read(source).splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty trace stream")
     header = json.loads(lines[0])
@@ -112,51 +116,30 @@ def read_trace(source: IO) -> SolveTrace:
     records = []
     for ln in lines[1:]:
         d = json.loads(ln)
-        records.append(IterationRecord(
-            iter=int(d["iter"]),
-            f=float(d["f"]),
-            r_norm2=float(d["r_norm2"]),
-            dchi_inf=float(d["dchi_inf"]),
-            primal_residual=float(d["primal_residual"]),
-            comm_floats=int(d["comm_floats"]),
-            wall_ns=int(d["wall_ns"]),
-            lm_error=d.get("lm_error"),
-            condense_gap=d.get("condense_gap"),
-            dist_to_ref=d.get("dist_to_ref"),
-        ))
+        records.append(IterationRecord(**{k: cast(d[k]) for k, cast in _FIELDS.items()},
+                                       **{k: d.get(k) for k in _OPTIONAL}))
     return SolveTrace(records=records, status=header.get("status", STATUS_MAX_ITER))
 
 
 def trace_signature(trace: SolveTrace) -> tuple:
     """Everything deterministic in a trace (wall time excluded)."""
-    rows = tuple(
-        (r.iter, r.f, r.r_norm2, r.dchi_inf, r.primal_residual, r.comm_floats,
-         r.lm_error, r.condense_gap, r.dist_to_ref)
-        for r in trace.records
-    )
+    rows = tuple(tuple(getattr(r, k) for k in _DETERMINISTIC) for r in trace.records)
     return (trace.status, rows)
 
 
 def write_state(state: StateVector, sink: IO) -> None:
     """Serialize a full state (theta, v, p, q per bus) as JSON."""
-    payload = json.dumps({
+    _write(sink, json.dumps({
         "bus_ids": state.net.bus_ids.tolist(),
         "theta": state.theta.tolist(),
         "vm": state.vm.tolist(),
         "p": state.p.tolist(),
         "q": state.q.tolist(),
-    }) + "\n"
-    if isinstance(sink, (io.RawIOBase, io.BufferedIOBase)) or "b" in getattr(sink, "mode", ""):
-        sink.write(payload.encode("utf-8"))
-    else:
-        sink.write(payload)
+    }) + "\n")
 
 
 def read_state(source: IO, net: NetworkModel) -> StateVector:
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    d = json.loads(data)
+    d = json.loads(_read(source))
     ids = np.asarray(d["bus_ids"], dtype=np.int64)
     if len(ids) != net.n_bus or not np.array_equal(ids, net.bus_ids):
         raise ValueError("state file does not match the network's buses")

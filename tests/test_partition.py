@@ -69,29 +69,47 @@ def test_three_regions_sharing_one_bus():
     r0 = _region(10, 20, slack=True)
     r1 = _region(30, 40)
     r2 = _region(50, 60)
-    manifest = MergeManifest(
-        region_files=("r0.m", "r1.m", "r2.m"),
-        interconnections=(
-            Interconnection(0, 20, 1, 40, 0.01, 0.1, 0.0, 1.0, 0.0),
-            Interconnection(0, 20, 2, 60, 0.01, 0.1, 0.0, 1.0, 0.0),
-        ),
-        slack_region=0,
-    )
-    p = partition(manifest, [r0, r1, r2])
-    cards = sorted(len(e.instances) for e in p.hypergraph.edges)
-    assert cards == [2, 2, 3]
-    big = max(p.hypergraph.edges, key=lambda e: len(e.instances))
-    assert {reg for reg, _ in big.instances} == {0, 1, 2}
+    for ties in (
+        # bus 20 is the from end of both ties
+        ((0, 20, 1, 40), (0, 20, 2, 60)),
+        # bus 20 is the to end of one tie and the from end of the other
+        ((1, 40, 0, 20), (0, 20, 2, 60)),
+    ):
+        manifest = MergeManifest(
+            region_files=("r0.m", "r1.m", "r2.m"),
+            interconnections=tuple(Interconnection(*t, 0.01, 0.1, 0.0, 1.0, 0.0)
+                                   for t in ties),
+            slack_region=0,
+        )
+        p = partition(manifest, [r0, r1, r2])
+        cards = sorted(len(e.instances) for e in p.hypergraph.edges)
+        assert cards == [2, 2, 3]
+        big = max(p.hypergraph.edges, key=lambda e: len(e.instances))
+        assert {reg for reg, _ in big.instances} == {0, 1, 2}
+        # home instance first (bus 20 at position 1), then the copies by
+        # region, each after its region's two own buses
+        assert big.instances == ((0, 1), (1, 2), (2, 2))
 
-    # stacked incidence has full column rank and the right row count
-    e = p.stacked_incidence().toarray()
-    assert e.shape == (sum(r.n_cpl for r in p.regions), p.n_z)
-    assert np.linalg.matrix_rank(e) == p.n_z
-    # each row selects exactly one consensus column
-    assert np.all(e.sum(axis=1) == 1.0)
-    # column multiplicity equals instance count per quantity
-    mult = e.T @ e
-    assert np.all(np.diag(mult) >= 2)
+        # each tie has an image on both sides, between the local instances
+        # of its two ends
+        merged_of = p.global_index.merged_of
+        for t in manifest.interconnections:
+            ends = [e for e in p.hypergraph.edges
+                    if e.merged_bus in (merged_of[(t.from_region, t.from_bus)],
+                                        merged_of[(t.to_region, t.to_bus)])]
+            for reg in (t.from_region, t.to_region):
+                i, j = (dict(e.instances)[reg] for e in ends)
+                assert p.regions[reg].net.ybus[i, j] != 0
+
+        # stacked incidence has full column rank and the right row count
+        e = p.stacked_incidence().toarray()
+        assert e.shape == (sum(r.n_cpl for r in p.regions), p.n_z)
+        assert np.linalg.matrix_rank(e) == p.n_z
+        # each row selects exactly one consensus column
+        assert np.all(e.sum(axis=1) == 1.0)
+        # column multiplicity equals instance count per quantity
+        mult = e.T @ e
+        assert np.all(np.diag(mult) >= 2)
 
 
 def test_selector_is_partial_permutation(problems):
@@ -177,6 +195,23 @@ def test_pv_boundary_bus_rejected():
     )
     # bus 3 is region 1's PV bus
     with pytest.raises(PartitionError, match="PQ"):
+        partition(manifest, [r0, r1])
+
+
+def test_tie_within_one_region_rejected():
+    r0 = _region(10, 20, slack=True)
+    r1 = parse_case(REGION_TMPL.format(sid=30, lid=40, stype=2).replace(
+        "];\nmpc.gen", "  41 1 20 5 0 0 1 1.0 0 0 1 0 0;\n];\nmpc.gen", 1).replace(
+        "30 40 0.01 0.1 0 0 0 0 0 0 1;", "30 40 0.01 0.1 0 0 0 0 0 0 1;\n  40 41 0.01 0.1 0 0 0 0 0 0 1;"))
+    manifest = MergeManifest(
+        region_files=("r0.m", "r1.m"),
+        interconnections=(
+            Interconnection(0, 20, 1, 40, 0.01, 0.1, 0.0, 1.0, 0.0),
+            Interconnection(1, 40, 1, 41, 0.01, 0.1, 0.0, 1.0, 0.0),
+        ),
+        slack_region=0,
+    )
+    with pytest.raises(PartitionError, match="itself"):
         partition(manifest, [r0, r1])
 
 

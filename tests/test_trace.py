@@ -85,6 +85,31 @@ def test_read_rejects_non_trace_stream():
         read_trace(io.StringIO('{"not": "a header"}\n'))
 
 
+# a version-1 trace: two records of a diagnosed fig1 solve with a reference
+V1_TRACE = (
+    '{"type": "header", "format": "hdpf-trace", "version": 1, "status": "converged"}\n'
+    '{"iter": 1, "f": 0.9886179217997555, "r_norm2": 1.4061421847023547, '
+    '"dchi_inf": 0.4014913773812181, "primal_residual": 0.0, "comm_floats": 48, '
+    '"wall_ns": 8252205, "lm_error": 3.173259277864652, '
+    '"condense_gap": 0.006467353013467125, "dist_to_ref": 0.07106386129446673}\n'
+    '{"iter": 2, "f": 0.0015281353895349554, "r_norm2": 0.055283548900825014, '
+    '"dchi_inf": 0.07097083606149812, "primal_residual": 0.0, "comm_floats": 48, '
+    '"wall_ns": 7832693}\n'
+)
+
+
+def test_version_1_trace_reads_and_writes_byte_for_byte():
+    trace = read_trace(io.StringIO(V1_TRACE))
+    assert trace.status == STATUS_CONVERGED
+    assert [r.iter for r in trace.records] == [1, 2]
+    assert trace.records[0].dist_to_ref == 0.07106386129446673
+    assert trace.records[1].lm_error is None
+    assert isinstance(trace.records[1].wall_ns, int)
+    buf = io.StringIO()
+    write_trace(trace, buf)
+    assert buf.getvalue() == V1_TRACE
+
+
 def test_solver_trace_roundtrip(problems):
     _, _, trace = solve(problems["fig1"], SolverConfig(diagnose=True))
     buf = io.StringIO()
