@@ -20,8 +20,8 @@ from .trace import SolveTrace
 __all__ = ["central_solve", "dense_kkt_solve"]
 
 
-def central_solve(net: NetworkModel, cfg: SolverConfig | None = None,
-                  x0: StateVector | None = None) -> tuple[StateVector, SolveTrace]:
+def central_solve(net: NetworkModel,
+                  cfg: SolverConfig | None = None) -> tuple[StateVector, SolveTrace]:
     """Regularized Gauss-Newton on the whole network from a flat start.
 
     Defaults push the residual to 1e-12 so the result can serve as the
@@ -30,8 +30,7 @@ def central_solve(net: NetworkModel, cfg: SolverConfig | None = None,
     """
     if cfg is None:
         cfg = SolverConfig(tol_residual=1e-12)
-    s = x0.copy() if x0 is not None else flat_start(net)
-    (s,), _, records, status = _iterate([net], [s], None, cfg, _full_space_step)
+    (s,), _, records, status = _iterate([net], [flat_start(net)], None, cfg, _full_space_step)
     return s, SolveTrace(records=records, status=status)
 
 

@@ -1,17 +1,18 @@
 """Simulated message-passing execution with communication accounting.
 
-:func:`run_distributed` runs the driver's outer loop and consensus step
-with one change: the consensus pass goes through explicit flat float64
-buffers between the regions and a single coordinator, delivered in region
-order.  Per outer iteration each region uploads its dense consensus payload
-(the z-block of E' Bbar E plus the weighted local move, n^2 + n floats for
-n active consensus columns) and downloads its slice of the consensus vector
-(n floats).  Convergence scalars are control plane and are not metered.
+:func:`run_distributed` runs :func:`hdpf.driver.solve`'s loop, step and
+consensus pass with one change: the coordinator's average in
+:func:`hdpf.consensus.consensus_pass` is a metered one.  Per outer iteration
+each region uploads its dense consensus payload (the z-block of E' Bbar E
+plus the weighted local move, n^2 + n floats for n active consensus
+columns) as one flat float64 buffer, in region order; the coordinator
+solves the weighted average from the buffers alone, and each region
+downloads its slice of the consensus vector (n floats).  Convergence
+scalars are control plane and are not metered.
 
-Only the transport differs from :func:`hdpf.driver.solve`; every arithmetic
-step is the same code, so final states and traces are bit-identical to the
-direct path by construction.  Message wire time is out of scope: the ledger
-measures volume, not latency.
+The local moves, the average and the dual update are the direct path's own
+code, so final states and traces are bit-identical to it by construction.
+Message wire time is out of scope: the ledger measures volume, not latency.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .condense import CondensedQP
-from .consensus import ConsensusSolution, local_unconstrained, region_contribution, weighted_average
+from .consensus import weighted_average
 from .driver import SolverConfig, _solve
 from .network import StateVector
-from .partition import PartitionedProblem, RegionStructure, consensus_dims
+from .partition import PartitionedProblem, consensus_dims
 from .trace import SolveTrace
 
 __all__ = ["CommLedger", "LedgerEntry", "run_distributed", "cost_model", "flop_estimates", "CostEstimate"]
@@ -82,42 +82,18 @@ def run_distributed(p: PartitionedProblem, cfg: SolverConfig | None = None,
     ledger = CommLedger()
     iteration = itertools.count(1)
 
-    def exchange(cqps, regions, n_z):
-        return _message_pass(cqps, regions, n_z, ledger, next(iteration))
+    def metered_average(contributions, n_z):
+        k = next(iteration)
+        received = []
+        for reg, (cols, s_block, b_vec) in zip(p.regions, contributions):
+            n = len(cols)
+            buf = np.concatenate([s_block.ravel(), b_vec])
+            ledger.record(k, reg.index, len(buf), n)
+            received.append((cols, buf[:n * n].reshape(n, n), buf[n * n:]))
+        return weighted_average(received, n_z)
 
-    state, lams, trace = _solve(p, cfg, ref, exchange)
+    state, lams, trace = _solve(p, cfg, ref, metered_average)
     return state, lams, trace, ledger
-
-
-def _message_pass(cqps: list[CondensedQP], regions: list[RegionStructure], n_z: int,
-                  ledger: CommLedger, k: int) -> ConsensusSolution:
-    """One consensus pass in which every cross-region value travels as a buffer.
-
-    The coordinator solves the weighted average from the uploaded buffers
-    alone; each region forms its multipliers from the slice it downloads.
-    """
-    x_bars, col_lists, ups = [], [], []
-    for cqp, reg in zip(cqps, regions):
-        x_bar = local_unconstrained(cqp)
-        cols, s_block, b_vec = region_contribution(cqp, reg, x_bar)
-        x_bars.append(x_bar)
-        col_lists.append(cols)
-        ups.append(np.concatenate([s_block.ravel(), b_vec]))
-
-    contribs = []
-    for reg, cols, buf in zip(regions, col_lists, ups):
-        n = len(cols)
-        ledger.record(k, reg.index, len(buf), n)
-        contribs.append((cols, buf[:n * n].reshape(n, n), buf[n * n:]))
-    z_bar = weighted_average(contribs, n_z)
-
-    lams = []
-    for cqp, reg, cols, x_bar in zip(cqps, regions, col_lists, x_bars):
-        down = z_bar[cols]
-        z_vals = np.empty(len(cols))
-        z_vals[np.argsort(reg.z_cols, kind="stable")] = down
-        lams.append(cqp.b_bar @ (x_bar - z_vals) if len(cols) else np.zeros(0))
-    return ConsensusSolution(x_bar=x_bars, z_bar=z_bar, lam=lams)
 
 
 @dataclass(frozen=True)

@@ -54,10 +54,8 @@ class KktResiduals:
 
 @dataclass
 class ConsensusSolution:
-    x_bar: list[np.ndarray]
     z_bar: np.ndarray
     lam: list[np.ndarray]
-    kkt: KktResiduals | None = None
 
 
 def local_unconstrained(cqp: CondensedQP) -> np.ndarray:
@@ -73,13 +71,12 @@ def region_contribution(cqp: CondensedQP, region: RegionStructure,
     """This region's dense consensus payload.
 
     Returns (active z columns, the E' Bbar E block on them, E' Bbar xbar),
-    which is all the coordinator ever needs from a region.
+    which is all the coordinator ever needs from a region.  The columns are
+    the region's ``z_cols`` in its own coupling order, so the block is
+    ``Bbar`` itself; :func:`weighted_average` adds each entry once at its
+    column, so the order does not change the average.
     """
-    order = np.argsort(region.z_cols, kind="stable")
-    cols = region.z_cols[order]
-    s_block = cqp.b_bar[np.ix_(order, order)]
-    b_vec = (cqp.b_bar @ x_bar)[order]
-    return cols, s_block, b_vec
+    return region.z_cols, cqp.b_bar, cqp.b_bar @ x_bar
 
 
 def weighted_average(contributions, n_z: int) -> np.ndarray:
@@ -110,13 +107,20 @@ def dual_update(cqp: CondensedQP, region: RegionStructure, x_bar: np.ndarray,
 
 
 def consensus_pass(cqps: list[CondensedQP], regions: list[RegionStructure],
-                   n_z: int) -> ConsensusSolution:
-    """One full sweep: local solves, weighted average, dual update."""
+                   n_z: int, average=weighted_average) -> ConsensusSolution:
+    """One full sweep: local solves, the coordinator's average, dual update.
+
+    ``average(contributions, n_z)`` is the coordinator's step: it receives
+    the :func:`region_contribution` payloads in region order and returns
+    zbar.  :func:`weighted_average` computes it directly;
+    :func:`hdpf.comm.run_distributed` passes one that carries the payloads
+    as metered buffers.
+    """
     x_bars = [local_unconstrained(c) for c in cqps]
     contribs = [region_contribution(c, r, x) for c, r, x in zip(cqps, regions, x_bars)]
-    z_bar = weighted_average(contribs, n_z)
+    z_bar = average(contribs, n_z)
     lams = [dual_update(c, r, x, z_bar) for c, r, x in zip(cqps, regions, x_bars)]
-    return ConsensusSolution(x_bar=x_bars, z_bar=z_bar, lam=lams)
+    return ConsensusSolution(z_bar=z_bar, lam=lams)
 
 
 def _inf(v: np.ndarray) -> float:
@@ -125,10 +129,7 @@ def _inf(v: np.ndarray) -> float:
 
 def verify_kkt(cqps: list[CondensedQP], regions: list[RegionStructure],
                sol: ConsensusSolution, chi_next: list[np.ndarray]) -> KktResiduals:
-    """KKT residuals of the condensed QP at the recovered iterate.
-
-    The result is also attached to ``sol.kkt``.
-    """
+    """KKT residuals of the condensed QP at the recovered iterate."""
     stat = 0.0
     primal = 0.0
     dual_acc = np.zeros(len(sol.z_bar))
@@ -139,8 +140,7 @@ def verify_kkt(cqps: list[CondensedQP], regions: list[RegionStructure],
         stat = max(stat, _inf(cqp.b_bar @ (x - cqp.x_k) + cqp.g_bar + lam))
         primal = max(primal, _inf(x - sol.z_bar[reg.z_cols]))
         np.add.at(dual_acc, reg.z_cols, lam)
-    sol.kkt = KktResiduals(stationarity=stat, dual=_inf(dual_acc), primal=primal)
-    return sol.kkt
+    return KktResiduals(stationarity=stat, dual=_inf(dual_acc), primal=primal)
 
 
 def averaging_projector(cqps: list[CondensedQP], regions: list[RegionStructure],

@@ -5,9 +5,9 @@ stop when the residual 2-norm is at most ``tol_residual``, take a step,
 stop when the step's infinity norm is at most ``tol_step``.  Only the step
 differs.  :func:`solve` condenses each region onto its coupling variables,
 makes one consensus pass and recovers; :func:`hdpf.comm.run_distributed`
-runs the same step with the consensus pass carried by float buffers; and
-:func:`hdpf.central.central_solve` takes a full-space step on the merged
-network.
+runs the same step and pass with the coordinator's average carried by
+float buffers; and :func:`hdpf.central.central_solve` takes a full-space
+step on the merged network.
 
 Full-step iterations only; there is no line search or trust region.  A run
 that does not contract ends ``max_iter`` and returns its last iterate.  An
@@ -29,7 +29,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .condense import FactorizationError, condense_region, recover_local
-from .consensus import consensus_pass
+from .consensus import consensus_pass, weighted_average
 from .network import ModelError, NetworkModel, StateVector, flat_start
 from .partition import PartitionedProblem
 from .residual import RegionLinearization, linearize, q_term
@@ -187,13 +187,14 @@ def _iterate(nets: list[NetworkModel], states: list[StateVector], lams, cfg: Sol
 
 
 def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | None,
-           exchange) -> tuple[StateVector, list[np.ndarray], SolveTrace]:
-    """The distributed solve with the consensus exchange as a parameter.
+           average) -> tuple[StateVector, list[np.ndarray], SolveTrace]:
+    """The distributed solve with the coordinator's average as a parameter.
 
-    ``exchange(cqps, regions, n_z)`` has the contract of
-    :func:`consensus_pass`.  Each region condenses its model, the exchange
-    resolves the consensus, and each region recovers its step from its
-    consensus values ``E_l zbar``.
+    ``average(contributions, n_z)`` has the contract of
+    :func:`weighted_average`: it takes the regions' consensus payloads in
+    region order and returns zbar.  Each region condenses its model, one
+    :func:`consensus_pass` through ``average`` resolves the consensus, and
+    each region recovers its step from its consensus values ``E_l zbar``.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -202,7 +203,7 @@ def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | N
     def step(lins, chis):
         cqps = [condense_region(lin, r.coupling_free_cols, chi)
                 for lin, r, chi in zip(lins, p.regions, chis)]
-        sol = exchange(cqps, p.regions, p.n_z)
+        sol = consensus_pass(cqps, p.regions, p.n_z, average)
         new_free = []
         primal = 0.0
         for c, reg, chi in zip(cqps, p.regions, chis):
@@ -248,7 +249,7 @@ def solve(p: PartitionedProblem, cfg: SolverConfig | None = None,
     state, typically from the centralized baseline) is given, each record
     carries the distance to it; the reference never influences stopping.
     """
-    return _solve(p, cfg, ref, consensus_pass)
+    return _solve(p, cfg, ref, weighted_average)
 
 
 def convergence_order(trace: SolveTrace, floor: float = 1e-14,

@@ -9,6 +9,12 @@ plus ``lm_error`` and ``condense_gap`` when diagnostics were enabled and
 ``dist_to_ref`` when a reference state was supplied.  JSON float rendering
 round-trips at full double precision.
 
+``primal_residual`` is the largest gap between a region's recovered
+coupling entries and its consensus values ``E_l zbar``.  It is 0.0 by
+construction: step recovery writes ``E_l zbar`` into those entries (the
+README's numerical note), so the field checks that identity rather than
+measuring an approximation.
+
 ``wall_ns`` is measured wall time and therefore varies between runs; every
 other field is deterministic, which is what :func:`trace_signature`
 captures.

@@ -39,7 +39,7 @@ def test_ledger_matches_analytic_formula(problems):
 
 
 def test_harness_is_bit_identical_to_direct_path(problems):
-    for name in ("fig1", "twin14", "case53"):
+    for name in ("fig1", "twin14", "case53", "case404", "case1100"):
         p = problems[name]
         s1, l1, t1 = solve(p, SolverConfig())
         s2, l2, t2, _ = run_distributed(p, SolverConfig())

@@ -88,6 +88,23 @@ def test_weighted_average_detects_untouched_column():
         weighted_average([region_contribution(cqp, _stub([0]), np.zeros(1))], 2)
 
 
+def test_weighted_average_ignores_column_order_within_a_region():
+    # each payload entry is added once at its column, so permuting one
+    # region's (cols, s_block, b_vec) jointly leaves the average unchanged
+    rng = np.random.default_rng(58)
+    for _ in range(25):
+        cqps, regions, n_z = random_consensus_qp(rng)
+        contribs = [region_contribution(c, r, local_unconstrained(c))
+                    for c, r in zip(cqps, regions)]
+        z = weighted_average(contribs, n_z)
+        l = max(range(len(contribs)), key=lambda i: len(contribs[i][0]))
+        cols, s_block, b_vec = contribs[l]
+        perm = rng.permutation(len(cols))
+        permuted = list(contribs)
+        permuted[l] = (cols[perm], s_block[np.ix_(perm, perm)], b_vec[perm])
+        assert np.array_equal(weighted_average(permuted, n_z), z)
+
+
 def test_dual_update_single_region_vanishes():
     rng = np.random.default_rng(8)
     cqp = _cqp(random_spd(rng, 2), rng.standard_normal(2), rng.standard_normal(2))

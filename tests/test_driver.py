@@ -75,6 +75,8 @@ def test_primal_residual_small_on_fixtures(solved):
     for name in ("case53", "case404", "case1100"):
         _, _, trace = solved[name]
         assert trace.final().primal_residual <= 1e-6
+        # recovery writes E_l zbar into the coupling entries
+        assert all(rec.primal_residual == 0.0 for rec in trace.records), name
 
 
 def test_trace_is_deterministic(problems):
