@@ -4,17 +4,27 @@ The centralized solver runs on the merged, unpartitioned case through the
 same residual and Jacobian code and the same outer loop as the distributed
 path, but factors the whole regularized Gauss-Newton matrix itself, so any
 disagreement with the distributed path isolates the condensation and
-consensus machinery rather than the physics.  The dense saddle-point
-solver is the independent oracle for the condensed consensus QP.
+consensus machinery rather than the physics.  That matrix,
+B = J'J + eps*I, stays sparse: it is assembled in CSC form and factored
+once per iteration by SuperLU with settings for a symmetric positive
+definite matrix (minimum-degree ordering of B + B', no pivoting off the
+diagonal, symmetric mode), so the step costs grow with the nonzeros of B
+rather than with the cube of the number of free entries; the step is taken
+as chi - B^-1 g (see :func:`_full_space_step`).  The dense
+saddle-point solver is the independent oracle for the condensed consensus
+QP.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .condense import FactorizationError, _cho_factor, _cho_solve
+from .condense import FactorizationError
 from .driver import SolverConfig, _iterate
 from .network import NetworkModel, StateVector, flat_start
+from .residual import RegionLinearization, _residual_and_jacobian
 from .trace import SolveTrace
 
 __all__ = ["central_solve", "dense_kkt_solve"]
@@ -30,17 +40,36 @@ def central_solve(net: NetworkModel,
     """
     if cfg is None:
         cfg = SolverConfig(tol_residual=1e-12)
-    (s,), _, records, status = _iterate([net], [flat_start(net)], None, cfg, _full_space_step)
+    (s,), _, records, status = _iterate([net], [flat_start(net)], None, cfg,
+                                        _full_space_step, linearize_fn=_sparse_linearize)
     return s, SolveTrace(records=records, status=status)
 
 
+def _sparse_linearize(net: NetworkModel, s: StateVector, eps: float) -> RegionLinearization:
+    """:func:`hdpf.residual.linearize` with ``hess`` = J'J + eps*I kept as a
+    CSC matrix, so no dense n_free x n_free array is formed."""
+    r, j = _residual_and_jacobian(net, s)
+    hess = sp.csc_matrix(j.T @ j + eps * sp.identity(net.n_free, format="csc"))
+    return RegionLinearization(r=r, jac=j, g=j.T @ r, hess=hess, eps=eps)
+
+
 def _full_space_step(lins, chis):
-    """chi+ = B^-1 (B chi - g) with B = J'J + eps*I, by a dense Cholesky
-    factorization of the whole matrix: no condensation, no consensus."""
+    """chi+ = chi - B^-1 g with B = J'J + eps*I, by one sparse LU
+    factorization of the whole matrix: no condensation, no consensus.
+
+    The step form is algebraically B^-1 (B chi - g), but its rounding error
+    scales with the step rather than with |chi|, which keeps the residual
+    of the returned state near machine precision.
+    """
     (lin,), (chi,) = lins, chis
-    rhs = lin.hess @ chi - lin.g
-    chol = _cho_factor(lin.hess, "full-space Gauss-Newton matrix")
-    return [_cho_solve(chol, rhs)], None, 0.0
+    if len(chi) == 0:
+        return [chi.copy()], None, 0.0
+    try:
+        lu = spla.splu(lin.hess, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise FactorizationError(f"full-space Gauss-Newton matrix is singular: {exc}") from exc
+    return [chi - lu.solve(lin.g)], None, 0.0
 
 
 def dense_kkt_solve(b_bars: list[np.ndarray], g_bars: list[np.ndarray],

@@ -6,16 +6,17 @@ stop when the step's infinity norm is at most ``tol_step``.  Only the step
 differs.  :func:`solve` condenses each region onto its coupling variables,
 makes one consensus pass and recovers; :func:`hdpf.comm.run_distributed`
 runs the same step and pass with the coordinator's average carried by
-float buffers; and :func:`hdpf.central.central_solve` takes a full-space
-step on the merged network.
+float buffers; and :func:`hdpf.central.central_solve` linearizes the
+merged network into a sparse model and takes a full-space step.
 
 Full-step iterations only; there is no line search or trust region.  A run
 that does not contract ends ``max_iter`` and returns its last iterate.  An
-iterate that cannot be linearized (a non-positive voltage magnitude) or a
-factorization that fails in the step ends the run ``numerical_breakdown``;
-it then returns the last iterate that linearized, with its multipliers,
-never the broken one.  All cross-region reductions run in a fixed region
-order, so two runs with identical inputs produce identical traces.
+iterate that cannot be linearized (a non-finite entry or a non-positive
+voltage magnitude) or a factorization that fails in the step ends the run
+``numerical_breakdown``; it then returns the last iterate that linearized,
+with its multipliers, never the broken one.  All cross-region reductions
+run in a fixed region order, so two runs with identical inputs produce
+identical traces.
 """
 
 from __future__ import annotations
@@ -136,9 +137,12 @@ def _condense_gap(p: PartitionedProblem, lins, q_terms, chi_ks, x_plus) -> float
 
 
 def _iterate(nets: list[NetworkModel], states: list[StateVector], lams, cfg: SolverConfig,
-             step, comm_floats: int = 0, extras=None):
+             step, comm_floats: int = 0, extras=None, linearize_fn=None):
     """The outer iteration shared by every solver.
 
+    ``linearize_fn(net, state, eps)`` evaluates each network at the current
+    iterate (:func:`linearize` when not given) and raises
+    :class:`ModelError` on an iterate it cannot evaluate.
     ``step(lins, chis)`` maps the linearizations and free vectors of the
     current iterate to the next free vectors, their multipliers and the
     primal residual; it may raise :class:`FactorizationError`.
@@ -146,13 +150,17 @@ def _iterate(nets: list[NetworkModel], states: list[StateVector], lams, cfg: Sol
     record fields.  Returns the final states and multipliers, the records and
     the status.
     """
+    if linearize_fn is None:
+        # read at call time, so a wrapper set on this module's attribute
+        # (as bench/layers.py sets) sees every call
+        linearize_fn = linearize
     records: list[IterationRecord] = []
     status = STATUS_MAX_ITER
     valid = states, lams  # the last iterate that linearized
     for k in range(1, cfg.max_iter + 1):
         t0 = time.perf_counter_ns()
         try:
-            lins = [linearize(net, s, cfg.eps) for net, s in zip(nets, states)]
+            lins = [linearize_fn(net, s, cfg.eps) for net, s in zip(nets, states)]
         except ModelError:
             states, lams = valid
             status = STATUS_BREAKDOWN

@@ -33,7 +33,7 @@ class RegionLinearization:
     r: np.ndarray           # (2*n_core,)
     jac: sp.csr_matrix      # (2*n_core, n_free)
     g: np.ndarray           # (n_free,)  gradient J^T r of f = 0.5*||r||^2
-    hess: np.ndarray        # (n_free, n_free) dense J^T J + eps*I
+    hess: np.ndarray        # (n_free, n_free) J^T J + eps*I, dense (CSC in the central reference)
     eps: float
 
     @property
@@ -44,13 +44,19 @@ class RegionLinearization:
 def _check_state(net: NetworkModel, s: StateVector):
     if s.vm.shape[0] != net.n_bus:
         raise ValueError("state is dimensioned for a different network")
+    finite = np.isfinite(s.theta) & np.isfinite(s.vm) & np.isfinite(s.p) & np.isfinite(s.q)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
+        raise ModelError(f"non-finite state at bus position(s) {bad.tolist()}")
     if np.any(s.vm <= 0.0):
         bad = np.flatnonzero(s.vm <= 0.0)
         raise ModelError(f"non-positive voltage magnitude at bus position(s) {bad.tolist()}")
 
 
 def _flow_terms(net: NetworkModel, s: StateVector):
-    """Per-nonzero trig terms and per-bus computed injections."""
+    """Check the state, then return the per-nonzero trig terms and the
+    per-bus computed injections."""
+    _check_state(net, s)
     i, k = net.y_row, net.y_col
     dth = s.theta[i] - s.theta[k]
     cos, sin = np.cos(dth), np.sin(dth)
@@ -66,8 +72,11 @@ def _flow_terms(net: NetworkModel, s: StateVector):
 
 def residual(net: NetworkModel, s: StateVector) -> np.ndarray:
     """Residual vector over core buses, rows (p_1, q_1, p_2, q_2, ...)."""
-    _check_state(net, s)
-    _, _, _, _, p_calc, q_calc = _flow_terms(net, s)
+    return _residual(net, s, _flow_terms(net, s))
+
+
+def _residual(net: NetworkModel, s: StateVector, terms) -> np.ndarray:
+    _, _, _, _, p_calc, q_calc = terms
     core = net.core_idx
     r = np.empty(2 * net.n_core)
     r[0::2] = s.p[core] - p_calc[core]
@@ -77,8 +86,18 @@ def residual(net: NetworkModel, s: StateVector) -> np.ndarray:
 
 def jacobian(net: NetworkModel, s: StateVector) -> sp.csr_matrix:
     """Analytic Jacobian of the residual w.r.t. the free state entries."""
-    _check_state(net, s)
-    _, d, tc, td, p_calc, q_calc = _flow_terms(net, s)
+    return _jacobian(net, s, _flow_terms(net, s))
+
+
+def _residual_and_jacobian(net: NetworkModel, s: StateVector) -> tuple[np.ndarray, sp.csr_matrix]:
+    """:func:`residual` and :func:`jacobian` from one state check and one
+    evaluation of the flow terms."""
+    terms = _flow_terms(net, s)
+    return _residual(net, s, terms), _jacobian(net, s, terms)
+
+
+def _jacobian(net: NetworkModel, s: StateVector, terms) -> sp.csr_matrix:
+    _, d, tc, td, p_calc, q_calc = terms
 
     n = net.n_bus
     row_of_bus = np.full(n, -1, dtype=np.int64)
@@ -141,9 +160,9 @@ def q_term(net: NetworkModel, s: StateVector) -> np.ndarray:
     Only used for diagnostics (the gap between the regularized Gauss-Newton
     matrix and the true Hessian of f); the solve path never forms it.
     """
-    _check_state(net, s)
-    c, d, tc, td, p_calc, q_calc = _flow_terms(net, s)
-    r = residual(net, s)
+    terms = _flow_terms(net, s)
+    c, d, tc, td, p_calc, q_calc = terms
+    r = _residual(net, s, terms)
 
     n = net.n_bus
     w_p = np.zeros(n)
@@ -235,8 +254,7 @@ def lm_hessian(jac, eps: float) -> np.ndarray:
 
 def linearize(net: NetworkModel, s: StateVector, eps: float) -> RegionLinearization:
     """Evaluate residual, Jacobian, gradient and regularized Hessian at s."""
-    r = residual(net, s)
-    j = jacobian(net, s)
+    r, j = _residual_and_jacobian(net, s)
     g = j.T @ r
     b = lm_hessian(j, eps)
     return RegionLinearization(r=r, jac=j, g=g, hess=b, eps=eps)

@@ -1,7 +1,14 @@
+import tracemalloc
+
 import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from hdpf import SolverConfig, build_network, central_solve, flat_start, parse_case
-from hdpf.residual import residual
+from hdpf.central import _full_space_step
+from hdpf.condense import FactorizationError
+from hdpf.residual import RegionLinearization, residual
 from hdpf.trace import STATUS_MAX_ITER
 
 from helpers import newton_solve_complex
@@ -82,3 +89,42 @@ def test_central_reuses_residual_path(merged_nets, central_refs):
     state, trace = central_refs["twin14"]
     r = residual(merged_nets["twin14"], state)
     assert np.linalg.norm(r) <= 1e-12
+
+
+def test_singular_full_space_matrix_raises_factorization_error():
+    lin = RegionLinearization(
+        r=np.zeros(2), jac=None, g=np.ones(2),
+        hess=sp.csc_matrix(np.array([[1.0, 0.0], [0.0, 0.0]])), eps=1e-10)
+    with pytest.raises(FactorizationError, match="full-space Gauss-Newton matrix"):
+        _full_space_step([lin], [np.zeros(2)])
+
+
+def test_zero_column_network_steps_without_factoring(monkeypatch):
+    def no_factor(*args, **kwargs):
+        raise AssertionError("a 0-column matrix must not be factored")
+
+    monkeypatch.setattr(spla, "splu", no_factor)
+    lin = RegionLinearization(r=np.zeros(0), jac=None, g=np.zeros(0),
+                              hess=sp.csc_matrix((0, 0)), eps=1e-10)
+    (out,), lams, primal = _full_space_step([lin], [np.zeros(0)])
+    assert out.shape == (0,)
+    assert lams is None and primal == 0.0
+
+
+def test_reference_residual_at_most_2e_12_on_fixtures(merged_nets, central_refs):
+    for name, net in merged_nets.items():
+        state, _ = central_refs[name]
+        assert np.linalg.norm(residual(net, state)) <= 2e-12, name
+
+
+def test_reference_memory_below_quarter_of_one_dense_matrix(merged_nets):
+    net = merged_nets["case1100"]
+    dense_bytes = 8 * net.n_free * net.n_free
+    tracemalloc.start()
+    try:
+        _, trace = central_solve(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.converged
+    assert peak < dense_bytes / 4, (peak, dense_bytes)

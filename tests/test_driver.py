@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -319,3 +321,31 @@ mpc.branch = [
         assert t.status == STATUS_BREAKDOWN
         assert t.n_iter == trace.n_iter
     assert trace_signature(diag) == trace_signature(ddiag)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_step_ends_breakdown_with_last_valid_iterate(cases, bad):
+    # the shared loop: a step that returns a non-finite vector leaves an
+    # iterate that cannot be linearized, so every solver ends the run
+    # numerical_breakdown and returns the iterate before it
+    from hdpf.driver import _iterate
+    from hdpf.network import flat_start
+    from hdpf.trace import STATUS_BREAKDOWN
+
+    net = build_network(cases["case14"])
+    calls = []
+
+    def step(lins, chis):
+        (lin,), (chi,) = lins, chis
+        calls.append(chi)
+        if len(calls) == 1:
+            return [chi - np.linalg.solve(lin.hess, lin.g)], ["lam"], 0.0
+        return [np.full_like(chi, bad)], ["broken"], 0.0
+
+    (state,), lams, records, status = _iterate(
+        [net], [flat_start(net)], ["lam0"], SolverConfig(), step)
+    assert status == STATUS_BREAKDOWN
+    assert len(records) == 2
+    assert not math.isfinite(records[1].dchi_inf)
+    assert np.array_equal(state.free(), calls[1])
+    assert lams == ["lam"]

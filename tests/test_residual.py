@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hdpf import build_network, flat_start, parse_case
+from hdpf import ModelError, build_network, flat_start, parse_case
 from hdpf.residual import jacobian, linearize, lm_hessian, q_term, residual
 
 from helpers import complex_power_residual, fd_hessian_of_f, fd_jacobian
@@ -240,3 +240,15 @@ def test_lm_hessian_spd_on_regions(problems):
         lin = linearize(reg.net, flat_start(reg.net), 1e-10)
         eigs = np.linalg.eigvalsh(lin.hess)
         assert eigs.min() > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_angle_rejected_with_positions(bad):
+    net = build_network(parse_case(LOSSLESS_2BUS.format(pd=50, qd=20)))
+    s = flat_start(net)
+    theta = s.theta.copy()
+    theta[1] = bad
+    s = type(s)(net, theta, s.vm, s.p, s.q)
+    for fn in (residual, jacobian, q_term):
+        with pytest.raises(ModelError, match=r"non-finite state at bus position\(s\) \[1\]"):
+            fn(net, s)
