@@ -25,9 +25,8 @@ def make_cqp(rng, n):
     b = random_spd(rng, n)
     return CondensedQP(
         b_bar=b, g_bar=rng.standard_normal(n), x_k=rng.standard_normal(n),
-        chol_bbar=sla.cho_factor(b, lower=True), chol_yy=None,
-        bxy=np.zeros((n, 0)), x_cols=np.arange(n),
-        y_cols=np.zeros(0, dtype=np.int64), lin=None)
+        chol_bbar=sla.cho_factor(b, lower=True), x_cols=np.arange(n),
+        y_cols=np.zeros(0, dtype=np.int64), factor=None, w_y=np.zeros(0))
 
 
 rng = np.random.default_rng(7)
@@ -64,8 +63,8 @@ print(f"\naveraging projector M: |M^2 - M|_inf = {np.max(np.abs(m @ m - m)):.2e}
 
 # rerunning the pass from the produced point is a fixed point
 cqps2 = [CondensedQP(b_bar=c.b_bar, g_bar=c.g_bar + c.b_bar @ (xn - c.x_k), x_k=xn,
-                     chol_bbar=c.chol_bbar, chol_yy=None, bxy=c.bxy,
-                     x_cols=c.x_cols, y_cols=c.y_cols, lin=None)
+                     chol_bbar=c.chol_bbar, x_cols=c.x_cols, y_cols=c.y_cols,
+                     factor=None, w_y=c.w_y)
          for c, xn in zip(cqps, chi_next)]
 sol2 = consensus_pass(cqps2, regions, n_z)
 move = max(np.max(np.abs(sol2.z_bar[r.z_cols] - xn))

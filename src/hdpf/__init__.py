@@ -33,8 +33,6 @@ from .condense import (
     FactorizationError,
     condense_region,
     recover_local,
-    schur_condense,
-    split_blocks,
 )
 from .consensus import (
     ConsensusSolution,

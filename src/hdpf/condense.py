@@ -7,9 +7,14 @@ complement leaves a reduced SPD model (b_bar, g_bar) in x alone:
     b_bar = Bxx - Bxy Byy^-1 Byx
     g_bar = gx  - Bxy Byy^-1 gy
 
-The Byy factorization is computed once per outer iteration and reused both
-here and when the full step is recovered from the consensus multipliers;
-it is the dominant per-region cost.
+One Cholesky factorization of B, reordered with the local columns first
+and the coupling columns last, holds both factors the method needs:
+
+    L = [[Lyy, 0], [Lxy, Lxx]],   Byy = Lyy Lyy',   b_bar = Lxx Lxx'
+
+so g_bar = gx - Lxy Lyy^-1 gy, and no second factorization is made.  The
+factor is computed once per outer iteration and reused when the step is
+recovered from the consensus values; it is the dominant per-region cost.
 """
 
 from __future__ import annotations
@@ -21,8 +26,7 @@ import scipy.linalg as sla
 
 from .residual import RegionLinearization
 
-__all__ = ["FactorizationError", "Blocks", "CondensedQP", "split_blocks",
-           "schur_condense", "condense_region", "recover_local"]
+__all__ = ["FactorizationError", "CondensedQP", "condense_region", "recover_local"]
 
 
 class FactorizationError(RuntimeError):
@@ -30,29 +34,20 @@ class FactorizationError(RuntimeError):
 
 
 def _cho_factor(a: np.ndarray, what: str):
-    if a.shape[0] == 0:
-        return None
+    """Lower Cholesky factor (L, True) of the symmetric C-ordered ``a``.
+
+    Factors in place and so overwrites ``a``: its transpose is the
+    Fortran-ordered array LAPACK works on, and ``L`` is that transpose.
+    Only the lower triangle of ``L`` is the factor.
+    """
     try:
-        return sla.cho_factor(a, lower=True, check_finite=False)
+        return sla.cho_factor(a.T, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"{what} is not positive definite: {exc}") from exc
 
 
 def _cho_solve(factor, b: np.ndarray) -> np.ndarray:
-    if factor is None:
-        return np.zeros_like(b)
     return sla.cho_solve(factor, b, check_finite=False)
-
-
-@dataclass
-class Blocks:
-    """One region's (B, g) partitioned into coupling (x) and local (y) blocks."""
-
-    bxx: np.ndarray
-    bxy: np.ndarray
-    byy: np.ndarray
-    gx: np.ndarray
-    gy: np.ndarray
 
 
 @dataclass
@@ -62,57 +57,34 @@ class CondensedQP:
     b_bar: np.ndarray      # (n_cpl, n_cpl) SPD
     g_bar: np.ndarray      # (n_cpl,)
     x_k: np.ndarray        # current coupling values A chi^k
-    chol_bbar: object      # factor of b_bar
-    chol_yy: object        # factor of Byy, reused for recovery
-    bxy: np.ndarray
+    chol_bbar: object      # factor of b_bar: (Lxx, True)
     x_cols: np.ndarray     # free-vector columns of the coupling entries
-    y_cols: np.ndarray
-    lin: RegionLinearization
+    y_cols: np.ndarray     # free-vector columns of the local entries
+    factor: np.ndarray     # L of B in (y_cols, x_cols) order, lower triangle
+    w_y: np.ndarray        # Lyy^-1 gy
 
     @property
     def n_cpl(self) -> int:
         return len(self.x_cols)
 
 
-def split_blocks(lin: RegionLinearization, x_cols: np.ndarray) -> tuple[Blocks, np.ndarray]:
-    """Partition (B, g) by the coupling columns; returns blocks and y columns."""
-    n = lin.hess.shape[0]
-    mask = np.zeros(n, dtype=bool)
-    mask[x_cols] = True
-    y_cols = np.flatnonzero(~mask)
-    b = lin.hess
-    blocks = Blocks(
-        bxx=b[np.ix_(x_cols, x_cols)],
-        bxy=b[np.ix_(x_cols, y_cols)],
-        byy=b[np.ix_(y_cols, y_cols)],
-        gx=lin.g[x_cols],
-        gy=lin.g[y_cols],
-    )
-    return blocks, y_cols
-
-
-def schur_condense(blocks: Blocks):
-    """Reduced (b_bar, g_bar) plus the retained Byy factorization."""
-    chol_yy = _cho_factor(blocks.byy, "local (hidden-variable) block")
-    if blocks.bxx.shape[0] == 0:
-        return blocks.bxx.copy(), blocks.gx.copy(), chol_yy
-    w = _cho_solve(chol_yy, blocks.bxy.T)           # Byy^-1 Byx
-    b_bar = blocks.bxx - blocks.bxy @ w
-    b_bar = 0.5 * (b_bar + b_bar.T)
-    g_bar = blocks.gx - blocks.bxy @ _cho_solve(chol_yy, blocks.gy)
-    return b_bar, g_bar, chol_yy
-
-
 def condense_region(lin: RegionLinearization, x_cols: np.ndarray,
                     chi_free: np.ndarray) -> CondensedQP:
     """Condense one region's model at the current iterate."""
-    blocks, y_cols = split_blocks(lin, x_cols)
-    b_bar, g_bar, chol_yy = schur_condense(blocks)
-    chol_bbar = _cho_factor(b_bar, "condensed coupling block")
+    x_cols = np.asarray(x_cols, dtype=np.int64)
+    y_cols = np.setdiff1d(np.arange(lin.hess.shape[0]), x_cols)
+    ny = len(y_cols)
+    order = np.concatenate([y_cols, x_cols])
+    l, _ = _cho_factor(lin.hess[np.ix_(order, order)], "regularized Gauss-Newton matrix")
+    # solves run through the whole Fortran-ordered factor, since scipy copies
+    # a non-contiguous block such as Lyy before calling LAPACK; the leading
+    # ny entries of L^-1 g are Lyy^-1 gy whatever follows them
+    w_y = sla.solve_triangular(l, lin.g[order], lower=True, check_finite=False)[:ny]
+    l_xx = l[ny:, ny:]
+    lxx = np.tril(l_xx)
     return CondensedQP(
-        b_bar=b_bar, g_bar=g_bar, x_k=chi_free[x_cols], chol_bbar=chol_bbar,
-        chol_yy=chol_yy, bxy=blocks.bxy, x_cols=np.asarray(x_cols, dtype=np.int64),
-        y_cols=y_cols, lin=lin,
+        b_bar=lxx @ lxx.T, g_bar=lin.g[x_cols] - l[ny:, :ny] @ w_y, x_k=chi_free[x_cols],
+        chol_bbar=(l_xx, True), x_cols=x_cols, y_cols=y_cols, factor=l, w_y=w_y,
     )
 
 
@@ -124,15 +96,21 @@ def recover_local(cqp: CondensedQP, x_target: np.ndarray, chi_free: np.ndarray) 
     ``x_target`` directly; routing them through the condensed block's
     factorization instead would amplify rounding by the reciprocal of the
     regularization (the region's own model is flat along copy-bus
-    directions).  The hidden entries then solve their block of the same SPD
-    system through the cached Byy factor.
+    directions).  The hidden entries take the step form of the same SPD
+    system's local block,
+
+        y+ = y - Lyy^-T (w_y + Lxy' (x_target - x_k)),
+
+    one back-substitution through the well-conditioned local factor.
     """
-    b = cqp.lin.hess @ chi_free - cqp.lin.g
-    by = b[cqp.y_cols]
+    ny = len(cqp.y_cols)
+    l = cqp.factor
+    # L' v = (w_y + Lxy' (x_target - x_k), 0): the zero block makes v's
+    # coupling part exactly zero, so its local part is the Lyy' solve
+    rhs = np.zeros(len(l))
+    rhs[:ny] = cqp.w_y + l[ny:, :ny].T @ (x_target - cqp.x_k)
+    v = sla.solve_triangular(l, rhs, trans="T", lower=True, check_finite=False)
     out = np.empty_like(chi_free)
-    if cqp.n_cpl == 0:
-        out[cqp.y_cols] = _cho_solve(cqp.chol_yy, by)
-        return out
     out[cqp.x_cols] = x_target
-    out[cqp.y_cols] = _cho_solve(cqp.chol_yy, by - cqp.bxy.T @ x_target)
+    out[cqp.y_cols] = chi_free[cqp.y_cols] - v[:ny]
     return out

@@ -138,7 +138,10 @@ class NetworkModel:
         self.y_col = coo.col.astype(np.int64)
         self.g_val = coo.data.real.copy()
         self.b_val = coo.data.imag.copy()
-        self._diag_mask = self.y_row == self.y_col
+        # per-bus diagonal G_ii and B_ii
+        diag = y.diagonal()
+        self.g_diag = diag.real.copy()
+        self.b_diag = diag.imag.copy()
 
     @property
     def G(self) -> sp.csr_matrix:
@@ -160,6 +163,9 @@ class NetworkModel:
         self.is_copy = is_copy
         self.core_idx = np.flatnonzero(~is_copy)
         self.n_core = len(self.core_idx)
+        # bus -> its p residual row (q row follows); -1 for copy buses
+        self.row_of_bus = np.full(self.n_bus, -1, dtype=np.int64)
+        self.row_of_bus[self.core_idx] = 2 * np.arange(self.n_core)
 
         self.free_theta = ~is_slack
         self.free_v = is_pq | is_copy

@@ -99,10 +99,7 @@ def _residual_and_jacobian(net: NetworkModel, s: StateVector) -> tuple[np.ndarra
 def _jacobian(net: NetworkModel, s: StateVector, terms) -> sp.csr_matrix:
     _, d, tc, td, p_calc, q_calc = terms
 
-    n = net.n_bus
-    row_of_bus = np.full(n, -1, dtype=np.int64)
-    row_of_bus[net.core_idx] = 2 * np.arange(net.n_core)
-
+    row_of_bus = net.row_of_bus
     i, k = net.y_row, net.y_col
     off = (i != k) & (row_of_bus[i] >= 0)
     io, ko = i[off], k[off]
@@ -130,12 +127,7 @@ def _jacobian(net: NetworkModel, s: StateVector, terms) -> sp.csr_matrix:
     pr = row_of_bus[core]
     qr = pr + 1
     vii = s.vm[core]
-    gd = np.zeros(n)
-    bd = np.zeros(n)
-    dm = net._diag_mask
-    gd[net.y_row[dm]] = net.g_val[dm]
-    bd[net.y_row[dm]] = net.b_val[dm]
-    gdd, bdd = gd[core], bd[core]
+    gdd, bdd = net.g_diag[core], net.b_diag[core]
     pc, qc = p_calc[core], q_calc[core]
 
     add(pr, net.col_theta[core], qc + bdd * vii**2)            # -dP/dth_i
@@ -215,12 +207,7 @@ def q_term(net: NetworkModel, s: StateVector) -> np.ndarray:
     # own-bus blocks
     core = net.core_idx
     vii = s.vm[core]
-    gd = np.zeros(n)
-    bd = np.zeros(n)
-    dm = net._diag_mask
-    gd[net.y_row[dm]] = net.g_val[dm]
-    bd[net.y_row[dm]] = net.b_val[dm]
-    gdd, bdd = gd[core], bd[core]
+    gdd, bdd = net.g_diag[core], net.b_diag[core]
     pc, qc = p_calc[core], q_calc[core]
     wpc, wqc = w_p[core], w_q[core]
 

@@ -7,7 +7,9 @@ terminal status, then one record per outer iteration with fields
 
 plus ``lm_error`` and ``condense_gap`` when diagnostics were enabled and
 ``dist_to_ref`` when a reference state was supplied.  JSON float rendering
-round-trips at full double precision.
+round-trips at full double precision.  A non-finite value (a breakdown
+record's ``dchi_inf``, say) is written as the string ``"NaN"``,
+``"Infinity"`` or ``"-Infinity"``, so every line is strict JSON.
 
 ``primal_residual`` is the largest gap between a region's recovered
 coupling entries and its consensus values ``E_l zbar``.  It is 0.0 by
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from typing import IO
 
@@ -100,15 +103,19 @@ def _read(source: IO) -> str:
     return data.decode("utf-8") if isinstance(data, bytes) else data
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _record_dict(rec: IterationRecord) -> dict:
-    return {k: v for k, v in vars(rec).items() if k in _FIELDS or v is not None}
+    return {k: _NON_FINITE[repr(v)] if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in vars(rec).items() if k in _FIELDS or v is not None}
 
 
 def write_trace(trace: SolveTrace, sink: IO) -> None:
     """Write a trace as JSON lines; a header-only file means zero iterations."""
     lines = [json.dumps({"type": "header", "format": "hdpf-trace", "version": 1,
                          "status": trace.status})]
-    lines += [json.dumps(_record_dict(r)) for r in trace.records]
+    lines += [json.dumps(_record_dict(r), allow_nan=False) for r in trace.records]
     _write(sink, "\n".join(lines) + "\n")
 
 
@@ -123,7 +130,8 @@ def read_trace(source: IO) -> SolveTrace:
     for ln in lines[1:]:
         d = json.loads(ln)
         records.append(IterationRecord(**{k: cast(d[k]) for k, cast in _FIELDS.items()},
-                                       **{k: d.get(k) for k in _OPTIONAL}))
+                                       **{k: None if d.get(k) is None else float(d[k])
+                                          for k in _OPTIONAL}))
     return SolveTrace(records=records, status=header.get("status", STATUS_MAX_ITER))
 
 

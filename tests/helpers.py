@@ -200,9 +200,8 @@ def random_consensus_qp(rng: np.random.Generator, n_regions: int | None = None,
         x_k = rng.standard_normal(n)
         chol = sla.cho_factor(b_bar, lower=True) if n else None
         cqps.append(CondensedQP(
-            b_bar=b_bar, g_bar=g_bar, x_k=x_k, chol_bbar=chol, chol_yy=None,
-            bxy=np.zeros((n, 0)), x_cols=np.arange(n), y_cols=np.zeros(0, dtype=np.int64),
-            lin=None,
+            b_bar=b_bar, g_bar=g_bar, x_k=x_k, chol_bbar=chol, x_cols=np.arange(n),
+            y_cols=np.zeros(0, dtype=np.int64), factor=None, w_y=np.zeros(0),
         ))
         regions.append(SimpleNamespace(index=reg, z_cols=cols, n_cpl=n))
     return cqps, regions, n_z

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 from hdpf import FactorizationError, flat_start
-from hdpf.condense import condense_region, recover_local, schur_condense, split_blocks
+from hdpf.condense import condense_region, recover_local
 from hdpf.consensus import consensus_pass
 from hdpf.residual import RegionLinearization, linearize
 
@@ -14,42 +14,41 @@ def _lin_from(b, g, eps=0.0):
     return RegionLinearization(r=np.zeros(0), jac=None, g=g, hess=b, eps=eps)
 
 
+def _condense(b, g, x_cols, eps=0.0):
+    return condense_region(_lin_from(b, g, eps), np.asarray(x_cols), np.zeros(len(g)))
+
+
 def test_split_identity_blocks():
-    lin = _lin_from(np.eye(4), np.arange(4.0))
-    blocks, y_cols = split_blocks(lin, np.array([0, 1]))
-    np.testing.assert_array_equal(blocks.bxx, np.eye(2))
-    np.testing.assert_array_equal(blocks.byy, np.eye(2))
-    np.testing.assert_array_equal(blocks.bxy, np.zeros((2, 2)))
-    np.testing.assert_array_equal(blocks.gx, [0.0, 1.0])
-    np.testing.assert_array_equal(blocks.gy, [2.0, 3.0])
-    np.testing.assert_array_equal(y_cols, [2, 3])
+    cqp = _condense(np.eye(4), np.arange(4.0), [0, 1])
+    np.testing.assert_array_equal(cqp.b_bar, np.eye(2))
+    np.testing.assert_array_equal(cqp.g_bar, [0.0, 1.0])
+    np.testing.assert_array_equal(cqp.w_y, [2.0, 3.0])
+    np.testing.assert_array_equal(cqp.y_cols, [2, 3])
+    np.testing.assert_array_equal(np.tril(cqp.factor), np.eye(4))
 
 
 def test_split_reassembles_under_permutation():
+    # the one factor holds B with the local columns first, coupling last
     rng = np.random.default_rng(2)
     b = random_spd(rng, 6)
     g = rng.standard_normal(6)
     x_cols = np.array([1, 4])
-    lin = _lin_from(b, g)
-    blocks, y_cols = split_blocks(lin, x_cols)
-    rebuilt = np.zeros_like(b)
-    rebuilt[np.ix_(x_cols, x_cols)] = blocks.bxx
-    rebuilt[np.ix_(x_cols, y_cols)] = blocks.bxy
-    rebuilt[np.ix_(y_cols, x_cols)] = blocks.bxy.T
-    rebuilt[np.ix_(y_cols, y_cols)] = blocks.byy
-    np.testing.assert_array_equal(rebuilt, b)
-    g_re = np.zeros_like(g)
-    g_re[x_cols] = blocks.gx
-    g_re[y_cols] = blocks.gy
-    np.testing.assert_array_equal(g_re, g)
+    cqp = _condense(b, g, x_cols)
+    np.testing.assert_array_equal(cqp.y_cols, [0, 2, 3, 5])
+    order = np.concatenate([cqp.y_cols, x_cols])
+    l = np.tril(cqp.factor)
+    np.testing.assert_allclose(l @ l.T, b[np.ix_(order, order)], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(l[:4, :4] @ cqp.w_y, g[cqp.y_cols], rtol=0, atol=1e-12)
 
 
 def test_fig1_region_coupling_block_order(problems):
     p = problems["fig1"]
     reg = p.regions[0]
-    lin = linearize(reg.net, flat_start(reg.net), 1e-10)
-    blocks, _ = split_blocks(lin, reg.coupling_free_cols)
-    assert blocks.bxx.shape == (4, 4)
+    s = flat_start(reg.net)
+    lin = linearize(reg.net, s, 1e-10)
+    cqp = condense_region(lin, reg.coupling_free_cols, s.free())
+    assert cqp.b_bar.shape == (4, 4)
+    np.testing.assert_array_equal(cqp.x_cols, reg.coupling_free_cols)
 
 
 def test_decoupled_blocks_pass_through():
@@ -58,10 +57,9 @@ def test_decoupled_blocks_pass_through():
     byy = random_spd(rng, 2)
     b = sla.block_diag(bxx, byy)
     g = rng.standard_normal(5)
-    blocks, _ = split_blocks(_lin_from(b, g), np.array([0, 1, 2]))
-    b_bar, g_bar, _ = schur_condense(blocks)
-    np.testing.assert_allclose(b_bar, bxx, atol=1e-14)
-    np.testing.assert_allclose(g_bar, g[:3], atol=1e-14)
+    cqp = _condense(b, g, [0, 1, 2])
+    np.testing.assert_allclose(cqp.b_bar, bxx, atol=1e-14)
+    np.testing.assert_allclose(cqp.g_bar, g[:3], atol=1e-14)
 
 
 def test_schur_matches_dense_inverse_oracle():
@@ -69,13 +67,11 @@ def test_schur_matches_dense_inverse_oracle():
     for _ in range(20):
         b = random_spd(rng, 4)
         g = rng.standard_normal(4)
-        blocks, _ = split_blocks(_lin_from(b, g), np.array([0, 1]))
-        b_bar, g_bar, _ = schur_condense(blocks)
-        inv_yy = np.linalg.inv(blocks.byy)
-        np.testing.assert_allclose(
-            b_bar, blocks.bxx - blocks.bxy @ inv_yy @ blocks.bxy.T, atol=1e-12)
-        np.testing.assert_allclose(
-            g_bar, blocks.gx - blocks.bxy @ inv_yy @ blocks.gy, atol=1e-12)
+        cqp = _condense(b, g, [0, 1])
+        bxx, bxy, byy = b[:2, :2], b[:2, 2:], b[2:, 2:]
+        inv_yy = np.linalg.inv(byy)
+        np.testing.assert_allclose(cqp.b_bar, bxx - bxy @ inv_yy @ bxy.T, atol=1e-12)
+        np.testing.assert_allclose(cqp.g_bar, g[:2] - bxy @ inv_yy @ g[2:], atol=1e-12)
 
 
 def test_condensation_is_exact_partial_minimization():
@@ -85,9 +81,9 @@ def test_condensation_is_exact_partial_minimization():
     b = random_spd(rng, 6)
     g = rng.standard_normal(6)
     x_cols = np.array([0, 3])
-    lin = _lin_from(b, g)
-    blocks, y_cols = split_blocks(lin, x_cols)
-    b_bar, g_bar, _ = schur_condense(blocks)
+    cqp = _condense(b, g, x_cols)
+    y_cols = cqp.y_cols
+    b_bar, g_bar = cqp.b_bar, cqp.g_bar
     chi_k = rng.standard_normal(6)
 
     def full_model(chi):
@@ -99,8 +95,8 @@ def test_condensation_is_exact_partial_minimization():
     for _ in range(5):
         x = rng.standard_normal(2)
         # minimize full model over y at fixed x
-        rhs = -(g[y_cols] - (b @ chi_k)[y_cols]) - blocks.bxy.T @ x
-        y = np.linalg.solve(blocks.byy, rhs)
+        rhs = -(g[y_cols] - (b @ chi_k)[y_cols]) - b[np.ix_(y_cols, x_cols)] @ x
+        y = np.linalg.solve(b[np.ix_(y_cols, y_cols)], rhs)
         chi = np.zeros(6)
         chi[x_cols] = x
         chi[y_cols] = y
@@ -117,17 +113,26 @@ def test_condensed_spd_floor():
     jac = rng.standard_normal((3, 6))  # rank-deficient J^T J on 6 variables
     eps = 1e-8
     b = jac.T @ jac + eps * np.eye(6)
-    blocks, _ = split_blocks(_lin_from(b, np.zeros(6), eps), np.array([0, 1]))
-    b_bar, _, _ = schur_condense(blocks)
-    assert np.linalg.eigvalsh(b_bar).min() >= eps * (1 - 1e-9)
+    cqp = _condense(b, np.zeros(6), [0, 1], eps)
+    assert np.linalg.eigvalsh(cqp.b_bar).min() >= eps * (1 - 1e-9)
 
 
 def test_schur_breakdown_reported():
     b = np.eye(4)
     b[2, 2] = -1.0  # indefinite local block
-    blocks, _ = split_blocks(_lin_from(b, np.zeros(4)), np.array([0, 1]))
     with pytest.raises(FactorizationError):
-        schur_condense(blocks)
+        _condense(b, np.zeros(4), [0, 1])
+
+
+def test_condense_makes_one_factorization_per_region(problems, monkeypatch):
+    calls = []
+    real = sla.cho_factor
+    monkeypatch.setattr(sla, "cho_factor", lambda *a, **k: calls.append(1) or real(*a, **k))
+    p = problems["case53"]
+    for reg in p.regions:
+        s = flat_start(reg.net)
+        condense_region(linearize(reg.net, s, 1e-10), reg.coupling_free_cols, s.free())
+    assert len(calls) == len(p.regions)
 
 
 # --- recovery -----------------------------------------------------------------
@@ -171,3 +176,26 @@ def test_recover_consensus_consistency(problems):
         out = recover_local(cqp, sol.z_bar[reg.z_cols], chi)
         np.testing.assert_allclose(out[reg.coupling_free_cols],
                                    sol.z_bar[reg.z_cols], atol=1e-8)
+
+
+def test_recover_hidden_entries_match_block_solve_with_interleaved_coupling():
+    rng = np.random.default_rng(31)
+    for n, x_cols in ((7, [1, 4, 5]), (9, [0, 3, 8]), (5, [2])):
+        x_cols = np.array(x_cols)
+        b = random_spd(rng, n)
+        g = rng.standard_normal(n)
+        lin = _lin_from(b, g)
+        hess0, g0 = b.copy(), g.copy()
+        chi = rng.standard_normal(n)
+        x_target = chi[x_cols] + rng.standard_normal(len(x_cols))
+        cqp = condense_region(lin, x_cols, chi)
+        out = recover_local(cqp, x_target, chi)
+        y_cols = cqp.y_cols
+        rhs = (b @ chi - g)[y_cols] - b[np.ix_(y_cols, x_cols)] @ x_target
+        expected = np.linalg.solve(b[np.ix_(y_cols, y_cols)], rhs)
+        np.testing.assert_allclose(out[y_cols], expected, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(expected)))
+        np.testing.assert_array_equal(out[x_cols], x_target)
+        # the in-place factorization works on a copy: the model is untouched
+        np.testing.assert_array_equal(lin.hess, hess0)
+        np.testing.assert_array_equal(lin.g, g0)

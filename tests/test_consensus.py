@@ -23,8 +23,8 @@ def _cqp(b, g, x_k):
     return CondensedQP(
         b_bar=b, g_bar=g, x_k=x_k,
         chol_bbar=sla.cho_factor(b, lower=True) if n else None,
-        chol_yy=None, bxy=np.zeros((n, 0)), x_cols=np.arange(n),
-        y_cols=np.zeros(0, dtype=np.int64), lin=None)
+        x_cols=np.arange(n), y_cols=np.zeros(0, dtype=np.int64),
+        factor=None, w_y=np.zeros(0))
 
 
 def _stub(cols):

@@ -110,6 +110,29 @@ def test_version_1_trace_reads_and_writes_byte_for_byte():
     assert buf.getvalue() == V1_TRACE
 
 
+def test_non_finite_values_write_strict_json_and_read_back():
+    import json
+
+    def reject(token):
+        raise ValueError(f"bare {token} token")
+
+    recs = [IterationRecord(iter=1, f=1.0, r_norm2=2.0, dchi_inf=float("nan"),
+                            primal_residual=0.0, comm_floats=4, wall_ns=5),
+            IterationRecord(iter=2, f=1.0, r_norm2=float("inf"), dchi_inf=1.0,
+                            primal_residual=0.0, comm_floats=4, wall_ns=5,
+                            lm_error=float("-inf"), condense_gap=float("nan"))]
+    buf = io.StringIO()
+    write_trace(SolveTrace(records=recs, status="numerical_breakdown"), buf)
+    for ln in buf.getvalue().splitlines():
+        json.loads(ln, parse_constant=reject)
+    back = read_trace(io.StringIO(buf.getvalue())).records
+    assert np.isnan(back[0].dchi_inf)
+    assert back[1].r_norm2 == float("inf")
+    assert back[1].lm_error == float("-inf")
+    assert np.isnan(back[1].condense_gap)
+    assert back[1].dist_to_ref is None
+
+
 def test_solver_trace_roundtrip(problems):
     _, _, trace = solve(problems["fig1"], SolverConfig(diagnose=True))
     buf = io.StringIO()
