@@ -72,7 +72,9 @@ def condense_region(lin: RegionLinearization, x_cols: np.ndarray,
                     chi_free: np.ndarray) -> CondensedQP:
     """Condense one region's model at the current iterate."""
     x_cols = np.asarray(x_cols, dtype=np.int64)
-    y_cols = np.setdiff1d(np.arange(lin.hess.shape[0]), x_cols)
+    local = np.ones(lin.hess.shape[0], dtype=bool)
+    local[x_cols] = False
+    y_cols = np.flatnonzero(local)
     ny = len(y_cols)
     order = np.concatenate([y_cols, x_cols])
     l, _ = _cho_factor(lin.hess[np.ix_(order, order)], "regularized Gauss-Newton matrix")

@@ -88,15 +88,21 @@ def stitch_state(p: PartitionedProblem, states: list[StateVector],
 def _lm_error(lins: list[RegionLinearization], q_terms: list[np.ndarray]) -> float:
     total = 0.0
     for lin, q in zip(lins, q_terms):
-        delta = -q.copy()
+        delta = -q
         delta[np.diag_indices_from(delta)] += lin.eps
         total += float(np.sum(delta * delta))
     return math.sqrt(total)
 
 
-def _condense_gap(p: PartitionedProblem, lins, q_terms, chi_ks, x_plus) -> float | None:
+def _condense_gap(p: PartitionedProblem, lins, q_terms, chi_ks, x_plus,
+                  a_all: sp.csr_matrix, e_all: sp.csr_matrix) -> float | None:
     """Coupling-part deviation between the condensed step and a full-space
-    QP step built from exact second derivatives."""
+    QP step built from exact second derivatives.
+
+    ``a_all`` (the regions' selectors, block-diagonal) and ``e_all`` (the
+    stacked incidence) depend on the partition alone; the caller builds
+    them once per solve.
+    """
     h_blocks = []
     rhs_top = []
     for lin, q, chi in zip(lins, q_terms, chi_ks):
@@ -104,8 +110,6 @@ def _condense_gap(p: PartitionedProblem, lins, q_terms, chi_ks, x_plus) -> float
         h_blocks.append(sp.csr_matrix(h))
         rhs_top.append(h @ chi - lin.g)
     h_all = sp.block_diag(h_blocks, format="csr")
-    a_all = sp.block_diag([r.selector for r in p.regions], format="csr")
-    e_all = p.stacked_incidence()
     n_chi = h_all.shape[0]
     n_z = p.n_z
     n_c = a_all.shape[0]
@@ -207,6 +211,9 @@ def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | N
     if cfg is None:
         cfg = SolverConfig()
     ref_free = ref.free() if ref is not None else None
+    if cfg.diagnose:
+        a_all = sp.block_diag([r.selector for r in p.regions], format="csr")
+        e_all = p.stacked_incidence()
 
     def step(lins, chis):
         cqps = [condense_region(lin, r.coupling_free_cols, chi)
@@ -227,7 +234,7 @@ def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | N
         if cfg.diagnose:
             q_terms = [q_term(r.net, s) for r, s in zip(p.regions, states)]
             x_plus = [nf[r.coupling_free_cols] for r, nf in zip(p.regions, new_free)]
-            fields["condense_gap"] = _condense_gap(p, lins, q_terms, chis, x_plus)
+            fields["condense_gap"] = _condense_gap(p, lins, q_terms, chis, x_plus, a_all, e_all)
             # attributed to the iterate just produced, like dist_to_ref; an
             # iterate with a non-positive magnitude gets none, and the next
             # linearize ends the run

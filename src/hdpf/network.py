@@ -20,10 +20,26 @@ they mirror live in its home region.
 The free entries of a state are flattened in quantity-major order
 (all free angles by bus position, then magnitudes, then p, then q), which
 keeps coupling selectors simple index arrays.
+
+The sparsity of everything :mod:`hdpf.residual` assembles depends on the
+network alone, so each model computes its index maps once, on first use,
+and keeps them (``functools.cached_property``):
+
+- :attr:`NetworkModel.jac_pattern`, the Jacobian's CSR pattern and the
+  gather that puts its values, evaluated block by block, into CSR order;
+- :attr:`NetworkModel.jtj_pairs`, for each Jacobian row every pair (a, b)
+  of its nonzeros and the flat target ``col_a * n_free + col_b`` of their
+  product in J'J;
+- :attr:`NetworkModel.q_targets`, the flat target of every term of the
+  curvature diagnostic :func:`hdpf.residual.q_term`.
+
+A region's model builds all three; the merged network, used for stitching
+and by the sparse reference, builds only the pattern.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,6 +80,22 @@ class BranchSpec:
     b: float
     tap: float
     shift: float
+
+
+@dataclass(frozen=True)
+class JacobianPattern:
+    """Fixed sparsity of the residual Jacobian, canonical CSR.
+
+    The residual code evaluates the Jacobian's values as ten blocks, in the
+    order :attr:`NetworkModel.jac_pattern` lists their coordinates; ``order``
+    gathers the entries with a free column into CSR order.
+    """
+
+    off: np.ndarray      # positions of the admittance nonzeros (i, k), i != k, i a core bus
+    order: np.ndarray    # block values -> CSR positions
+    rows: np.ndarray     # row of each CSR nonzero
+    indices: np.ndarray  # column of each CSR nonzero, ascending within a row
+    indptr: np.ndarray
 
 
 class NetworkModel:
@@ -195,6 +227,77 @@ class NetworkModel:
 
         # every state entry that exists, free or fixed: 4 per core bus, 2 per copy
         self.n_state_entries = 4 * self.n_core + 2 * int(is_copy.sum())
+
+    # -- index maps of the linearization ------------------------------------
+
+    @functools.cached_property
+    def jac_pattern(self) -> JacobianPattern:
+        """The Jacobian's CSR pattern and the gather into it."""
+        i, k = self.y_row, self.y_col
+        off = np.flatnonzero((i != k) & (self.row_of_bus[i] >= 0))
+        ko = k[off]
+        p_off = self.row_of_bus[i[off]]
+        core = self.core_idx
+        p_core = self.row_of_bus[core]
+        ct, cv = self.col_theta, self.col_v
+        # (row, column) of each value block, in the order
+        # hdpf.residual._jacobian_values evaluates them; column -1 is fixed
+        blocks = [
+            (p_off, ct[ko]), (p_off + 1, ct[ko]), (p_off, cv[ko]), (p_off + 1, cv[ko]),
+            (p_core, ct[core]), (p_core + 1, ct[core]), (p_core, cv[core]), (p_core + 1, cv[core]),
+            (p_core, self.col_p[core]), (p_core + 1, self.col_q[core]),
+        ]
+        rows = np.concatenate([r for r, _ in blocks])
+        cols = np.concatenate([c for _, c in blocks])
+        # (row, column) pairs are distinct, so CSR order is a sort by both
+        kept = np.flatnonzero(cols >= 0)
+        order = kept[np.lexsort((cols[kept], rows[kept]))]
+        counts = np.bincount(rows[order], minlength=2 * self.n_core)
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        return JacobianPattern(off=off, order=order, rows=rows[order],
+                               indices=cols[order], indptr=indptr)
+
+    @functools.cached_property
+    def jtj_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR positions (a, b) of every pair of nonzeros sharing a Jacobian
+        row, and the flat target ``col_a * n_free + col_b`` of each.
+
+        Pairs run row by row, so a bincount over the targets adds each
+        entry's products in ascending row order, as a sparse J'J does.
+        """
+        pat = self.jac_pattern
+        counts = np.diff(pat.indptr)
+        n_pairs = counts * counts
+        first = np.repeat(pat.indptr[:-1], n_pairs)
+        width = np.repeat(counts, n_pairs)
+        t = np.arange(int(n_pairs.sum())) - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
+        a = first + t // width
+        b = first + t % width
+        return a, b, pat.indices[a] * self.n_free + pat.indices[b]
+
+    @functools.cached_property
+    def q_targets(self) -> np.ndarray:
+        """Flat target ``row * n_free + col`` of every term of
+        :func:`hdpf.residual.q_term`, in its order; a term on a fixed entry
+        goes to the spare bin ``n_free**2``."""
+        off = self.jac_pattern.off
+        io, ko = self.y_row[off], self.y_col[off]
+        core = self.core_idx
+        ct, cv = self.col_theta, self.col_v
+        off_pairs = [
+            (ct[io], ct[ko]), (ct[ko], ct[io]), (ct[ko], ct[ko]),
+            (cv[io], cv[ko]), (cv[ko], cv[io]),
+            (ct[io], cv[ko]), (cv[ko], ct[io]), (ct[ko], cv[io]), (cv[io], ct[ko]),
+            (ct[ko], cv[ko]), (cv[ko], ct[ko]),
+        ]
+        core_pairs = [(ct[core], ct[core]), (cv[core], cv[core]),
+                      (ct[core], cv[core]), (cv[core], ct[core])]
+        # p terms, then q terms on the same coordinates
+        pairs = off_pairs * 2 + core_pairs * 2
+        rows = np.concatenate([r for r, _ in pairs])
+        cols = np.concatenate([c for _, c in pairs])
+        n = self.n_free
+        return np.where((rows >= 0) & (cols >= 0), rows * n + cols, n * n)
 
 
 class StateVector:

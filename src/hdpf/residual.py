@@ -10,8 +10,19 @@ with th_ik = th_i - th_k.  Rows are ordered bus-ascending, p row before q
 row.  Copy buses contribute no rows.  All derivatives are closed-form; the
 second-order term is assembled only for diagnostics.
 
-Every function here is a pure evaluation over an immutable network and a
-state, so regions can be linearized concurrently without shared state.
+Assembly runs on index maps the network computes once (see
+:mod:`hdpf.network`): the Jacobian's values are evaluated block by block
+and gathered into its fixed CSR pattern, and :func:`linearize` forms
+``g = J'r`` and the dense ``J'J + eps*I`` each with one ``np.bincount``,
+building no sparse matrix; :func:`q_term` adds its terms with one more.
+A bincount adds in input order, and the maps list each entry's terms in
+ascending Jacobian row, the order a sparse ``J.T @ J`` and ``J.T @ r`` use,
+so the results equal ``lm_hessian(jacobian(net, s), eps)`` and
+``jacobian(net, s).T @ r`` bit for bit.
+
+Every function here is a pure evaluation over a network and a state; the
+only state a network gains is its index maps, built on first use and
+never changed, so regions can be linearized concurrently.
 """
 
 from __future__ import annotations
@@ -31,9 +42,10 @@ class RegionLinearization:
     """Residual, Jacobian and derived quantities at one iterate."""
 
     r: np.ndarray           # (2*n_core,)
-    jac: sp.csr_matrix      # (2*n_core, n_free)
+    jac: sp.csr_matrix | None  # (2*n_core, n_free); None from linearize, which builds no matrix
     g: np.ndarray           # (n_free,)  gradient J^T r of f = 0.5*||r||^2
-    hess: np.ndarray        # (n_free, n_free) J^T J + eps*I, dense (CSC in the central reference)
+    hess: np.ndarray        # (n_free, n_free) J^T J + eps*I: dense from linearize,
+                            # CSC from the central reference's _sparse_linearize
     eps: float
 
     @property
@@ -97,53 +109,35 @@ def _residual_and_jacobian(net: NetworkModel, s: StateVector) -> tuple[np.ndarra
 
 
 def _jacobian(net: NetworkModel, s: StateVector, terms) -> sp.csr_matrix:
-    _, d, tc, td, p_calc, q_calc = terms
+    pat = net.jac_pattern
+    return sp.csr_matrix((_jacobian_values(net, s, terms), pat.indices, pat.indptr),
+                         shape=(2 * net.n_core, net.n_free))
 
-    row_of_bus = net.row_of_bus
-    i, k = net.y_row, net.y_col
-    off = (i != k) & (row_of_bus[i] >= 0)
-    io, ko = i[off], k[off]
-    p_rows = row_of_bus[io]
-    q_rows = p_rows + 1
 
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
+def _jacobian_values(net: NetworkModel, s: StateVector, terms) -> np.ndarray:
+    """The Jacobian's nonzeros in the CSR order of ``net.jac_pattern``.
 
-    def add(r, c, v):
-        keep = c >= 0
-        rows.append(r[keep])
-        cols.append(c[keep])
-        data.append(v[keep])
-
-    # off-diagonal angle and magnitude couplings (residual = spec - calc)
-    add(p_rows, net.col_theta[ko], -td[off])          # dr_p/dth_k = -dP/dth_k = -t_d... see below
-    add(q_rows, net.col_theta[ko], tc[off])
-    add(p_rows, net.col_v[ko], -tc[off] / s.vm[ko])
-    add(q_rows, net.col_v[ko], -td[off] / s.vm[ko])
-
-    # diagonal (own-bus) partials
+    The blocks follow the coordinates :attr:`NetworkModel.jac_pattern`
+    lists; the residual is spec - calc, so each entry is minus a partial of
+    the computed injection.
+    """
+    _, _, tc, td, p_calc, q_calc = terms
+    pat = net.jac_pattern
+    tco, tdo = tc[pat.off], td[pat.off]
+    vko = s.vm[net.y_col[pat.off]]
     core = net.core_idx
-    pr = row_of_bus[core]
-    qr = pr + 1
     vii = s.vm[core]
     gdd, bdd = net.g_diag[core], net.b_diag[core]
     pc, qc = p_calc[core], q_calc[core]
-
-    add(pr, net.col_theta[core], qc + bdd * vii**2)            # -dP/dth_i
-    add(qr, net.col_theta[core], -(pc - gdd * vii**2))          # -dQ/dth_i
-    add(pr, net.col_v[core], -(pc / vii + gdd * vii))           # -dP/dv_i
-    add(qr, net.col_v[core], -(qc / vii - bdd * vii))           # -dQ/dv_i
-
-    # injection variables enter linearly with coefficient +1 on their own row
-    add(pr, net.col_p[core], np.ones(net.n_core))
-    add(qr, net.col_q[core], np.ones(net.n_core))
-
-    j = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(2 * net.n_core, net.n_free),
-    )
-    return j.tocsr()
+    ones = np.ones(net.n_core)
+    return np.concatenate([
+        # couplings to the neighbour's angle and magnitude
+        -tdo, tco, -tco / vko, -tdo / vko,
+        # own-bus angle and magnitude
+        qc + bdd * vii**2, -(pc - gdd * vii**2), -(pc / vii + gdd * vii), -(qc / vii - bdd * vii),
+        # injection variables enter linearly with coefficient +1 on their own row
+        ones, ones,
+    ])[pat.order]
 
 
 def q_term(net: NetworkModel, s: StateVector) -> np.ndarray:
@@ -162,74 +156,60 @@ def q_term(net: NetworkModel, s: StateVector) -> np.ndarray:
     w_p[net.core_idx] = r[0::2]
     w_q[net.core_idx] = r[1::2]
 
-    H = np.zeros((net.n_free, net.n_free))
-    ct, cv = net.col_theta, net.col_v
-
-    def accum(rows, cols, vals):
-        keep = (rows >= 0) & (cols >= 0)
-        np.add.at(H, (rows[keep], cols[keep]), vals[keep])
-
-    i, k = net.y_row, net.y_col
-    off = i != k
-    io, ko = i[off], k[off]
+    # copy-bus rows weigh zero, and adding a zero changes no sum, so only
+    # the off-diagonal entries on core rows contribute
+    off = net.jac_pattern.off
+    io, ko = net.y_row[off], net.y_col[off]
     vio, vko = s.vm[io], s.vm[ko]
     co, do = c[off], d[off]
     tco, tdo = tc[off], td[off]
     wpo, wqo = w_p[io], w_q[io]
 
-    # hess(r) = -hess(calc); residual rows are spec - calc
-    # P second derivatives, weighted by -w_p
-    accum(ct[io], ct[ko], -wpo * tco)                # d2P/dth_i dth_k = t_c
-    accum(ct[ko], ct[io], -wpo * tco)
-    accum(ct[ko], ct[ko], wpo * tco)                 # d2P/dth_k2 = -t_c
-    accum(cv[io], cv[ko], -wpo * co)                 # d2P/dv_i dv_k = c
-    accum(cv[ko], cv[io], -wpo * co)
-    accum(ct[io], cv[ko], wpo * vio * do)            # d2P/dth_i dv_k = -v_i d
-    accum(cv[ko], ct[io], wpo * vio * do)
-    accum(ct[ko], cv[io], -wpo * vko * do)           # d2P/dth_k dv_i = v_k d
-    accum(cv[io], ct[ko], -wpo * vko * do)
-    accum(ct[ko], cv[ko], -wpo * vio * do)           # d2P/dth_k dv_k = v_i d
-    accum(cv[ko], ct[ko], -wpo * vio * do)
-
-    # Q second derivatives, weighted by -w_q
-    accum(ct[io], ct[ko], -wqo * tdo)                # d2Q/dth_i dth_k = t_d
-    accum(ct[ko], ct[io], -wqo * tdo)
-    accum(ct[ko], ct[ko], wqo * tdo)                 # d2Q/dth_k2 = -t_d
-    accum(cv[io], cv[ko], -wqo * do)                 # d2Q/dv_i dv_k = d
-    accum(cv[ko], cv[io], -wqo * do)
-    accum(ct[io], cv[ko], -wqo * vio * co)           # d2Q/dth_i dv_k = v_i c
-    accum(cv[ko], ct[io], -wqo * vio * co)
-    accum(ct[ko], cv[io], wqo * vko * co)            # d2Q/dth_k dv_i = -v_k c
-    accum(cv[io], ct[ko], wqo * vko * co)
-    accum(ct[ko], cv[ko], wqo * vio * co)            # d2Q/dth_k dv_k = -v_i c
-    accum(cv[ko], ct[ko], wqo * vio * co)
-
-    # own-bus blocks
     core = net.core_idx
     vii = s.vm[core]
     gdd, bdd = net.g_diag[core], net.b_diag[core]
     pc, qc = p_calc[core], q_calc[core]
     wpc, wqc = w_p[core], w_q[core]
-
-    accum(ct[core], ct[core], -wpc * (-pc + gdd * vii**2))      # d2P/dth_i2
-    accum(cv[core], cv[core], -wpc * 2.0 * gdd)                 # d2P/dv_i2
     mixed_p = -qc / vii - bdd * vii                             # d2P/dth_i dv_i
-    accum(ct[core], cv[core], -wpc * mixed_p)
-    accum(cv[core], ct[core], -wpc * mixed_p)
-
-    accum(ct[core], ct[core], -wqc * (-qc - bdd * vii**2))      # d2Q/dth_i2
-    accum(cv[core], cv[core], -wqc * (-2.0 * bdd))              # d2Q/dv_i2
     mixed_q = pc / vii - gdd * vii                              # d2Q/dth_i dv_i
-    accum(ct[core], cv[core], -wqc * mixed_q)
-    accum(cv[core], ct[core], -wqc * mixed_q)
 
-    return H
+    # hess(r) = -hess(calc); residual rows are spec - calc.  The terms
+    # follow the coordinates of net.q_targets.
+    p_tt, p_vv = -wpo * tco, -wpo * co               # d2P/dth_i dth_k = t_c, d2P/dv_i dv_k = c
+    p_tiv, p_tvi, p_tvk = wpo * vio * do, -wpo * vko * do, -wpo * vio * do
+    q_tt, q_vv = -wqo * tdo, -wqo * do               # d2Q/dth_i dth_k = t_d, d2Q/dv_i dv_k = d
+    q_tiv, q_tvi, q_tvk = -wqo * vio * co, wqo * vko * co, wqo * vio * co
+    m_p, m_q = -wpc * mixed_p, -wqc * mixed_q
+    vals = np.concatenate([
+        # P second derivatives, weighted by -w_p
+        p_tt, p_tt, wpo * tco,                       # d2P/dth_k2 = -t_c
+        p_vv, p_vv,
+        p_tiv, p_tiv,                                # d2P/dth_i dv_k = -v_i d
+        p_tvi, p_tvi,                                # d2P/dth_k dv_i = v_k d
+        p_tvk, p_tvk,                                # d2P/dth_k dv_k = v_i d
+        # Q second derivatives, weighted by -w_q
+        q_tt, q_tt, wqo * tdo,                       # d2Q/dth_k2 = -t_d
+        q_vv, q_vv,
+        q_tiv, q_tiv,                                # d2Q/dth_i dv_k = v_i c
+        q_tvi, q_tvi,                                # d2Q/dth_k dv_i = -v_k c
+        q_tvk, q_tvk,                                # d2Q/dth_k dv_k = -v_i c
+        # own-bus blocks
+        -wpc * (-pc + gdd * vii**2), -wpc * 2.0 * gdd, m_p, m_p,      # d2P/dth_i2, d2P/dv_i2
+        -wqc * (-qc - bdd * vii**2), -wqc * (-2.0 * bdd), m_q, m_q,   # d2Q/dth_i2, d2Q/dv_i2
+    ])
+    nf = net.n_free
+    # the spare last bin collects the terms on fixed entries
+    return np.bincount(net.q_targets, weights=vals, minlength=nf * nf + 1)[:-1].reshape(nf, nf)
+
+
+def _check_eps(eps: float):
+    if eps <= 0.0:
+        raise ValueError(f"regularization must be positive, got {eps}")
 
 
 def lm_hessian(jac, eps: float) -> np.ndarray:
     """Regularized Gauss-Newton matrix B = J^T J + eps*I, dense SPD."""
-    if eps <= 0.0:
-        raise ValueError(f"regularization must be positive, got {eps}")
+    _check_eps(eps)
     if sp.issparse(jac):
         b = (jac.T @ jac).toarray()
     else:
@@ -240,8 +220,23 @@ def lm_hessian(jac, eps: float) -> np.ndarray:
 
 
 def linearize(net: NetworkModel, s: StateVector, eps: float) -> RegionLinearization:
-    """Evaluate residual, Jacobian, gradient and regularized Hessian at s."""
-    r, j = _residual_and_jacobian(net, s)
-    g = j.T @ r
-    b = lm_hessian(j, eps)
-    return RegionLinearization(r=r, jac=j, g=g, hess=b, eps=eps)
+    """Evaluate residual, gradient and regularized Hessian at s.
+
+    The Jacobian's values are filled into the network's fixed pattern and
+    never wrapped in a sparse matrix: ``g = J'r`` is one bincount over the
+    columns, and the dense ``B = J'J + eps*I`` one bincount over
+    ``net.jtj_pairs``.  Both add in ascending row order, so they equal
+    ``jacobian(net, s).T @ r`` and ``lm_hessian(jacobian(net, s), eps)``
+    bit for bit.
+    """
+    _check_eps(eps)
+    terms = _flow_terms(net, s)
+    r = _residual(net, s, terms)
+    vals = _jacobian_values(net, s, terms)
+    pat = net.jac_pattern
+    n = net.n_free
+    g = np.bincount(pat.indices, weights=vals * r[pat.rows], minlength=n)
+    a, b, target = net.jtj_pairs
+    hess = np.bincount(target, weights=vals[a] * vals[b], minlength=n * n).reshape(n, n)
+    hess[np.diag_indices(n)] += eps
+    return RegionLinearization(r=r, jac=None, g=g, hess=hess, eps=eps)

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from hdpf import ModelError, build_network, flat_start, parse_case
+from hdpf import ModelError, build_network, central_solve, flat_start, parse_case
 from hdpf.residual import jacobian, linearize, lm_hessian, q_term, residual
 
 from helpers import complex_power_residual, fd_hessian_of_f, fd_jacobian
@@ -226,6 +227,13 @@ def test_lm_hessian_rejects_nonpositive_eps():
         lm_hessian(np.eye(2), -1e-3)
 
 
+def test_linearize_rejects_nonpositive_eps(cases):
+    net = build_network(cases["case9"])
+    for eps in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="regularization must be positive"):
+            linearize(net, flat_start(net), eps)
+
+
 def test_lm_hessian_floor_on_rank_deficient_jacobian():
     j = np.array([[1.0, 0.0], [0.0, 0.0]])
     b = lm_hessian(j, 1e-10)
@@ -252,3 +260,49 @@ def test_non_finite_angle_rejected_with_positions(bad):
     for fn in (residual, jacobian, q_term):
         with pytest.raises(ModelError, match=r"non-finite state at bus position\(s\) \[1\]"):
             fn(net, s)
+
+
+# --- fixed-pattern assembly ---------------------------------------------------
+
+
+def test_linearize_matches_sparse_oracle_bit_for_bit(problems):
+    # the bincount assembly adds in the order a sparse J'J and J'r do
+    rng = np.random.default_rng(17)
+    for name, p in problems.items():
+        for reg in p.regions:
+            net = reg.net
+            flat = flat_start(net)
+            for s in (flat, flat.with_free(flat.free() + rng.uniform(-0.1, 0.1, net.n_free))):
+                j = jacobian(net, s)
+                assert j.has_canonical_format, name
+                lin = linearize(net, s, 1e-10)
+                assert np.array_equal(lin.hess, lm_hessian(j, 1e-10)), name
+                assert np.array_equal(lin.g, j.T @ residual(net, s)), name
+
+
+def test_linearize_builds_no_sparse_matrix(problems, monkeypatch):
+    calls = []
+
+    def spy(name):
+        real = getattr(sp, name)
+        return lambda *a, **k: calls.append(name) or real(*a, **k)
+
+    for name in ("coo_matrix", "csr_matrix", "csc_matrix"):
+        monkeypatch.setattr(sp, name, spy(name))
+    for reg in problems["case53"].regions:
+        linearize(reg.net, flat_start(reg.net), 1e-10)
+    assert calls == []
+
+
+def test_index_maps_built_once_per_network(cases):
+    net = build_network(cases["case14"])
+    linearize(net, flat_start(net), 1e-10)
+    maps = {k: net.__dict__[k] for k in ("jac_pattern", "jtj_pairs")}
+    assert "q_targets" not in net.__dict__
+    linearize(net, flat_start(net), 1e-10)
+    assert all(net.__dict__[k] is v for k, v in maps.items())
+    # the reference's linearization needs only the Jacobian's pattern
+    merged = build_network(cases["case14"])
+    central_solve(merged)
+    assert "jac_pattern" in merged.__dict__
+    assert "jtj_pairs" not in merged.__dict__ and "q_targets" not in merged.__dict__
