@@ -229,21 +229,25 @@ def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | N
                 primal = max(primal, float(np.max(np.abs(nf[reg.coupling_free_cols] - z))))
         return new_free, sol.lam, primal
 
+    q_next = None  # the curvature of the next iterate, from its lm_error
+
     def extras(lins, states, chis, new_free, new_states):
+        nonlocal q_next
         fields = {}
         if cfg.diagnose:
-            q_terms = [q_term(r.net, s) for r, s in zip(p.regions, states)]
+            q_terms = q_next if q_next is not None else [
+                q_term(r.net, s) for r, s in zip(p.regions, states)]
             x_plus = [nf[r.coupling_free_cols] for r, nf in zip(p.regions, new_free)]
             fields["condense_gap"] = _condense_gap(p, lins, q_terms, chis, x_plus, a_all, e_all)
             # attributed to the iterate just produced, like dist_to_ref; an
             # iterate with a non-positive magnitude gets none, and the next
             # linearize ends the run
             try:
-                q_new = [q_term(r.net, s) for r, s in zip(p.regions, new_states)]
+                q_next = [q_term(r.net, s) for r, s in zip(p.regions, new_states)]
             except ModelError:
-                pass
+                q_next = None
             else:
-                fields["lm_error"] = _lm_error(lins, q_new)
+                fields["lm_error"] = _lm_error(lins, q_next)
         if ref_free is not None:
             stitched = stitch_state(p, new_states, p.merged_net)
             fields["dist_to_ref"] = float(np.max(np.abs(stitched.free() - ref_free)))
@@ -267,28 +271,32 @@ def solve(p: PartitionedProblem, cfg: SolverConfig | None = None,
     return _solve(p, cfg, ref, weighted_average)
 
 
-def convergence_order(trace: SolveTrace, floor: float = 1e-14,
-                      ceiling: float = 1e-2) -> float:
+# the window of distances to the reference that the order fit reads
+ORDER_FLOOR = 1e-14
+ORDER_CEILING = 1e-2
+
+
+def convergence_order(trace: SolveTrace) -> float:
     """Fitted contraction order from the distance-to-reference tail.
 
-    At least three recorded distances must lie in (floor, ceiling].  The fit
-    then takes consecutive pairs (e_k, e_{k+1}) that contract into that
-    window, i.e. e_{k+1} is in the window, e_k < 1, and the step is still
-    superlinear (log e_{k+1} <= 1.2 log e_k, which drops the floating-point
-    plateau at the end of a run), and returns the least-squares slope of
-    log e_{k+1} against log e_k.  Quadratic convergence shows up as a slope
-    near 2.
+    At least three recorded distances must lie in (ORDER_FLOOR,
+    ORDER_CEILING].  The fit then takes consecutive pairs (e_k, e_{k+1})
+    that contract into that window, i.e. e_{k+1} is in the window, e_k < 1,
+    and the step is still superlinear (log e_{k+1} <= 1.2 log e_k, which
+    drops the floating-point plateau at the end of a run), and returns the
+    least-squares slope of log e_{k+1} against log e_k.  Quadratic
+    convergence shows up as a slope near 2.
     """
     e = [r.dist_to_ref for r in trace.records]
     if any(v is None for v in e) or not e:
         raise ValueError("trace has no dist_to_ref data; supply a reference state")
-    top = ceiling * (1.0 + 1e-9)  # keep exact powers like 0.1**2 on the boundary
-    in_window = sum(1 for v in e if floor < v <= top)
+    top = ORDER_CEILING * (1.0 + 1e-9)  # keep exact powers like 0.1**2 on the boundary
+    in_window = sum(1 for v in e if ORDER_FLOOR < v <= top)
     if in_window < 3:
         raise ValueError("insufficient qualifying iterations for an order fit")
     xs, ys = [], []
     for a, b in zip(e, e[1:]):
-        if floor < b <= top and 0 < a < 1.0 and math.log(b) <= 1.2 * math.log(a):
+        if ORDER_FLOOR < b <= top and 0 < a < 1.0 and math.log(b) <= 1.2 * math.log(a):
             xs.append(math.log(a))
             ys.append(math.log(b))
     if len(xs) < 2:

@@ -1,6 +1,13 @@
 """Per-unit network model: admittance matrix, bus typing, state vectors.
 
-A :class:`NetworkModel` fixes, per bus, which of the four steady-state
+A :class:`NetworkModel` is built from one :class:`~hdpf.caseio.RawCase`,
+either the merged case or one region's case, by :func:`build_network`, the
+only constructor path.  It orders the buses by id, converts to per-unit and
+radians, adds the in-service generators into the injections and assembles
+Y.  A case with copy buses is a region and has at most one slack bus; any
+other case needs exactly one.
+
+The model fixes, per bus, which of the four steady-state
 quantities (angle, magnitude, active power, reactive power) are specified
 and which are free:
 
@@ -56,33 +63,6 @@ class ModelError(ValueError):
 
 
 @dataclass(frozen=True)
-class BusSpec:
-    """Normalized per-bus data, already in per-unit and radians."""
-
-    bus_id: int
-    type: BusType
-    p_inj: float  # specified net injection, p.u.
-    q_inj: float
-    shunt_g: float  # p.u.
-    shunt_b: float
-    v_spec: float  # setpoint for fixed-v buses, p.u.
-    theta_spec: float  # radians, slack only
-
-
-@dataclass(frozen=True)
-class BranchSpec:
-    """Branch with endpoints as 0-based bus positions, shift in radians."""
-
-    f: int
-    t: int
-    r: float
-    x: float
-    b: float
-    tap: float
-    shift: float
-
-
-@dataclass(frozen=True)
 class JacobianPattern:
     """Fixed sparsity of the residual Jacobian, canonical CSR.
 
@@ -101,33 +81,48 @@ class JacobianPattern:
 class NetworkModel:
     """Immutable per-unit network: Y = G + jB plus per-bus specifications."""
 
-    def __init__(self, buses: list[BusSpec], branches: list[BranchSpec], base_mva: float,
-                 require_slack: bool = True):
+    def __init__(self, case: RawCase):
+        buses = sorted(case.buses, key=lambda b: b.id)
         n = len(buses)
         if n == 0:
             raise ModelError("network has no buses")
         self.n_bus = n
-        self.base_mva = base_mva
-        self.bus_ids = np.array([b.bus_id for b in buses], dtype=np.int64)
+        self.base_mva = base = case.base_mva
+        self.bus_ids = np.array([b.id for b in buses], dtype=np.int64)
         self.bus_type = np.array([int(b.type) for b in buses], dtype=np.int8)
 
         n_slack = int(np.sum(self.bus_type == BusType.SLACK))
-        if require_slack and n_slack != 1:
+        if np.any(self.bus_type == BusType.COPY):
+            if n_slack > 1:
+                raise ModelError(f"a region (a case with copy buses) may have at most one "
+                                 f"slack bus, found {n_slack}")
+        elif n_slack != 1:
             raise ModelError(f"expected exactly one slack bus, found {n_slack}")
-        if not require_slack and n_slack > 1:
-            raise ModelError(f"expected at most one slack bus, found {n_slack}")
 
-        self.p_spec = np.array([b.p_inj for b in buses])
-        self.q_spec = np.array([b.q_inj for b in buses])
-        self.v_spec = np.array([b.v_spec for b in buses])
-        self.theta_spec = np.array([b.theta_spec for b in buses])
+        # in-service generators add into the injections; the first one at a
+        # PV or slack bus sets its magnitude
+        pos = {b.id: i for i, b in enumerate(buses)}
+        p_gen, q_gen = np.zeros(n), np.zeros(n)
+        v_set: dict[int, float] = {}
+        for g in case.generators:
+            if g.in_service:
+                i = pos[g.bus_id]
+                p_gen[i] += g.p_gen
+                q_gen[i] += g.q_gen
+                v_set.setdefault(i, g.v_setpoint)
+        regulated = (BusType.PV, BusType.SLACK)
+        self.p_spec = (p_gen - np.array([b.p_demand for b in buses])) / base
+        self.q_spec = (q_gen - np.array([b.q_demand for b in buses])) / base
+        self.v_spec = np.array([v_set.get(i, b.v_mag) if b.type in regulated else b.v_mag
+                                for i, b in enumerate(buses)])
+        self.theta_spec = np.radians([b.v_ang for b in buses])
 
-        self._assemble_admittance(buses, branches)
+        self._assemble_admittance(buses, case.branches, pos)
         self._index_free_entries()
 
     # -- admittance ---------------------------------------------------------
 
-    def _assemble_admittance(self, buses, branches):
+    def _assemble_admittance(self, buses, branches, pos):
         n = self.n_bus
         rows: list[int] = []
         cols: list[int] = []
@@ -135,32 +130,36 @@ class NetworkModel:
 
         touched = np.zeros(n, dtype=bool)
         for br in branches:
+            if not br.in_service:
+                continue
             if br.r == 0.0 and br.x == 0.0:
-                fid, tid = self.bus_ids[br.f], self.bus_ids[br.t]
-                raise ModelError(f"zero-impedance branch {fid}-{tid}")
+                raise ModelError(f"zero-impedance branch {br.from_bus}-{br.to_bus}")
+            f, t = pos[br.from_bus], pos[br.to_bus]
+            tap = br.tap_ratio if br.tap_ratio != 0.0 else 1.0
+            shift = math.radians(br.phase_shift)
             ys = 1.0 / complex(br.r, br.x)
-            ysh = 0.5j * br.b
-            t = br.tap * complex(math.cos(br.shift), math.sin(br.shift))
-            rows += [br.f, br.f, br.t, br.t]
-            cols += [br.f, br.t, br.f, br.t]
+            ysh = 0.5j * br.total_line_charging_b
+            a = tap * complex(math.cos(shift), math.sin(shift))
+            rows += [f, f, t, t]
+            cols += [f, t, f, t]
             vals += [
-                (ys + ysh) / (br.tap * br.tap),
-                -ys / t.conjugate(),
-                -ys / t,
+                (ys + ysh) / (tap * tap),
+                -ys / a.conjugate(),
+                -ys / a,
                 ys + ysh,
             ]
-            touched[br.f] = True
-            touched[br.t] = True
+            touched[f] = True
+            touched[t] = True
 
         if n > 1 and not touched.all():
             lonely = self.bus_ids[~touched]
             raise ModelError(f"isolated bus(es) with no in-service branch: {lonely.tolist()}")
 
         # bus shunts, plus a structural zero so every diagonal entry exists
-        for i, b in enumerate(buses):
-            rows.append(i)
-            cols.append(i)
-            vals.append(complex(b.shunt_g, b.shunt_b))
+        base = self.base_mva
+        rows += range(n)
+        cols += range(n)
+        vals += [complex(b.shunt_g / base, b.shunt_b / base) for b in buses]
 
         y = sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex).tocsr()
         y.sum_duplicates()
@@ -343,71 +342,18 @@ class StateVector:
                            self.p.copy(), self.q.copy())
 
 
-def _bus_specs_from_case(case: RawCase) -> list[BusSpec]:
-    base = case.base_mva
-    gens_p = {b.id: 0.0 for b in case.buses}
-    gens_q = {b.id: 0.0 for b in case.buses}
-    vset: dict[int, float] = {}
-    for g in case.generators:
-        if not g.in_service:
-            continue
-        gens_p[g.bus_id] += g.p_gen
-        gens_q[g.bus_id] += g.q_gen
-        vset.setdefault(g.bus_id, g.v_setpoint)
-
-    specs = []
-    for b in case.buses:
-        fixed_v = vset.get(b.id, b.v_mag) if b.type in (BusType.PV, BusType.SLACK) else b.v_mag
-        specs.append(
-            BusSpec(
-                bus_id=b.id,
-                type=b.type,
-                p_inj=(gens_p[b.id] - b.p_demand) / base,
-                q_inj=(gens_q[b.id] - b.q_demand) / base,
-                shunt_g=b.shunt_g / base,
-                shunt_b=b.shunt_b / base,
-                v_spec=fixed_v,
-                theta_spec=math.radians(b.v_ang),
-            )
-        )
-    return specs
-
-
-def _branch_specs_from_case(case: RawCase, pos: dict[int, int]) -> list[BranchSpec]:
-    out = []
-    for br in case.branches:
-        if not br.in_service:
-            continue
-        out.append(
-            BranchSpec(
-                f=pos[br.from_bus],
-                t=pos[br.to_bus],
-                r=br.r,
-                x=br.x,
-                b=br.total_line_charging_b,
-                tap=br.tap_ratio if br.tap_ratio != 0.0 else 1.0,
-                shift=math.radians(br.phase_shift),
-            )
-        )
-    return out
-
-
 def build_network(case: RawCase) -> NetworkModel:
-    """Build the per-unit model of a self-contained (merged) case.
+    """Build the per-unit model of a merged case or of one region's case.
 
+    Buses are ordered by id.  A case without copy buses needs exactly one
+    slack bus; a case with copy buses is a region and has at most one.
     The admittance matrix uses the standard pi branch model: series
     admittance 1/(r+jx), half the line charging at each end, tap ratio and
     phase shift on the from side, bus shunts on the diagonal.  Out-of-service
     branches are skipped; zero-impedance branches and isolated buses are
     rejected.
     """
-    order = sorted(range(len(case.buses)), key=lambda i: case.buses[i].id)
-    buses = [case.buses[i] for i in order]
-    pos = {b.id: i for i, b in enumerate(buses)}
-    reordered = RawCase(case.base_mva, tuple(buses), case.generators, case.branches, case.name)
-    specs = _bus_specs_from_case(reordered)
-    branches = _branch_specs_from_case(reordered, pos)
-    return NetworkModel(specs, branches, case.base_mva, require_slack=True)
+    return NetworkModel(case)
 
 
 def flat_start(net: NetworkModel) -> StateVector:

@@ -4,11 +4,16 @@ The decomposition starts from its hyperedges.  Every bus at either end of a
 tie line in the manifest is a boundary bus, keyed by its merged id; its
 hyperedge holds the home instance plus one copy in each region it is tied
 to.  A bus tied into several regions yields a hyperedge with more than two
-instances, which is exactly what a plain graph cannot express.  Each
-region's buses are its own buses in local-id order followed by copies of the
-boundary buses it is tied to, in merged-id order, so each regional
-power-flow problem is self-contained; one map from merged id to position
-per region places own buses, copies and both ends of every tie image.
+instances, which is exactly what a plain graph cannot express.
+
+Each region is a case of its own, built by :func:`hdpf.network.build_network`
+like the merged case.  Its buses are its own buses in local-id order (a
+slack bus outside the slack region demoted to PV), then one ``COPY`` bus per
+boundary bus it is tied to, in merged-id order, numbered on from its last
+own id and carrying the home bus's magnitude.  Its branches are its own,
+then one image per tie, so each regional power-flow problem is
+self-contained; one map from merged id to position per region places own
+buses, copies and both ends of every tie image.
 
 Consensus bookkeeping per region l:
 
@@ -28,7 +33,6 @@ buses contribute no rows.
 from __future__ import annotations
 
 import functools
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -38,13 +42,7 @@ from scipy.sparse.csgraph import connected_components
 
 from . import network
 from .caseio import BusType, MergeManifest, RawBranch, RawBus, RawCase, RawGen
-from .network import (
-    BranchSpec,
-    BusSpec,
-    NetworkModel,
-    _branch_specs_from_case,
-    _bus_specs_from_case,
-)
+from .network import NetworkModel
 
 __all__ = [
     "PartitionError",
@@ -94,11 +92,19 @@ class RegionStructure:
 
     index: int
     net: NetworkModel
-    local_ids: np.ndarray          # local bus id per position (copies included)
     merged_ids: np.ndarray         # merged bus id per position
-    is_copy: np.ndarray            # bool per position
     coupling_free_cols: np.ndarray  # x_l = chi_free[coupling_free_cols]
     z_cols: np.ndarray             # x_l[r] lives at z[z_cols[r]]
+
+    @property
+    def local_ids(self) -> np.ndarray:
+        """Local bus id per position, copies included."""
+        return self.net.bus_ids
+
+    @property
+    def is_copy(self) -> np.ndarray:
+        """Whether each position is a copy bus."""
+        return self.net.is_copy
 
     @property
     def n_cpl(self) -> int:
@@ -284,31 +290,20 @@ def partition(manifest: MergeManifest, raws: list[RawCase]) -> PartitionedProble
         pos = {merged_id: i for i, merged_id in enumerate(merged_ids)}
         pos_of.append(pos)
 
-        # own buses, then the copies, which carry their home bus's magnitude
-        specs = _bus_specs_from_case(RawCase(case.base_mva, own, case.generators, case.branches))
-        for local_id, merged_id in enumerate(copies[reg], start=own[-1].id + 1):
-            specs.append(BusSpec(
-                bus_id=local_id,
-                type=BusType.COPY,
-                p_inj=0.0,
-                q_inj=0.0,
-                shunt_g=0.0,
-                shunt_b=0.0,
-                v_spec=merged.buses[merged_id - 1].v_mag,
-                theta_spec=0.0,
-            ))
+        # own buses, then the copies, which carry their home bus's magnitude;
         # internal branches, then one image per tie, outgoing ties first, each
         # oriented as in the manifest with the local copy as foreign end
-        branches = _branch_specs_from_case(case, {b.id: i for i, b in enumerate(own)})
-        for tie in ([t for t in ties if t.from_region == reg]
-                    + [t for t in ties if t.to_region == reg]):
-            branches.append(BranchSpec(
-                f=pos[merged_of[(tie.from_region, tie.from_bus)]],
-                t=pos[merged_of[(tie.to_region, tie.to_bus)]],
-                r=tie.r, x=tie.x, b=tie.b, tap=tie.tap_ratio,
-                shift=math.radians(tie.phase_shift),
-            ))
-        net = NetworkModel(specs, branches, case.base_mva, require_slack=False)
+        copy_buses = tuple(RawBus(local_id, BusType.COPY, v_mag=merged.buses[merged_id - 1].v_mag)
+                           for local_id, merged_id in enumerate(copies[reg], start=own[-1].id + 1))
+        local_of = {merged_id: b.id for merged_id, b in zip(merged_ids, own + copy_buses)}
+        images = tuple(
+            RawBranch(local_of[merged_of[(tie.from_region, tie.from_bus)]],
+                      local_of[merged_of[(tie.to_region, tie.to_bus)]],
+                      tie.r, tie.x, tie.b, tie.tap_ratio, tie.phase_shift)
+            for tie in ([t for t in ties if t.from_region == reg]
+                        + [t for t in ties if t.to_region == reg]))
+        net = network.build_network(RawCase(case.base_mva, own + copy_buses, case.generators,
+                                            case.branches + images, case.name))
 
         # coupling rows: theta block then v block, by local position
         cpl = [i for i, merged_id in enumerate(merged_ids) if merged_id in edge_of]
@@ -320,8 +315,7 @@ def partition(manifest: MergeManifest, raws: list[RawCase]) -> PartitionedProble
                 "must keep both theta and v free"
             )
         regions.append(RegionStructure(
-            index=reg, net=net, local_ids=net.bus_ids.copy(),
-            merged_ids=np.array(merged_ids, dtype=np.int64), is_copy=net.is_copy.copy(),
+            index=reg, net=net, merged_ids=np.array(merged_ids, dtype=np.int64),
             coupling_free_cols=a_cols, z_cols=np.concatenate([edges, len(boundary) + edges]),
         ))
 

@@ -98,6 +98,21 @@ def test_dist_to_ref_never_affects_stopping(problems, central_refs):
     assert all(r.dist_to_ref is not None for r in t_ref.records)
 
 
+def test_diagnosed_solve_evaluates_curvature_once_per_iterate(problems, monkeypatch):
+    # each iterate's q_term serves its lm_error and then the next
+    # condense_gap, so only the flat start adds a call of its own
+    import hdpf.driver
+
+    calls = []
+    real = hdpf.driver.q_term
+    monkeypatch.setattr(hdpf.driver, "q_term", lambda *a: calls.append(1) or real(*a))
+    p = problems["case53"]
+    _, _, trace = solve(p, SolverConfig(diagnose=True))
+    assert trace.converged and trace.n_iter > 1
+    assert all(r.lm_error is not None for r in trace.records)
+    assert len(calls) == len(p.regions) * (len(trace.records) + 1)
+
+
 def test_max_iter_status_without_convergence(problems):
     _, _, trace = solve(problems["case53"], SolverConfig(max_iter=2))
     assert trace.status == STATUS_MAX_ITER

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from hdpf import ModelError, build_network, flat_start, parse_case
+from hdpf import (
+    BusType,
+    ModelError,
+    RawBranch,
+    RawBus,
+    RawCase,
+    RawGen,
+    build_network,
+    flat_start,
+    parse_case,
+)
 from hdpf.residual import residual
 
 from helpers import dense_admittance_pu
@@ -110,6 +120,44 @@ mpc.branch = [
 """
     net = build_network(parse_case(text))
     np.testing.assert_allclose(net.B.toarray(), [[-10.0, 10.0], [10.0, -10.0]], atol=1e-14)
+
+
+# --- slack rule ----------------------------------------------------------------
+
+
+def _two_bus_case(type1, type2, extra_buses=(), extra_branches=()):
+    buses = (RawBus(1, type1), RawBus(2, type2)) + tuple(extra_buses)
+    branches = (RawBranch(1, 2, 0.0, 0.1),) + tuple(extra_branches)
+    return RawCase(100.0, buses, (RawGen(1),), branches)
+
+
+def test_plain_case_without_slack_rejected():
+    text = SINGLE_LINE.format(tap=0).replace("1 3 0 0", "1 2 0 0")
+    with pytest.raises(ModelError, match="expected exactly one slack bus, found 0"):
+        build_network(parse_case(text))
+
+
+def test_plain_case_with_two_slacks_rejected():
+    # parse_case refuses a second slack, so the case is built in code
+    with pytest.raises(ModelError, match="expected exactly one slack bus, found 2"):
+        build_network(_two_bus_case(BusType.SLACK, BusType.SLACK))
+
+
+def test_region_case_with_copy_bus_and_no_slack_builds():
+    case = _two_bus_case(BusType.PV, BusType.PQ, [RawBus(3, BusType.COPY, v_mag=1.02)],
+                         [RawBranch(2, 3, 0.01, 0.1)])
+    net = build_network(case)
+    assert not np.any(net.bus_type == BusType.SLACK)
+    np.testing.assert_array_equal(net.is_copy, [False, False, True])
+    assert net.v_spec[2] == 1.02
+    assert net.p_spec[2] == 0.0 and net.q_spec[2] == 0.0
+
+
+def test_region_case_with_two_slacks_rejected():
+    case = _two_bus_case(BusType.SLACK, BusType.SLACK, [RawBus(3, BusType.COPY)],
+                         [RawBranch(2, 3, 0.01, 0.1)])
+    with pytest.raises(ModelError, match="at most one slack bus, found 2"):
+        build_network(case)
 
 
 # --- flat start --------------------------------------------------------------

@@ -281,6 +281,21 @@ def test_tie_images_present_on_both_sides(problems):
     np.testing.assert_allclose(y0[pos3, cpos], y1[cpos1, pos4], atol=1e-15)
 
 
+def test_tie_tap_zero_reads_as_one_in_every_network():
+    # a region's tie image goes through the same case rules as the merged
+    # tie branch, where a tap of 0 means 1
+    def built(tap):
+        tie = Interconnection(0, 2, 1, 4, 0.01, 0.1, 0.02, tap, 0.0)
+        return partition(MergeManifest(("r0.m", "r1.m"), (tie,), slack_region=0),
+                         [_region(1, 2, slack=True), _region(3, 4)])
+
+    def nets(p):
+        return [r.net for r in p.regions] + [p.merged_net]
+
+    for a, b in zip(nets(built(0.0)), nets(built(1.0))):
+        np.testing.assert_array_equal(a.ybus.toarray(), b.ybus.toarray())
+
+
 def test_region_without_tie_path_to_slack_rejected():
     r0 = _region(1, 2, slack=True)
     r1 = _region(3, 4)
