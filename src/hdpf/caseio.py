@@ -172,6 +172,12 @@ def _parse_row(text: str, lineno: int) -> list[float]:
     return vals
 
 
+def _int_field(value: float, what: str, lineno: int) -> int:
+    if not value.is_integer():
+        raise CaseFormatError(f"{what} must be an integer, got {value!r}", lineno)
+    return int(value)
+
+
 def parse_case(text: str | Iterable[str], name: str = "") -> RawCase:
     """Parse case text into a :class:`RawCase`.
 
@@ -260,10 +266,10 @@ def parse_case(text: str | Iterable[str], name: str = "") -> RawCase:
             )
         if len(row) > _BUS_KNOWN_COLS:
             logger.warning("bus row has %d columns; extras ignored (line %d)", len(row), lineno)
-        code = int(row[1])
+        code = _int_field(row[1], "bus type code", lineno)
         if code not in (1, 2, 3):
             raise CaseFormatError(f"unsupported bus type code {code}", lineno)
-        bus_id = int(row[0])
+        bus_id = _int_field(row[0], "bus id", lineno)
         if bus_id in seen:
             raise CaseFormatError(f"duplicate bus id {bus_id}", lineno)
         seen.add(bus_id)
@@ -296,11 +302,12 @@ def parse_case(text: str | Iterable[str], name: str = "") -> RawCase:
             )
         if len(row) > _GEN_KNOWN_COLS:
             logger.warning("gen row has %d columns; extras ignored (line %d)", len(row), lineno)
-        if int(row[0]) not in seen:
-            raise CaseFormatError(f"generator references unknown bus {int(row[0])}", lineno)
+        gen_bus = _int_field(row[0], "generator bus", lineno)
+        if gen_bus not in seen:
+            raise CaseFormatError(f"generator references unknown bus {gen_bus}", lineno)
         gens.append(
             RawGen(
-                bus_id=int(row[0]),
+                bus_id=gen_bus,
                 p_gen=row[1],
                 q_gen=row[2],
                 v_setpoint=row[5],
@@ -316,13 +323,15 @@ def parse_case(text: str | Iterable[str], name: str = "") -> RawCase:
             )
         if len(row) > _BRANCH_KNOWN_COLS:
             logger.warning("branch row has %d columns; extras ignored (line %d)", len(row), lineno)
-        for end in (int(row[0]), int(row[1])):
+        ends = (_int_field(row[0], "branch from bus", lineno),
+                _int_field(row[1], "branch to bus", lineno))
+        for end in ends:
             if end not in seen:
                 raise CaseFormatError(f"branch references unknown bus {end}", lineno)
         branches.append(
             RawBranch(
-                from_bus=int(row[0]),
-                to_bus=int(row[1]),
+                from_bus=ends[0],
+                to_bus=ends[1],
                 r=row[2],
                 x=row[3],
                 total_line_charging_b=row[4],
@@ -432,7 +441,12 @@ def parse_manifest(text: str | Iterable[str]) -> MergeManifest:
         elif kind == "slack_region":
             if len(parts) != 2:
                 raise ManifestError(f"line {lineno}: slack_region takes one index")
-            slack_region = int(parts[1])
+            try:
+                slack_region = int(parts[1])
+            except ValueError:
+                raise ManifestError(
+                    f"line {lineno}: slack_region takes an integer index, got {parts[1]!r}"
+                ) from None
         else:
             raise ManifestError(f"line {lineno}: unknown directive {kind!r}")
 

@@ -33,7 +33,7 @@ from .condense import FactorizationError, condense_region, recover_local
 from .consensus import consensus_pass, weighted_average
 from .network import ModelError, NetworkModel, StateVector, flat_start
 from .partition import PartitionedProblem
-from .residual import RegionLinearization, linearize, q_term
+from .residual import linearize, q_term
 from .trace import (
     STATUS_BREAKDOWN,
     STATUS_CONVERGED,
@@ -85,59 +85,60 @@ def stitch_state(p: PartitionedProblem, states: list[StateVector],
     return StateVector(merged_net, theta, vm, pp, qq)
 
 
-def _lm_error(lins: list[RegionLinearization], q_terms: list[np.ndarray]) -> float:
+def _lm_error(eps: float, q_terms: list[np.ndarray]) -> float:
     total = 0.0
-    for lin, q in zip(lins, q_terms):
+    for q in q_terms:
         delta = -q
-        delta[np.diag_indices_from(delta)] += lin.eps
+        delta[np.diag_indices_from(delta)] += eps
         total += float(np.sum(delta * delta))
     return math.sqrt(total)
 
 
-def _condense_gap(p: PartitionedProblem, lins, q_terms, chi_ks, x_plus,
-                  a_all: sp.csr_matrix, e_all: sp.csr_matrix) -> float | None:
-    """Coupling-part deviation between the condensed step and a full-space
-    QP step built from exact second derivatives.
+def _condense_gap(p: PartitionedProblem, lins, q_terms, chi_ks, x_plus) -> float | None:
+    """Largest gap between the condensed step's coupling entries ``x_plus``
+    and those of the full-space step built from exact second derivatives.
 
-    ``a_all`` (the regions' selectors, block-diagonal) and ``e_all`` (the
-    stacked incidence) depend on the partition alone; the caller builds
-    them once per solve.
+    The full-space QP takes each region's model with curvature
+    ``H_l = hess + q_term`` subject to ``x_l = E_l z``, in null-space form
+    (Nocedal & Wright, Numerical Optimization, 2nd ed., section 16.2):
+    substituting the constraint leaves one sparse symmetric system
+    ``K u = rhs`` whose unknowns are the regions' local (non-coupling) steps,
+    in region order, then ``z``; ``K = sum_l M_l' H_l M_l`` with ``M_l`` the
+    0/1 map from ``u`` to region l's free entries.  The constraint picks
+    distinct entries (full row rank), so ``K`` is singular exactly when the
+    saddle-point KKT matrix is; the gap is then ``None``.  Without coupling
+    it is 0.0.
     """
-    h_blocks = []
-    rhs_top = []
-    for lin, q, chi in zip(lins, q_terms, chi_ks):
-        h = lin.hess + q
-        h_blocks.append(sp.csr_matrix(h))
-        rhs_top.append(h @ chi - lin.g)
-    h_all = sp.block_diag(h_blocks, format="csr")
-    n_chi = h_all.shape[0]
     n_z = p.n_z
-    n_c = a_all.shape[0]
-    if n_c == 0:
+    if n_z == 0:
         return 0.0
-    zero_zz = sp.csr_matrix((n_z, n_z))
-    kkt = sp.bmat([
-        [h_all, None, a_all.T],
-        [None, zero_zz, -e_all.T],
-        [a_all, -e_all, None],
-    ], format="csc")
-    rhs = np.concatenate([np.concatenate(rhs_top), np.zeros(n_z), np.zeros(n_c)])
+    n_local = sum(r.net.n_free - r.n_cpl for r in p.regions)
+    rhs = np.zeros(n_local + n_z)
+    entries = []
+    off = 0
+    for reg, lin, q, chi in zip(p.regions, lins, q_terms, chi_ks):
+        h = lin.hess + q
+        x = reg.coupling_free_cols
+        m = np.full(len(chi), -1)
+        m[x] = n_local + reg.z_cols
+        m[m < 0] = off + np.arange(len(chi) - len(x))
+        off += len(chi) - len(x)
+        i, j = np.nonzero(h)
+        entries.append((h[i, j], m[i], m[j]))
+        # the local unknowns are steps from chi, the coupling ones values;
+        # z_cols are distinct within a region, so m has no repeats
+        rhs[m] += h[:, x] @ chi[x] - lin.g
+    vals, rows, cols = map(np.concatenate, zip(*entries))
+    k = sp.csc_matrix((vals, (rows, cols)), shape=(len(rhs), len(rhs)))
     try:
-        sol = spla.spsolve(kkt, rhs)
+        u = spla.spsolve(k, rhs)
     except RuntimeError:
         return None
-    if not np.all(np.isfinite(sol)):
+    if not np.all(np.isfinite(u)):
         return None
-    chi_full = sol[:n_chi]
-    gap = 0.0
-    off = 0
-    for reg, xp in zip(p.regions, x_plus):
-        n_free = reg.net.n_free
-        x_full = chi_full[off + np.asarray(reg.coupling_free_cols)]
-        if len(xp):
-            gap = max(gap, float(np.max(np.abs(x_full - xp))))
-        off += n_free
-    return gap
+    z = u[n_local:]
+    return max((float(np.max(np.abs(z[r.z_cols] - xp)))
+                for r, xp in zip(p.regions, x_plus) if len(xp)), default=0.0)
 
 
 def _iterate(nets: list[NetworkModel], states: list[StateVector], lams, cfg: SolverConfig,
@@ -211,9 +212,6 @@ def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | N
     if cfg is None:
         cfg = SolverConfig()
     ref_free = ref.free() if ref is not None else None
-    if cfg.diagnose:
-        a_all = sp.block_diag([r.selector for r in p.regions], format="csr")
-        e_all = p.stacked_incidence()
 
     def step(lins, chis):
         cqps = [condense_region(lin, r.coupling_free_cols, chi)
@@ -238,7 +236,7 @@ def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | N
             q_terms = q_next if q_next is not None else [
                 q_term(r.net, s) for r, s in zip(p.regions, states)]
             x_plus = [nf[r.coupling_free_cols] for r, nf in zip(p.regions, new_free)]
-            fields["condense_gap"] = _condense_gap(p, lins, q_terms, chis, x_plus, a_all, e_all)
+            fields["condense_gap"] = _condense_gap(p, lins, q_terms, chis, x_plus)
             # attributed to the iterate just produced, like dist_to_ref; an
             # iterate with a non-positive magnitude gets none, and the next
             # linearize ends the run
@@ -247,7 +245,7 @@ def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | N
             except ModelError:
                 q_next = None
             else:
-                fields["lm_error"] = _lm_error(lins, q_next)
+                fields["lm_error"] = _lm_error(cfg.eps, q_next)
         if ref_free is not None:
             stitched = stitch_state(p, new_states, p.merged_net)
             fields["dist_to_ref"] = float(np.max(np.abs(stitched.free() - ref_free)))

@@ -99,9 +99,18 @@ class NetworkModel:
         elif n_slack != 1:
             raise ModelError(f"expected exactly one slack bus, found {n_slack}")
 
+        pos = {b.id: i for i, b in enumerate(buses)}
+        for g in case.generators:
+            if g.bus_id not in pos:
+                raise ModelError(f"generator references unknown bus {g.bus_id}")
+        for br in case.branches:
+            for end in (br.from_bus, br.to_bus):
+                if end not in pos:
+                    raise ModelError(
+                        f"branch {br.from_bus}-{br.to_bus} references unknown bus {end}")
+
         # in-service generators add into the injections; the first one at a
         # PV or slack bus sets its magnitude
-        pos = {b.id: i for i, b in enumerate(buses)}
         p_gen, q_gen = np.zeros(n), np.zeros(n)
         v_set: dict[int, float] = {}
         for g in case.generators:
@@ -350,8 +359,8 @@ def build_network(case: RawCase) -> NetworkModel:
     The admittance matrix uses the standard pi branch model: series
     admittance 1/(r+jx), half the line charging at each end, tap ratio and
     phase shift on the from side, bus shunts on the diagonal.  Out-of-service
-    branches are skipped; zero-impedance branches and isolated buses are
-    rejected.
+    branches are skipped; a generator or branch at a bus the case lacks,
+    zero-impedance branches and isolated buses are rejected.
     """
     return NetworkModel(case)
 

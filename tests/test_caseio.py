@@ -61,6 +61,25 @@ def test_parse_error_carries_line_number():
         parse_case(text)
 
 
+def test_parse_rejects_non_integer_ids_and_codes():
+    bad_bus = TWO_BUS.replace("2 1 50 20", "2.7 1.5 50 20")
+    with pytest.raises(CaseFormatError, match=r"line 5: bus type code must be an integer"):
+        parse_case(bad_bus)
+    bad_id = TWO_BUS.replace("2 1 50 20", "2.7 1 50 20")
+    with pytest.raises(CaseFormatError, match=r"line 5: bus id must be an integer, got 2\.7"):
+        parse_case(bad_id)
+    bad_gen = TWO_BUS.replace("1 60 10", "1.5 60 10")
+    with pytest.raises(CaseFormatError, match=r"line 8: generator bus must be an integer"):
+        parse_case(bad_gen)
+    bad_end = TWO_BUS.replace("1 2 0 0.1", "1 2.2 0 0.1")
+    with pytest.raises(CaseFormatError,
+                       match=r"line 11: branch to bus must be an integer, got 2\.2"):
+        parse_case(bad_end)
+    # integral values written as floats are ids all the same
+    case = parse_case(TWO_BUS.replace("1 2 0 0.1", "1.0 2.0 0 0.1"))
+    assert (case.branches[0].from_bus, case.branches[0].to_bus) == (1, 2)
+
+
 def test_parse_rejects_short_rows():
     text = TWO_BUS.replace("1 2 0 0.1 0 0 0 0 0 0 1;", "1 2 0 0.1 0;")
     with pytest.raises(CaseFormatError, match="branch row"):
@@ -175,6 +194,13 @@ def test_manifest_unknown_region_rejected():
 def test_manifest_missing_slack_rejected():
     bad = MANIFEST.replace("slack_region 0", "")
     with pytest.raises(ManifestError, match="slack_region"):
+        parse_manifest(bad)
+
+
+def test_manifest_non_integer_slack_region_rejected():
+    bad = MANIFEST.replace("slack_region 0", "slack_region x")
+    with pytest.raises(ManifestError,
+                       match=r"line 5: slack_region takes an integer index, got 'x'"):
         parse_manifest(bad)
 
 

@@ -113,6 +113,77 @@ def test_diagnosed_solve_evaluates_curvature_once_per_iterate(problems, monkeypa
     assert len(calls) == len(p.regions) * (len(trace.records) + 1)
 
 
+def _saddle_point_gap(p, lins, q_terms, chi_ks, x_plus):
+    """condense_gap from the dense saddle-point KKT over (chi, z, lambda)."""
+    n_chi = sum(len(c) for c in chi_ks)
+    n_c = sum(r.n_cpl for r in p.regions)
+    dim = n_chi + p.n_z + n_c
+    kkt = np.zeros((dim, dim))
+    rhs = np.zeros(dim)
+    off = coff = 0
+    for reg, lin, q, chi in zip(p.regions, lins, q_terms, chi_ks):
+        n, n_x = len(chi), reg.n_cpl
+        h = lin.hess + q
+        kkt[off:off + n, off:off + n] = h
+        rhs[off:off + n] = h @ chi - lin.g
+        rows = n_chi + p.n_z + coff + np.arange(n_x)
+        kkt[rows, off + reg.coupling_free_cols] = kkt[off + reg.coupling_free_cols, rows] = 1.0
+        kkt[rows, n_chi + reg.z_cols] = kkt[n_chi + reg.z_cols, rows] = -1.0
+        off += n
+        coff += n_x
+    full = np.linalg.solve(kkt, rhs)
+    gap, off = 0.0, 0
+    for reg, chi, xp in zip(p.regions, chi_ks, x_plus):
+        gap = max(gap, float(np.max(np.abs(full[off + reg.coupling_free_cols] - xp))))
+        off += len(chi)
+    return gap
+
+
+def _spy_condense_gap(monkeypatch):
+    import hdpf.driver
+
+    calls = []
+    real = hdpf.driver._condense_gap
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(hdpf.driver, "_condense_gap", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["fig1", "twin14", "case53"])
+def test_condense_gap_matches_saddle_point_oracle(problems, monkeypatch, name):
+    calls = _spy_condense_gap(monkeypatch)
+    _, _, trace = solve(problems[name], SolverConfig(diagnose=True))
+    assert trace.converged and len(calls) == len(trace.records) > 1
+    for (args, out), rec in zip(calls, trace.records):
+        oracle = _saddle_point_gap(*args)
+        assert rec.condense_gap == out
+        assert abs(out - oracle) <= 1e-9 * (1.0 + oracle), (rec.iter, out, oracle)
+
+
+def test_condense_gap_is_zero_without_coupling(problems):
+    _, _, trace = solve(problems["single14"], SolverConfig(diagnose=True))
+    assert trace.converged and trace.n_iter > 1
+    assert all(r.condense_gap == 0.0 for r in trace.records)
+
+
+def test_diagnosed_solve_builds_no_saddle_point(problems, monkeypatch):
+    import scipy.sparse
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("saddle-point assembly")
+
+    monkeypatch.setattr(scipy.sparse, "bmat", refuse)
+    monkeypatch.setattr(scipy.sparse, "block_diag", refuse)
+    _, _, trace = solve(problems["case53"], SolverConfig(diagnose=True))
+    assert trace.converged
+    assert all(r.condense_gap is not None for r in trace.records)
+
+
 def test_max_iter_status_without_convergence(problems):
     _, _, trace = solve(problems["case53"], SolverConfig(max_iter=2))
     assert trace.status == STATUS_MAX_ITER

@@ -160,6 +160,16 @@ def test_region_case_with_two_slacks_rejected():
         build_network(case)
 
 
+def test_element_at_unknown_bus_rejected():
+    # parse_case refuses dangling references, so the cases are built in code
+    with pytest.raises(ModelError, match="generator references unknown bus 7"):
+        build_network(RawCase(100.0, (RawBus(1, BusType.SLACK), RawBus(2, BusType.PQ)),
+                              (RawGen(7),), (RawBranch(1, 2, 0.0, 0.1),)))
+    with pytest.raises(ModelError, match="branch 2-9 references unknown bus 9"):
+        build_network(_two_bus_case(BusType.SLACK, BusType.PQ,
+                                    extra_branches=[RawBranch(2, 9, 0.01, 0.1)]))
+
+
 # --- flat start --------------------------------------------------------------
 
 
