@@ -31,16 +31,18 @@ for k, edge in enumerate(prob.hypergraph.edges):
 n_state, n_cpl, n_z = consensus_dims(prob)
 print(f"\nn_state = {n_state}, n_cpl = {n_cpl}, n_z = {n_z}")
 
-e = prob.stacked_incidence().toarray()
-print(f"stacked incidence E: {e.shape[0]}x{e.shape[1]}, "
-      f"rank {np.linalg.matrix_rank(e)} (full column rank);")
-print("column multiplicities (instances per consensus entry):",
-      np.diag(e.T @ e).astype(int).tolist())
+# each coupling entry x_l[r] reads z[z_cols[r]]: the incidence E as an index
+# array, so counting each column's readers gives its multiplicity, and every
+# column read at least once means E has full column rank
+mult = np.bincount(np.concatenate([reg.z_cols for reg in prob.regions]), minlength=n_z)
+print(f"stacked incidence E: {n_cpl}x{n_z}, rank {np.count_nonzero(mult)} "
+      f"({'full column rank' if mult.min() >= 1 else 'RANK DEFICIENT'});")
+print("column multiplicities (instances per consensus entry):", mult.tolist())
 
 # a region's selector picks the coupled entries straight out of its free state
-a = prob.regions[0].selector.toarray()
-print(f"\nregion 0 selector A: {a.shape[0]}x{a.shape[1]}, one 1 per row; "
-      f"A^T A diagonal: {np.diag(a.T @ a).astype(int).tolist()}")
+reg0 = prob.regions[0]
+print(f"\nregion 0 selector A: {reg0.n_cpl} entries of {reg0.net.n_free} free, "
+      f"columns {reg0.coupling_free_cols.tolist()}")
 
 print("\nthe same construction scales up; the 53-bus three-region system:")
 manifest53, raws53 = load_manifest(FIXTURES / "case53.manifest")

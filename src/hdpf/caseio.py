@@ -223,7 +223,11 @@ def parse_case(text: str | Iterable[str], name: str = "") -> RawCase:
                 key = key[4:]
             rest = rest.strip()
             if key == "baseMVA":
-                base_mva = float(rest.rstrip(";"))
+                vals = _parse_row(rest, lineno)
+                if len(vals) != 1 or not 0.0 < vals[0] < float("inf"):
+                    raise CaseFormatError(
+                        f"baseMVA must be one positive finite number, got {rest!r}", lineno)
+                base_mva = vals[0]
                 continue
             if rest.startswith("["):
                 if key in _TABLE_NAMES:
@@ -252,9 +256,6 @@ def parse_case(text: str | Iterable[str], name: str = "") -> RawCase:
         raise CaseFormatError(f"unterminated {current} table")
     if base_mva is None:
         raise CaseFormatError("missing baseMVA")
-
-    if base_mva <= 0:
-        raise CaseFormatError(f"base_mva must be positive, got {base_mva}")
 
     buses = []
     seen: set[int] = set()

@@ -29,17 +29,19 @@ from .trace import SolveTrace
 
 __all__ = ["central_solve", "dense_kkt_solve"]
 
+TOL_REFERENCE = 1e-12  # default residual tolerance of the reference solve
+
 
 def central_solve(net: NetworkModel,
                   cfg: SolverConfig | None = None) -> tuple[StateVector, SolveTrace]:
     """Regularized Gauss-Newton on the whole network from a flat start.
 
-    Defaults push the residual to 1e-12 so the result can serve as the
-    reference solution; non-convergence is reported through the trace
-    status, not an exception.
+    Defaults push the residual to ``TOL_REFERENCE`` so the result can serve
+    as the reference solution; non-convergence is reported through the
+    trace status, not an exception.
     """
     if cfg is None:
-        cfg = SolverConfig(tol_residual=1e-12)
+        cfg = SolverConfig(tol_residual=TOL_REFERENCE)
     (s,), _, records, status = _iterate([net], [flat_start(net)], None, cfg,
                                         _full_space_step, linearize_fn=_sparse_linearize)
     return s, SolveTrace(records=records, status=status)

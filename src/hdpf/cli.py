@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .caseio import CaseFormatError, ManifestError, load_manifest, parse_case_file, serialize_case
-from .central import central_solve
+from .central import TOL_REFERENCE, central_solve
 from .comm import run_distributed
 from .condense import FactorizationError, condense_region, recover_local
 from .consensus import TOL_KKT, averaging_projector, consensus_pass, verify_kkt
@@ -31,6 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Distributed AC power flow over hypergraph-coupled regions.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    defaults = SolverConfig()
 
     p_merge = sub.add_parser("merge", help="materialize the merged case for a manifest")
     p_merge.add_argument("manifest")
@@ -38,10 +39,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run the distributed solver on a manifest")
     p_solve.add_argument("manifest")
-    p_solve.add_argument("--eps", type=float, default=1e-10)
-    p_solve.add_argument("--tol-step", type=float, default=1e-8)
-    p_solve.add_argument("--tol-res", type=float, default=1e-10)
-    p_solve.add_argument("--max-iter", type=int, default=50)
+    p_solve.add_argument("--eps", type=float, default=defaults.eps)
+    p_solve.add_argument("--tol-step", type=float, default=defaults.tol_step)
+    p_solve.add_argument("--tol-res", type=float, default=defaults.tol_residual)
+    p_solve.add_argument("--max-iter", type=int, default=defaults.max_iter)
     p_solve.add_argument("--diagnose", action="store_true",
                          help="record lm_error and condense_gap per iteration")
     p_solve.add_argument("--reference", help="state file for dist_to_ref records")
@@ -54,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_base.add_argument("case")
     p_base.add_argument("--trace", help="write the iteration trace here")
     p_base.add_argument("--output", help="write the solved state here")
-    p_base.add_argument("--max-iter", type=int, default=50)
+    p_base.add_argument("--max-iter", type=int, default=defaults.max_iter)
 
     p_check = sub.add_parser("check", help="run the structural invariant suite on a manifest")
     p_check.add_argument("manifest")
@@ -114,7 +115,7 @@ def _cmd_solve(args) -> int:
 def _cmd_baseline(args) -> int:
     case = parse_case_file(args.case)
     net = build_network(case)
-    cfg = SolverConfig(tol_residual=1e-12, max_iter=args.max_iter)
+    cfg = SolverConfig(tol_residual=TOL_REFERENCE, max_iter=args.max_iter)
     state, trace = central_solve(net, cfg)
     last = trace.final()
     r = last.r_norm2 if last else 0.0
@@ -137,9 +138,11 @@ def _cmd_check(args) -> int:
 
     ok = True
     if n_z:
-        e = prob.stacked_incidence().toarray()
-        rank = np.linalg.matrix_rank(e)
-        print(f"stacked incidence: {e.shape[0]} x {e.shape[1]}, rank {rank} "
+        # every row of the stacked incidence E is a unit row at z_cols, so
+        # its rank is the number of z columns some region holds
+        held = np.bincount(np.concatenate([r.z_cols for r in prob.regions]), minlength=n_z)
+        rank = int(np.count_nonzero(held))
+        print(f"stacked incidence: {n_cpl} x {n_z}, rank {rank} "
               f"({'full column rank' if rank == n_z else 'RANK DEFICIENT'})")
         ok &= rank == n_z
 

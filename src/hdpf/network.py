@@ -32,13 +32,14 @@ The sparsity of everything :mod:`hdpf.residual` assembles depends on the
 network alone, so each model computes its index maps once, on first use,
 and keeps them (``functools.cached_property``):
 
-- :attr:`NetworkModel.jac_pattern`, the Jacobian's CSR pattern and the
-  gather that puts its values, evaluated block by block, into CSR order;
+- :attr:`NetworkModel.jac_pattern`: the Jacobian's terms (each admittance
+  nonzero (i, k) on a core row, with its columns theta_i, theta_k, v_i and
+  v_k), its CSR pattern, and the slot in it of each term derivative;
 - :attr:`NetworkModel.jtj_pairs`, for each Jacobian row every pair (a, b)
   of its nonzeros and the flat target ``col_a * n_free + col_b`` of their
   product in J'J;
-- :attr:`NetworkModel.q_targets`, the flat target of every term of the
-  curvature diagnostic :func:`hdpf.residual.q_term`.
+- :attr:`NetworkModel.q_targets`, the flat target of every entry of each
+  term's 4x4 curvature block in the diagnostic :func:`hdpf.residual.q_term`.
 
 A region's model builds all three; the merged network, used for stitching
 and by the sparse reference, builds only the pattern.
@@ -64,15 +65,18 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class JacobianPattern:
-    """Fixed sparsity of the residual Jacobian, canonical CSR.
+    """Fixed sparsity of the residual Jacobian, canonical CSR, and the map
+    that adds the derivatives of its terms into it.
 
-    The residual code evaluates the Jacobian's values as ten blocks, in the
-    order :attr:`NetworkModel.jac_pattern` lists their coordinates; ``order``
-    gathers the entries with a free column into CSR order.
+    The values are listed as the p-row derivatives of every term, column by
+    column (``cols.T`` order), then the q-row ones, then the injection
+    entries of the core buses' p and q rows; ``slot`` sends each to its CSR
+    position, or one on a fixed column to the spare bin ``len(indices)``.
     """
 
-    off: np.ndarray      # positions of the admittance nonzeros (i, k), i != k, i a core bus
-    order: np.ndarray    # block values -> CSR positions
+    terms: np.ndarray    # positions of the admittance nonzeros on core rows
+    cols: np.ndarray     # (n_terms, 4) free columns of (theta_i, theta_k, v_i, v_k), -1 if fixed
+    slot: np.ndarray     # listed value -> CSR position
     rows: np.ndarray     # row of each CSR nonzero
     indices: np.ndarray  # column of each CSR nonzero, ascending within a row
     indptr: np.ndarray
@@ -178,10 +182,6 @@ class NetworkModel:
         self.y_col = coo.col.astype(np.int64)
         self.g_val = coo.data.real.copy()
         self.b_val = coo.data.imag.copy()
-        # per-bus diagonal G_ii and B_ii
-        diag = y.diagonal()
-        self.g_diag = diag.real.copy()
-        self.b_diag = diag.imag.copy()
 
     @property
     def G(self) -> sp.csr_matrix:
@@ -240,30 +240,26 @@ class NetworkModel:
 
     @functools.cached_property
     def jac_pattern(self) -> JacobianPattern:
-        """The Jacobian's CSR pattern and the gather into it."""
-        i, k = self.y_row, self.y_col
-        off = np.flatnonzero((i != k) & (self.row_of_bus[i] >= 0))
-        ko = k[off]
-        p_off = self.row_of_bus[i[off]]
+        """The Jacobian's CSR pattern and the map from listed values into it."""
+        terms = np.flatnonzero(self.row_of_bus[self.y_row] >= 0)
+        i, k = self.y_row[terms], self.y_col[terms]
+        cols = np.stack([self.col_theta[i], self.col_theta[k], self.col_v[i], self.col_v[k]], axis=1)
         core = self.core_idx
-        p_core = self.row_of_bus[core]
-        ct, cv = self.col_theta, self.col_v
-        # (row, column) of each value block, in the order
-        # hdpf.residual._jacobian_values evaluates them; column -1 is fixed
-        blocks = [
-            (p_off, ct[ko]), (p_off + 1, ct[ko]), (p_off, cv[ko]), (p_off + 1, cv[ko]),
-            (p_core, ct[core]), (p_core + 1, ct[core]), (p_core, cv[core]), (p_core + 1, cv[core]),
-            (p_core, self.col_p[core]), (p_core + 1, self.col_q[core]),
-        ]
-        rows = np.concatenate([r for r, _ in blocks])
-        cols = np.concatenate([c for _, c in blocks])
-        # (row, column) pairs are distinct, so CSR order is a sort by both
-        kept = np.flatnonzero(cols >= 0)
-        order = kept[np.lexsort((cols[kept], rows[kept]))]
-        counts = np.bincount(rows[order], minlength=2 * self.n_core)
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        return JacobianPattern(off=off, order=order, rows=rows[order],
-                               indices=cols[order], indptr=indptr)
+        p_term, p_core = self.row_of_bus[i], self.row_of_bus[core]
+        n = self.n_free
+        # row and column of each listed value, in the order the class lists them
+        rows = np.concatenate([np.tile(p_term, 4), np.tile(p_term + 1, 4), p_core, p_core + 1])
+        cols_all = np.concatenate([np.tile(cols.T.ravel(), 2), self.col_p[core], self.col_q[core]])
+        # sorted flat keys are CSR order; the sentinel, past every real key,
+        # is the spare bin of the values on fixed columns
+        sentinel = 2 * self.n_core * n
+        keys = np.where(cols_all >= 0, rows * n + cols_all, sentinel)
+        uniq, slot = np.unique(np.append(keys, sentinel), return_inverse=True)
+        csr_rows = uniq[:-1] // n
+        counts = np.bincount(csr_rows, minlength=2 * self.n_core)
+        return JacobianPattern(terms=terms, cols=cols, slot=slot[:-1], rows=csr_rows,
+                               indices=uniq[:-1] % n,
+                               indptr=np.concatenate([[0], np.cumsum(counts)]))
 
     @functools.cached_property
     def jtj_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -285,27 +281,15 @@ class NetworkModel:
 
     @functools.cached_property
     def q_targets(self) -> np.ndarray:
-        """Flat target ``row * n_free + col`` of every term of
-        :func:`hdpf.residual.q_term`, in its order; a term on a fixed entry
-        goes to the spare bin ``n_free**2``."""
-        off = self.jac_pattern.off
-        io, ko = self.y_row[off], self.y_col[off]
-        core = self.core_idx
-        ct, cv = self.col_theta, self.col_v
-        off_pairs = [
-            (ct[io], ct[ko]), (ct[ko], ct[io]), (ct[ko], ct[ko]),
-            (cv[io], cv[ko]), (cv[ko], cv[io]),
-            (ct[io], cv[ko]), (cv[ko], ct[io]), (ct[ko], cv[io]), (cv[io], ct[ko]),
-            (ct[ko], cv[ko]), (cv[ko], ct[ko]),
-        ]
-        core_pairs = [(ct[core], ct[core]), (cv[core], cv[core]),
-                      (ct[core], cv[core]), (cv[core], ct[core])]
-        # p terms, then q terms on the same coordinates
-        pairs = off_pairs * 2 + core_pairs * 2
-        rows = np.concatenate([r for r, _ in pairs])
-        cols = np.concatenate([c for _, c in pairs])
+        """Flat target ``row * n_free + col`` of every entry of each term's
+        4x4 curvature block, listed entry by entry (row-major over the
+        block, every term per entry) as :func:`hdpf.residual.q_term` lists
+        its values; an entry on a fixed column goes to the spare bin
+        ``n_free**2``."""
+        cols = self.jac_pattern.cols.T
         n = self.n_free
-        return np.where((rows >= 0) & (cols >= 0), rows * n + cols, n * n)
+        r, c = cols[:, None, :], cols[None, :, :]
+        return np.where((r >= 0) & (c >= 0), r * n + c, n * n).ravel()
 
 
 class StateVector:

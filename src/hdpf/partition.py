@@ -19,10 +19,13 @@ Consensus bookkeeping per region l:
 
 * coupling vector ``x_l``: the (theta, v) entries of the region's hyperedge
   buses, all angles first then all magnitudes, buses by local position;
-* selector ``A_l`` with ``x_l = A_l @ chi_l`` picking those entries out of
-  the free state;
-* incidence ``E_l`` with ``x_l = E_l @ z`` against the global consensus
-  vector ``z`` (all hyperedge angles by merged bus id, then magnitudes).
+* ``coupling_free_cols``, the selector ``A_l`` as an index array:
+  ``x_l = chi_l[coupling_free_cols]``;
+* ``z_cols``, the incidence ``E_l`` as an index array:
+  ``x_l = z[z_cols]`` against the global consensus vector ``z`` (all
+  hyperedge angles by merged bus id, then magnitudes).  Each row of the
+  stacked E is a unit row, so E has full column rank exactly when every
+  column of z appears in some region's ``z_cols``.
 
 The tie branch itself is materialized once in the merged case (oriented as
 written in the manifest) and as one image per region, each terminating at
@@ -114,22 +117,6 @@ class RegionStructure:
     def n_state_entries(self) -> int:
         return self.net.n_state_entries
 
-    @property
-    def selector(self) -> sp.csr_matrix:
-        """A_l as an explicit 0/1 matrix (n_cpl x n_free)."""
-        n = self.n_cpl
-        return sp.csr_matrix(
-            (np.ones(n), (np.arange(n), self.coupling_free_cols)),
-            shape=(n, self.net.n_free),
-        )
-
-    def incidence(self, n_z: int) -> sp.csr_matrix:
-        """E_l as an explicit 0/1 matrix (n_cpl x n_z)."""
-        n = self.n_cpl
-        return sp.csr_matrix(
-            (np.ones(n), (np.arange(n), self.z_cols)), shape=(n, n_z)
-        )
-
 
 @dataclass
 class PartitionedProblem:
@@ -147,9 +134,6 @@ class PartitionedProblem:
     @property
     def n_z(self) -> int:
         return self.hypergraph.n_z
-
-    def stacked_incidence(self) -> sp.csr_matrix:
-        return sp.vstack([r.incidence(self.n_z) for r in self.regions]).tocsr()
 
 
 def _check_manifest(manifest: MergeManifest, raws: list[RawCase]):

@@ -7,17 +7,24 @@ give two residual rows,
     r_q,i = q_i - v_i * sum_k v_k * (G_ik sin th_ik - B_ik cos th_ik)
 
 with th_ik = th_i - th_k.  Rows are ordered bus-ascending, p row before q
-row.  Copy buses contribute no rows.  All derivatives are closed-form; the
-second-order term is assembled only for diagnostics.
+row.  Copy buses contribute no rows.
+
+Every derivative comes from one rule.  Each admittance nonzero (i, k) on a
+core row, the diagonal included, is one term of each sum above, a function
+of (th_i, th_k, v_i, v_k).  The Jacobian adds minus each term's gradient
+into bus i's two rows; :func:`q_term`, for diagnostics only, adds minus its
+4x4 curvature weighted by those rows' residuals.  For k = i the columns
+coincide and the sums are the derivatives of v_i**2 G_ii and -v_i**2 B_ii
+(MATPOWER Technical Note 2 sums the same per-branch structure).
 
 Assembly runs on index maps the network computes once (see
-:mod:`hdpf.network`): the Jacobian's values are evaluated block by block
-and gathered into its fixed CSR pattern, and :func:`linearize` forms
-``g = J'r`` and the dense ``J'J + eps*I`` each with one ``np.bincount``,
-building no sparse matrix; :func:`q_term` adds its terms with one more.
-A bincount adds in input order, and the maps list each entry's terms in
-ascending Jacobian row, the order a sparse ``J.T @ J`` and ``J.T @ r`` use,
-so the results equal ``lm_hessian(jacobian(net, s), eps)`` and
+:mod:`hdpf.network`): one ``np.bincount`` adds the term derivatives into
+the Jacobian's fixed CSR pattern, :func:`linearize` forms ``g = J'r`` and
+the dense ``J'J + eps*I`` with one more each, building no sparse matrix,
+and :func:`q_term` adds its blocks with one more.  A bincount adds in
+input order, and the maps list each entry's products in ascending
+Jacobian row, the order a sparse ``J.T @ J`` and ``J.T @ r`` use, so
+:func:`linearize` equals ``lm_hessian(jacobian(net, s), eps)`` and
 ``jacobian(net, s).T @ r`` bit for bit.
 
 Every function here is a pure evaluation over a network and a state; the
@@ -115,90 +122,51 @@ def _jacobian(net: NetworkModel, s: StateVector, terms) -> sp.csr_matrix:
 
 
 def _jacobian_values(net: NetworkModel, s: StateVector, terms) -> np.ndarray:
-    """The Jacobian's nonzeros in the CSR order of ``net.jac_pattern``.
-
-    The blocks follow the coordinates :attr:`NetworkModel.jac_pattern`
-    lists; the residual is spec - calc, so each entry is minus a partial of
-    the computed injection.
-    """
-    _, _, tc, td, p_calc, q_calc = terms
-    pat = net.jac_pattern
-    tco, tdo = tc[pat.off], td[pat.off]
-    vko = s.vm[net.y_col[pat.off]]
-    core = net.core_idx
-    vii = s.vm[core]
-    gdd, bdd = net.g_diag[core], net.b_diag[core]
-    pc, qc = p_calc[core], q_calc[core]
+    """The Jacobian's nonzeros in the CSR order of ``net.jac_pattern``: minus
+    each term's gradient, listed as the pattern's ``slot`` expects, and +1
+    for the injection entries."""
+    c, d, tc, td, vi, vk = _on_terms(net, s, terms)
     ones = np.ones(net.n_core)
-    return np.concatenate([
-        # couplings to the neighbour's angle and magnitude
-        -tdo, tco, -tco / vko, -tdo / vko,
-        # own-bus angle and magnitude
-        qc + bdd * vii**2, -(pc - gdd * vii**2), -(pc / vii + gdd * vii), -(qc / vii - bdd * vii),
-        # injection variables enter linearly with coefficient +1 on their own row
-        ones, ones,
-    ])[pat.order]
+    vals = np.concatenate([td, -td, -vk * c, -vi * c,      # -grad of v_i v_k c
+                           -tc, tc, -vk * d, -vi * d,      # -grad of v_i v_k d
+                           ones, ones])
+    pat = net.jac_pattern
+    return np.bincount(pat.slot, weights=vals, minlength=len(pat.indices) + 1)[:-1]
+
+
+def _on_terms(net: NetworkModel, s: StateVector, terms):
+    """c, d, t_c, t_d, v_i and v_k of each term of ``net.jac_pattern``."""
+    c, d, tc, td, _, _ = terms
+    t = net.jac_pattern.terms
+    return c[t], d[t], tc[t], td[t], s.vm[net.y_row[t]], s.vm[net.y_col[t]]
 
 
 def q_term(net: NetworkModel, s: StateVector) -> np.ndarray:
     """Second-order residual correction sum_m r_m * hess(r_m), dense.
 
     Only used for diagnostics (the gap between the regularized Gauss-Newton
-    matrix and the true Hessian of f); the solve path never forms it.
+    matrix and the true Hessian of f); the solve path never forms it.  The
+    injection entries are linear and add nothing.
     """
     terms = _flow_terms(net, s)
-    c, d, tc, td, p_calc, q_calc = terms
     r = _residual(net, s, terms)
-
-    n = net.n_bus
-    w_p = np.zeros(n)
-    w_q = np.zeros(n)
-    w_p[net.core_idx] = r[0::2]
-    w_q[net.core_idx] = r[1::2]
-
-    # copy-bus rows weigh zero, and adding a zero changes no sum, so only
-    # the off-diagonal entries on core rows contribute
-    off = net.jac_pattern.off
-    io, ko = net.y_row[off], net.y_col[off]
-    vio, vko = s.vm[io], s.vm[ko]
-    co, do = c[off], d[off]
-    tco, tdo = tc[off], td[off]
-    wpo, wqo = w_p[io], w_q[io]
-
-    core = net.core_idx
-    vii = s.vm[core]
-    gdd, bdd = net.g_diag[core], net.b_diag[core]
-    pc, qc = p_calc[core], q_calc[core]
-    wpc, wqc = w_p[core], w_q[core]
-    mixed_p = -qc / vii - bdd * vii                             # d2P/dth_i dv_i
-    mixed_q = pc / vii - gdd * vii                              # d2Q/dth_i dv_i
-
-    # hess(r) = -hess(calc); residual rows are spec - calc.  The terms
-    # follow the coordinates of net.q_targets.
-    p_tt, p_vv = -wpo * tco, -wpo * co               # d2P/dth_i dth_k = t_c, d2P/dv_i dv_k = c
-    p_tiv, p_tvi, p_tvk = wpo * vio * do, -wpo * vko * do, -wpo * vio * do
-    q_tt, q_vv = -wqo * tdo, -wqo * do               # d2Q/dth_i dth_k = t_d, d2Q/dv_i dv_k = d
-    q_tiv, q_tvi, q_tvk = -wqo * vio * co, wqo * vko * co, wqo * vio * co
-    m_p, m_q = -wpc * mixed_p, -wqc * mixed_q
-    vals = np.concatenate([
-        # P second derivatives, weighted by -w_p
-        p_tt, p_tt, wpo * tco,                       # d2P/dth_k2 = -t_c
-        p_vv, p_vv,
-        p_tiv, p_tiv,                                # d2P/dth_i dv_k = -v_i d
-        p_tvi, p_tvi,                                # d2P/dth_k dv_i = v_k d
-        p_tvk, p_tvk,                                # d2P/dth_k dv_k = v_i d
-        # Q second derivatives, weighted by -w_q
-        q_tt, q_tt, wqo * tdo,                       # d2Q/dth_k2 = -t_d
-        q_vv, q_vv,
-        q_tiv, q_tiv,                                # d2Q/dth_i dv_k = v_i c
-        q_tvi, q_tvi,                                # d2Q/dth_k dv_i = -v_k c
-        q_tvk, q_tvk,                                # d2Q/dth_k dv_k = -v_i c
-        # own-bus blocks
-        -wpc * (-pc + gdd * vii**2), -wpc * 2.0 * gdd, m_p, m_p,      # d2P/dth_i2, d2P/dv_i2
-        -wqc * (-qc - bdd * vii**2), -wqc * (-2.0 * bdd), m_q, m_q,   # d2Q/dth_i2, d2Q/dv_i2
-    ])
+    c, d, tc, td, vi, vk = _on_terms(net, s, terms)
+    row = net.row_of_bus[net.y_row[net.jac_pattern.terms]]
+    w_p, w_q = r[row], r[row + 1]
+    # over (theta_i, theta_k, v_i, v_k), w_p hess(v_i v_k c) + w_q hess(v_i v_k d)
+    # has the angle block [[-a, a], [a, -a]], the angle-magnitude block
+    # [[-v_k b, -v_i b], [v_k b, v_i b]] and the magnitude block [[0, e], [e, 0]];
+    # minus it is listed row by row, as net.q_targets expects
+    a = w_p * tc + w_q * td
+    b = w_p * d - w_q * c
+    e = w_p * c + w_q * d
+    kb, ib, zero = vk * b, vi * b, np.zeros(len(a))
+    vals = np.concatenate([a, -a, kb, ib,
+                           -a, a, -kb, -ib,
+                           kb, -kb, zero, -e,
+                           ib, -ib, -e, zero])
     nf = net.n_free
-    # the spare last bin collects the terms on fixed entries
+    # the spare last bin collects the entries on fixed columns
     return np.bincount(net.q_targets, weights=vals, minlength=nf * nf + 1)[:-1].reshape(nf, nf)
 
 

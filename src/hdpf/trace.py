@@ -153,9 +153,25 @@ def write_state(state: StateVector, sink: IO) -> None:
 
 
 def read_state(source: IO, net: NetworkModel) -> StateVector:
+    """Read a state written by :func:`write_state` for ``net``'s buses.
+
+    Raises ``ValueError`` when the file is not one JSON object, when its
+    bus ids differ from the network's, or when theta, vm, p or q is not one
+    number per bus.
+    """
     d = json.loads(_read(source))
-    ids = np.asarray(d["bus_ids"], dtype=np.int64)
+    if not isinstance(d, dict):
+        raise ValueError("state file must hold one JSON object")
+    ids = np.asarray(d.get("bus_ids", []), dtype=np.int64)
     if len(ids) != net.n_bus or not np.array_equal(ids, net.bus_ids):
         raise ValueError("state file does not match the network's buses")
-    return StateVector(net, np.asarray(d["theta"]), np.asarray(d["vm"]),
-                       np.asarray(d["p"]), np.asarray(d["q"]))
+    fields = []
+    for name in ("theta", "vm", "p", "q"):
+        try:
+            arr = np.asarray(d.get(name), dtype=float)
+        except (TypeError, ValueError):
+            arr = None
+        if arr is None or arr.shape != (net.n_bus,):
+            raise ValueError(f"state field {name!r} must be {net.n_bus} numbers, one per bus")
+        fields.append(arr)
+    return StateVector(net, *fields)

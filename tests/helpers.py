@@ -53,6 +53,28 @@ def complex_power_residual(net: NetworkModel, s: StateVector) -> np.ndarray:
     return out
 
 
+def complex_jacobian(net: NetworkModel, s: StateVector) -> np.ndarray:
+    """Dense residual Jacobian from the complex-matrix derivatives of
+    S = diag(V) conj(Y V) (Zimmerman, MATPOWER Technical Note 2)."""
+    v = s.vm * np.exp(1j * s.theta)
+    y = net.ybus.toarray()
+    i_bus = y @ v
+    ds_dva = 1j * np.diag(v) @ np.conj(np.diag(i_bus) - y @ np.diag(v))
+    ds_dvm = np.diag(v) @ np.conj(y @ np.diag(v / s.vm)) + np.conj(np.diag(i_bus)) @ np.diag(v / s.vm)
+    jac = np.zeros((2 * net.n_core, net.n_free))
+    core = net.core_idx
+    for ds, cols in ((ds_dva, net.col_theta), (ds_dvm, net.col_v)):
+        free = cols >= 0
+        jac[0::2, cols[free]] = -ds.real[np.ix_(core, free)]
+        jac[1::2, cols[free]] = -ds.imag[np.ix_(core, free)]
+    row = {int(b): 2 * n for n, b in enumerate(core)}
+    for bus in net.free_p_idx:
+        jac[row[int(bus)], net.col_p[bus]] = 1.0
+    for bus in net.free_q_idx:
+        jac[row[int(bus)] + 1, net.col_q[bus]] = 1.0
+    return jac
+
+
 def fd_jacobian(net: NetworkModel, s: StateVector, h: float = 1e-7) -> np.ndarray:
     """Central-difference Jacobian of the residual w.r.t. the free entries."""
     x0 = s.free()

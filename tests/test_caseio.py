@@ -91,6 +91,15 @@ def test_parse_missing_base_mva():
         parse_case("mpc.bus = [\n 1 3 0 0 0 0 1 1 0 0 1 0 0;\n];")
 
 
+def test_parse_non_numeric_base_mva_carries_line_number():
+    with pytest.raises(CaseFormatError, match=r"line 2: expected a number, got 'abc'"):
+        parse_case(TWO_BUS.replace("mpc.baseMVA = 100;", "mpc.baseMVA = abc;"))
+    for bad in ("100 10", "0", "-100", "nan", "inf"):
+        with pytest.raises(CaseFormatError,
+                           match=r"line 2: baseMVA must be one positive finite number"):
+            parse_case(TWO_BUS.replace("mpc.baseMVA = 100;", f"mpc.baseMVA = {bad};"))
+
+
 def test_parse_two_slack_buses_rejected():
     text = TWO_BUS.replace("2 1 50 20", "2 3 50 20")
     with pytest.raises(CaseFormatError, match="slack"):

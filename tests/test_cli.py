@@ -38,6 +38,20 @@ def test_solve_malformed_case_exits_one(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_solve_short_reference_state_exits_one(tmp_path, capsys):
+    # a reference whose theta is shorter than its bus ids is an input error
+    merged = tmp_path / "merged.m"
+    assert main(["merge", fixture_path("fig1.manifest"), "-o", str(merged)]) == 0
+    assert main(["baseline", str(merged), "--output", str(tmp_path / "ref.json")]) == 0
+    d = json.loads((tmp_path / "ref.json").read_text())
+    d["theta"] = d["theta"][:2]
+    (tmp_path / "bad.json").write_text(json.dumps(d))
+    capsys.readouterr()
+    rc = main(["solve", fixture_path("fig1.manifest"), "--reference", str(tmp_path / "bad.json")])
+    assert rc == 1
+    assert "state field 'theta' must be 6 numbers" in capsys.readouterr().err
+
+
 def test_solve_nonconvergence_exits_two(tmp_path, capsys):
     rc = main(["solve", fixture_path("case53.manifest"), "--max-iter", "2"])
     assert rc == 2

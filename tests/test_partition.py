@@ -30,6 +30,16 @@ mpc.branch = [
 """
 
 
+def _selector(reg):
+    """A_l as an explicit 0/1 matrix (n_cpl x n_free), from its index array."""
+    return np.eye(reg.net.n_free)[reg.coupling_free_cols]
+
+
+def _stacked_incidence(p):
+    """The stacked E as an explicit 0/1 matrix, from the regions' z_cols."""
+    return np.eye(p.n_z)[np.concatenate([r.z_cols for r in p.regions])]
+
+
 def _region(sid, lid, slack=False):
     return parse_case(REGION_TMPL.format(sid=sid, lid=lid, stype=3 if slack else 2))
 
@@ -102,7 +112,7 @@ def test_three_regions_sharing_one_bus():
                 assert p.regions[reg].net.ybus[i, j] != 0
 
         # stacked incidence has full column rank and the right row count
-        e = p.stacked_incidence().toarray()
+        e = _stacked_incidence(p)
         assert e.shape == (sum(r.n_cpl for r in p.regions), p.n_z)
         assert np.linalg.matrix_rank(e) == p.n_z
         # each row selects exactly one consensus column
@@ -115,7 +125,7 @@ def test_three_regions_sharing_one_bus():
 def test_selector_is_partial_permutation(problems):
     for name in ("fig1", "case53"):
         for reg in problems[name].regions:
-            a = reg.selector.toarray()
+            a = _selector(reg)
             assert np.all(a.sum(axis=1) == 1.0)
             proj = a.T @ a
             # A^T A is a 0/1 diagonal projector
@@ -127,8 +137,11 @@ def test_stacked_incidence_full_rank_all_fixtures(problems):
     for name, p in problems.items():
         if p.n_z == 0:
             continue
-        e = p.stacked_incidence().toarray()
+        e = _stacked_incidence(p)
         assert np.linalg.matrix_rank(e) == p.n_z, name
+        # the rank `hdpf check` reads off the z columns the regions hold
+        held = np.bincount(np.concatenate([r.z_cols for r in p.regions]), minlength=p.n_z)
+        assert np.count_nonzero(held) == p.n_z, name
 
 
 def test_partition_remerge_reproduces_bus_and_branch_sets(problems):

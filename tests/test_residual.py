@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hdpf import ModelError, build_network, central_solve, flat_start, parse_case
 from hdpf.residual import jacobian, linearize, lm_hessian, q_term, residual
 
-from helpers import complex_power_residual, fd_hessian_of_f, fd_jacobian
+from helpers import complex_jacobian, complex_power_residual, fd_hessian_of_f, fd_jacobian
 
 LOSSLESS_2BUS = """
 mpc.baseMVA = 100;
@@ -22,6 +22,38 @@ mpc.branch = [
   1 2 0 0.1 0 0 0 0 0 0 1;
 ];
 """
+
+# a phase-shifting transformer with off-nominal tap (2-3), line charging and
+# bus shunts (3, 4): Y is not symmetric and its diagonal carries G and B
+SHIFTER_4BUS = """
+mpc.baseMVA = 100;
+mpc.bus = [
+  1 3 0 0 0 0 1 1.0 0 0 1 0 0;
+  2 2 20 5 0 0 1 1.02 0 0 1 0 0;
+  3 1 40 15 3 19 1 1.0 0 0 1 0 0;
+  4 1 30 -10 -2 5 1 1.0 0 0 1 0 0;
+];
+mpc.gen = [
+  1 0 0 0 0 1.0 100 1;
+  2 30 0 0 0 1.02 100 1;
+];
+mpc.branch = [
+  1 2 0.01 0.1 0.02 0 0 0 0 0 1;
+  2 3 0.02 0.15 0 0 0 0 0.95 5 1;
+  3 4 0.015 0.12 0.03 0 0 0 0 0 1;
+  4 1 0.01 0.09 0.01 0 0 0 1.03 -3 1;
+];
+"""
+
+
+def _derivative_nets(cases, problems):
+    """Base systems, the asymmetric 4-bus case, and twin14's regions (copy-bus
+    columns)."""
+    nets = [build_network(cases[name]) for name in ("case14", "case30")]
+    shifter = build_network(parse_case(SHIFTER_4BUS))
+    assert abs(shifter.ybus - shifter.ybus.T).max() > 0.1
+    nets.append(shifter)
+    return nets + [reg.net for reg in problems["twin14"].regions]
 
 
 def _random_state(net, rng, scale=0.1):
@@ -101,15 +133,24 @@ def test_residual_separable_across_partition(problems, merged_nets):
 # --- jacobian ----------------------------------------------------------------
 
 
-def test_jacobian_matches_finite_differences(cases):
+def test_jacobian_matches_finite_differences(cases, problems):
     rng = np.random.default_rng(5)
-    for name in ("case14", "case30"):
-        net = build_network(cases[name])
+    for net in _derivative_nets(cases, problems):
         for _ in range(3):
             s = _random_state(net, rng)
             j = jacobian(net, s).toarray()
             j_fd = fd_jacobian(net, s)
             assert np.max(np.abs(j - j_fd)) <= 1e-6
+
+
+def test_jacobian_matches_complex_matrix_derivatives(cases, problems):
+    # the per-term rule against the whole-matrix formulas, to rounding
+    rng = np.random.default_rng(29)
+    for net in _derivative_nets(cases, problems):
+        for s in (flat_start(net), _random_state(net, rng)):
+            j = jacobian(net, s).toarray()
+            oracle = complex_jacobian(net, s)
+            assert np.max(np.abs(j - oracle)) <= 1e-12 * (1.0 + np.max(np.abs(oracle)))
 
 
 def test_jacobian_injection_columns_are_unit(cases):
@@ -185,10 +226,9 @@ def test_q_term_zero_at_zero_residual():
     np.testing.assert_allclose(q, 0.0, atol=1e-15)
 
 
-def test_q_term_completes_fd_hessian(cases):
+def test_q_term_completes_fd_hessian(cases, problems):
     rng = np.random.default_rng(23)
-    for name in ("case14", "case30"):
-        net = build_network(cases[name])
+    for net in _derivative_nets(cases, problems):
         s = _random_state(net, rng, scale=0.05)
         j = jacobian(net, s).toarray()
         h = j.T @ j + q_term(net, s)

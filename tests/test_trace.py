@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -158,3 +159,21 @@ def test_state_rejects_mismatched_network(merged_nets):
     write_state(s, buf)
     with pytest.raises(ValueError, match="match"):
         read_state(io.StringIO(buf.getvalue()), merged_nets["twin14"])
+    d = json.loads(buf.getvalue())
+    del d["bus_ids"]
+    with pytest.raises(ValueError, match="match"):
+        read_state(io.StringIO(json.dumps(d)), merged_nets["fig1"])
+    with pytest.raises(ValueError, match="one JSON object"):
+        read_state(io.StringIO("[1, 2]"), merged_nets["fig1"])
+
+
+@pytest.mark.parametrize("field", ["theta", "vm", "p", "q"])
+def test_state_rejects_field_not_one_number_per_bus(merged_nets, field):
+    net = merged_nets["fig1"]
+    buf = io.StringIO()
+    write_state(flat_start(net), buf)
+    d = json.loads(buf.getvalue())
+    for bad in (d[field][:-1], d[field] + [0.0], ["x"] * net.n_bus, None):
+        d[field] = bad
+        with pytest.raises(ValueError, match=f"state field '{field}' must be {net.n_bus} numbers"):
+            read_state(io.StringIO(json.dumps(d)), net)
