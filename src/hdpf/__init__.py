@@ -56,7 +56,7 @@ from .partition import (
     merge_cases,
     partition,
 )
-from .residual import RegionLinearization, jacobian, linearize, lm_hessian, q_term, residual
+from .residual import RegionLinearization, jacobian, linearize, q_term, residual
 from .trace import (
     IterationRecord,
     SolveTrace,

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .condense import FactorizationError
+from .condense import FactorizationError, _sym_splu
 from .driver import SolverConfig, _iterate
 from .network import NetworkModel, StateVector, flat_start
 from .residual import RegionLinearization, _residual_and_jacobian
@@ -66,11 +65,7 @@ def _full_space_step(lins, chis):
     (lin,), (chi,) = lins, chis
     if len(chi) == 0:
         return [chi.copy()], None, 0.0
-    try:
-        lu = spla.splu(lin.hess, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise FactorizationError(f"full-space Gauss-Newton matrix is singular: {exc}") from exc
+    lu = _sym_splu(lin.hess, "full-space Gauss-Newton matrix")
     return [chi - lu.solve(lin.g)], None, 0.0
 
 

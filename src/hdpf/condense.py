@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from .residual import RegionLinearization
 
@@ -44,6 +45,17 @@ def _cho_factor(a: np.ndarray, what: str):
         return sla.cho_factor(a.T, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"{what} is not positive definite: {exc}") from exc
+
+
+def _sym_splu(a, what: str):
+    """SuperLU factor of the sparse symmetric CSC matrix ``a``, with the
+    settings for a symmetric matrix: minimum-degree ordering of A + A', no
+    pivoting off the diagonal, symmetric mode."""
+    try:
+        return spla.splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise FactorizationError(f"{what} is singular: {exc}") from exc
 
 
 def _cho_solve(factor, b: np.ndarray) -> np.ndarray:

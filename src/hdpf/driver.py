@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .condense import FactorizationError, condense_region, recover_local
+from .condense import FactorizationError, _sym_splu, condense_region, recover_local
 from .consensus import consensus_pass, weighted_average
 from .network import ModelError, NetworkModel, StateVector, flat_start
 from .partition import PartitionedProblem
@@ -54,10 +53,11 @@ class SolverConfig:
     diagnose: bool = False      # also compute lm_error and condense_gap
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.tol_step <= 0 or self.tol_residual <= 0:
-            raise ValueError("tolerances must be positive")
+        # written so that NaN fails too
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
+        if not (0.0 < self.tol_step < math.inf and 0.0 < self.tol_residual < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -69,20 +69,13 @@ def comm_floats_per_iteration(p: PartitionedProblem) -> int:
 
 def stitch_state(p: PartitionedProblem, states: list[StateVector],
                  merged_net: NetworkModel) -> StateVector:
-    """Assemble the merged-case state from regional core instances."""
-    n = merged_net.n_bus
-    theta = np.empty(n)
-    vm = np.empty(n)
-    pp = np.empty(n)
-    qq = np.empty(n)
+    """Assemble the merged-case state from the regions' states: each
+    region's core (non-copy) buses, all four rows, at their merged positions."""
+    x = np.empty((4, merged_net.n_bus))
     for reg, st in zip(p.regions, states):
         core = ~reg.is_copy
-        mpos = reg.merged_ids[core] - 1
-        theta[mpos] = st.theta[core]
-        vm[mpos] = st.vm[core]
-        pp[mpos] = st.p[core]
-        qq[mpos] = st.q[core]
-    return StateVector(merged_net, theta, vm, pp, qq)
+        x[:, reg.merged_ids[core] - 1] = st.x[:, core]
+    return StateVector(merged_net, *x)
 
 
 def _lm_error(eps: float, q_terms: list[np.ndarray]) -> float:
@@ -104,10 +97,11 @@ def _condense_gap(p: PartitionedProblem, lins, q_terms, chi_ks, x_plus) -> float
     substituting the constraint leaves one sparse symmetric system
     ``K u = rhs`` whose unknowns are the regions' local (non-coupling) steps,
     in region order, then ``z``; ``K = sum_l M_l' H_l M_l`` with ``M_l`` the
-    0/1 map from ``u`` to region l's free entries.  The constraint picks
-    distinct entries (full row rank), so ``K`` is singular exactly when the
-    saddle-point KKT matrix is; the gap is then ``None``.  Without coupling
-    it is 0.0.
+    0/1 map from ``u`` to region l's free entries, factored by SuperLU with
+    the symmetric settings of :func:`hdpf.condense._sym_splu`.  The
+    constraint picks distinct entries (full row rank), so ``K`` is singular
+    exactly when the saddle-point KKT matrix is; the gap is then ``None``,
+    as it is for a non-finite solution.  Without coupling it is 0.0.
     """
     n_z = p.n_z
     if n_z == 0:
@@ -131,8 +125,8 @@ def _condense_gap(p: PartitionedProblem, lins, q_terms, chi_ks, x_plus) -> float
     vals, rows, cols = map(np.concatenate, zip(*entries))
     k = sp.csc_matrix((vals, (rows, cols)), shape=(len(rhs), len(rhs)))
     try:
-        u = spla.spsolve(k, rhs)
-    except RuntimeError:
+        u = _sym_splu(k, "exact-Hessian consensus matrix").solve(rhs)
+    except FactorizationError:
         return None
     if not np.all(np.isfinite(u)):
         return None

@@ -7,9 +7,11 @@ radians, adds the in-service generators into the injections and assembles
 Y.  A case with copy buses is a region and has at most one slack bus; any
 other case needs exactly one.
 
-The model fixes, per bus, which of the four steady-state
-quantities (angle, magnitude, active power, reactive power) are specified
-and which are free:
+A state is one float table ``x`` of shape (4, n_bus): its rows are the
+four steady-state quantities (angle theta, magnitude v, active power p,
+reactive power q), its columns the buses in model order.  The model fixes,
+per bus, which of the four are specified and which are free, in one boolean
+table ``free`` of the same shape:
 
 ==========  =============  ==========
 bus type    fixed          free
@@ -24,9 +26,11 @@ Copy buses carry only (theta, v); they exist to make a region's power-flow
 equations self-contained, and the balance equations of the physical bus
 they mirror live in its home region.
 
-The free entries of a state are flattened in quantity-major order
-(all free angles by bus position, then magnitudes, then p, then q), which
-keeps coupling selectors simple index arrays.
+The free vector of a state is ``x[free]``: read in C order, all free
+angles by bus position, then magnitudes, then p, then q.  ``col`` is the
+int table of the same shape with ``col[free] = arange(n_free)`` and -1
+where fixed, so ``col[0, i]`` is the free-vector column of bus i's angle;
+coupling selectors and the index maps below are read from it.
 
 The sparsity of everything :mod:`hdpf.residual` assembles depends on the
 network alone, so each model computes its index maps once, on first use,
@@ -195,8 +199,6 @@ class NetworkModel:
 
     def _index_free_entries(self):
         t = self.bus_type
-        is_pq = t == BusType.PQ
-        is_pv = t == BusType.PV
         is_slack = t == BusType.SLACK
         is_copy = t == BusType.COPY
 
@@ -207,31 +209,12 @@ class NetworkModel:
         self.row_of_bus = np.full(self.n_bus, -1, dtype=np.int64)
         self.row_of_bus[self.core_idx] = 2 * np.arange(self.n_core)
 
-        self.free_theta = ~is_slack
-        self.free_v = is_pq | is_copy
-        self.free_p = is_slack
-        self.free_q = is_slack | is_pv
-
-        self.free_theta_idx = np.flatnonzero(self.free_theta)
-        self.free_v_idx = np.flatnonzero(self.free_v)
-        self.free_p_idx = np.flatnonzero(self.free_p)
-        self.free_q_idx = np.flatnonzero(self.free_q)
-
-        sizes = [len(self.free_theta_idx), len(self.free_v_idx),
-                 len(self.free_p_idx), len(self.free_q_idx)]
-        offs = np.concatenate([[0], np.cumsum(sizes)])
-        self.n_free = int(offs[-1])
-
-        def positions(idx, off):
-            pos = np.full(self.n_bus, -1, dtype=np.int64)
-            pos[idx] = off + np.arange(len(idx))
-            return pos
-
-        # bus -> column of the free vector for each quantity (-1 if fixed)
-        self.col_theta = positions(self.free_theta_idx, offs[0])
-        self.col_v = positions(self.free_v_idx, offs[1])
-        self.col_p = positions(self.free_p_idx, offs[2])
-        self.col_q = positions(self.free_q_idx, offs[3])
+        # rows (theta, v, p, q) by bus, as in the module docstring's table
+        self.free = np.stack([~is_slack, (t == BusType.PQ) | is_copy,
+                              is_slack, is_slack | (t == BusType.PV)])
+        self.n_free = int(self.free.sum())
+        self.col = np.full(self.free.shape, -1, dtype=np.int64)
+        self.col[self.free] = np.arange(self.n_free)
 
         # every state entry that exists, free or fixed: 4 per core bus, 2 per copy
         self.n_state_entries = 4 * self.n_core + 2 * int(is_copy.sum())
@@ -243,13 +226,14 @@ class NetworkModel:
         """The Jacobian's CSR pattern and the map from listed values into it."""
         terms = np.flatnonzero(self.row_of_bus[self.y_row] >= 0)
         i, k = self.y_row[terms], self.y_col[terms]
-        cols = np.stack([self.col_theta[i], self.col_theta[k], self.col_v[i], self.col_v[k]], axis=1)
+        th, v = self.col[0], self.col[1]
+        cols = np.stack([th[i], th[k], v[i], v[k]], axis=1)
         core = self.core_idx
         p_term, p_core = self.row_of_bus[i], self.row_of_bus[core]
         n = self.n_free
         # row and column of each listed value, in the order the class lists them
         rows = np.concatenate([np.tile(p_term, 4), np.tile(p_term + 1, 4), p_core, p_core + 1])
-        cols_all = np.concatenate([np.tile(cols.T.ravel(), 2), self.col_p[core], self.col_q[core]])
+        cols_all = np.concatenate([np.tile(cols.T.ravel(), 2), self.col[2, core], self.col[3, core]])
         # sorted flat keys are CSR order; the sentinel, past every real key,
         # is the spare bin of the values on fixed columns
         sentinel = 2 * self.n_core * n
@@ -293,46 +277,40 @@ class NetworkModel:
 
 
 class StateVector:
-    """Per-bus (theta, v, p, q) arrays tied to a network's fixed-mask."""
+    """A network's state as one (4, n_bus) table ``x`` with rows (theta, v,
+    p, q); ``theta``, ``vm``, ``p`` and ``q`` are writable views of its rows.
 
-    __slots__ = ("net", "theta", "vm", "p", "q")
+    The free vector is ``x[net.free]``, quantity-major in C order.  A copy
+    bus's p and q are never free, no residual reads them, and
+    :func:`flat_start` sets them to zero.
+    """
+
+    __slots__ = ("net", "x")
 
     def __init__(self, net: NetworkModel, theta, vm, p, q):
         self.net = net
-        self.theta = np.asarray(theta, dtype=float)
-        self.vm = np.asarray(vm, dtype=float)
-        self.p = np.asarray(p, dtype=float)
-        self.q = np.asarray(q, dtype=float)
+        self.x = np.array([theta, vm, p, q], dtype=float)
+
+    theta = property(lambda self: self.x[0])
+    vm = property(lambda self: self.x[1])
+    p = property(lambda self: self.x[2])
+    q = property(lambda self: self.x[3])
 
     def free(self) -> np.ndarray:
         """Free entries, quantity-major (theta, v, p, q blocks)."""
-        n = self.net
-        return np.concatenate([
-            self.theta[n.free_theta_idx],
-            self.vm[n.free_v_idx],
-            self.p[n.free_p_idx],
-            self.q[n.free_q_idx],
-        ])
+        return self.x[self.net.free]
 
     def with_free(self, vec: np.ndarray) -> "StateVector":
         """New state with the free entries replaced; fixed entries untouched."""
-        n = self.net
-        if vec.shape != (n.n_free,):
-            raise ValueError(f"free vector must have shape ({n.n_free},), got {vec.shape}")
-        theta = self.theta.copy()
-        vm = self.vm.copy()
-        p = self.p.copy()
-        q = self.q.copy()
-        o = 0
-        for idx, arr in ((n.free_theta_idx, theta), (n.free_v_idx, vm),
-                         (n.free_p_idx, p), (n.free_q_idx, q)):
-            arr[idx] = vec[o:o + len(idx)]
-            o += len(idx)
-        return StateVector(n, theta, vm, p, q)
+        n = self.net.n_free
+        if vec.shape != (n,):
+            raise ValueError(f"free vector must have shape ({n},), got {vec.shape}")
+        out = self.copy()
+        out.x[self.net.free] = vec
+        return out
 
     def copy(self) -> "StateVector":
-        return StateVector(self.net, self.theta.copy(), self.vm.copy(),
-                           self.p.copy(), self.q.copy())
+        return StateVector(self.net, *self.x)
 
 
 def build_network(case: RawCase) -> NetworkModel:
@@ -352,12 +330,10 @@ def build_network(case: RawCase) -> NetworkModel:
 def flat_start(net: NetworkModel) -> StateVector:
     """Initial state: zero angles and unit magnitudes on all free entries.
 
-    Fixed entries take their specified values, and free injections start at
-    the specified net injection (zero where nothing is specified, e.g. copy
-    buses).
+    Fixed entries take their specified values, and the injections start at
+    the specified net injection; a copy bus has no demand and no generator,
+    so its p and q are +0.0.
     """
-    theta = np.where(net.free_theta, 0.0, net.theta_spec)
-    vm = np.where(net.free_v, 1.0, net.v_spec)
-    p = np.where(net.is_copy, 0.0, net.p_spec)
-    q = np.where(net.is_copy, 0.0, net.q_spec)
-    return StateVector(net, theta, vm, p, q)
+    theta = np.where(net.free[0], 0.0, net.theta_spec)
+    vm = np.where(net.free[1], 1.0, net.v_spec)
+    return StateVector(net, theta, vm, net.p_spec, net.q_spec)

@@ -292,7 +292,7 @@ def partition(manifest: MergeManifest, raws: list[RawCase]) -> PartitionedProble
         # coupling rows: theta block then v block, by local position
         cpl = [i for i, merged_id in enumerate(merged_ids) if merged_id in edge_of]
         edges = np.array([edge_of[merged_ids[i]] for i in cpl], dtype=np.int64)
-        a_cols = np.concatenate([net.col_theta[cpl], net.col_v[cpl]])
+        a_cols = net.col[:2, cpl].ravel()
         if np.any(a_cols < 0):
             raise PartitionError(
                 f"region {reg}: a coupled quantity is fixed; boundary buses "

@@ -24,8 +24,8 @@ the dense ``J'J + eps*I`` with one more each, building no sparse matrix,
 and :func:`q_term` adds its blocks with one more.  A bincount adds in
 input order, and the maps list each entry's products in ascending
 Jacobian row, the order a sparse ``J.T @ J`` and ``J.T @ r`` use, so
-:func:`linearize` equals ``lm_hessian(jacobian(net, s), eps)`` and
-``jacobian(net, s).T @ r`` bit for bit.
+:func:`linearize` equals ``(J.T @ J).toarray()`` plus ``eps`` on the
+diagonal and ``J.T @ r``, with ``J = jacobian(net, s)``, bit for bit.
 
 Every function here is a pure evaluation over a network and a state; the
 only state a network gains is its index maps, built on first use and
@@ -34,6 +34,7 @@ never changed, so regions can be linearized concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ import scipy.sparse as sp
 
 from .network import ModelError, NetworkModel, StateVector
 
-__all__ = ["RegionLinearization", "residual", "jacobian", "q_term", "lm_hessian", "linearize"]
+__all__ = ["RegionLinearization", "residual", "jacobian", "q_term", "linearize"]
 
 
 @dataclass
@@ -61,9 +62,9 @@ class RegionLinearization:
 
 
 def _check_state(net: NetworkModel, s: StateVector):
-    if s.vm.shape[0] != net.n_bus:
+    if s.x.shape != (4, net.n_bus):
         raise ValueError("state is dimensioned for a different network")
-    finite = np.isfinite(s.theta) & np.isfinite(s.vm) & np.isfinite(s.p) & np.isfinite(s.q)
+    finite = np.isfinite(s.x).all(axis=0)
     if not finite.all():
         bad = np.flatnonzero(~finite)
         raise ModelError(f"non-finite state at bus position(s) {bad.tolist()}")
@@ -170,23 +171,6 @@ def q_term(net: NetworkModel, s: StateVector) -> np.ndarray:
     return np.bincount(net.q_targets, weights=vals, minlength=nf * nf + 1)[:-1].reshape(nf, nf)
 
 
-def _check_eps(eps: float):
-    if eps <= 0.0:
-        raise ValueError(f"regularization must be positive, got {eps}")
-
-
-def lm_hessian(jac, eps: float) -> np.ndarray:
-    """Regularized Gauss-Newton matrix B = J^T J + eps*I, dense SPD."""
-    _check_eps(eps)
-    if sp.issparse(jac):
-        b = (jac.T @ jac).toarray()
-    else:
-        jac = np.asarray(jac)
-        b = jac.T @ jac
-    b[np.diag_indices_from(b)] += eps
-    return b
-
-
 def linearize(net: NetworkModel, s: StateVector, eps: float) -> RegionLinearization:
     """Evaluate residual, gradient and regularized Hessian at s.
 
@@ -194,10 +178,11 @@ def linearize(net: NetworkModel, s: StateVector, eps: float) -> RegionLinearizat
     never wrapped in a sparse matrix: ``g = J'r`` is one bincount over the
     columns, and the dense ``B = J'J + eps*I`` one bincount over
     ``net.jtj_pairs``.  Both add in ascending row order, so they equal
-    ``jacobian(net, s).T @ r`` and ``lm_hessian(jacobian(net, s), eps)``
-    bit for bit.
+    the sparse ``J.T @ r`` and ``J.T @ J + eps*I`` bit for bit.  ``eps``
+    must be positive and finite.
     """
-    _check_eps(eps)
+    if not 0.0 < eps < math.inf:  # NaN fails too
+        raise ValueError(f"regularization must be positive and finite, got {eps}")
     terms = _flow_terms(net, s)
     r = _residual(net, s, terms)
     vals = _jacobian_values(net, s, terms)

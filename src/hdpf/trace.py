@@ -141,15 +141,14 @@ def trace_signature(trace: SolveTrace) -> tuple:
     return (trace.status, rows)
 
 
+# the keys of a state file's rows of (theta, v, p, q)
+_STATE_ROWS = ("theta", "vm", "p", "q")
+
+
 def write_state(state: StateVector, sink: IO) -> None:
     """Serialize a full state (theta, v, p, q per bus) as JSON."""
-    _write(sink, json.dumps({
-        "bus_ids": state.net.bus_ids.tolist(),
-        "theta": state.theta.tolist(),
-        "vm": state.vm.tolist(),
-        "p": state.p.tolist(),
-        "q": state.q.tolist(),
-    }) + "\n")
+    _write(sink, json.dumps({"bus_ids": state.net.bus_ids.tolist(),
+                             **dict(zip(_STATE_ROWS, state.x.tolist()))}) + "\n")
 
 
 def read_state(source: IO, net: NetworkModel) -> StateVector:
@@ -166,7 +165,7 @@ def read_state(source: IO, net: NetworkModel) -> StateVector:
     if len(ids) != net.n_bus or not np.array_equal(ids, net.bus_ids):
         raise ValueError("state file does not match the network's buses")
     fields = []
-    for name in ("theta", "vm", "p", "q"):
+    for name in _STATE_ROWS:
         try:
             arr = np.asarray(d.get(name), dtype=float)
         except (TypeError, ValueError):

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from hdpf import BusType, RawCase
 from hdpf.condense import CondensedQP
@@ -63,15 +64,15 @@ def complex_jacobian(net: NetworkModel, s: StateVector) -> np.ndarray:
     ds_dvm = np.diag(v) @ np.conj(y @ np.diag(v / s.vm)) + np.conj(np.diag(i_bus)) @ np.diag(v / s.vm)
     jac = np.zeros((2 * net.n_core, net.n_free))
     core = net.core_idx
-    for ds, cols in ((ds_dva, net.col_theta), (ds_dvm, net.col_v)):
+    for ds, cols in ((ds_dva, net.col[0]), (ds_dvm, net.col[1])):
         free = cols >= 0
         jac[0::2, cols[free]] = -ds.real[np.ix_(core, free)]
         jac[1::2, cols[free]] = -ds.imag[np.ix_(core, free)]
     row = {int(b): 2 * n for n, b in enumerate(core)}
-    for bus in net.free_p_idx:
-        jac[row[int(bus)], net.col_p[bus]] = 1.0
-    for bus in net.free_q_idx:
-        jac[row[int(bus)] + 1, net.col_q[bus]] = 1.0
+    for bus in np.flatnonzero(net.free[2]):
+        jac[row[int(bus)], net.col[2, bus]] = 1.0
+    for bus in np.flatnonzero(net.free[3]):
+        jac[row[int(bus)] + 1, net.col[3, bus]] = 1.0
     return jac
 
 
@@ -107,6 +108,20 @@ def fd_hessian_of_f(net: NetworkModel, s: StateVector, h: float = 1e-6) -> np.nd
         cols.append((grad(xp) - grad(xm)) / (2 * h))
     h_fd = np.array(cols).T
     return 0.5 * (h_fd + h_fd.T)
+
+
+def lm_hessian(jac, eps: float) -> np.ndarray:
+    """Regularized Gauss-Newton matrix B = J^T J + eps*I, dense SPD, through
+    a sparse (or dense) product; the oracle of ``linearize``'s assembly."""
+    if eps <= 0.0:
+        raise ValueError(f"regularization must be positive, got {eps}")
+    if sp.issparse(jac):
+        b = (jac.T @ jac).toarray()
+    else:
+        jac = np.asarray(jac)
+        b = jac.T @ jac
+    b[np.diag_indices_from(b)] += eps
+    return b
 
 
 def newton_solve_complex(case: RawCase, tol: float = 1e-10, max_iter: int = 40):

@@ -52,6 +52,13 @@ def test_solve_short_reference_state_exits_one(tmp_path, capsys):
     assert "state field 'theta' must be 6 numbers" in capsys.readouterr().err
 
 
+def test_solve_infinite_tolerance_exits_one(capsys):
+    # an infinite residual tolerance would stop at once and return the flat start
+    rc = main(["solve", fixture_path("fig1.manifest"), "--tol-res", "inf"])
+    assert rc == 1
+    assert "tolerances must be positive and finite" in capsys.readouterr().err
+
+
 def test_solve_nonconvergence_exits_two(tmp_path, capsys):
     rc = main(["solve", fixture_path("case53.manifest"), "--max-iter", "2"])
     assert rc == 2

@@ -9,8 +9,10 @@ from hdpf import (
     central_solve,
     convergence_order,
     parse_case,
+    StateVector,
     run_distributed,
     solve,
+    stitch_state,
 )
 from hdpf.residual import residual
 from hdpf.trace import STATUS_CONVERGED, STATUS_MAX_ITER, IterationRecord, SolveTrace, trace_signature
@@ -32,6 +34,27 @@ def test_config_validation():
         SolverConfig(tol_step=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+    for bad in (math.nan, math.inf):
+        for field in ("eps", "tol_step", "tol_residual"):
+            with pytest.raises(ValueError):
+                SolverConfig(**{field: bad})
+
+
+def test_stitch_state_puts_core_buses_at_merged_positions(problems):
+    rng = np.random.default_rng(13)
+    for name in ("fig1", "twin14", "case53"):
+        p = problems[name]
+        states = [StateVector(r.net, *rng.uniform(0.5, 1.5, (4, r.net.n_bus)))
+                  for r in p.regions]
+        stitched = stitch_state(p, states, p.merged_net)
+        placed = 0
+        for reg, st in zip(p.regions, states):
+            for i in np.flatnonzero(~reg.is_copy):
+                m = reg.merged_ids[i] - 1
+                for row in ("theta", "vm", "p", "q"):
+                    assert getattr(stitched, row)[m] == getattr(st, row)[i], (name, row)
+                placed += 1
+        assert placed == p.merged_net.n_bus
 
 
 def test_single_region_matches_central_iterate_for_iterate(problems, merged_nets):

@@ -8,6 +8,7 @@ from hdpf import (
     RawBus,
     RawCase,
     RawGen,
+    StateVector,
     build_network,
     flat_start,
     parse_case,
@@ -189,8 +190,8 @@ def test_flat_start_fixed_entries_win(cases):
     bus1 = int(np.flatnonzero(net.bus_ids == 1)[0])
     assert s.vm[bus1] == 1.06
     # free magnitudes are exactly 1.0
-    assert np.all(s.vm[net.free_v_idx] == 1.0)
-    assert np.all(s.theta[net.free_theta_idx] == 0.0)
+    assert np.all(s.vm[net.free[1]] == 1.0)
+    assert np.all(s.theta[net.free[0]] == 0.0)
     # free injections start at the specified net injection
     assert s.p[bus1] == net.p_spec[bus1]
 
@@ -238,3 +239,58 @@ mpc.branch = [
     net = build_network(parse_case(text))
     r = residual(net, flat_start(net))
     np.testing.assert_allclose(r, 0.0, atol=1e-15)
+
+
+# --- state layout ------------------------------------------------------------
+
+
+def _layout_states(cases, problems):
+    """Random states on case14 and on each twin14 region (which has copy
+    buses), every entry distinct."""
+    rng = np.random.default_rng(11)
+    nets = [build_network(cases["case14"])] + [r.net for r in problems["twin14"].regions]
+    assert any(net.is_copy.any() for net in nets)
+    return [StateVector(net, *rng.uniform(0.5, 1.5, (4, net.n_bus))) for net in nets]
+
+
+def test_free_lists_theta_then_v_then_p_then_q_by_bus_position(cases, problems):
+    for s in _layout_states(cases, problems):
+        t = s.net.bus_type
+        slack, pv = t == BusType.SLACK, t == BusType.PV
+        pq_or_copy = (t == BusType.PQ) | (t == BusType.COPY)
+        expected = np.concatenate([s.theta[~slack], s.vm[pq_or_copy],
+                                   s.p[slack], s.q[slack | pv]])
+        assert np.array_equal(s.free(), expected)
+        assert s.net.n_free == len(expected)
+
+
+def test_with_free_leaves_fixed_entries_bit_identical(cases, problems):
+    rng = np.random.default_rng(12)
+    for s in _layout_states(cases, problems):
+        net = s.net
+        before = s.x.copy()
+        vec = rng.uniform(-1.0, 1.0, net.n_free)
+        out = s.with_free(vec)
+        assert np.array_equal(out.free(), vec)
+        assert out.x[~net.free].tobytes() == s.x[~net.free].tobytes()
+        assert s.x.tobytes() == before.tobytes()
+
+
+def test_with_free_rejects_wrong_shape(cases, problems):
+    for s in _layout_states(cases, problems):
+        n = s.net.n_free
+        for bad in (np.zeros(n + 1), np.zeros(n - 1), np.zeros((n, 1))):
+            with pytest.raises(ValueError, match="free vector must have shape"):
+                s.with_free(bad)
+
+
+def test_in_place_edit_of_a_copy_changes_only_the_copy(cases, problems):
+    for s in _layout_states(cases, problems):
+        free_v = s.net.free[1]
+        assert free_v.any()
+        before = s.free()
+        moved = s.copy()
+        moved.vm[free_v] += 1e-4
+        assert np.array_equal(moved.free()[s.net.col[1, free_v]], s.vm[free_v] + 1e-4)
+        assert not np.array_equal(moved.free(), before)
+        assert np.array_equal(s.free(), before)

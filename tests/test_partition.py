@@ -55,8 +55,8 @@ def test_fig1_coupling_layout(problems):
     # region 1 couples (theta_3, theta_copy4, v_3, v_copy4) in that order
     pos3 = int(np.flatnonzero(r1.local_ids == 3)[0])
     pos4 = int(np.flatnonzero(r1.is_copy)[0])
-    expected = [net.col_theta[pos3], net.col_theta[pos4],
-                net.col_v[pos3], net.col_v[pos4]]
+    expected = [net.col[0, pos3], net.col[0, pos4],
+                net.col[1, pos3], net.col[1, pos4]]
     assert r1.coupling_free_cols.tolist() == expected
     # mirrored for region 2
     assert p.regions[1].n_cpl == 4
@@ -183,8 +183,8 @@ def test_copy_buses_have_no_injections_and_free_tv(problems):
         copies = np.flatnonzero(reg.is_copy)
         for c in copies:
             assert net.bus_type[c] == BusType.COPY
-            assert net.free_theta[c] and net.free_v[c]
-            assert not net.free_p[c] and not net.free_q[c]
+            assert net.free[0, c] and net.free[1, c]
+            assert not net.free[2, c] and not net.free[3, c]
             assert net.p_spec[c] == 0.0 and net.q_spec[c] == 0.0
 
 

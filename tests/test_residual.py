@@ -5,9 +5,10 @@ import pytest
 import scipy.sparse as sp
 
 from hdpf import ModelError, build_network, central_solve, flat_start, parse_case
-from hdpf.residual import jacobian, linearize, lm_hessian, q_term, residual
+from hdpf.residual import jacobian, linearize, q_term, residual
 
-from helpers import complex_jacobian, complex_power_residual, fd_hessian_of_f, fd_jacobian
+from helpers import (complex_jacobian, complex_power_residual, fd_hessian_of_f, fd_jacobian,
+                     lm_hessian)
 
 LOSSLESS_2BUS = """
 mpc.baseMVA = 100;
@@ -158,13 +159,13 @@ def test_jacobian_injection_columns_are_unit(cases):
     s = flat_start(net)
     j = jacobian(net, s).toarray()
     row_of_bus = {int(b): 2 * k for k, b in enumerate(net.core_idx)}
-    for bus in net.free_p_idx:
-        col = net.col_p[bus]
+    for bus in np.flatnonzero(net.free[2]):
+        col = net.col[2, bus]
         expected = np.zeros(j.shape[0])
         expected[row_of_bus[int(bus)]] = 1.0
         np.testing.assert_array_equal(j[:, col], expected)
-    for bus in net.free_q_idx:
-        col = net.col_q[bus]
+    for bus in np.flatnonzero(net.free[3]):
+        col = net.col[3, bus]
         expected = np.zeros(j.shape[0])
         expected[row_of_bus[int(bus)] + 1] = 1.0
         np.testing.assert_array_equal(j[:, col], expected)
@@ -193,7 +194,7 @@ mpc.branch = [
     j = jacobian(net, s).toarray()
     b = net.B.toarray()
     # bus 2 p-row (row 2), partial w.r.t. theta_3
-    col_th3 = net.col_theta[2]
+    col_th3 = net.col[0, 2]
     np.testing.assert_allclose(j[2, col_th3], s.vm[1] * s.vm[2] * b[1, 2], atol=1e-14)
 
 
