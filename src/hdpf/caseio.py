@@ -8,6 +8,14 @@ unmodified.  Columns beyond the ones used here (voltage limits, ratings,
 cost data) are ignored; truly unknown sections raise a logged warning and
 are skipped.
 
+Both case and manifest text go through one line scanner, :func:`_lines`,
+which yields the number and content of every line left non-blank once its
+``%`` comment is cut.  A case table row is the text of one line up to a
+``]``; a table's opening line contributes its remainder after ``[`` as a
+row like any other.  ``_TABLES`` gives each table's required and known
+column counts, which :func:`_rows` checks for every row, and
+:func:`serialize_case` writes the three tables with one loop.
+
 Angles are kept in degrees at this layer and converted to radians exactly
 once when a network model is built.
 """
@@ -15,9 +23,10 @@ once when a network model is built.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable
+from typing import Iterator
 
 logger = logging.getLogger(__name__)
 
@@ -145,21 +154,21 @@ class MergeManifest:
 # --------------------------------------------------------------------------
 # case parsing
 
-_BUS_MIN_COLS = 9  # id type Pd Qd Gs Bs area Vm Va
-_BUS_KNOWN_COLS = 13
-_GEN_MIN_COLS = 8  # bus Pg Qg Qmax Qmin Vg mBase status
-_GEN_KNOWN_COLS = 25
-_BRANCH_MIN_COLS = 11  # f t r x b rateA rateB rateC ratio angle status
-_BRANCH_KNOWN_COLS = 17
-
-_TABLE_NAMES = ("bus", "gen", "branch")
+# each table's (required, known) column counts; columns past the known ones
+# are ignored with a warning.  The required ones:
+#   bus     id type Pd Qd Gs Bs area Vm Va
+#   gen     bus Pg Qg Qmax Qmin Vg mBase status
+#   branch  f t r x b rateA rateB rateC ratio angle status
+_TABLES = {"bus": (9, 13), "gen": (8, 25), "branch": (11, 17)}
 
 
-def _strip_comment(line: str) -> str:
-    cut = line.find("%")
-    if cut >= 0:
-        line = line[:cut]
-    return line.strip()
+def _lines(text: str) -> Iterator[tuple[int, str]]:
+    """(1-based line number, content) of each line that is not blank once
+    its ``%`` comment is cut."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.partition("%")[0].strip()
+        if line:
+            yield lineno, line
 
 
 def _parse_row(text: str, lineno: int) -> list[float]:
@@ -178,49 +187,39 @@ def _int_field(value: float, what: str, lineno: int) -> int:
     return int(value)
 
 
-def parse_case(text: str | Iterable[str], name: str = "") -> RawCase:
+def _rows(tables: dict[str, list[tuple[int, list[float]]]],
+          name: str) -> Iterator[tuple[int, list[float]]]:
+    """The (line, row) pairs of one table, each checked against its column counts."""
+    need, known = _TABLES[name]
+    for lineno, row in tables[name]:
+        if len(row) < need:
+            raise CaseFormatError(f"{name} row needs at least {need} columns, got {len(row)}",
+                                  lineno)
+        if len(row) > known:
+            logger.warning("%s row has %d columns; extras ignored (line %d)",
+                           name, len(row), lineno)
+        yield lineno, row
+
+
+def parse_case(text: str, name: str = "") -> RawCase:
     """Parse case text into a :class:`RawCase`.
 
     Accepts both bare ``name = [ rows ];`` sections and the ``mpc.``-prefixed
     MATPOWER form.  Raises :class:`CaseFormatError` with a line number on any
     malformed row, dangling bus reference, or duplicate bus id.
     """
-    if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = list(text)
-
     base_mva: float | None = None
-    tables: dict[str, list[tuple[int, list[float]]]] = {n: [] for n in _TABLE_NAMES}
+    tables: dict[str, list[tuple[int, list[float]]]] = {n: [] for n in _TABLES}
     current: str | None = None  # open table name, "?" for an unknown section
 
-    for lineno, raw_line in enumerate(lines, start=1):
-        line = _strip_comment(raw_line)
-        if not line:
-            continue
-
-        if current is not None:
-            body = line
-            closed = False
-            if "]" in body:
-                body = body[: body.index("]")]
-                closed = True
-            body = body.strip().rstrip(";")
-            if body and current != "?":
-                row = _parse_row(body, lineno)
-                tables[current].append((lineno, row))
-            if closed:
-                current = None
-            continue
-
-        if line.startswith("function"):
-            continue
-
-        head, eq, rest = line.partition("=")
-        if eq:
-            key = head.strip()
-            if key.startswith("mpc."):
-                key = key[4:]
+    for lineno, line in _lines(text):
+        if current is None:
+            if line.startswith("function"):
+                continue
+            head, eq, rest = line.partition("=")
+            if not eq:
+                raise CaseFormatError(f"unrecognised statement {line!r}", lineno)
+            key = head.strip().removeprefix("mpc.")
             rest = rest.strip()
             if key == "baseMVA":
                 vals = _parse_row(rest, lineno)
@@ -229,28 +228,23 @@ def parse_case(text: str | Iterable[str], name: str = "") -> RawCase:
                         f"baseMVA must be one positive finite number, got {rest!r}", lineno)
                 base_mva = vals[0]
                 continue
-            if rest.startswith("["):
-                if key in _TABLE_NAMES:
-                    current = key
-                else:
-                    logger.warning("ignoring unknown section %r (line %d)", key, lineno)
-                    current = "?"
-                remainder = rest[1:].strip()
-                if remainder:
-                    if "]" in remainder:
-                        remainder = remainder[: remainder.index("]")].strip()
-                        if remainder and current != "?":
-                            tables[current].append((lineno, _parse_row(remainder, lineno)))
-                        current = None
-                    elif current != "?":
-                        tables[current].append((lineno, _parse_row(remainder, lineno)))
+            if not rest.startswith("["):
+                # scalar or string assignment we do not model (version, names, ...)
+                if key != "version":
+                    logger.warning("ignoring unknown assignment %r (line %d)", key, lineno)
                 continue
-            # scalar or string assignment we do not model (version, names, ...)
-            if key != "version":
-                logger.warning("ignoring unknown assignment %r (line %d)", key, lineno)
-            continue
-
-        raise CaseFormatError(f"unrecognised statement {line!r}", lineno)
+            if key in _TABLES:
+                current = key
+            else:
+                logger.warning("ignoring unknown section %r (line %d)", key, lineno)
+                current = "?"
+            line = rest[1:]  # the opening line's remainder is read as a row
+        body, closed, _ = line.partition("]")
+        body = body.strip().rstrip(";")
+        if body and current != "?":
+            tables[current].append((lineno, _parse_row(body, lineno)))
+        if closed:
+            current = None
 
     if current not in (None, "?"):
         raise CaseFormatError(f"unterminated {current} table")
@@ -260,13 +254,7 @@ def parse_case(text: str | Iterable[str], name: str = "") -> RawCase:
     buses = []
     seen: set[int] = set()
     n_slack = 0
-    for lineno, row in tables["bus"]:
-        if len(row) < _BUS_MIN_COLS:
-            raise CaseFormatError(
-                f"bus row needs at least {_BUS_MIN_COLS} columns, got {len(row)}", lineno
-            )
-        if len(row) > _BUS_KNOWN_COLS:
-            logger.warning("bus row has %d columns; extras ignored (line %d)", len(row), lineno)
+    for lineno, row in _rows(tables, "bus"):
         code = _int_field(row[1], "bus type code", lineno)
         if code not in (1, 2, 3):
             raise CaseFormatError(f"unsupported bus type code {code}", lineno)
@@ -296,13 +284,7 @@ def parse_case(text: str | Iterable[str], name: str = "") -> RawCase:
         )
 
     gens = []
-    for lineno, row in tables["gen"]:
-        if len(row) < _GEN_MIN_COLS:
-            raise CaseFormatError(
-                f"gen row needs at least {_GEN_MIN_COLS} columns, got {len(row)}", lineno
-            )
-        if len(row) > _GEN_KNOWN_COLS:
-            logger.warning("gen row has %d columns; extras ignored (line %d)", len(row), lineno)
+    for lineno, row in _rows(tables, "gen"):
         gen_bus = _int_field(row[0], "generator bus", lineno)
         if gen_bus not in seen:
             raise CaseFormatError(f"generator references unknown bus {gen_bus}", lineno)
@@ -317,13 +299,7 @@ def parse_case(text: str | Iterable[str], name: str = "") -> RawCase:
         )
 
     branches = []
-    for lineno, row in tables["branch"]:
-        if len(row) < _BRANCH_MIN_COLS:
-            raise CaseFormatError(
-                f"branch row needs at least {_BRANCH_MIN_COLS} columns, got {len(row)}", lineno
-            )
-        if len(row) > _BRANCH_KNOWN_COLS:
-            logger.warning("branch row has %d columns; extras ignored (line %d)", len(row), lineno)
+    for lineno, row in _rows(tables, "branch"):
         ends = (_int_field(row[0], "branch from bus", lineno),
                 _int_field(row[1], "branch to bus", lineno))
         for end in ends:
@@ -352,8 +328,6 @@ def parse_case(text: str | Iterable[str], name: str = "") -> RawCase:
 
 
 def parse_case_file(path) -> RawCase:
-    import os
-
     with open(path, "r", encoding="utf-8") as fh:
         return parse_case(fh.read(), name=os.path.basename(str(path)))
 
@@ -364,41 +338,23 @@ def _fmt(x: float) -> str:
 
 def serialize_case(case: RawCase) -> str:
     """Render a case back to text; ``parse_case(serialize_case(c)) == c``."""
-    out = []
-    title = case.name or "case"
-    out.append(f"% {title}: {len(case.buses)} buses, {len(case.branches)} branches")
-    out.append(f"mpc.baseMVA = {_fmt(case.base_mva)};")
-    out.append("")
-    out.append("% id type Pd Qd Gs Bs area Vm Va baseKV zone Vmax Vmin")
-    out.append("mpc.bus = [")
-    for b in case.buses:
-        kv = b.base_kv if b.base_kv is not None else 0.0
-        out.append(
-            f"  {b.id} {int(b.type)} {_fmt(b.p_demand)} {_fmt(b.q_demand)} "
-            f"{_fmt(b.shunt_g)} {_fmt(b.shunt_b)} 1 {_fmt(b.v_mag)} {_fmt(b.v_ang)} "
-            f"{_fmt(kv)} 1 0 0;"
-        )
-    out.append("];")
-    out.append("")
-    out.append("% bus Pg Qg Qmax Qmin Vg mBase status")
-    out.append("mpc.gen = [")
-    for g in case.generators:
-        out.append(
-            f"  {g.bus_id} {_fmt(g.p_gen)} {_fmt(g.q_gen)} 0 0 {_fmt(g.v_setpoint)} "
-            f"{_fmt(case.base_mva)} {1 if g.in_service else 0};"
-        )
-    out.append("];")
-    out.append("")
-    out.append("% from to r x b rateA rateB rateC tap shift status")
-    out.append("mpc.branch = [")
-    for br in case.branches:
-        out.append(
-            f"  {br.from_bus} {br.to_bus} {_fmt(br.r)} {_fmt(br.x)} "
-            f"{_fmt(br.total_line_charging_b)} 0 0 0 {_fmt(br.tap_ratio)} "
-            f"{_fmt(br.phase_shift)} {1 if br.in_service else 0};"
-        )
-    out.append("];")
-    out.append("")
+    tables = (
+        ("bus", "id type Pd Qd Gs Bs area Vm Va baseKV zone Vmax Vmin",
+         [f"{b.id} {int(b.type)} {_fmt(b.p_demand)} {_fmt(b.q_demand)} {_fmt(b.shunt_g)} "
+          f"{_fmt(b.shunt_b)} 1 {_fmt(b.v_mag)} {_fmt(b.v_ang)} "
+          f"{_fmt(0.0 if b.base_kv is None else b.base_kv)} 1 0 0" for b in case.buses]),
+        ("gen", "bus Pg Qg Qmax Qmin Vg mBase status",
+         [f"{g.bus_id} {_fmt(g.p_gen)} {_fmt(g.q_gen)} 0 0 {_fmt(g.v_setpoint)} "
+          f"{_fmt(case.base_mva)} {int(g.in_service)}" for g in case.generators]),
+        ("branch", "from to r x b rateA rateB rateC tap shift status",
+         [f"{br.from_bus} {br.to_bus} {_fmt(br.r)} {_fmt(br.x)} {_fmt(br.total_line_charging_b)} "
+          f"0 0 0 {_fmt(br.tap_ratio)} {_fmt(br.phase_shift)} {int(br.in_service)}"
+          for br in case.branches]),
+    )
+    out = [f"% {case.name or 'case'}: {len(case.buses)} buses, {len(case.branches)} branches",
+           f"mpc.baseMVA = {_fmt(case.base_mva)};", ""]
+    for name, header, rows in tables:
+        out += [f"% {header}", f"mpc.{name} = [", *(f"  {row};" for row in rows), "];", ""]
     return "\n".join(out)
 
 
@@ -406,26 +362,18 @@ def serialize_case(case: RawCase) -> str:
 # manifests
 
 
-def parse_manifest(text: str | Iterable[str]) -> MergeManifest:
+def parse_manifest(text: str) -> MergeManifest:
     """Parse a merge manifest.
 
     Grammar: ``region <path>`` lines (order defines region indices, starting
     at 0), ``link <rA> <busA> <rB> <busB> <r> <x> <b> <tap> <shift>`` lines,
     and one ``slack_region <idx>`` line.
     """
-    if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = list(text)
-
     regions: list[str] = []
     links: list[tuple[int, list[str]]] = []
     slack_region: int | None = None
 
-    for lineno, raw_line in enumerate(lines, start=1):
-        line = _strip_comment(raw_line)
-        if not line:
-            continue
+    for lineno, line in _lines(text):
         parts = line.split()
         kind = parts[0]
         if kind == "region":
@@ -515,8 +463,6 @@ def load_manifest(path) -> tuple[MergeManifest, list[RawCase]]:
 
     Relative region paths are resolved against the manifest's directory.
     """
-    import os
-
     manifest = parse_manifest_file(path)
     base = os.path.dirname(os.path.abspath(str(path)))
     cases = []

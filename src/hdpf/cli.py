@@ -11,14 +11,14 @@ import sys
 
 import numpy as np
 
-from .caseio import CaseFormatError, ManifestError, load_manifest, parse_case_file, serialize_case
+from .caseio import load_manifest, parse_case_file, serialize_case
 from .central import TOL_REFERENCE, central_solve
 from .comm import run_distributed
 from .condense import FactorizationError, condense_region, recover_local
 from .consensus import TOL_KKT, averaging_projector, consensus_pass, verify_kkt
 from .driver import SolverConfig, solve
-from .network import ModelError, build_network, flat_start
-from .partition import PartitionError, consensus_dims, partition
+from .network import build_network, flat_start
+from .partition import consensus_dims, partition
 from .residual import linearize
 from .trace import read_state, write_state, write_trace
 
@@ -36,6 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_merge = sub.add_parser("merge", help="materialize the merged case for a manifest")
     p_merge.add_argument("manifest")
     p_merge.add_argument("-o", "--output", required=True, help="merged case file to write")
+    p_merge.set_defaults(func=_cmd_merge)
 
     p_solve = sub.add_parser("solve", help="run the distributed solver on a manifest")
     p_solve.add_argument("manifest")
@@ -50,15 +51,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--distributed", action="store_true",
                          help="run through the message-passing harness")
     p_solve.add_argument("--output", help="write the final merged state here")
+    p_solve.set_defaults(func=_cmd_solve)
 
     p_base = sub.add_parser("baseline", help="centralized Gauss-Newton on a merged case")
     p_base.add_argument("case")
     p_base.add_argument("--trace", help="write the iteration trace here")
     p_base.add_argument("--output", help="write the solved state here")
     p_base.add_argument("--max-iter", type=int, default=defaults.max_iter)
+    p_base.set_defaults(func=_cmd_baseline)
 
     p_check = sub.add_parser("check", help="run the structural invariant suite on a manifest")
     p_check.add_argument("manifest")
+    p_check.set_defaults(func=_cmd_check)
 
     return ap
 
@@ -174,24 +178,13 @@ def _cmd_check(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "merge":
-            return _cmd_merge(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "baseline":
-            return _cmd_baseline(args)
-        if args.command == "check":
-            return _cmd_check(args)
-    except (CaseFormatError, ManifestError, PartitionError, ModelError, ValueError) as exc:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # the package's input errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FactorizationError as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -14,9 +14,10 @@ that does not contract ends ``max_iter`` and returns its last iterate.  An
 iterate that cannot be linearized (a non-finite entry or a non-positive
 voltage magnitude) or a factorization that fails in the step ends the run
 ``numerical_breakdown``; it then returns the last iterate that linearized,
-with its multipliers, never the broken one.  All cross-region reductions
-run in a fixed region order, so two runs with identical inputs produce
-identical traces.
+with its multipliers, never the broken one.  The iterate of the last
+allowed step is linearized too before a ``max_iter`` run returns it.  All
+cross-region reductions run in a fixed region order, so two runs with
+identical inputs produce identical traces.
 """
 
 from __future__ import annotations
@@ -190,6 +191,14 @@ def _iterate(nets: list[NetworkModel], states: list[StateVector], lams, cfg: Sol
         if dchi <= cfg.tol_step:
             status = STATUS_CONVERGED
             break
+    else:
+        # the loop ran out: the last step's iterate has not been evaluated
+        try:
+            for net, s in zip(nets, states):
+                linearize_fn(net, s, cfg.eps)
+        except ModelError:
+            states, lams = valid
+            status = STATUS_BREAKDOWN
     return states, lams, records, status
 
 

@@ -151,26 +151,30 @@ def write_state(state: StateVector, sink: IO) -> None:
                              **dict(zip(_STATE_ROWS, state.x.tolist()))}) + "\n")
 
 
+def _json_array_of(value, kind) -> bool:
+    """Whether ``value`` is a JSON array of ``kind`` values; JSON booleans,
+    which Python reads as ints, are not numbers here."""
+    return isinstance(value, list) and all(
+        isinstance(v, kind) and not isinstance(v, bool) for v in value)
+
+
 def read_state(source: IO, net: NetworkModel) -> StateVector:
     """Read a state written by :func:`write_state` for ``net``'s buses.
 
     Raises ``ValueError`` when the file is not one JSON object, when its
-    bus ids differ from the network's, or when theta, vm, p or q is not one
-    number per bus.
+    bus ids are not JSON integers equal to the network's, or when theta, vm,
+    p or q is not one JSON number per bus.
     """
     d = json.loads(_read(source))
     if not isinstance(d, dict):
         raise ValueError("state file must hold one JSON object")
-    ids = np.asarray(d.get("bus_ids", []), dtype=np.int64)
-    if len(ids) != net.n_bus or not np.array_equal(ids, net.bus_ids):
+    ids = d.get("bus_ids")
+    if not _json_array_of(ids, int) or ids != net.bus_ids.tolist():
         raise ValueError("state file does not match the network's buses")
     fields = []
     for name in _STATE_ROWS:
-        try:
-            arr = np.asarray(d.get(name), dtype=float)
-        except (TypeError, ValueError):
-            arr = None
-        if arr is None or arr.shape != (net.n_bus,):
+        vals = d.get(name)
+        if not _json_array_of(vals, (int, float)) or len(vals) != net.n_bus:
             raise ValueError(f"state field {name!r} must be {net.n_bus} numbers, one per bus")
-        fields.append(arr)
+        fields.append(np.asarray(vals, dtype=float))
     return StateVector(net, *fields)

@@ -59,6 +59,8 @@ def test_parse_error_carries_line_number():
     text = TWO_BUS.replace("2 1 50 20 0 0 1 1.0 0 0 1 0 0;", "2 1 50 twenty 0 0 1 1.0 0 0 1 0 0;")
     with pytest.raises(CaseFormatError, match="line 5"):
         parse_case(text)
+    with pytest.raises(CaseFormatError, match=r"line 7: unrecognised statement 'bus 3'"):
+        parse_case(TWO_BUS.replace("];\nmpc.gen", "];\nbus 3 % not an assignment\nmpc.gen", 1))
 
 
 def test_parse_rejects_non_integer_ids_and_codes():
@@ -89,6 +91,8 @@ def test_parse_rejects_short_rows():
 def test_parse_missing_base_mva():
     with pytest.raises(CaseFormatError, match="baseMVA"):
         parse_case("mpc.bus = [\n 1 3 0 0 0 0 1 1 0 0 1 0 0;\n];")
+    with pytest.raises(CaseFormatError, match=r"^unterminated branch table$"):
+        parse_case(TWO_BUS.rstrip().removesuffix("];"))
 
 
 def test_parse_non_numeric_base_mva_carries_line_number():
@@ -112,6 +116,17 @@ def test_unknown_sections_are_skipped(caplog):
         case = parse_case(text)
     assert case.n_bus == 2
     assert any("gencost" in rec.message for rec in caplog.records)
+    # unmodelled assignments and columns past the known ones warn and are
+    # skipped; the version string is expected and passes silently
+    caplog.clear()
+    text = ("mpc.version = '2';\nmpc.areas = 3;\n"
+            + TWO_BUS.replace("2 1 50 20 0 0 1 1.0 0 0 1 0 0;", "2 1 50 20 0 0 1 1.0 0 0 1 0 0 7;"))
+    with caplog.at_level("WARNING"):
+        assert parse_case(text) == case
+    assert [rec.message for rec in caplog.records] == [
+        "ignoring unknown assignment 'areas' (line 2)",
+        "bus row has 14 columns; extras ignored (line 7)",
+    ]
 
 
 def test_published_case_loads_unmodified(cases):
@@ -232,6 +247,17 @@ def test_parse_data_on_table_opening_line():
                            "mpc.branch = [ 1 2 0 0.1 0 0 0 0 0 0 1;")
     case = parse_case(text)
     assert len(case.branches) == 1
+    # a table opened, filled and closed on one line, and a closing bracket
+    # on the last row's line, read the same rows at the same line numbers
+    one_line = TWO_BUS.replace("mpc.gen = [\n  1 60 10 0 0 1.0 100 1;\n];",
+                               "mpc.gen = [ 1 60 10 0 0 1.0 100 1; ];")
+    assert parse_case(one_line) == case
+    with pytest.raises(CaseFormatError, match=r"line 7: generator references unknown bus 9"):
+        parse_case(one_line.replace("[ 1 60", "[ 9 60"))
+    closing = TWO_BUS.replace("2 1 50 20 0 0 1 1.0 0 0 1 0 0;\n];", "2 1 50 20 0 0 1 1.0 0 0 1 0 0 ];")
+    assert parse_case(closing) == case
+    with pytest.raises(CaseFormatError, match=r"line 5: bus row needs at least 9 columns, got 4"):
+        parse_case(closing.replace("2 1 50 20 0 0 1 1.0 0 0 1 0 0 ]", "2 1 50 20 ]"))
 
 
 def test_out_of_service_elements_roundtrip():

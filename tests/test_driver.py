@@ -387,6 +387,7 @@ def test_voltage_collapse_reports_numerical_breakdown():
     # a 5 p.u. load over an x = 1 line collapses the voltage on the first
     # full step; both solvers surface it as a status, not an exception
     from hdpf import MergeManifest, partition
+    from hdpf.network import flat_start
     from hdpf.trace import STATUS_BREAKDOWN
 
     text = """
@@ -430,6 +431,17 @@ mpc.branch = [
         assert t.status == STATUS_BREAKDOWN
         assert t.n_iter == trace.n_iter
     assert trace_signature(diag) == trace_signature(ddiag)
+
+    # a run whose last allowed step collapses the voltage checks that
+    # iterate too: each path returns the flat start, not the broken step
+    one = SolverConfig(max_iter=1)
+    flat = flat_start(net)
+    s1, _, t1 = solve(p, one)
+    s2, _, t2, _ = run_distributed(p, one)
+    for s, t in ((s1, t1), (s2, t2), central_solve(net, one)):
+        assert t.status == STATUS_BREAKDOWN
+        assert t.n_iter == 1
+        assert np.array_equal(s.x, flat.x)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -160,11 +160,16 @@ def test_state_rejects_mismatched_network(merged_nets):
     with pytest.raises(ValueError, match="match"):
         read_state(io.StringIO(buf.getvalue()), merged_nets["twin14"])
     d = json.loads(buf.getvalue())
-    del d["bus_ids"]
+    d_ids = d.pop("bus_ids")
     with pytest.raises(ValueError, match="match"):
         read_state(io.StringIO(json.dumps(d)), merged_nets["fig1"])
     with pytest.raises(ValueError, match="one JSON object"):
         read_state(io.StringIO("[1, 2]"), merged_nets["fig1"])
+    # bus ids are JSON integers: 1.4 is not bus 1, and true is not 1
+    for ids in ([i + 0.4 for i in d_ids], [True] + d_ids[1:], [str(i) for i in d_ids]):
+        d["bus_ids"] = ids
+        with pytest.raises(ValueError, match="match"):
+            read_state(io.StringIO(json.dumps(d)), merged_nets["fig1"])
 
 
 @pytest.mark.parametrize("field", ["theta", "vm", "p", "q"])
@@ -173,7 +178,9 @@ def test_state_rejects_field_not_one_number_per_bus(merged_nets, field):
     buf = io.StringIO()
     write_state(flat_start(net), buf)
     d = json.loads(buf.getvalue())
-    for bad in (d[field][:-1], d[field] + [0.0], ["x"] * net.n_bus, None):
+    # each entry a JSON number: no strings, even numeric ones, no booleans
+    for bad in (d[field][:-1], d[field] + [0.0], ["x"] * net.n_bus, None,
+                ["0.0"] * net.n_bus, [False] * net.n_bus, [None] * net.n_bus):
         d[field] = bad
         with pytest.raises(ValueError, match=f"state field '{field}' must be {net.n_bus} numbers"):
             read_state(io.StringIO(json.dumps(d)), net)
