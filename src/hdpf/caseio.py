@@ -10,10 +10,10 @@ are skipped.
 
 Both case and manifest text go through one line scanner, :func:`_lines`,
 which yields the number and content of every line left non-blank once its
-``%`` comment is cut.  A case table row is the text of one line up to a
-``]``; a table's opening line contributes its remainder after ``[`` as a
-row like any other.  ``_TABLES`` gives each table's required and known
-column counts, which :func:`_rows` checks for every row, and
+``%`` comment is cut.  A case table's rows are the ``;``-separated parts
+of each line's text up to a ``]``, which only a ``;`` may follow; a table's
+opening line contributes its remainder after ``[`` like any other.
+:func:`_rows` checks every row against ``_TABLES`` and ``_READ``, and
 :func:`serialize_case` writes the three tables with one loop.
 
 Angles are kept in degrees at this layer and converted to radians exactly
@@ -23,6 +23,7 @@ once when a network model is built.
 from __future__ import annotations
 
 import logging
+import math
 import os
 from dataclasses import dataclass
 from enum import IntEnum
@@ -160,6 +161,10 @@ class MergeManifest:
 #   gen     bus Pg Qg Qmax Qmin Vg mBase status
 #   branch  f t r x b rateA rateB rateC ratio angle status
 _TABLES = {"bus": (9, 13), "gen": (8, 25), "branch": (11, 17)}
+# the columns the model reads, which must be finite (MATPOWER writes Inf in others)
+_READ = {"bus": {2: "Pd", 3: "Qd", 4: "Gs", 5: "Bs", 7: "Vm", 8: "Va", 9: "baseKV"},
+         "gen": {1: "Pg", 2: "Qg", 5: "Vg", 7: "status"},
+         "branch": {2: "r", 3: "x", 4: "b", 8: "ratio", 9: "angle", 10: "status"}}
 
 
 def _lines(text: str) -> Iterator[tuple[int, str]]:
@@ -173,7 +178,7 @@ def _lines(text: str) -> Iterator[tuple[int, str]]:
 
 def _parse_row(text: str, lineno: int) -> list[float]:
     vals = []
-    for tok in text.rstrip(";").split():
+    for tok in text.split():
         try:
             vals.append(float(tok))
         except ValueError:
@@ -189,12 +194,16 @@ def _int_field(value: float, what: str, lineno: int) -> int:
 
 def _rows(tables: dict[str, list[tuple[int, list[float]]]],
           name: str) -> Iterator[tuple[int, list[float]]]:
-    """The (line, row) pairs of one table, each checked against its column counts."""
+    """The (line, row) pairs of one table, each checked against ``_TABLES`` and ``_READ``."""
     need, known = _TABLES[name]
     for lineno, row in tables[name]:
         if len(row) < need:
             raise CaseFormatError(f"{name} row needs at least {need} columns, got {len(row)}",
                                   lineno)
+        if not math.isfinite(sum(row)):  # one test per row; unread columns may hold Inf
+            for col, label in _READ[name].items():
+                if col < len(row) and not math.isfinite(row[col]):
+                    raise CaseFormatError(f"{name} {label} must be finite", lineno)
         if len(row) > known:
             logger.warning("%s row has %d columns; extras ignored (line %d)",
                            name, len(row), lineno)
@@ -222,7 +231,7 @@ def parse_case(text: str, name: str = "") -> RawCase:
             key = head.strip().removeprefix("mpc.")
             rest = rest.strip()
             if key == "baseMVA":
-                vals = _parse_row(rest, lineno)
+                vals = _parse_row(rest.rstrip(";"), lineno)
                 if len(vals) != 1 or not 0.0 < vals[0] < float("inf"):
                     raise CaseFormatError(
                         f"baseMVA must be one positive finite number, got {rest!r}", lineno)
@@ -239,10 +248,13 @@ def parse_case(text: str, name: str = "") -> RawCase:
                 logger.warning("ignoring unknown section %r (line %d)", key, lineno)
                 current = "?"
             line = rest[1:]  # the opening line's remainder is read as a row
-        body, closed, _ = line.partition("]")
-        body = body.strip().rstrip(";")
-        if body and current != "?":
-            tables[current].append((lineno, _parse_row(body, lineno)))
+        body, closed, after = line.partition("]")
+        if after and after.strip() != ";":
+            raise CaseFormatError(f"unexpected text after ']': {after.strip()!r}", lineno)
+        if current != "?":
+            for row in body.split(";"):
+                if row.strip():
+                    tables[current].append((lineno, _parse_row(row, lineno)))
         if closed:
             current = None
 
@@ -413,6 +425,8 @@ def parse_manifest(text: str) -> MergeManifest:
             r, x, b, tap, shift = (float(v) for v in f[4:9])
         except ValueError:
             raise ManifestError(f"line {lineno}: malformed link fields") from None
+        if not all(map(math.isfinite, (r, x, b, tap, shift))):
+            raise ManifestError(f"line {lineno}: link r x b tap shift must be finite")
         for reg in (ra, rb):
             if not 0 <= reg < len(regions):
                 raise ManifestError(f"line {lineno}: unknown region index {reg}")

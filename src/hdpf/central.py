@@ -42,7 +42,7 @@ def central_solve(net: NetworkModel,
     if cfg is None:
         cfg = SolverConfig(tol_residual=TOL_REFERENCE)
     (s,), _, records, status = _iterate([net], [flat_start(net)], None, cfg,
-                                        _full_space_step, linearize_fn=_sparse_linearize)
+                                        _full_space_step, _sparse_linearize)
     return s, SolveTrace(records=records, status=status)
 
 

@@ -1,23 +1,24 @@
 """The outer iteration, written once, and the distributed solve built on it.
 
-Every solver in the package runs the same loop: linearize every network,
-stop when the residual 2-norm is at most ``tol_residual``, take a step,
-stop when the step's infinity norm is at most ``tol_step``.  Only the step
-differs.  :func:`solve` condenses each region onto its coupling variables,
-makes one consensus pass and recovers; :func:`hdpf.comm.run_distributed`
-runs the same step and pass with the coordinator's average carried by
-float buffers; and :func:`hdpf.central.central_solve` linearizes the
-merged network into a sparse model and takes a full-space step.
+Every solver in the package runs the same loop, which evaluates each
+iterate exactly once, right where it is made: linearize every network at
+the start; then stop when the residual 2-norm is at most ``tol_residual``,
+take a step, linearize at the new iterate, and stop when the step's
+infinity norm is at most ``tol_step``.  Only the step differs.
+:func:`solve` condenses each region onto its coupling variables, makes one
+consensus pass and recovers; :func:`hdpf.comm.run_distributed` runs the
+same step and pass with the coordinator's average carried by float
+buffers; and :func:`hdpf.central.central_solve` linearizes the merged
+network into a sparse model and takes a full-space step.
 
 Full-step iterations only; there is no line search or trust region.  A run
 that does not contract ends ``max_iter`` and returns its last iterate.  An
 iterate that cannot be linearized (a non-finite entry or a non-positive
 voltage magnitude) or a factorization that fails in the step ends the run
 ``numerical_breakdown``; it then returns the last iterate that linearized,
-with its multipliers, never the broken one.  The iterate of the last
-allowed step is linearized too before a ``max_iter`` run returns it.  All
-cross-region reductions run in a fixed region order, so two runs with
-identical inputs produce identical traces.
+with its multipliers, never the broken one.  All cross-region reductions
+run in a fixed region order, so two runs with identical inputs produce
+identical traces.
 """
 
 from __future__ import annotations
@@ -137,69 +138,56 @@ def _condense_gap(p: PartitionedProblem, lins, q_terms, chi_ks, x_plus) -> float
 
 
 def _iterate(nets: list[NetworkModel], states: list[StateVector], lams, cfg: SolverConfig,
-             step, comm_floats: int = 0, extras=None, linearize_fn=None):
-    """The outer iteration shared by every solver.
+             step, linearize_fn, comm_floats: int = 0, extras=None):
+    """The outer iteration shared by every solver; it evaluates each iterate
+    once, where it is made, so every iterate it returns has been evaluated.
 
-    ``linearize_fn(net, state, eps)`` evaluates each network at the current
-    iterate (:func:`linearize` when not given) and raises
-    :class:`ModelError` on an iterate it cannot evaluate.
-    ``step(lins, chis)`` maps the linearizations and free vectors of the
-    current iterate to the next free vectors, their multipliers and the
-    primal residual; it may raise :class:`FactorizationError`.
-    ``extras(lins, states, chis, new_free, new_states)`` returns the optional
-    record fields.  Returns the final states and multipliers, the records and
-    the status.
+    ``linearize_fn(net, state, eps)`` evaluates one network and raises
+    :class:`ModelError` on an iterate it cannot evaluate.  ``step(lins,
+    chis)`` maps the linearizations and free vectors of the current iterate
+    to the next free vectors, their multipliers and the primal residual; it
+    may raise :class:`FactorizationError`.  ``extras(lins, chis, new_free,
+    new_states, new_lins)`` returns the optional record fields, with
+    ``new_lins`` None when the new iterate could not be evaluated.  Record
+    k's ``wall_ns`` covers step k and the evaluation of the iterate it made.
+    Returns the final states and multipliers, the records and the status.
     """
-    if linearize_fn is None:
-        # read at call time, so a wrapper set on this module's attribute
-        # (as bench/layers.py sets) sees every call
-        linearize_fn = linearize
+    def evaluate(states):
+        try:
+            return [linearize_fn(net, s, cfg.eps) for net, s in zip(nets, states)]
+        except ModelError:
+            return None
+
     records: list[IterationRecord] = []
-    status = STATUS_MAX_ITER
-    valid = states, lams  # the last iterate that linearized
+    lins = evaluate(states)
+    if lins is None:
+        return states, lams, records, STATUS_BREAKDOWN
     for k in range(1, cfg.max_iter + 1):
         t0 = time.perf_counter_ns()
-        try:
-            lins = [linearize_fn(net, s, cfg.eps) for net, s in zip(nets, states)]
-        except ModelError:
-            states, lams = valid
-            status = STATUS_BREAKDOWN
-            break
-        valid = states, lams
         rss = sum(float(lin.r @ lin.r) for lin in lins)
         r_norm2 = math.sqrt(rss)
         if r_norm2 <= cfg.tol_residual:
-            status = STATUS_CONVERGED
-            break
-
+            return states, lams, records, STATUS_CONVERGED
         chis = [s.free() for s in states]
         try:
             new_free, new_lams, primal = step(lins, chis)
         except FactorizationError:
-            status = STATUS_BREAKDOWN
-            break
+            return states, lams, records, STATUS_BREAKDOWN
         dchi = max(float(np.max(np.abs(nf - chi))) if len(nf) else 0.0
                    for nf, chi in zip(new_free, chis))
         new_states = [s.with_free(nf) for s, nf in zip(states, new_free)]
-        fields = extras(lins, states, chis, new_free, new_states) if extras else {}
-        states, lams = new_states, new_lams
-
+        new_lins = evaluate(new_states)
+        fields = extras(lins, chis, new_free, new_states, new_lins) if extras else {}
         records.append(IterationRecord(
             iter=k, f=0.5 * rss, r_norm2=r_norm2, dchi_inf=dchi, primal_residual=primal,
             comm_floats=comm_floats, wall_ns=time.perf_counter_ns() - t0, **fields,
         ))
+        if new_lins is None:
+            return states, lams, records, STATUS_BREAKDOWN
+        states, lams, lins = new_states, new_lams, new_lins
         if dchi <= cfg.tol_step:
-            status = STATUS_CONVERGED
-            break
-    else:
-        # the loop ran out: the last step's iterate has not been evaluated
-        try:
-            for net, s in zip(nets, states):
-                linearize_fn(net, s, cfg.eps)
-        except ModelError:
-            states, lams = valid
-            status = STATUS_BREAKDOWN
-    return states, lams, records, status
+            return states, lams, records, STATUS_CONVERGED
+    return states, lams, records, STATUS_MAX_ITER
 
 
 def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | None,
@@ -216,6 +204,14 @@ def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | N
         cfg = SolverConfig()
     ref_free = ref.free() if ref is not None else None
 
+    def evaluate(net, s, eps):
+        # both names are read at call time, so a wrapper set on this
+        # module's attribute (as bench/layers.py sets) sees every call
+        lin = linearize(net, s, eps)
+        if cfg.diagnose:
+            lin.q = q_term(net, s)
+        return lin
+
     def step(lins, chis):
         cqps = [condense_region(lin, r.coupling_free_cols, chi)
                 for lin, r, chi in zip(lins, p.regions, chis)]
@@ -230,25 +226,15 @@ def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | N
                 primal = max(primal, float(np.max(np.abs(nf[reg.coupling_free_cols] - z))))
         return new_free, sol.lam, primal
 
-    q_next = None  # the curvature of the next iterate, from its lm_error
-
-    def extras(lins, states, chis, new_free, new_states):
-        nonlocal q_next
+    def extras(lins, chis, new_free, new_states, new_lins):
         fields = {}
         if cfg.diagnose:
-            q_terms = q_next if q_next is not None else [
-                q_term(r.net, s) for r, s in zip(p.regions, states)]
             x_plus = [nf[r.coupling_free_cols] for r, nf in zip(p.regions, new_free)]
-            fields["condense_gap"] = _condense_gap(p, lins, q_terms, chis, x_plus)
+            fields["condense_gap"] = _condense_gap(p, lins, [lin.q for lin in lins], chis, x_plus)
             # attributed to the iterate just produced, like dist_to_ref; an
-            # iterate with a non-positive magnitude gets none, and the next
-            # linearize ends the run
-            try:
-                q_next = [q_term(r.net, s) for r, s in zip(p.regions, new_states)]
-            except ModelError:
-                q_next = None
-            else:
-                fields["lm_error"] = _lm_error(cfg.eps, q_next)
+            # iterate that cannot be evaluated gets none and ends the run
+            if new_lins is not None:
+                fields["lm_error"] = _lm_error(cfg.eps, [lin.q for lin in new_lins])
         if ref_free is not None:
             stitched = stitch_state(p, new_states, p.merged_net)
             fields["dist_to_ref"] = float(np.max(np.abs(stitched.free() - ref_free)))
@@ -256,7 +242,8 @@ def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | N
 
     states, lams, records, status = _iterate(
         [r.net for r in p.regions], [flat_start(r.net) for r in p.regions],
-        [np.zeros(r.n_cpl) for r in p.regions], cfg, step, comm_floats_per_iteration(p), extras)
+        [np.zeros(r.n_cpl) for r in p.regions], cfg, step, evaluate,
+        comm_floats_per_iteration(p), extras)
     return stitch_state(p, states, p.merged_net), lams, SolveTrace(records=records, status=status)
 
 

@@ -55,10 +55,7 @@ class RegionLinearization:
     hess: np.ndarray        # (n_free, n_free) J^T J + eps*I: dense from linearize,
                             # CSC from the central reference's _sparse_linearize
     eps: float
-
-    @property
-    def f(self) -> float:
-        return 0.5 * float(self.r @ self.r)
+    q: np.ndarray | None = None  # (n_free, n_free) q_term at the iterate, when diagnosed
 
 
 def _check_state(net: NetworkModel, s: StateVector):

@@ -260,6 +260,60 @@ def test_parse_data_on_table_opening_line():
         parse_case(closing.replace("2 1 50 20 0 0 1 1.0 0 0 1 0 0 ]", "2 1 50 20 ]"))
 
 
+def test_parse_rejects_text_after_table_close():
+    with open(fixture_path("case9.m"), encoding="utf-8") as fh:
+        text = fh.read()
+    plain = parse_case(text)
+    assert parse_case(text.replace("];", "] ;", 1)) == plain
+    with pytest.raises(CaseFormatError,
+                       match=r"line 17: unexpected text after '\]': '; mpc.baseMVA = 50;'"):
+        parse_case(text.replace("];", "]; mpc.baseMVA = 50;", 1))
+
+
+def test_parse_several_rows_on_one_line():
+    with open(fixture_path("case9.m"), encoding="utf-8") as fh:
+        text = fh.read()
+    joined = text.replace("0.9;\n\t2\t2", "0.9; 2\t2", 1)
+    assert joined != text
+    assert parse_case(joined) == parse_case(text)
+    # each row keeps its line's number
+    with pytest.raises(CaseFormatError, match=r"line 8: bus id must be an integer, got 2\.5"):
+        parse_case(joined.replace("0.9; 2\t2", "0.9; 2.5\t2", 1))
+
+
+@pytest.mark.parametrize("table,col,label", [
+    *(("bus", c, name) for c, name in
+      ((2, "Pd"), (3, "Qd"), (4, "Gs"), (5, "Bs"), (7, "Vm"), (8, "Va"), (9, "baseKV"))),
+    *(("gen", c, name) for c, name in ((1, "Pg"), (2, "Qg"), (5, "Vg"), (7, "status"))),
+    *(("branch", c, name) for c, name in
+      ((2, "r"), (3, "x"), (4, "b"), (8, "ratio"), (9, "angle"), (10, "status"))),
+])
+@pytest.mark.parametrize("bad", ["nan", "Inf", "-inf"])
+def test_parse_rejects_non_finite_read_columns(table, col, label, bad):
+    lineno = {"bus": 5, "gen": 8, "branch": 11}[table]
+    lines = TWO_BUS.splitlines()
+    cells = lines[lineno - 1].split()
+    cells[col] = bad
+    lines[lineno - 1] = " ".join(cells)
+    with pytest.raises(CaseFormatError, match=rf"line {lineno}: {table} {label} must be finite"):
+        parse_case("\n".join(lines))
+
+
+def test_parse_keeps_inf_in_unread_columns():
+    # MATPOWER files write Inf for unlimited Qmax/Qmin and ratings
+    text = TWO_BUS.replace("1 60 10 0 0 1.0", "1 60 10 Inf -Inf 1.0").replace(
+        "1 2 0 0.1 0 0 0 0", "1 2 0 0.1 0 Inf Inf Inf")
+    assert parse_case(text) == parse_case(TWO_BUS)
+
+
+@pytest.mark.parametrize("field", range(5, 10))
+def test_manifest_rejects_non_finite_link_numbers(field):
+    parts = "link 0 3 1 4 0.01 0.08 0.02 1 0".split()
+    parts[field] = "nan"
+    with pytest.raises(ManifestError, match=r"line 6: link r x b tap shift must be finite"):
+        parse_manifest(MANIFEST.replace("link 0 3 1 4 0.01 0.08 0.02 1 0", " ".join(parts)))
+
+
 def test_out_of_service_elements_roundtrip():
     case = parse_case(TWO_BUS.replace("1 2 0 0.1 0 0 0 0 0 0 1;",
                                       "1 2 0 0.1 0 0 0 0 0 0 0;"))

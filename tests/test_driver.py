@@ -383,14 +383,8 @@ def test_random_multiregion_systems_agree_with_oracle():
         assert np.max(np.abs(state.free() - ref.free())) <= 1e-6, seed
 
 
-def test_voltage_collapse_reports_numerical_breakdown():
-    # a 5 p.u. load over an x = 1 line collapses the voltage on the first
-    # full step; both solvers surface it as a status, not an exception
-    from hdpf import MergeManifest, partition
-    from hdpf.network import flat_start
-    from hdpf.trace import STATUS_BREAKDOWN
-
-    text = """
+# a 5 p.u. load over an x = 1 line: the first full step collapses the voltage
+COLLAPSE = """
 mpc.baseMVA = 100;
 mpc.bus = [
   1 3 0 0 0 0 1 1.0 0 0 1 0 0;
@@ -403,7 +397,16 @@ mpc.branch = [
   1 2 0.02 1.0 0 0 0 0 0 0 1;
 ];
 """
-    case = parse_case(text)
+
+
+def test_voltage_collapse_reports_numerical_breakdown():
+    # a 5 p.u. load over an x = 1 line collapses the voltage on the first
+    # full step; both solvers surface it as a status, not an exception
+    from hdpf import MergeManifest, partition
+    from hdpf.network import flat_start
+    from hdpf.trace import STATUS_BREAKDOWN
+
+    case = parse_case(COLLAPSE)
     p = partition(MergeManifest(("x.m",), (), 0), [case])
     state, lams, trace = solve(p, SolverConfig(max_iter=40))
     assert trace.status == STATUS_BREAKDOWN
@@ -451,6 +454,7 @@ def test_non_finite_step_ends_breakdown_with_last_valid_iterate(cases, bad):
     # numerical_breakdown and returns the iterate before it
     from hdpf.driver import _iterate
     from hdpf.network import flat_start
+    from hdpf.residual import linearize
     from hdpf.trace import STATUS_BREAKDOWN
 
     net = build_network(cases["case14"])
@@ -464,9 +468,81 @@ def test_non_finite_step_ends_breakdown_with_last_valid_iterate(cases, bad):
         return [np.full_like(chi, bad)], ["broken"], 0.0
 
     (state,), lams, records, status = _iterate(
-        [net], [flat_start(net)], ["lam0"], SolverConfig(), step)
+        [net], [flat_start(net)], ["lam0"], SolverConfig(), step, linearize)
     assert status == STATUS_BREAKDOWN
     assert len(records) == 2
     assert not math.isfinite(records[1].dchi_inf)
     assert np.array_equal(state.free(), calls[1])
     assert lams == ["lam"]
+
+
+def _count_evaluations(monkeypatch):
+    """Spy the regions' and the reference's evaluation; calls per network."""
+    import collections
+
+    import hdpf.central
+    import hdpf.driver
+
+    counts = collections.Counter()
+    for mod, name in ((hdpf.driver, "linearize"), (hdpf.central, "_sparse_linearize")):
+        def spy(net, *args, real=getattr(mod, name)):
+            counts[id(net)] += 1
+            return real(net, *args)
+        monkeypatch.setattr(mod, name, spy)
+    return counts
+
+
+@pytest.mark.parametrize("name,cfg,stop", [
+    ("case53", SolverConfig(), "residual"),
+    ("fig1", SolverConfig(), "step"),
+    ("case53", SolverConfig(max_iter=2), STATUS_MAX_ITER),
+    ("collapse", SolverConfig(max_iter=40), "numerical_breakdown"),
+])
+def test_every_iterate_is_evaluated_once(problems, monkeypatch, name, cfg, stop):
+    # the start before the loop, each new iterate right after its step,
+    # whichever test ends the run
+    from hdpf import MergeManifest, partition
+
+    if name == "collapse":
+        p = partition(MergeManifest(("x.m",), (), 0), [parse_case(COLLAPSE)])
+    else:
+        p = problems[name]
+    counts = _count_evaluations(monkeypatch)
+    _, _, trace = solve(p, cfg)
+    if stop in ("residual", "step"):
+        assert trace.status == STATUS_CONVERGED
+        assert (trace.records[-1].dchi_inf <= cfg.tol_step) == (stop == "step")
+    else:
+        assert trace.status == stop
+    assert dict(counts) == {id(r.net): len(trace.records) + 1 for r in p.regions}
+    counts.clear()
+    _, _, trace, _ = run_distributed(p, cfg)
+    assert dict(counts) == {id(r.net): len(trace.records) + 1 for r in p.regions}
+    counts.clear()
+    _, trace = central_solve(p.merged_net, cfg)
+    assert dict(counts) == {id(p.merged_net): len(trace.records) + 1}
+
+
+def test_factorization_failure_evaluates_each_iterate_once(cases, monkeypatch):
+    import hdpf.driver
+    from hdpf.condense import FactorizationError
+    from hdpf.network import flat_start
+    from hdpf.trace import STATUS_BREAKDOWN
+
+    net = build_network(cases["case14"])
+    counts = _count_evaluations(monkeypatch)
+    steps = []
+
+    def step(lins, chis):
+        (lin,), (chi,) = lins, chis
+        steps.append(chi)
+        if len(steps) == 2:
+            raise FactorizationError("stub")
+        return [chi - np.linalg.solve(lin.hess, lin.g)], None, 0.0
+
+    (state,), _, records, status = hdpf.driver._iterate(
+        [net], [flat_start(net)], None, SolverConfig(), step, hdpf.driver.linearize)
+    assert status == STATUS_BREAKDOWN
+    assert len(records) == 1
+    assert np.array_equal(state.free(), steps[1])
+    assert dict(counts) == {id(net): len(records) + 1}
