@@ -14,12 +14,12 @@ import numpy as np
 from .caseio import load_manifest, parse_case_file, serialize_case
 from .central import TOL_REFERENCE, central_solve
 from .comm import run_distributed
-from .condense import FactorizationError, condense_region, recover_local
-from .consensus import TOL_KKT, averaging_projector, consensus_pass, verify_kkt
-from .driver import SolverConfig, solve
+from .condense import FactorizationError
+from .consensus import TOL_KKT, averaging_projector, verify_kkt
+from .driver import SolverConfig, consensus_step, solve
 from .network import build_network, flat_start
 from .partition import consensus_dims, partition
-from .residual import linearize
+from .residual import linearize, residual
 from .trace import read_state, write_state, write_trace
 
 __all__ = ["main"]
@@ -73,17 +73,37 @@ def _cmd_merge(args) -> int:
     merged = prob.merged_case
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(serialize_case(merged))
-    n_state, n_cpl, n_z = consensus_dims(prob)
     print(f"merged {len(raws)} regions -> {merged.n_bus} buses, "
           f"{len(merged.branches)} branches ({args.output})")
-    print(f"n_state={n_state} n_cpl={n_cpl} n_z={n_z}")
+    _summary(prob)
     for reg in prob.regions:
         n_copy = int(reg.is_copy.sum())
         print(f"  region {reg.index}: {reg.net.n_core} core + {n_copy} copy buses, "
               f"n_cpl={reg.n_cpl}")
-    hist = prob.hypergraph.cardinality_histogram()
-    print(f"hyperedge cardinality histogram: {hist}")
     return 0
+
+
+def _summary(prob) -> tuple[int, int, int]:
+    """Print the decomposition's dimensions and its hyperedge histogram, and
+    return the dimensions."""
+    n_state, n_cpl, n_z = dims = consensus_dims(prob)
+    print(f"regions={len(prob.regions)} n_state={n_state} n_cpl={n_cpl} n_z={n_z}")
+    print(f"hyperedge cardinality histogram: {prob.hypergraph.cardinality_histogram()}")
+    return dims
+
+
+def _report(args, trace, state) -> int:
+    """Print the run's status and the residual 2-norm of the state it
+    returns, write ``--trace`` and ``--output``, and return the exit code."""
+    r_norm2 = np.linalg.norm(residual(state.net, state))
+    print(f"{trace.n_iter} iterations, status={trace.status}, r_norm2={r_norm2:.3e}")
+    if args.trace:
+        with open(args.trace, "w", encoding="utf-8") as fh:
+            write_trace(trace, fh)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            write_state(state, fh)
+    return 0 if trace.converged else 2
 
 
 def _cmd_solve(args) -> int:
@@ -101,19 +121,7 @@ def _cmd_solve(args) -> int:
               f"({ledger.total_up} up, {ledger.total_down} down)")
     else:
         state, lams, trace = solve(prob, cfg, ref)
-    last = trace.final()
-    if last is not None:
-        print(f"{trace.n_iter} iterations, status={trace.status}, "
-              f"r_norm2={last.r_norm2:.3e}, primal_residual={last.primal_residual:.3e}")
-    else:
-        print(f"0 iterations, status={trace.status} (already at tolerance)")
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            write_trace(trace, fh)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            write_state(state, fh)
-    return 0 if trace.converged else 2
+    return _report(args, trace, state)
 
 
 def _cmd_baseline(args) -> int:
@@ -121,24 +129,13 @@ def _cmd_baseline(args) -> int:
     net = build_network(case)
     cfg = SolverConfig(tol_residual=TOL_REFERENCE, max_iter=args.max_iter)
     state, trace = central_solve(net, cfg)
-    last = trace.final()
-    r = last.r_norm2 if last else 0.0
-    print(f"{trace.n_iter} iterations, status={trace.status}, r_norm2={r:.3e}")
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            write_trace(trace, fh)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            write_state(state, fh)
-    return 0 if trace.converged else 2
+    return _report(args, trace, state)
 
 
 def _cmd_check(args) -> int:
     manifest, raws = load_manifest(args.manifest)
     prob = partition(manifest, raws)
-    n_state, n_cpl, n_z = consensus_dims(prob)
-    print(f"regions={len(prob.regions)} n_state={n_state} n_cpl={n_cpl} n_z={n_z}")
-    print(f"hyperedge cardinality histogram: {prob.hypergraph.cardinality_histogram()}")
+    _, n_cpl, n_z = _summary(prob)
 
     ok = True
     if n_z:
@@ -150,19 +147,16 @@ def _cmd_check(args) -> int:
               f"({'full column rank' if rank == n_z else 'RANK DEFICIENT'})")
         ok &= rank == n_z
 
-        cfg = SolverConfig()
+        # the solver's first step from a flat start
+        eps = SolverConfig().eps
         states = [flat_start(r.net) for r in prob.regions]
-        lins = [linearize(r.net, s, cfg.eps) for r, s in zip(prob.regions, states)]
-        cqps = [condense_region(lin, r.coupling_free_cols, s.free())
-                for lin, r, s in zip(lins, prob.regions, states)]
+        lins = [linearize(r.net, s, eps) for r, s in zip(prob.regions, states)]
+        cqps, sol, chi_next = consensus_step(prob, lins, [s.free() for s in states])
         m = averaging_projector(cqps, prob.regions, n_z)
         idem = float(np.max(np.abs(m @ m - m)))
         print(f"averaging projector idempotence |M^2-M|_inf = {idem:.3e}")
         ok &= idem <= 1e-8
 
-        sol = consensus_pass(cqps, prob.regions, n_z)
-        chi_next = [recover_local(c, sol.z_bar[r.z_cols], s.free())
-                    for c, r, s in zip(cqps, prob.regions, states)]
         kkt = verify_kkt(cqps, prob.regions, sol, chi_next)
         scale = 1.0 + max(float(np.max(np.abs(c.g_bar))) if c.n_cpl else 0.0 for c in cqps)
         print(f"first-iteration KKT residuals: stationarity={kkt.stationarity:.3e} "

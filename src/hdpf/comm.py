@@ -123,4 +123,4 @@ def flop_estimates(region_state_dims: list[int], n_cpl: int) -> CostEstimate:
 def cost_model(p: PartitionedProblem) -> CostEstimate:
     """The cubic per-iteration cost model on a partitioned problem."""
     _, n_cpl, _ = consensus_dims(p)
-    return flop_estimates([r.n_state_entries for r in p.regions], n_cpl)
+    return flop_estimates([r.net.n_state_entries for r in p.regions], n_cpl)

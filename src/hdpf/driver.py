@@ -43,7 +43,8 @@ from .trace import (
     SolveTrace,
 )
 
-__all__ = ["SolverConfig", "solve", "convergence_order", "stitch_state", "comm_floats_per_iteration"]
+__all__ = ["SolverConfig", "solve", "consensus_step", "convergence_order", "stitch_state",
+           "comm_floats_per_iteration"]
 
 
 @dataclass
@@ -69,15 +70,33 @@ def comm_floats_per_iteration(p: PartitionedProblem) -> int:
     return sum(r.n_cpl * r.n_cpl + 2 * r.n_cpl for r in p.regions)
 
 
-def stitch_state(p: PartitionedProblem, states: list[StateVector],
-                 merged_net: NetworkModel) -> StateVector:
+def stitch_state(p: PartitionedProblem, states: list[StateVector]) -> StateVector:
     """Assemble the merged-case state from the regions' states: each
     region's core (non-copy) buses, all four rows, at their merged positions."""
-    x = np.empty((4, merged_net.n_bus))
+    x = np.empty((4, p.merged_net.n_bus))
     for reg, st in zip(p.regions, states):
         core = ~reg.is_copy
         x[:, reg.merged_ids[core] - 1] = st.x[:, core]
-    return StateVector(merged_net, *x)
+    return StateVector(p.merged_net, *x)
+
+
+def consensus_step(p: PartitionedProblem, lins, chis, average=weighted_average):
+    """One step of the distributed solver, from every region's linearization
+    and free vector: each region condenses its model onto its coupling
+    variables, one :func:`consensus_pass` through ``average`` resolves the
+    consensus, and each region recovers its step from its consensus values
+    ``E_l zbar``.  Returns the condensed models, the consensus solution and
+    the new free vectors, in region order.
+
+    The three functions are read from this module at call time, so a
+    wrapper set on its attribute (as bench/layers.py sets) sees every call.
+    """
+    cqps = [condense_region(lin, r.coupling_free_cols, chi)
+            for lin, r, chi in zip(lins, p.regions, chis)]
+    sol = consensus_pass(cqps, p.regions, p.n_z, average)
+    new_free = [recover_local(c, sol.z_bar[r.z_cols], chi)
+                for c, r, chi in zip(cqps, p.regions, chis)]
+    return cqps, sol, new_free
 
 
 def _lm_error(eps: float, q_terms: list[np.ndarray]) -> float:
@@ -196,9 +215,8 @@ def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | N
 
     ``average(contributions, n_z)`` has the contract of
     :func:`weighted_average`: it takes the regions' consensus payloads in
-    region order and returns zbar.  Each region condenses its model, one
-    :func:`consensus_pass` through ``average`` resolves the consensus, and
-    each region recovers its step from its consensus values ``E_l zbar``.
+    region order and returns zbar.  Each iteration takes one
+    :func:`consensus_step` through ``average``.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -213,16 +231,11 @@ def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | N
         return lin
 
     def step(lins, chis):
-        cqps = [condense_region(lin, r.coupling_free_cols, chi)
-                for lin, r, chi in zip(lins, p.regions, chis)]
-        sol = consensus_pass(cqps, p.regions, p.n_z, average)
-        new_free = []
+        _, sol, new_free = consensus_step(p, lins, chis, average)
         primal = 0.0
-        for c, reg, chi in zip(cqps, p.regions, chis):
-            z = sol.z_bar[reg.z_cols]
-            nf = recover_local(c, z, chi)
-            new_free.append(nf)
+        for nf, reg in zip(new_free, p.regions):
             if reg.n_cpl:
+                z = sol.z_bar[reg.z_cols]
                 primal = max(primal, float(np.max(np.abs(nf[reg.coupling_free_cols] - z))))
         return new_free, sol.lam, primal
 
@@ -236,7 +249,7 @@ def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | N
             if new_lins is not None:
                 fields["lm_error"] = _lm_error(cfg.eps, [lin.q for lin in new_lins])
         if ref_free is not None:
-            stitched = stitch_state(p, new_states, p.merged_net)
+            stitched = stitch_state(p, new_states)
             fields["dist_to_ref"] = float(np.max(np.abs(stitched.free() - ref_free)))
         return fields
 
@@ -244,7 +257,7 @@ def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | N
         [r.net for r in p.regions], [flat_start(r.net) for r in p.regions],
         [np.zeros(r.n_cpl) for r in p.regions], cfg, step, evaluate,
         comm_floats_per_iteration(p), extras)
-    return stitch_state(p, states, p.merged_net), lams, SolveTrace(records=records, status=status)
+    return stitch_state(p, states), lams, SolveTrace(records=records, status=status)
 
 
 def solve(p: PartitionedProblem, cfg: SolverConfig | None = None,

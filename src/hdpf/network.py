@@ -133,6 +133,10 @@ class NetworkModel:
         self.v_spec = np.array([v_set.get(i, b.v_mag) if b.type in regulated else b.v_mag
                                 for i, b in enumerate(buses)])
         self.theta_spec = np.radians([b.v_ang for b in buses])
+        # written so that NaN fails too; a PQ bus's magnitude is free
+        bad = self.bus_ids[np.isin(self.bus_type, regulated) & ~(self.v_spec > 0.0)]
+        if len(bad):
+            raise ModelError(f"non-positive voltage setpoint at PV or slack bus(es) {bad.tolist()}")
 
         self._assemble_admittance(buses, case.branches, pos)
         self._index_free_entries()
@@ -186,14 +190,6 @@ class NetworkModel:
         self.y_col = coo.col.astype(np.int64)
         self.g_val = coo.data.real.copy()
         self.b_val = coo.data.imag.copy()
-
-    @property
-    def G(self) -> sp.csr_matrix:
-        return sp.csr_matrix((self.g_val, (self.y_row, self.y_col)), shape=(self.n_bus,) * 2)
-
-    @property
-    def B(self) -> sp.csr_matrix:
-        return sp.csr_matrix((self.b_val, (self.y_row, self.y_col)), shape=(self.n_bus,) * 2)
 
     # -- free-variable layout -----------------------------------------------
 

@@ -53,7 +53,6 @@ __all__ = [
     "Hypergraph",
     "RegionStructure",
     "PartitionedProblem",
-    "GlobalIndex",
     "merge_cases",
     "partition",
     "consensus_dims",
@@ -62,13 +61,6 @@ __all__ = [
 
 class PartitionError(ValueError):
     """Raised when a manifest cannot be turned into a valid decomposition."""
-
-
-@dataclass(frozen=True)
-class GlobalIndex:
-    """Map from (region, local bus id) to merged bus id."""
-
-    merged_of: dict[tuple[int, int], int]
 
 
 @dataclass(frozen=True)
@@ -113,16 +105,12 @@ class RegionStructure:
     def n_cpl(self) -> int:
         return len(self.coupling_free_cols)
 
-    @property
-    def n_state_entries(self) -> int:
-        return self.net.n_state_entries
-
 
 @dataclass
 class PartitionedProblem:
     regions: list[RegionStructure]
     hypergraph: Hypergraph
-    global_index: GlobalIndex
+    merged_of: dict[tuple[int, int], int]  # (region, local bus id) -> merged bus id
     merged_case: RawCase
     manifest: MergeManifest
 
@@ -200,8 +188,10 @@ def _demote_foreign_slack(bus: RawBus, region: int, slack_region: int) -> RawBus
     return bus
 
 
-def merge_cases(manifest: MergeManifest, raws: list[RawCase]) -> tuple[RawCase, GlobalIndex]:
-    """Combine regional cases into one case with globally renumbered buses.
+def merge_cases(manifest: MergeManifest, raws: list[RawCase],
+                ) -> tuple[RawCase, dict[tuple[int, int], int]]:
+    """Combine regional cases into one case with globally renumbered buses,
+    and return it with the map from (region, local bus id) to merged id.
 
     Region l's buses, sorted by local id, become merged ids
     offset_l + 1 ... offset_l + n_l.  Only the designated slack region keeps
@@ -234,7 +224,7 @@ def merge_cases(manifest: MergeManifest, raws: list[RawCase]) -> tuple[RawCase, 
 
     merged = RawCase(raws[0].base_mva, tuple(buses), tuple(gens), tuple(branches),
                      name="merged")
-    return merged, GlobalIndex(merged_of)
+    return merged, merged_of
 
 
 def partition(manifest: MergeManifest, raws: list[RawCase]) -> PartitionedProblem:
@@ -244,8 +234,7 @@ def partition(manifest: MergeManifest, raws: list[RawCase]) -> PartitionedProble
     merged bus id; z columns hold all hyperedge angles first, then all
     magnitudes, so runs are reproducible.
     """
-    merged, gidx = merge_cases(manifest, raws)
-    merged_of = gidx.merged_of
+    merged, merged_of = merge_cases(manifest, raws)
     ties = manifest.interconnections
 
     # hyperedges first: each boundary bus's home region and the regions
@@ -310,13 +299,13 @@ def partition(manifest: MergeManifest, raws: list[RawCase]) -> PartitionedProble
         for m in boundary
     ])
     return PartitionedProblem(
-        regions=regions, hypergraph=graph, global_index=gidx,
+        regions=regions, hypergraph=graph, merged_of=merged_of,
         merged_case=merged, manifest=manifest,
     )
 
 
 def consensus_dims(p: PartitionedProblem) -> tuple[int, int, int]:
     """(total state entries, total coupling entries, consensus columns)."""
-    n_state = sum(r.n_state_entries for r in p.regions)
+    n_state = sum(r.net.n_state_entries for r in p.regions)
     n_cpl = sum(r.n_cpl for r in p.regions)
     return n_state, n_cpl, p.hypergraph.n_z

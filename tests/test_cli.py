@@ -2,10 +2,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hdpf import build_network, parse_case_file, read_state, read_trace
 from hdpf.cli import main
+from hdpf.residual import residual
 
 from conftest import fixture_path
 
@@ -184,3 +186,56 @@ def test_usage_error_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code != 0
+
+
+def _printed_r_norm2(out: str) -> str:
+    return out.split("r_norm2=")[1].split()[0]
+
+
+def test_report_prints_residual_of_returned_state(tmp_path, capsys, problems):
+    # the printed r_norm2 is that of the state written, not of the iterate
+    # before the last step
+    state_file = tmp_path / "s.json"
+    assert main(["solve", fixture_path("case53.manifest"), "--output", str(state_file)]) == 0
+    printed = _printed_r_norm2(capsys.readouterr().out)
+    net = problems["case53"].merged_net
+    with open(state_file) as fh:
+        r = np.linalg.norm(residual(net, read_state(fh, net)))
+    assert printed == f"{r:.3e}" and r <= 1e-8
+
+    merged, ref = tmp_path / "merged.m", tmp_path / "ref.json"
+    assert main(["merge", fixture_path("case53.manifest"), "-o", str(merged)]) == 0
+    capsys.readouterr()
+    assert main(["baseline", str(merged), "--output", str(ref)]) == 0
+    printed = _printed_r_norm2(capsys.readouterr().out)
+    net = build_network(parse_case_file(merged))
+    with open(ref) as fh:
+        r = np.linalg.norm(residual(net, read_state(fh, net)))
+    assert printed == f"{r:.3e}" and r <= 1e-8
+
+
+def test_check_runs_the_solvers_step(monkeypatch, capsys):
+    import hdpf.driver
+
+    calls = []
+    real = hdpf.driver.condense_region
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hdpf.driver, "condense_region", spy)
+    assert main(["check", fixture_path("fig1.manifest")]) == 0
+    assert "check: ok" in capsys.readouterr().out
+    assert len(calls) == 2  # fig1 has two regions
+
+
+def test_baseline_zero_voltage_setpoint_exits_one(tmp_path, capsys):
+    with open(fixture_path("case9.m")) as fh:
+        text = fh.read()
+    row = "\t2\t163\t6.54\t300\t-300\t1.025"
+    assert text.count(row) == 1
+    bad = tmp_path / "vg0.m"
+    bad.write_text(text.replace(row, "\t2\t163\t6.54\t300\t-300\t0"))
+    assert main(["baseline", str(bad)]) == 1
+    assert "non-positive voltage setpoint at PV or slack bus(es) [2]" in capsys.readouterr().err

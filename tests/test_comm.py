@@ -75,14 +75,14 @@ def test_consensus_traffic_much_smaller_than_full_models(problems):
     per_iter = next(iter(ledger.per_iteration().values()))
     full_model_floats = sum(r.net.n_free ** 2 + r.net.n_free for r in p.regions)
     assert 5 * per_iter < full_model_floats
-    n_state, n_cpl, _ = (sum(r.n_state_entries for r in p.regions),
+    n_state, n_cpl, _ = (sum(r.net.n_state_entries for r in p.regions),
                          sum(r.n_cpl for r in p.regions), None)
     assert n_cpl * 4 < n_state
 
 
 def test_cost_model_shapes(problems):
     est = cost_model(problems["case53"])
-    dims = [r.n_state_entries for r in problems["case53"].regions]
+    dims = [r.net.n_state_entries for r in problems["case53"].regions]
     assert est.parallel_flops == float(sum(d ** 3 for d in dims))
     assert est.consensus_flops == 40.0 ** 3
     assert est.central_consensus_flops == float(sum(dims) ** 3)

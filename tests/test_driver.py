@@ -10,11 +10,13 @@ from hdpf import (
     convergence_order,
     parse_case,
     StateVector,
+    flat_start,
     run_distributed,
     solve,
     stitch_state,
 )
-from hdpf.residual import residual
+from hdpf.driver import consensus_step
+from hdpf.residual import linearize, residual
 from hdpf.trace import STATUS_CONVERGED, STATUS_MAX_ITER, IterationRecord, SolveTrace, trace_signature
 
 
@@ -46,7 +48,7 @@ def test_stitch_state_puts_core_buses_at_merged_positions(problems):
         p = problems[name]
         states = [StateVector(r.net, *rng.uniform(0.5, 1.5, (4, r.net.n_bus)))
                   for r in p.regions]
-        stitched = stitch_state(p, states, p.merged_net)
+        stitched = stitch_state(p, states)
         placed = 0
         for reg, st in zip(p.regions, states):
             for i in np.flatnonzero(~reg.is_copy):
@@ -55,6 +57,19 @@ def test_stitch_state_puts_core_buses_at_merged_positions(problems):
                     assert getattr(stitched, row)[m] == getattr(st, row)[i], (name, row)
                 placed += 1
         assert placed == p.merged_net.n_bus
+
+
+def test_consensus_step_is_the_solvers_step(problems):
+    # one step from case53's flat start, stitched, is solve's first iterate
+    p = problems["case53"]
+    eps = SolverConfig().eps
+    states = [flat_start(r.net) for r in p.regions]
+    lins = [linearize(r.net, s, eps) for r, s in zip(p.regions, states)]
+    _, _, new_free = consensus_step(p, lins, [s.free() for s in states])
+    stitched = stitch_state(p, [s.with_free(nf) for s, nf in zip(states, new_free)])
+    state, _, trace = solve(p, SolverConfig(max_iter=1))
+    assert trace.n_iter == 1
+    assert stitched.x.tobytes() == state.x.tobytes()
 
 
 def test_single_region_matches_central_iterate_for_iterate(problems, merged_nets):

@@ -1,3 +1,7 @@
+import glob
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,9 +16,11 @@ from hdpf import (
     build_network,
     flat_start,
     parse_case,
+    parse_case_file,
 )
 from hdpf.residual import residual
 
+from conftest import fixture_path
 from helpers import dense_admittance_pu
 
 SINGLE_LINE = """
@@ -34,8 +40,8 @@ mpc.branch = [
 
 def test_single_branch_susceptance():
     net = build_network(parse_case(SINGLE_LINE.format(tap=0)))
-    b = net.B.toarray()
-    g = net.G.toarray()
+    b = net.ybus.imag.toarray()
+    g = net.ybus.real.toarray()
     np.testing.assert_allclose(b, [[-10.0, 10.0], [10.0, -10.0]], atol=1e-14)
     np.testing.assert_allclose(g, 0.0, atol=1e-14)
 
@@ -43,7 +49,7 @@ def test_single_branch_susceptance():
 def test_single_branch_tap_scaling():
     # tap 2 scales the from-side series diagonal by 1/4, off-diagonals by 1/2
     net = build_network(parse_case(SINGLE_LINE.format(tap=2)))
-    b = net.B.toarray()
+    b = net.ybus.imag.toarray()
     np.testing.assert_allclose(b, [[-2.5, 5.0], [5.0, -10.0]], atol=1e-14)
 
 
@@ -120,7 +126,7 @@ mpc.branch = [
 ];
 """
     net = build_network(parse_case(text))
-    np.testing.assert_allclose(net.B.toarray(), [[-10.0, 10.0], [10.0, -10.0]], atol=1e-14)
+    np.testing.assert_allclose(net.ybus.imag.toarray(), [[-10.0, 10.0], [10.0, -10.0]], atol=1e-14)
 
 
 # --- slack rule ----------------------------------------------------------------
@@ -169,6 +175,30 @@ def test_element_at_unknown_bus_rejected():
     with pytest.raises(ModelError, match="branch 2-9 references unknown bus 9"):
         build_network(_two_bus_case(BusType.SLACK, BusType.PQ,
                                     extra_branches=[RawBranch(2, 9, 0.01, 0.1)]))
+
+
+@pytest.mark.parametrize("vg", [0.0, -1.0, math.nan])
+def test_non_positive_voltage_setpoint_rejected_with_bus_ids(cases, vg):
+    case = cases["case9"]
+    gens = tuple(replace(g, v_setpoint=vg) if g.bus_id == 2 else g for g in case.generators)
+    with pytest.raises(ModelError, match=r"voltage setpoint at PV or slack bus\(es\) \[2\]"):
+        build_network(replace(case, generators=gens))
+
+
+def test_pq_bus_magnitude_is_not_a_setpoint(cases):
+    # a PQ bus's magnitude is free, so its case value is only a start hint
+    case = cases["case9"]
+    buses = tuple(replace(b, v_mag=0.0) if b.id == 5 else b for b in case.buses)
+    assert build_network(replace(case, buses=buses)).n_bus == 9
+
+
+def test_every_shipped_fixture_builds(problems):
+    for path in glob.glob(fixture_path("*.m")):
+        case = parse_case_file(path)
+        if any(b.type == BusType.SLACK for b in case.buses):  # not a region file
+            build_network(case)
+    for p in problems.values():  # their regions were built by partition
+        assert p.merged_net.n_bus > 0
 
 
 # --- flat start --------------------------------------------------------------

@@ -102,7 +102,7 @@ def test_three_regions_sharing_one_bus():
 
         # each tie has an image on both sides, between the local instances
         # of its two ends
-        merged_of = p.global_index.merged_of
+        merged_of = p.merged_of
         for t in manifest.interconnections:
             ends = [e for e in p.hypergraph.edges
                     if e.merged_bus in (merged_of[(t.from_region, t.from_bus)],
@@ -167,12 +167,12 @@ def test_partition_remerge_reproduces_bus_and_branch_sets(problems):
     rebuilt = Counter()
     for reg_idx, raw in enumerate(raws):
         for br in raw.branches:
-            rebuilt[(p.global_index.merged_of[(reg_idx, br.from_bus)],
-                     p.global_index.merged_of[(reg_idx, br.to_bus)],
+            rebuilt[(p.merged_of[(reg_idx, br.from_bus)],
+                     p.merged_of[(reg_idx, br.to_bus)],
                      br.r, br.x)] += 1
     for t in manifest.interconnections:
-        rebuilt[(p.global_index.merged_of[(t.from_region, t.from_bus)],
-                 p.global_index.merged_of[(t.to_region, t.to_bus)],
+        rebuilt[(p.merged_of[(t.from_region, t.from_bus)],
+                 p.merged_of[(t.to_region, t.to_bus)],
                  t.r, t.x)] += 1
     assert rebuilt == merged_branches
 

@@ -192,7 +192,7 @@ mpc.branch = [
     net = build_network(parse_case(text))
     s = flat_start(net)
     j = jacobian(net, s).toarray()
-    b = net.B.toarray()
+    b = net.ybus.imag.toarray()
     # bus 2 p-row (row 2), partial w.r.t. theta_3
     col_th3 = net.col[0, 2]
     np.testing.assert_allclose(j[2, col_th3], s.vm[1] * s.vm[2] * b[1, 2], atol=1e-14)
