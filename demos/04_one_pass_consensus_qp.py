@@ -1,14 +1,14 @@
 """The consensus QP is solved exactly in a single sweep.
 
-For strongly convex condensed models the three steps (local unconstrained
-move, weighted average, dual update) land on the KKT point of the coupled
-QP in one pass: no inner iteration loop exists anywhere in the solver.
+For strongly convex condensed models one sweep (each region sends Bbar and
+Bbar x^k - gbar, the coordinator takes the weighted average, each region
+updates its multiplier) lands on the KKT point of the coupled QP: no inner
+iteration loop exists anywhere in the solver.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg as sla
 
 from hdpf import dense_kkt_solve
 from hdpf.condense import CondensedQP
@@ -22,10 +22,9 @@ def random_spd(rng, n):
 
 
 def make_cqp(rng, n):
-    b = random_spd(rng, n)
     return CondensedQP(
-        b_bar=b, g_bar=rng.standard_normal(n), x_k=rng.standard_normal(n),
-        chol_bbar=sla.cho_factor(b, lower=True), x_cols=np.arange(n),
+        b_bar=random_spd(rng, n), g_bar=rng.standard_normal(n), x_k=rng.standard_normal(n),
+        x_cols=np.arange(n),
         y_cols=np.zeros(0, dtype=np.int64), factor=None, w_y=np.zeros(0))
 
 
@@ -63,7 +62,7 @@ print(f"\naveraging projector M: |M^2 - M|_inf = {np.max(np.abs(m @ m - m)):.2e}
 
 # rerunning the pass from the produced point is a fixed point
 cqps2 = [CondensedQP(b_bar=c.b_bar, g_bar=c.g_bar + c.b_bar @ (xn - c.x_k), x_k=xn,
-                     chol_bbar=c.chol_bbar, x_cols=c.x_cols, y_cols=c.y_cols,
+                     x_cols=c.x_cols, y_cols=c.y_cols,
                      factor=None, w_y=c.w_y)
          for c, xn in zip(cqps, chi_next)]
 sol2 = consensus_pass(cqps2, regions, n_z)

@@ -1,11 +1,11 @@
 """What actually crosses region boundaries, and what it would cost centrally.
 
 The message-passing harness executes the same solve through explicit float
-buffers: per iteration a region uploads its dense consensus block plus a
-weighted local move (n^2 + n floats for n active consensus columns) and
+buffers: per iteration a region uploads its dense consensus block plus
+Bbar x^k - gbar (n^2 + n floats for n active consensus columns) and
 downloads its slice of the consensus vector (n floats).  Everything else
-stays local, which is the whole point: the coordinator's solve is cubic in
-the number of coupling variables, not in the system state.
+stays local, which is the whole point: the coordinator's solve grows with
+the number of coupling variables, not with the system state.
 """
 
 from pathlib import Path

@@ -38,9 +38,7 @@ from .consensus import (
     ConsensusSolution,
     KktResiduals,
     averaging_projector,
-    dual_update,
     consensus_pass,
-    local_unconstrained,
     verify_kkt,
     weighted_average,
 )

@@ -4,13 +4,13 @@
 consensus pass with one change: the coordinator's average in
 :func:`hdpf.consensus.consensus_pass` is a metered one.  Per outer iteration
 each region uploads its dense consensus payload (the z-block of E' Bbar E
-plus the weighted local move, n^2 + n floats for n active consensus
-columns) as one flat float64 buffer, in region order; the coordinator
-solves the weighted average from the buffers alone, and each region
-downloads its slice of the consensus vector (n floats).  Convergence
-scalars are control plane and are not metered.
+plus Bbar x^k - gbar, n^2 + n floats for n active consensus columns) as
+one flat float64 buffer, in region order; the coordinator solves the
+weighted average from the buffers alone, and each region downloads its
+slice of the consensus vector (n floats).  Convergence scalars are control
+plane and are not metered.
 
-The local moves, the average and the dual update are the direct path's own
+The payloads, the average and the multipliers are the direct path's own
 code, so final states and traces are bit-identical to it by construction.
 Message wire time is out of scope: the ledger measures volume, not latency.
 """

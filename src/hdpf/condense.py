@@ -58,10 +58,6 @@ def _sym_splu(a, what: str):
         raise FactorizationError(f"{what} is singular: {exc}") from exc
 
 
-def _cho_solve(factor, b: np.ndarray) -> np.ndarray:
-    return sla.cho_solve(factor, b, check_finite=False)
-
-
 @dataclass
 class CondensedQP:
     """Reduced model of one region plus everything recovery needs."""
@@ -69,7 +65,6 @@ class CondensedQP:
     b_bar: np.ndarray      # (n_cpl, n_cpl) SPD
     g_bar: np.ndarray      # (n_cpl,)
     x_k: np.ndarray        # current coupling values A chi^k
-    chol_bbar: object      # factor of b_bar: (Lxx, True)
     x_cols: np.ndarray     # free-vector columns of the coupling entries
     y_cols: np.ndarray     # free-vector columns of the local entries
     factor: np.ndarray     # L of B in (y_cols, x_cols) order, lower triangle
@@ -94,11 +89,10 @@ def condense_region(lin: RegionLinearization, x_cols: np.ndarray,
     # a non-contiguous block such as Lyy before calling LAPACK; the leading
     # ny entries of L^-1 g are Lyy^-1 gy whatever follows them
     w_y = sla.solve_triangular(l, lin.g[order], lower=True, check_finite=False)[:ny]
-    l_xx = l[ny:, ny:]
-    lxx = np.tril(l_xx)
+    lxx = np.tril(l[ny:, ny:])
     return CondensedQP(
         b_bar=lxx @ lxx.T, g_bar=lin.g[x_cols] - l[ny:, :ny] @ w_y, x_k=chi_free[x_cols],
-        chol_bbar=(l_xx, True), x_cols=x_cols, y_cols=y_cols, factor=l, w_y=w_y,
+        x_cols=x_cols, y_cols=y_cols, factor=l, w_y=w_y,
     )
 
 

@@ -5,12 +5,21 @@ The condensed subproblem
     min over x, z   sum_l  0.5 x_l' Bbar_l x_l + (gbar_l - Bbar_l x_l^k)' x_l
     subject to      x_l = E_l z   (multiplier lam_l)
 
-is strongly convex, and a single sweep of three steps lands exactly on its
-KKT point (no inner loop exists):
+is strongly convex, and a single sweep lands exactly on its KKT point (no
+inner loop exists).  Each region's unconstrained local move is
+xbar_l = x_l^k - Bbar_l^-1 gbar_l, but the sweep needs it only through
+Bbar_l xbar_l, and
 
-1. unconstrained local moves   xbar_l = x_l^k - Bbar_l^-1 gbar_l
-2. weighted average            zbar = (sum E' Bbar E)^-1 sum E' Bbar xbar
-3. dual update                 lam_l = Bbar_l (xbar_l - E_l zbar)
+    Bbar_l xbar_l = Bbar_l x_l^k - gbar_l,
+
+so xbar is never formed: a region's payload is (z_cols, Bbar_l,
+Bbar_l x_l^k - gbar_l), and no solve runs through Bbar_l, whose smallest
+eigenvalue can be the regularization itself along a direction the region's
+model is flat in.  From the payloads the coordinator solves
+
+    zbar = (sum E' Bbar E)^-1 sum E' (Bbar x^k - gbar),
+
+and each region sets lam_l = (Bbar_l x_l^k - gbar_l) - Bbar_l E_l zbar.
 
 The weighted average is the only cross-region computation; contributions
 are accumulated in region order so repeated runs are bit-identical.
@@ -21,18 +30,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .condense import CondensedQP, FactorizationError, _cho_factor, _cho_solve
+from .condense import CondensedQP, FactorizationError, _sym_splu
 from .partition import RegionStructure
 
 __all__ = [
     "TOL_KKT",
     "ConsensusSolution",
     "KktResiduals",
-    "local_unconstrained",
-    "region_contribution",
     "weighted_average",
-    "dual_update",
     "consensus_pass",
     "verify_kkt",
     "averaging_projector",
@@ -58,68 +65,52 @@ class ConsensusSolution:
     lam: list[np.ndarray]
 
 
-def local_unconstrained(cqp: CondensedQP) -> np.ndarray:
-    """Stationary point of the local reduced model with lam = 0."""
-    if cqp.n_cpl == 0:
-        return np.zeros(0)
-    rhs = cqp.b_bar @ cqp.x_k - cqp.g_bar
-    return _cho_solve(cqp.chol_bbar, rhs)
-
-
-def region_contribution(cqp: CondensedQP, region: RegionStructure,
-                        x_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """This region's dense consensus payload.
-
-    Returns (active z columns, the E' Bbar E block on them, E' Bbar xbar),
-    which is all the coordinator ever needs from a region.  The columns are
-    the region's ``z_cols`` in its own coupling order, so the block is
-    ``Bbar`` itself; :func:`weighted_average` adds each entry once at its
-    column, so the order does not change the average.
-    """
-    return region.z_cols, cqp.b_bar, cqp.b_bar @ x_bar
-
-
 def weighted_average(contributions, n_z: int) -> np.ndarray:
-    """Solve for the consensus vector from per-region payloads (region order)."""
+    """Solve for the consensus vector from per-region payloads.
+
+    Each payload is ``(cols, block, vec)``: the region's z columns, the
+    ``Bbar`` block on them and ``Bbar x^k - gbar``, in region order.  The
+    system ``S = sum E' Bbar E`` is assembled sparse, in CSC, and factored
+    by SuperLU with the symmetric settings.  Each entry of S is summed over
+    the regions in region order, whatever the order of a region's columns.
+    """
     if n_z == 0:
         return np.zeros(0)
-    s = np.zeros((n_z, n_z))
+    keys, vals = [], []
     b = np.zeros(n_z)
-    for cols, s_block, b_vec in contributions:
-        s[np.ix_(cols, cols)] += s_block
-        b[cols] += b_vec
+    for cols, block, vec in contributions:
+        # column-major key of block entry (a, c): row cols[a], column cols[c]
+        n = len(cols)
+        keys.append(np.tile(cols, n) * n_z + np.repeat(cols, n))
+        vals.append(block.ravel())
+        b[cols] += vec
+    key, at = np.unique(np.concatenate(keys), return_inverse=True)
+    indptr = np.searchsorted(key, np.arange(n_z + 1) * n_z)
+    s = sp.csc_matrix((np.bincount(at, weights=np.concatenate(vals)), key % n_z, indptr),
+                      shape=(n_z, n_z))
     try:
-        factor = _cho_factor(s, "consensus system")
+        return _sym_splu(s, "consensus system").solve(b)
     except FactorizationError as exc:
         raise FactorizationError(
             "consensus system is singular; some consensus column is untouched "
             "by any region (partition bug)"
         ) from exc
-    return _cho_solve(factor, b)
-
-
-def dual_update(cqp: CondensedQP, region: RegionStructure, x_bar: np.ndarray,
-                z_bar: np.ndarray) -> np.ndarray:
-    """lam_l = Bbar_l (xbar_l - E_l zbar)."""
-    if cqp.n_cpl == 0:
-        return np.zeros(0)
-    return cqp.b_bar @ (x_bar - z_bar[region.z_cols])
 
 
 def consensus_pass(cqps: list[CondensedQP], regions: list[RegionStructure],
                    n_z: int, average=weighted_average) -> ConsensusSolution:
-    """One full sweep: local solves, the coordinator's average, dual update.
+    """One full sweep: the regions' payloads, the coordinator's average and
+    the multipliers.
 
     ``average(contributions, n_z)`` is the coordinator's step: it receives
-    the :func:`region_contribution` payloads in region order and returns
-    zbar.  :func:`weighted_average` computes it directly;
+    the payloads ``(z_cols, Bbar, Bbar x^k - gbar)`` in region order and
+    returns zbar.  :func:`weighted_average` computes it directly;
     :func:`hdpf.comm.run_distributed` passes one that carries the payloads
     as metered buffers.
     """
-    x_bars = [local_unconstrained(c) for c in cqps]
-    contribs = [region_contribution(c, r, x) for c, r, x in zip(cqps, regions, x_bars)]
+    contribs = [(r.z_cols, c.b_bar, c.b_bar @ c.x_k - c.g_bar) for c, r in zip(cqps, regions)]
     z_bar = average(contribs, n_z)
-    lams = [dual_update(c, r, x, z_bar) for c, r, x in zip(cqps, regions, x_bars)]
+    lams = [v - c.b_bar @ z_bar[cols] for c, (cols, _, v) in zip(cqps, contribs)]
     return ConsensusSolution(z_bar=z_bar, lam=lams)
 
 

@@ -61,6 +61,9 @@ class SolverConfig:
             raise ValueError("eps must be positive and finite")
         if not (0.0 < self.tol_step < math.inf and 0.0 < self.tol_residual < math.inf):
             raise ValueError("tolerances must be positive and finite")
+        # bool is an int subclass, so True would run one iteration
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError("max_iter must be an integer")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 

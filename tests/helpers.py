@@ -13,7 +13,6 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from hdpf import BusType, RawCase
@@ -198,9 +197,9 @@ def random_consensus_qp(rng: np.random.Generator, n_regions: int | None = None,
                         max_nz: int = 30):
     """Random strongly convex consensus QP over a hypergraph structure.
 
-    Returns (cqps, regions, n_z) where cqps are condensed models with the
-    factorizations filled in and regions are stubs carrying z_cols, so the
-    one-pass functions and the dense KKT oracle both run on the instance.
+    Returns (cqps, regions, n_z) where cqps are condensed models and
+    regions are stubs carrying z_cols, so the one-pass functions and the
+    dense KKT oracle both run on the instance.
     Hyperedges have cardinality 2-4 across 2-10 regions.
     """
     if n_regions is None:
@@ -235,9 +234,8 @@ def random_consensus_qp(rng: np.random.Generator, n_regions: int | None = None,
         b_bar = random_spd(rng, n)
         g_bar = rng.standard_normal(n)
         x_k = rng.standard_normal(n)
-        chol = sla.cho_factor(b_bar, lower=True) if n else None
         cqps.append(CondensedQP(
-            b_bar=b_bar, g_bar=g_bar, x_k=x_k, chol_bbar=chol, x_cols=np.arange(n),
+            b_bar=b_bar, g_bar=g_bar, x_k=x_k, x_cols=np.arange(n),
             y_cols=np.zeros(0, dtype=np.int64), factor=None, w_y=np.zeros(0),
         ))
         regions.append(SimpleNamespace(index=reg, z_cols=cols, n_cpl=n))

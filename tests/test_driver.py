@@ -36,6 +36,11 @@ def test_config_validation():
         SolverConfig(tol_step=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+    for bad in (True, 2.5, math.nan):
+        with pytest.raises(ValueError):
+            SolverConfig(max_iter=bad)
+    for ok in (3, np.int64(3), np.int32(3)):
+        assert SolverConfig(max_iter=ok).max_iter == 3
     for bad in (math.nan, math.inf):
         for field in ("eps", "tol_step", "tol_residual"):
             with pytest.raises(ValueError):
