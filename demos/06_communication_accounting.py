@@ -1,4 +1,4 @@
-"""What actually crosses region boundaries, and what it would cost centrally.
+"""What actually crosses region boundaries, measured float by float.
 
 The message-passing harness executes the same solve through explicit float
 buffers: per iteration a region uploads its dense consensus block plus
@@ -15,7 +15,6 @@ import numpy as np
 from hdpf import (
     SolverConfig,
     consensus_dims,
-    cost_model,
     load_manifest,
     partition,
     run_distributed,
@@ -36,13 +35,7 @@ for name in ("case53", "case404", "case1100"):
     assert trace_signature(t_direct) == trace_signature(t_msg)
 
     per_iter = next(iter(ledger.per_iteration().values()))
-    est = cost_model(prob)
     print(f"{name}: {len(prob.regions)} regions, n_state={n_state}, n_cpl={n_cpl}")
     print(f"  consensus traffic per iteration: {per_iter} floats "
           f"({t_msg.n_iter} iterations, {ledger.total} floats total)")
-    print(f"  per-iteration flop model: parallel {est.parallel_flops:.2e}, "
-          f"consensus {est.consensus_flops:.2e}")
-    print(f"  a coordinator solving the full coupled model instead would pay "
-          f"{est.central_consensus_flops:.2e} "
-          f"(ratio {est.consensus_ratio:.1e})")
     print(f"  message and direct paths bit-identical: True\n")

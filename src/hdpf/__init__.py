@@ -27,7 +27,7 @@ from .caseio import (
     serialize_manifest,
 )
 from .central import central_solve, dense_kkt_solve
-from .comm import CommLedger, CostEstimate, cost_model, flop_estimates, run_distributed
+from .comm import CommLedger, run_distributed
 from .condense import (
     CondensedQP,
     FactorizationError,

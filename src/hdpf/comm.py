@@ -25,10 +25,10 @@ import numpy as np
 from .consensus import weighted_average
 from .driver import SolverConfig, _solve
 from .network import StateVector
-from .partition import PartitionedProblem, consensus_dims
+from .partition import PartitionedProblem
 from .trace import SolveTrace
 
-__all__ = ["CommLedger", "LedgerEntry", "run_distributed", "cost_model", "flop_estimates", "CostEstimate"]
+__all__ = ["CommLedger", "LedgerEntry", "run_distributed"]
 
 
 @dataclass(frozen=True)
@@ -94,33 +94,3 @@ def run_distributed(p: PartitionedProblem, cfg: SolverConfig | None = None,
 
     state, lams, trace = _solve(p, cfg, ref, metered_average)
     return state, lams, trace, ledger
-
-
-@dataclass(frozen=True)
-class CostEstimate:
-    """Per-iteration float-operation model for the two solver families."""
-
-    parallel_flops: float          # sum over regions of n_state_l^3
-    consensus_flops: float         # n_cpl^3 (condensed coordinator solve)
-    central_consensus_flops: float  # n_state^3 (coordinator with full models)
-
-    @property
-    def consensus_ratio(self) -> float:
-        if self.central_consensus_flops == 0:
-            return 0.0
-        return self.consensus_flops / self.central_consensus_flops
-
-
-def flop_estimates(region_state_dims: list[int], n_cpl: int) -> CostEstimate:
-    n_state = sum(region_state_dims)
-    return CostEstimate(
-        parallel_flops=float(sum(d**3 for d in region_state_dims)),
-        consensus_flops=float(n_cpl**3),
-        central_consensus_flops=float(n_state**3),
-    )
-
-
-def cost_model(p: PartitionedProblem) -> CostEstimate:
-    """The cubic per-iteration cost model on a partitioned problem."""
-    _, n_cpl, _ = consensus_dims(p)
-    return flop_estimates([r.net.n_state_entries for r in p.regions], n_cpl)

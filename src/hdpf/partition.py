@@ -125,10 +125,12 @@ class PartitionedProblem:
 
 
 def _check_manifest(manifest: MergeManifest, raws: list[RawCase]):
-    if len(raws) != len(manifest.region_files):
-        raise PartitionError(
-            f"{len(manifest.region_files)} region files declared, {len(raws)} cases given"
-        )
+    n = len(raws)
+    if n != len(manifest.region_files):
+        raise PartitionError(f"{len(manifest.region_files)} region files declared, {n} cases given")
+    # a manifest built in code skips the parser's range checks on region indices
+    if not 0 <= manifest.slack_region < n:
+        raise PartitionError(f"slack region {manifest.slack_region} is not one of 0..{n - 1}")
     base = raws[0].base_mva
     for i, c in enumerate(raws):
         if c.base_mva != base:
@@ -142,23 +144,16 @@ def _check_manifest(manifest: MergeManifest, raws: list[RawCase]):
         raise PartitionError(
             f"slack region {manifest.slack_region} contains no slack bus"
         )
-    # every region needs a path of tie lines to the slack region, or its
-    # angles have no reference and the coupled system turns singular
-    ties = manifest.interconnections
-    links = sp.coo_matrix((np.ones(len(ties)), ([t.from_region for t in ties],
-                                                [t.to_region for t in ties])),
-                          shape=(len(raws), len(raws)))
-    _, label = connected_components(links, directed=False)
-    stranded = np.flatnonzero(label != label[manifest.slack_region]).tolist()
-    if stranded:
-        raise PartitionError(f"region(s) {stranded} have no tie-line path to the slack region")
     buses_of = [{b.id: b for b in c.buses} for c in raws]
+    ties = manifest.interconnections
     for t in ties:
         if t.from_region == t.to_region:
             raise PartitionError(
                 f"tie {t.from_bus}-{t.to_bus} joins region {t.from_region} to itself"
             )
         for reg, bus in ((t.from_region, t.from_bus), (t.to_region, t.to_bus)):
+            if not 0 <= reg < n:
+                raise PartitionError(f"tie {t.from_bus}-{t.to_bus} names unknown region {reg}")
             hit = buses_of[reg].get(bus)
             if hit is None:
                 raise PartitionError(f"link references bus {bus} absent from region {reg}")
@@ -179,6 +174,15 @@ def _check_manifest(manifest: MergeManifest, raws: list[RawCase]):
                 f"{t.to_bus} (region {t.to_region}, {tb.base_kv} kV) have conflicting base "
                 "voltage and the tie line carries no transformer"
             )
+    # every region needs a path of tie lines to the slack region, or its
+    # angles have no reference and the coupled system turns singular
+    links = sp.coo_matrix((np.ones(len(ties)), ([t.from_region for t in ties],
+                                                [t.to_region for t in ties])),
+                          shape=(n, n))
+    _, label = connected_components(links, directed=False)
+    stranded = np.flatnonzero(label != label[manifest.slack_region]).tolist()
+    if stranded:
+        raise PartitionError(f"region(s) {stranded} have no tie-line path to the slack region")
 
 
 def _demote_foreign_slack(bus: RawBus, region: int, slack_region: int) -> RawBus:

@@ -163,7 +163,7 @@ def read_state(source: IO, net: NetworkModel) -> StateVector:
 
     Raises ``ValueError`` when the file is not one JSON object, when its
     bus ids are not JSON integers equal to the network's, or when theta, vm,
-    p or q is not one JSON number per bus.
+    p or q is not one finite JSON number per bus.
     """
     d = json.loads(_read(source))
     if not isinstance(d, dict):
@@ -177,4 +177,6 @@ def read_state(source: IO, net: NetworkModel) -> StateVector:
         if not _json_array_of(vals, (int, float)) or len(vals) != net.n_bus:
             raise ValueError(f"state field {name!r} must be {net.n_bus} numbers, one per bus")
         fields.append(np.asarray(vals, dtype=float))
+        if not np.isfinite(fields[-1]).all():  # json reads NaN and Infinity
+            raise ValueError(f"state field {name!r} holds a non-finite number")
     return StateVector(net, *fields)

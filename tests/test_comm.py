@@ -3,8 +3,6 @@ import numpy as np
 from hdpf import (
     CommLedger,
     SolverConfig,
-    cost_model,
-    flop_estimates,
     run_distributed,
     solve,
     trace_signature,
@@ -78,32 +76,3 @@ def test_consensus_traffic_much_smaller_than_full_models(problems):
     n_state, n_cpl, _ = (sum(r.net.n_state_entries for r in p.regions),
                          sum(r.n_cpl for r in p.regions), None)
     assert n_cpl * 4 < n_state
-
-
-def test_cost_model_shapes(problems):
-    est = cost_model(problems["case53"])
-    dims = [r.net.n_state_entries for r in problems["case53"].regions]
-    assert est.parallel_flops == float(sum(d ** 3 for d in dims))
-    assert est.consensus_flops == 40.0 ** 3
-    assert est.central_consensus_flops == float(sum(dims) ** 3)
-
-
-def test_cost_model_single_region(problems):
-    est = cost_model(problems["single14"])
-    assert est.consensus_flops == 0.0
-    assert est.consensus_ratio == 0.0
-
-
-def test_cost_model_equal_split_arithmetic():
-    est = flop_estimates([100, 100], 8)
-    assert est.parallel_flops == 2 * 100 ** 3
-    assert est.central_consensus_flops == 200 ** 3
-
-
-def test_cost_model_reference_shape_ratio():
-    # 10 regions of a 4764-entry state with 88 coupling entries
-    dims = [476, 476, 476, 476, 476, 476, 476, 477, 477, 478]
-    assert sum(dims) == 4764
-    est = flop_estimates(dims, 88)
-    assert abs(est.consensus_ratio - (88 / 4764) ** 3) < 1e-15
-    assert 6.2e-6 < est.consensus_ratio < 6.4e-6

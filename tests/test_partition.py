@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,7 @@ from hdpf import (
     MergeManifest,
     PartitionError,
     consensus_dims,
+    load_manifest,
     parse_case,
     partition,
 )
@@ -320,3 +322,18 @@ def test_region_without_tie_path_to_slack_rejected():
     )
     with pytest.raises(PartitionError, match="no tie-line path"):
         partition(manifest, [r0, r1, r2])
+
+
+@pytest.mark.parametrize("slack_region, to_region, message", [
+    (-1, 1, "slack region -1"), (7, 1, "slack region 7"),
+    (0, 9, "unknown region 9"), (0, -1, "unknown region -1"),
+], ids=["slack=-1", "slack=7", "tie_to=9", "tie_to=-1"])
+def test_region_index_out_of_range_rejected(slack_region, to_region, message):
+    # a manifest built in code never meets the parser's range checks
+    manifest, raws = load_manifest(fixture_path("case53.manifest"))
+    first, *rest = manifest.interconnections
+    manifest = dataclasses.replace(
+        manifest, slack_region=slack_region,
+        interconnections=(dataclasses.replace(first, to_region=to_region), *rest))
+    with pytest.raises(PartitionError, match=message):
+        partition(manifest, raws)

@@ -184,3 +184,17 @@ def test_state_rejects_field_not_one_number_per_bus(merged_nets, field):
         d[field] = bad
         with pytest.raises(ValueError, match=f"state field '{field}' must be {net.n_bus} numbers"):
             read_state(io.StringIO(json.dumps(d)), net)
+
+
+@pytest.mark.parametrize("field", ["theta", "vm", "p", "q"])
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_state_rejects_non_finite_numbers(merged_nets, field, token):
+    # Python's json reads these three tokens as floats
+    net = merged_nets["fig1"]
+    buf = io.StringIO()
+    write_state(flat_start(net), buf)
+    d = json.loads(buf.getvalue())
+    d[field][0] = "BAD"
+    text = json.dumps(d).replace('"BAD"', token)
+    with pytest.raises(ValueError, match=f"state field '{field}' holds a non-finite number"):
+        read_state(io.StringIO(text), net)
