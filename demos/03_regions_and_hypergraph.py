@@ -18,8 +18,8 @@ prob = partition(manifest, raws)
 
 print("6-bus system split in two regions, one tie line between buses 3 and 4\n")
 for reg in prob.regions:
-    copies = reg.local_ids[reg.is_copy].tolist()
-    cores = reg.local_ids[~reg.is_copy].tolist()
+    copies = reg.net.bus_ids[reg.net.is_copy].tolist()
+    cores = reg.net.bus_ids[~reg.net.is_copy].tolist()
     print(f"region {reg.index}: core buses {cores}, copy buses {copies}, "
           f"{reg.n_cpl} coupling entries")
 

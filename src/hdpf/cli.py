@@ -31,7 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Distributed AC power flow over hypergraph-coupled regions.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    defaults = SolverConfig()
 
     p_merge = sub.add_parser("merge", help="materialize the merged case for a manifest")
     p_merge.add_argument("manifest")
@@ -40,10 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run the distributed solver on a manifest")
     p_solve.add_argument("manifest")
-    p_solve.add_argument("--eps", type=float, default=defaults.eps)
-    p_solve.add_argument("--tol-step", type=float, default=defaults.tol_step)
-    p_solve.add_argument("--tol-res", type=float, default=defaults.tol_residual)
-    p_solve.add_argument("--max-iter", type=int, default=defaults.max_iter)
+    p_solve.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     p_solve.add_argument("--diagnose", action="store_true",
                          help="record lm_error and condense_gap per iteration")
     p_solve.add_argument("--reference", help="state file for dist_to_ref records")
@@ -57,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_base.add_argument("case")
     p_base.add_argument("--trace", help="write the iteration trace here")
     p_base.add_argument("--output", help="write the solved state here")
-    p_base.add_argument("--max-iter", type=int, default=defaults.max_iter)
+    p_base.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     p_base.set_defaults(func=_cmd_baseline)
 
     p_check = sub.add_parser("check", help="run the structural invariant suite on a manifest")
@@ -77,9 +73,8 @@ def _cmd_merge(args) -> int:
           f"{len(merged.branches)} branches ({args.output})")
     _summary(prob)
     for reg in prob.regions:
-        n_copy = int(reg.is_copy.sum())
-        print(f"  region {reg.index}: {reg.net.n_core} core + {n_copy} copy buses, "
-              f"n_cpl={reg.n_cpl}")
+        print(f"  region {reg.index}: {reg.net.n_core} core + "
+              f"{reg.net.n_bus - reg.net.n_core} copy buses, n_cpl={reg.n_cpl}")
     return 0
 
 
@@ -109,8 +104,7 @@ def _report(args, trace, state) -> int:
 def _cmd_solve(args) -> int:
     manifest, raws = load_manifest(args.manifest)
     prob = partition(manifest, raws)
-    cfg = SolverConfig(eps=args.eps, tol_step=args.tol_step, tol_residual=args.tol_res,
-                       max_iter=args.max_iter, diagnose=args.diagnose)
+    cfg = SolverConfig(max_iter=args.max_iter, diagnose=args.diagnose)
     ref = None
     if args.reference:
         with open(args.reference, "rb") as fh:

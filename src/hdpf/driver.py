@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,18 +50,16 @@ __all__ = ["SolverConfig", "solve", "consensus_step", "convergence_order", "stit
 
 @dataclass
 class SolverConfig:
-    eps: float = 1e-10          # Levenberg-Marquardt regularization
-    tol_step: float = 1e-8      # ||dchi||_inf threshold
+    eps: ClassVar[float] = 1e-10      # Levenberg-Marquardt regularization
+    tol_step: ClassVar[float] = 1e-8  # ||dchi||_inf threshold
     tol_residual: float = 1e-10  # ||r||_2 threshold
     max_iter: int = 50
     diagnose: bool = False      # also compute lm_error and condense_gap
 
     def __post_init__(self):
         # written so that NaN fails too
-        if not 0.0 < self.eps < math.inf:
-            raise ValueError("eps must be positive and finite")
-        if not (0.0 < self.tol_step < math.inf and 0.0 < self.tol_residual < math.inf):
-            raise ValueError("tolerances must be positive and finite")
+        if not 0.0 < self.tol_residual < math.inf:
+            raise ValueError("tol_residual must be positive and finite")
         # bool is an int subclass, so True would run one iteration
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
             raise ValueError("max_iter must be an integer")
@@ -78,7 +77,7 @@ def stitch_state(p: PartitionedProblem, states: list[StateVector]) -> StateVecto
     region's core (non-copy) buses, all four rows, at their merged positions."""
     x = np.empty((4, p.merged_net.n_bus))
     for reg, st in zip(p.regions, states):
-        core = ~reg.is_copy
+        core = ~reg.net.is_copy
         x[:, reg.merged_ids[core] - 1] = st.x[:, core]
     return StateVector(p.merged_net, *x)
 

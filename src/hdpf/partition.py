@@ -92,16 +92,6 @@ class RegionStructure:
     z_cols: np.ndarray             # x_l[r] lives at z[z_cols[r]]
 
     @property
-    def local_ids(self) -> np.ndarray:
-        """Local bus id per position, copies included."""
-        return self.net.bus_ids
-
-    @property
-    def is_copy(self) -> np.ndarray:
-        """Whether each position is a copy bus."""
-        return self.net.is_copy
-
-    @property
     def n_cpl(self) -> int:
         return len(self.coupling_free_cols)
 

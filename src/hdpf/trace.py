@@ -24,9 +24,9 @@ captures.
 
 from __future__ import annotations
 
-import io
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from typing import IO
 
@@ -91,18 +91,6 @@ _OPTIONAL = tuple(f.name for f in fields(IterationRecord) if f.name not in _FIEL
 _DETERMINISTIC = tuple(f.name for f in fields(IterationRecord) if f.name != "wall_ns")
 
 
-def _write(sink: IO, payload: str) -> None:
-    if isinstance(sink, (io.RawIOBase, io.BufferedIOBase)) or "b" in getattr(sink, "mode", ""):
-        sink.write(payload.encode("utf-8"))
-    else:
-        sink.write(payload)
-
-
-def _read(source: IO) -> str:
-    data = source.read()
-    return data.decode("utf-8") if isinstance(data, bytes) else data
-
-
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -116,22 +104,26 @@ def write_trace(trace: SolveTrace, sink: IO) -> None:
     lines = [json.dumps({"type": "header", "format": "hdpf-trace", "version": 1,
                          "status": trace.status})]
     lines += [json.dumps(_record_dict(r), allow_nan=False) for r in trace.records]
-    _write(sink, "\n".join(lines) + "\n")
+    sink.write("\n".join(lines) + "\n")
 
 
 def read_trace(source: IO) -> SolveTrace:
-    lines = [ln for ln in _read(source).splitlines() if ln.strip()]
+    """Read a trace; a malformed line raises ``ValueError`` naming its 1-based number."""
+    lines = [(n, ln) for n, ln in enumerate(source.read().splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty trace stream")
-    header = json.loads(lines[0])
-    if header.get("format") != "hdpf-trace":
-        raise ValueError("not a trace stream (missing header)")
+    header = json.loads(lines[0][1])
+    if not isinstance(header, dict) or header.get("format") != "hdpf-trace":
+        raise ValueError(f"line {lines[0][0]}: not a trace stream (missing header)")
     records = []
-    for ln in lines[1:]:
-        d = json.loads(ln)
-        records.append(IterationRecord(**{k: cast(d[k]) for k, cast in _FIELDS.items()},
-                                       **{k: None if d.get(k) is None else float(d[k])
-                                          for k in _OPTIONAL}))
+    for n, ln in lines[1:]:
+        try:
+            d = json.loads(ln)
+            records.append(IterationRecord(**{k: cast(d[k]) for k, cast in _FIELDS.items()},
+                                           **{k: None if d.get(k) is None else float(d[k])
+                                              for k in _OPTIONAL}))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"line {n}: malformed trace record ({exc!r})") from None
     return SolveTrace(records=records, status=header.get("status", STATUS_MAX_ITER))
 
 
@@ -147,8 +139,8 @@ _STATE_ROWS = ("theta", "vm", "p", "q")
 
 def write_state(state: StateVector, sink: IO) -> None:
     """Serialize a full state (theta, v, p, q per bus) as JSON."""
-    _write(sink, json.dumps({"bus_ids": state.net.bus_ids.tolist(),
-                             **dict(zip(_STATE_ROWS, state.x.tolist()))}) + "\n")
+    sink.write(json.dumps({"bus_ids": state.net.bus_ids.tolist(),
+                           **dict(zip(_STATE_ROWS, state.x.tolist()))}) + "\n")
 
 
 def _json_array_of(value, kind) -> bool:
@@ -165,7 +157,7 @@ def read_state(source: IO, net: NetworkModel) -> StateVector:
     bus ids are not JSON integers equal to the network's, or when theta, vm,
     p or q is not one finite JSON number per bus.
     """
-    d = json.loads(_read(source))
+    d = json.loads(source.read())
     if not isinstance(d, dict):
         raise ValueError("state file must hold one JSON object")
     ids = d.get("bus_ids")
@@ -176,7 +168,7 @@ def read_state(source: IO, net: NetworkModel) -> StateVector:
         vals = d.get(name)
         if not _json_array_of(vals, (int, float)) or len(vals) != net.n_bus:
             raise ValueError(f"state field {name!r} must be {net.n_bus} numbers, one per bus")
-        fields.append(np.asarray(vals, dtype=float))
-        if not np.isfinite(fields[-1]).all():  # json reads NaN and Infinity
+        if not all(abs(v) <= sys.float_info.max for v in vals):  # NaN, inf, huge ints
             raise ValueError(f"state field {name!r} holds a non-finite number")
+        fields.append(np.asarray(vals, dtype=float))
     return StateVector(net, *fields)

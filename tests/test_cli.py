@@ -54,11 +54,11 @@ def test_solve_short_reference_state_exits_one(tmp_path, capsys):
     assert "state field 'theta' must be 6 numbers" in capsys.readouterr().err
 
 
-def test_solve_infinite_tolerance_exits_one(capsys):
-    # an infinite residual tolerance would stop at once and return the flat start
-    rc = main(["solve", fixture_path("fig1.manifest"), "--tol-res", "inf"])
+def test_solve_zero_max_iter_exits_one(capsys):
+    # a configuration error is an input error
+    rc = main(["solve", fixture_path("fig1.manifest"), "--max-iter", "0"])
     assert rc == 1
-    assert "tolerances must be positive and finite" in capsys.readouterr().err
+    assert "max_iter must be at least 1" in capsys.readouterr().err
 
 
 def test_solve_nonconvergence_exits_two(tmp_path, capsys):
@@ -124,6 +124,22 @@ def test_baseline_solves_and_writes_state(tmp_path, capsys):
     with open(state_file) as fh:
         state = read_state(fh, net)
     assert state.vm.shape == (28,)
+
+
+def test_baseline_writes_trace(tmp_path, capsys):
+    merged = tmp_path / "merged.m"
+    assert main(["merge", fixture_path("fig1.manifest"), "-o", str(merged)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "central.jsonl"
+    assert main(["baseline", str(merged), "--trace", str(out)]) == 0
+    n_iter = int(capsys.readouterr().out.split(" iterations,")[0])
+    with open(out) as fh:
+        trace = read_trace(fh)
+    assert trace.status == "converged"
+    assert trace.n_iter == n_iter > 0
+    for rec in trace.records:
+        assert rec.comm_floats == 0
+        assert rec.lm_error is None and rec.condense_gap is None and rec.dist_to_ref is None
 
 
 def test_solve_with_reference_records_distance(tmp_path):

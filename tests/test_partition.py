@@ -55,8 +55,8 @@ def test_fig1_coupling_layout(problems):
     r1 = p.regions[0]
     net = r1.net
     # region 1 couples (theta_3, theta_copy4, v_3, v_copy4) in that order
-    pos3 = int(np.flatnonzero(r1.local_ids == 3)[0])
-    pos4 = int(np.flatnonzero(r1.is_copy)[0])
+    pos3 = int(np.flatnonzero(r1.net.bus_ids == 3)[0])
+    pos4 = int(np.flatnonzero(r1.net.is_copy)[0])
     expected = [net.col[0, pos3], net.col[0, pos4],
                 net.col[1, pos3], net.col[1, pos4]]
     assert r1.coupling_free_cols.tolist() == expected
@@ -72,7 +72,7 @@ def test_single_region_degenerates(problems):
     assert p.hypergraph.n_z == 0
     assert consensus_dims(p) == (56, 0, 0)
     assert p.regions[0].n_cpl == 0
-    assert not p.regions[0].is_copy.any()
+    assert not p.regions[0].net.is_copy.any()
 
 
 def test_three_regions_sharing_one_bus():
@@ -153,7 +153,7 @@ def test_partition_remerge_reproduces_bus_and_branch_sets(problems):
     # cores across regions = merged bus set, disjointly
     cores = []
     for reg in p.regions:
-        cores.extend(reg.merged_ids[~reg.is_copy].tolist())
+        cores.extend(reg.merged_ids[~reg.net.is_copy].tolist())
     assert sorted(cores) == sorted(b.id for b in merged.buses)
     assert len(set(cores)) == len(cores)
 
@@ -182,7 +182,7 @@ def test_partition_remerge_reproduces_bus_and_branch_sets(problems):
 def test_copy_buses_have_no_injections_and_free_tv(problems):
     for reg in problems["case53"].regions:
         net = reg.net
-        copies = np.flatnonzero(reg.is_copy)
+        copies = np.flatnonzero(reg.net.is_copy)
         for c in copies:
             assert net.bus_type[c] == BusType.COPY
             assert net.free[0, c] and net.free[1, c]
@@ -286,11 +286,11 @@ def test_tie_images_present_on_both_sides(problems):
     y0 = p.regions[0].net.ybus.toarray()
     y1 = p.regions[1].net.ybus.toarray()
     # region 0: pos of bus 3 core and the copy
-    pos3 = int(np.flatnonzero(p.regions[0].local_ids == 3)[0])
-    cpos = int(np.flatnonzero(p.regions[0].is_copy)[0])
+    pos3 = int(np.flatnonzero(p.regions[0].net.bus_ids == 3)[0])
+    cpos = int(np.flatnonzero(p.regions[0].net.is_copy)[0])
     assert y0[pos3, cpos] != 0
-    pos4 = int(np.flatnonzero(p.regions[1].local_ids == 4)[0])
-    cpos1 = int(np.flatnonzero(p.regions[1].is_copy)[0])
+    pos4 = int(np.flatnonzero(p.regions[1].net.bus_ids == 4)[0])
+    cpos1 = int(np.flatnonzero(p.regions[1].net.is_copy)[0])
     assert y1[pos4, cpos1] != 0
     # same series admittance on both images
     np.testing.assert_allclose(y0[pos3, cpos], y1[cpos1, pos4], atol=1e-15)

@@ -120,7 +120,7 @@ def test_residual_separable_across_partition(problems, merged_nets):
         mpos = reg.merged_ids - 1
         theta[:] = merged_state.theta[mpos]
         vm[:] = merged_state.vm[mpos]
-        core = ~reg.is_copy
+        core = ~reg.net.is_copy
         pp[core] = merged_state.p[mpos[core]]
         qq[core] = merged_state.q[mpos[core]]
         r = residual(reg.net, type(s)(reg.net, theta, vm, pp, qq))

@@ -72,12 +72,13 @@ def test_roundtrip_identity_random_traces():
             assert a == b  # dataclass equality: bit-exact floats via repr
 
 
-def test_roundtrip_binary_sink():
+def test_roundtrip_binary_source():
+    # writers take text sinks; readers take text or binary sources
     rng = np.random.default_rng(1)
     trace = _random_trace(rng, n=3)
-    buf = io.BytesIO()
+    buf = io.StringIO()
     write_trace(trace, buf)
-    back = read_trace(io.BytesIO(buf.getvalue()))
+    back = read_trace(io.BytesIO(buf.getvalue().encode("utf-8")))
     assert trace_signature(back) == trace_signature(trace)
 
 
@@ -109,6 +110,20 @@ def test_version_1_trace_reads_and_writes_byte_for_byte():
     buf = io.StringIO()
     write_trace(trace, buf)
     assert buf.getvalue() == V1_TRACE
+
+
+_HEADER, _RECORD = V1_TRACE.splitlines()[:2]
+
+
+@pytest.mark.parametrize("text, line", [
+    (_HEADER + "\n\n" + _RECORD.replace('"f": ', '"g": ') + "\n", 3),
+    (_HEADER + "\n[1, 2]\n", 2),
+    ("[1]\n" + _RECORD + "\n", 1),
+    ('"x"\n' + _RECORD + "\n", 1),
+], ids=["record-lacks-f", "record-is-array", "header-is-array", "header-is-string"])
+def test_read_trace_names_the_malformed_line(text, line):
+    with pytest.raises(ValueError, match=f"^line {line}: "):
+        read_trace(io.StringIO(text))
 
 
 def test_non_finite_values_write_strict_json_and_read_back():
@@ -187,9 +202,11 @@ def test_state_rejects_field_not_one_number_per_bus(merged_nets, field):
 
 
 @pytest.mark.parametrize("field", ["theta", "vm", "p", "q"])
-@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity",
+                                   pytest.param("1" + "0" * 400, id="int-past-float-range")])
 def test_state_rejects_non_finite_numbers(merged_nets, field, token):
-    # Python's json reads these three tokens as floats
+    # Python's json reads the three named tokens as floats, and the 401-digit
+    # integer as an int that is infinite as a float
     net = merged_nets["fig1"]
     buf = io.StringIO()
     write_state(flat_start(net), buf)
