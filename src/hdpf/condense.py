@@ -7,14 +7,42 @@ complement leaves a reduced SPD model (b_bar, g_bar) in x alone:
     b_bar = Bxx - Bxy Byy^-1 Byx
     g_bar = gx  - Bxy Byy^-1 gy
 
-One Cholesky factorization of B, reordered with the local columns first
-and the coupling columns last, holds both factors the method needs:
+There are two paths, and the form of B chooses between them: B is dense
+for a region with fewer than :data:`hdpf.residual.SPARSE_MIN_FREE` free
+entries and CSC for a larger one (see :func:`hdpf.residual.linearize`).
+
+Dense path.  One Cholesky factorization of B, reordered with the local
+columns first and the coupling columns last, holds both factors the
+method needs:
 
     L = [[Lyy, 0], [Lxy, Lxx]],   Byy = Lyy Lyy',   b_bar = Lxx Lxx'
 
-so g_bar = gx - Lxy Lyy^-1 gy, and no second factorization is made.  The
-factor is computed once per outer iteration and reused when the step is
-recovered from the consensus values; it is the dominant per-region cost.
+so g_bar = gx - Lxy Lyy^-1 gy, and no second factorization is made.
+
+Sparse path.  One SuperLU factorization of Byy alone, with the symmetric
+settings of :func:`_sym_splu`, is solved for the n_cpl + 1 right-hand
+sides [Byx, gy]; b_bar and g_bar follow from the formulas above, and the
+solutions are kept for recovery.  Its cost grows with the nonzeros of Byy
+and its factor, not with n_free^3.
+
+Either factorization is made once per outer iteration and is the dominant
+per-region cost.  Linearize, condense and recover of one region at the flat
+start, dense against sparse (best / median of 30 alternating runs, on a
+2-vCPU host with OpenBLAS on 2 threads):
+
+    ==========  ======  ===============  ===============
+    region      n_free  dense            sparse
+    ==========  ======  ===============  ===============
+    grid-8x8        36  0.24 / 0.29 ms   0.54 / 0.59 ms
+    case53          66  0.31 / 0.37 ms   0.74 / 0.79 ms
+    tiles-1100     238  1.61 / 2.12 ms   1.42 / 1.96 ms
+    case404        410  4.53 / 4.68 ms   1.95 / 2.11 ms
+    pair-808       814  12.1 / 14.8 ms   3.51 / 4.28 ms
+    ==========  ======  ===============  ===============
+
+Near 238 the two paths tie per region, and a whole tiles-1100 solve (ten
+regions of 222-238) was slower with every region sparse (median 77 against
+59 ms), so the threshold lies above the tiles and below case404's 410.
 """
 
 from __future__ import annotations
@@ -23,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .residual import RegionLinearization
@@ -60,15 +89,20 @@ def _sym_splu(a, what: str):
 
 @dataclass
 class CondensedQP:
-    """Reduced model of one region plus everything recovery needs."""
+    """Reduced model of one region plus everything recovery needs.
+
+    The dense path fills ``factor`` and its ``w_y``; the sparse path leaves
+    ``factor`` None and fills its ``w_y`` and ``w_x``.
+    """
 
     b_bar: np.ndarray      # (n_cpl, n_cpl) SPD
     g_bar: np.ndarray      # (n_cpl,)
     x_k: np.ndarray        # current coupling values A chi^k
     x_cols: np.ndarray     # free-vector columns of the coupling entries
     y_cols: np.ndarray     # free-vector columns of the local entries
-    factor: np.ndarray     # L of B in (y_cols, x_cols) order, lower triangle
-    w_y: np.ndarray        # Lyy^-1 gy
+    factor: np.ndarray | None  # dense: L of B in (y_cols, x_cols) order, lower triangle
+    w_y: np.ndarray        # dense: Lyy^-1 gy; sparse: Byy^-1 gy
+    w_x: np.ndarray | None = None  # sparse: Byy^-1 Byx, (n_local, n_cpl)
 
     @property
     def n_cpl(self) -> int:
@@ -82,6 +116,8 @@ def condense_region(lin: RegionLinearization, x_cols: np.ndarray,
     local = np.ones(lin.hess.shape[0], dtype=bool)
     local[x_cols] = False
     y_cols = np.flatnonzero(local)
+    if sp.issparse(lin.hess):
+        return _condense_sparse(lin, x_cols, y_cols, local, chi_free)
     ny = len(y_cols)
     order = np.concatenate([y_cols, x_cols])
     l, _ = _cho_factor(lin.hess[np.ix_(order, order)], "regularized Gauss-Newton matrix")
@@ -93,6 +129,47 @@ def condense_region(lin: RegionLinearization, x_cols: np.ndarray,
     return CondensedQP(
         b_bar=lxx @ lxx.T, g_bar=lin.g[x_cols] - l[ny:, :ny] @ w_y, x_k=chi_free[x_cols],
         x_cols=x_cols, y_cols=y_cols, factor=l, w_y=w_y,
+    )
+
+
+def _condense_sparse(lin: RegionLinearization, x_cols, y_cols, local,
+                     chi_free: np.ndarray) -> CondensedQP:
+    """:func:`condense_region` for a CSC ``hess`` (canonical, as
+    :func:`hdpf.residual.linearize` makes it): one SuperLU factor of Byy,
+    solved for the n_cpl + 1 right-hand sides ``[Byx, gy]``."""
+    b = lin.hess
+    ny, nx = len(y_cols), len(x_cols)
+    # each nonzero's row and column, and each column's position in its block
+    rows = b.indices
+    cols = np.repeat(np.arange(b.shape[1]), np.diff(b.indptr))
+    pos = np.empty(len(local), dtype=np.int64)
+    pos[y_cols] = np.arange(ny)
+    pos[x_cols] = np.arange(nx)
+    row_y, col_y = local[rows], local[cols]
+    # y_cols ascend, so Byy's entries keep their CSC order
+    yy = row_y & col_y
+    counts = np.bincount(pos[cols[yy]], minlength=ny)
+    byy = sp.csc_matrix((b.data[yy], pos[rows[yy]], np.concatenate([[0], np.cumsum(counts)])),
+                        shape=(ny, ny))
+    lu = _sym_splu(byy, "regularized Gauss-Newton matrix")
+    # with every pivot on the diagonal, the pivots are those of Byy's LDL'
+    # factorization, all positive exactly when Byy is positive definite
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)):
+        raise FactorizationError("regularized Gauss-Newton matrix is not positive definite: "
+                                 "a pivot of its local block is not positive")
+    rhs = np.zeros((ny, nx + 1))
+    yx = row_y & ~col_y
+    rhs[pos[rows[yx]], pos[cols[yx]]] = b.data[yx]
+    rhs[:, nx] = lin.g[y_cols]
+    w = lu.solve(rhs)
+    byx = rhs[:, :nx]
+    bxx = np.zeros((nx, nx))
+    xx = ~row_y & ~col_y
+    bxx[pos[rows[xx]], pos[cols[xx]]] = b.data[xx]
+    s = bxx - byx.T @ w[:, :nx]
+    return CondensedQP(
+        b_bar=0.5 * (s + s.T), g_bar=lin.g[x_cols] - byx.T @ w[:, nx], x_k=chi_free[x_cols],
+        x_cols=x_cols, y_cols=y_cols, factor=None, w_y=w[:, nx], w_x=w[:, :nx],
     )
 
 
@@ -109,8 +186,19 @@ def recover_local(cqp: CondensedQP, x_target: np.ndarray, chi_free: np.ndarray) 
 
         y+ = y - Lyy^-T (w_y + Lxy' (x_target - x_k)),
 
-    one back-substitution through the well-conditioned local factor.
+    one back-substitution through the well-conditioned local factor.  The
+    sparse path's ``w_y`` and ``w_x`` already hold Byy^-1 applied to gy and
+    Byx, so there the step form
+
+        y+ = y - Byy^-1 (gy + Byx (x_target - x_k))
+
+    is one product with ``w_x``.
     """
+    out = np.empty_like(chi_free)
+    out[cqp.x_cols] = x_target
+    if cqp.factor is None:
+        out[cqp.y_cols] = chi_free[cqp.y_cols] - (cqp.w_y + cqp.w_x @ (x_target - cqp.x_k))
+        return out
     ny = len(cqp.y_cols)
     l = cqp.factor
     # L' v = (w_y + Lxy' (x_target - x_k), 0): the zero block makes v's
@@ -118,7 +206,5 @@ def recover_local(cqp: CondensedQP, x_target: np.ndarray, chi_free: np.ndarray) 
     rhs = np.zeros(len(l))
     rhs[:ny] = cqp.w_y + l[ny:, :ny].T @ (x_target - cqp.x_k)
     v = sla.solve_triangular(l, rhs, trans="T", lower=True, check_finite=False)
-    out = np.empty_like(chi_free)
-    out[cqp.x_cols] = x_target
     out[cqp.y_cols] = chi_free[cqp.y_cols] - v[:ny]
     return out

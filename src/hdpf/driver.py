@@ -134,17 +134,28 @@ def _condense_gap(p: PartitionedProblem, lins, q_terms, chi_ks, x_plus) -> float
     entries = []
     off = 0
     for reg, lin, q, chi in zip(p.regions, lins, q_terms, chi_ks):
-        h = lin.hess + q
         x = reg.coupling_free_cols
         m = np.full(len(chi), -1)
         m[x] = n_local + reg.z_cols
         m[m < 0] = off + np.arange(len(chi) - len(x))
         off += len(chi) - len(x)
-        i, j = np.nonzero(h)
-        entries.append((h[i, j], m[i], m[j]))
+        if sp.issparse(lin.hess):
+            # B's nonzeros and q's, summed as K is assembled, with no dense
+            # n_free^2 sum of the two
+            b = lin.hess.tocoo()
+            qi, qj = np.nonzero(q)
+            i, j = np.concatenate([b.row, qi]), np.concatenate([b.col, qj])
+            vals = np.concatenate([b.data, q[qi, qj]])
+            hx = lin.hess[:, x] @ chi[x] + q[:, x] @ chi[x]
+        else:
+            h = lin.hess + q
+            i, j = np.nonzero(h)
+            vals = h[i, j]
+            hx = h[:, x] @ chi[x]
+        entries.append((vals, m[i], m[j]))
         # the local unknowns are steps from chi, the coupling ones values;
         # z_cols are distinct within a region, so m has no repeats
-        rhs[m] += h[:, x] @ chi[x] - lin.g
+        rhs[m] += hx - lin.g
     vals, rows, cols = map(np.concatenate, zip(*entries))
     k = sp.csc_matrix((vals, (rows, cols)), shape=(len(rhs), len(rhs)))
     try:

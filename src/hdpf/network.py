@@ -42,11 +42,16 @@ and keeps them (``functools.cached_property``):
 - :attr:`NetworkModel.jtj_pairs`, for each Jacobian row every pair (a, b)
   of its nonzeros and the flat target ``col_a * n_free + col_b`` of their
   product in J'J;
+- :attr:`NetworkModel.jtj_pattern`, the CSC pattern of J'J + eps*I and the
+  position in it of each pair's product and of each diagonal entry, for
+  the regions :func:`hdpf.residual.linearize` assembles sparse;
 - :attr:`NetworkModel.q_targets`, the flat target of every entry of each
   term's 4x4 curvature block in the diagnostic :func:`hdpf.residual.q_term`.
 
-A region's model builds all three; the merged network, used for stitching
-and by the sparse reference, builds only the pattern.
+A region's model builds the Jacobian's pattern, ``jtj_pairs`` and, when
+diagnosed, ``q_targets``, and a large one also ``jtj_pattern``; the merged
+network, used for stitching and by the sparse reference, builds only the
+Jacobian's pattern.
 """
 
 from __future__ import annotations
@@ -83,6 +88,22 @@ class JacobianPattern:
     slot: np.ndarray     # listed value -> CSR position
     rows: np.ndarray     # row of each CSR nonzero
     indices: np.ndarray  # column of each CSR nonzero, ascending within a row
+    indptr: np.ndarray
+
+
+@dataclass(frozen=True)
+class GramPattern:
+    """Fixed CSC pattern of B = J'J + eps*I, and the maps that fill it.
+
+    B is symmetric, so the sorted flat keys ``row * n_free + col`` of its
+    nonzeros list it in CSR and in CSC order alike.  The diagonal is always
+    in the pattern.  Index arrays are int32, the type scipy and SuperLU keep,
+    so a matrix built on them shares them instead of copying.
+    """
+
+    slot: np.ndarray     # position of each jtj_pairs product
+    diag: np.ndarray     # position of each diagonal entry, by column
+    indices: np.ndarray  # row of each nonzero, ascending within a column
     indptr: np.ndarray
 
 
@@ -258,6 +279,19 @@ class NetworkModel:
         a = first + t // width
         b = first + t % width
         return a, b, pat.indices[a] * self.n_free + pat.indices[b]
+
+    @functools.cached_property
+    def jtj_pattern(self) -> GramPattern:
+        """CSC pattern of J'J + eps*I over the unique ``jtj_pairs`` targets
+        and the diagonal."""
+        n = self.n_free
+        target = self.jtj_pairs[2]
+        uniq, slot = np.unique(np.concatenate([target, np.arange(n) * (n + 1)]),
+                               return_inverse=True)
+        counts = np.bincount(uniq // n, minlength=n)
+        return GramPattern(slot=slot[:len(target)], diag=slot[len(target):],
+                           indices=(uniq % n).astype(np.int32),
+                           indptr=np.concatenate([[0], np.cumsum(counts)]).astype(np.int32))
 
     @functools.cached_property
     def q_targets(self) -> np.ndarray:

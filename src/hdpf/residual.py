@@ -20,12 +20,15 @@ coincide and the sums are the derivatives of v_i**2 G_ii and -v_i**2 B_ii
 Assembly runs on index maps the network computes once (see
 :mod:`hdpf.network`): one ``np.bincount`` adds the term derivatives into
 the Jacobian's fixed CSR pattern, :func:`linearize` forms ``g = J'r`` and
-the dense ``J'J + eps*I`` with one more each, building no sparse matrix,
-and :func:`q_term` adds its blocks with one more.  A bincount adds in
-input order, and the maps list each entry's products in ascending
+``B = J'J + eps*I`` with one more each, and :func:`q_term` adds its blocks
+with one more.  B is dense for a network with fewer than
+:data:`SPARSE_MIN_FREE` free entries, and CSC on the network's fixed
+pattern of B for a larger one, the one place that chooses between the
+dense and the sparse condensation of :mod:`hdpf.condense`.  A bincount adds
+in input order, and the maps list each entry's products in ascending
 Jacobian row, the order a sparse ``J.T @ J`` and ``J.T @ r`` use, so
-:func:`linearize` equals ``(J.T @ J).toarray()`` plus ``eps`` on the
-diagonal and ``J.T @ r``, with ``J = jacobian(net, s)``, bit for bit.
+:func:`linearize` equals ``J.T @ J`` plus ``eps`` on the diagonal and
+``J.T @ r``, with ``J = jacobian(net, s)``, bit for bit, in either form.
 
 Every function here is a pure evaluation over a network and a state; the
 only state a network gains is its index maps, built on first use and
@@ -44,6 +47,10 @@ from .network import ModelError, NetworkModel, StateVector
 
 __all__ = ["RegionLinearization", "residual", "jacobian", "q_term", "linearize"]
 
+# free entries from which linearize assembles B sparse (see hdpf.condense
+# for the per-region timings behind the value)
+SPARSE_MIN_FREE = 400
+
 
 @dataclass
 class RegionLinearization:
@@ -52,7 +59,8 @@ class RegionLinearization:
     r: np.ndarray           # (2*n_core,)
     jac: sp.csr_matrix | None  # (2*n_core, n_free); None from linearize, which builds no matrix
     g: np.ndarray           # (n_free,)  gradient J^T r of f = 0.5*||r||^2
-    hess: np.ndarray        # (n_free, n_free) J^T J + eps*I: dense from linearize,
+    hess: np.ndarray | sp.csc_matrix  # (n_free, n_free) J^T J + eps*I: from linearize dense
+                            # below SPARSE_MIN_FREE free entries and CSC from there on;
                             # CSC from the central reference's _sparse_linearize
     eps: float
     q: np.ndarray | None = None  # (n_free, n_free) q_term at the iterate, when diagnosed
@@ -173,10 +181,11 @@ def linearize(net: NetworkModel, s: StateVector, eps: float) -> RegionLinearizat
 
     The Jacobian's values are filled into the network's fixed pattern and
     never wrapped in a sparse matrix: ``g = J'r`` is one bincount over the
-    columns, and the dense ``B = J'J + eps*I`` one bincount over
-    ``net.jtj_pairs``.  Both add in ascending row order, so they equal
-    the sparse ``J.T @ r`` and ``J.T @ J + eps*I`` bit for bit.  ``eps``
-    must be positive and finite.
+    columns, and ``B = J'J + eps*I`` one bincount over ``net.jtj_pairs``,
+    into a dense array below :data:`SPARSE_MIN_FREE` free entries and into
+    the values of ``net.jtj_pattern``, a CSC matrix, from there on.  Both
+    add in ascending row order, so they equal the sparse ``J.T @ r`` and
+    ``J.T @ J + eps*I`` bit for bit.  ``eps`` must be positive and finite.
     """
     if not 0.0 < eps < math.inf:  # NaN fails too
         raise ValueError(f"regularization must be positive and finite, got {eps}")
@@ -187,6 +196,12 @@ def linearize(net: NetworkModel, s: StateVector, eps: float) -> RegionLinearizat
     n = net.n_free
     g = np.bincount(pat.indices, weights=vals * r[pat.rows], minlength=n)
     a, b, target = net.jtj_pairs
-    hess = np.bincount(target, weights=vals[a] * vals[b], minlength=n * n).reshape(n, n)
-    hess[np.diag_indices(n)] += eps
+    if n >= SPARSE_MIN_FREE:
+        gram = net.jtj_pattern
+        data = np.bincount(gram.slot, weights=vals[a] * vals[b], minlength=len(gram.indices))
+        data[gram.diag] += eps
+        hess = sp.csc_matrix((data, gram.indices, gram.indptr), shape=(n, n))
+    else:
+        hess = np.bincount(target, weights=vals[a] * vals[b], minlength=n * n).reshape(n, n)
+        hess[np.diag_indices(n)] += eps
     return RegionLinearization(r=r, jac=None, g=g, hess=hess, eps=eps)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from hdpf import FactorizationError, flat_start
 from hdpf.condense import condense_region, recover_local
@@ -8,6 +9,10 @@ from hdpf.consensus import consensus_pass
 from hdpf.residual import RegionLinearization, linearize
 
 from helpers import random_spd
+
+# the model's B as linearize hands it over: dense for small regions, CSC
+# for large ones (each form takes its own condensation path)
+FORMS = (np.asarray, sp.csc_matrix)
 
 
 def _lin_from(b, g, eps=0.0):
@@ -67,11 +72,12 @@ def test_schur_matches_dense_inverse_oracle():
     for _ in range(20):
         b = random_spd(rng, 4)
         g = rng.standard_normal(4)
-        cqp = _condense(b, g, [0, 1])
         bxx, bxy, byy = b[:2, :2], b[:2, 2:], b[2:, 2:]
         inv_yy = np.linalg.inv(byy)
-        np.testing.assert_allclose(cqp.b_bar, bxx - bxy @ inv_yy @ bxy.T, atol=1e-12)
-        np.testing.assert_allclose(cqp.g_bar, g[:2] - bxy @ inv_yy @ g[2:], atol=1e-12)
+        for form in FORMS:
+            cqp = _condense(form(b), g, [0, 1])
+            np.testing.assert_allclose(cqp.b_bar, bxx - bxy @ inv_yy @ bxy.T, atol=1e-12)
+            np.testing.assert_allclose(cqp.g_bar, g[:2] - bxy @ inv_yy @ g[2:], atol=1e-12)
 
 
 def test_condensation_is_exact_partial_minimization():
@@ -81,31 +87,28 @@ def test_condensation_is_exact_partial_minimization():
     b = random_spd(rng, 6)
     g = rng.standard_normal(6)
     x_cols = np.array([0, 3])
-    cqp = _condense(b, g, x_cols)
-    y_cols = cqp.y_cols
-    b_bar, g_bar = cqp.b_bar, cqp.g_bar
+    y_cols = np.array([1, 2, 4, 5])
     chi_k = rng.standard_normal(6)
+    xs = rng.standard_normal((5, 2))
 
     def full_model(chi):
         return 0.5 * chi @ b @ chi + (g - b @ chi_k) @ chi
 
-    def condensed_model(x):
-        return 0.5 * x @ b_bar @ x + (g_bar - b_bar @ chi_k[x_cols]) @ x
-
-    for _ in range(5):
-        x = rng.standard_normal(2)
-        # minimize full model over y at fixed x
-        rhs = -(g[y_cols] - (b @ chi_k)[y_cols]) - b[np.ix_(y_cols, x_cols)] @ x
-        y = np.linalg.solve(b[np.ix_(y_cols, y_cols)], rhs)
-        chi = np.zeros(6)
-        chi[x_cols] = x
-        chi[y_cols] = y
-        diff_full = full_model(chi)
-        diff_cond = condensed_model(x)
+    for form in FORMS:
+        cqp = _condense(form(b), g, x_cols)
+        np.testing.assert_array_equal(cqp.y_cols, y_cols)
+        b_bar, g_bar = cqp.b_bar, cqp.g_bar
+        diffs = []
+        for x in xs:
+            # minimize full model over y at fixed x
+            rhs = -(g[y_cols] - (b @ chi_k)[y_cols]) - b[np.ix_(y_cols, x_cols)] @ x
+            chi = np.zeros(6)
+            chi[x_cols] = x
+            chi[y_cols] = np.linalg.solve(b[np.ix_(y_cols, y_cols)], rhs)
+            condensed = 0.5 * x @ b_bar @ x + (g_bar - b_bar @ chi_k[x_cols]) @ x
+            diffs.append(full_model(chi) - condensed)
         # the two models differ by an x-independent constant
-        if _ == 0:
-            const = diff_full - diff_cond
-        np.testing.assert_allclose(diff_full - diff_cond, const, atol=1e-9)
+        np.testing.assert_allclose(diffs, diffs[0], atol=1e-9)
 
 
 def test_condensed_spd_floor():
@@ -120,19 +123,29 @@ def test_condensed_spd_floor():
 def test_schur_breakdown_reported():
     b = np.eye(4)
     b[2, 2] = -1.0  # indefinite local block
-    with pytest.raises(FactorizationError):
-        _condense(b, np.zeros(4), [0, 1])
+    for form in FORMS:
+        with pytest.raises(FactorizationError, match="not positive definite"):
+            _condense(form(b), np.zeros(4), [0, 1])
 
 
 def test_condense_makes_one_factorization_per_region(problems, monkeypatch):
+    # one dense Cholesky of B per small region, one SuperLU factor of Byy
+    # (and no Cholesky) per large one
+    import hdpf.condense
+
     calls = []
-    real = sla.cho_factor
-    monkeypatch.setattr(sla, "cho_factor", lambda *a, **k: calls.append(1) or real(*a, **k))
-    p = problems["case53"]
-    for reg in p.regions:
-        s = flat_start(reg.net)
-        condense_region(linearize(reg.net, s, 1e-10), reg.coupling_free_cols, s.free())
-    assert len(calls) == len(p.regions)
+    real_cho, real_splu = sla.cho_factor, hdpf.condense._sym_splu
+    monkeypatch.setattr(sla, "cho_factor",
+                        lambda *a, **k: calls.append("cho") or real_cho(*a, **k))
+    monkeypatch.setattr(hdpf.condense, "_sym_splu",
+                        lambda *a, **k: calls.append("splu") or real_splu(*a, **k))
+    for name, kind in (("case53", "cho"), ("case404", "splu")):
+        calls.clear()
+        p = problems[name]
+        for reg in p.regions:
+            s = flat_start(reg.net)
+            condense_region(linearize(reg.net, s, 1e-10), reg.coupling_free_cols, s.free())
+        assert calls == [kind] * len(p.regions), name
 
 
 # --- recovery -----------------------------------------------------------------
@@ -184,18 +197,19 @@ def test_recover_hidden_entries_match_block_solve_with_interleaved_coupling():
         x_cols = np.array(x_cols)
         b = random_spd(rng, n)
         g = rng.standard_normal(n)
-        lin = _lin_from(b, g)
         hess0, g0 = b.copy(), g.copy()
         chi = rng.standard_normal(n)
         x_target = chi[x_cols] + rng.standard_normal(len(x_cols))
-        cqp = condense_region(lin, x_cols, chi)
-        out = recover_local(cqp, x_target, chi)
-        y_cols = cqp.y_cols
-        rhs = (b @ chi - g)[y_cols] - b[np.ix_(y_cols, x_cols)] @ x_target
-        expected = np.linalg.solve(b[np.ix_(y_cols, y_cols)], rhs)
-        np.testing.assert_allclose(out[y_cols], expected, rtol=1e-12,
-                                   atol=1e-12 * np.max(np.abs(expected)))
-        np.testing.assert_array_equal(out[x_cols], x_target)
-        # the in-place factorization works on a copy: the model is untouched
-        np.testing.assert_array_equal(lin.hess, hess0)
-        np.testing.assert_array_equal(lin.g, g0)
+        for form in FORMS:
+            lin = _lin_from(form(b), g)
+            cqp = condense_region(lin, x_cols, chi)
+            out = recover_local(cqp, x_target, chi)
+            y_cols = cqp.y_cols
+            rhs = (b @ chi - g)[y_cols] - b[np.ix_(y_cols, x_cols)] @ x_target
+            expected = np.linalg.solve(b[np.ix_(y_cols, y_cols)], rhs)
+            np.testing.assert_allclose(out[y_cols], expected, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(expected)))
+            np.testing.assert_array_equal(out[x_cols], x_target)
+            # the in-place factorization works on a copy: the model is untouched
+            np.testing.assert_array_equal(sp.csc_matrix(lin.hess).toarray(), hess0)
+            np.testing.assert_array_equal(lin.g, g0)

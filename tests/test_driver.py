@@ -1,7 +1,9 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hdpf import (
     SolverConfig,
@@ -18,6 +20,11 @@ from hdpf import (
 from hdpf.driver import consensus_step
 from hdpf.residual import linearize, residual
 from hdpf.trace import STATUS_CONVERGED, STATUS_MAX_ITER, IterationRecord, SolveTrace, trace_signature
+
+# the package re-exports the function residual under the module's name
+residual_module = importlib.import_module("hdpf.residual")
+# SPARSE_MIN_FREE values that put every region on the sparse or the dense path
+ALL_SPARSE, ALL_DENSE = 0, 10**9
 
 
 def test_config_defaults():
@@ -165,7 +172,7 @@ def _saddle_point_gap(p, lins, q_terms, chi_ks, x_plus):
     off = coff = 0
     for reg, lin, q, chi in zip(p.regions, lins, q_terms, chi_ks):
         n, n_x = len(chi), reg.n_cpl
-        h = lin.hess + q
+        h = (lin.hess.toarray() if sp.issparse(lin.hess) else lin.hess) + q
         kkt[off:off + n, off:off + n] = h
         rhs[off:off + n] = h @ chi - lin.g
         rows = n_chi + p.n_z + coff + np.arange(n_x)
@@ -198,13 +205,52 @@ def _spy_condense_gap(monkeypatch):
 
 @pytest.mark.parametrize("name", ["fig1", "twin14", "case53"])
 def test_condense_gap_matches_saddle_point_oracle(problems, monkeypatch, name):
+    # on each region path, B dense and B in CSC
     calls = _spy_condense_gap(monkeypatch)
-    _, _, trace = solve(problems[name], SolverConfig(diagnose=True))
-    assert trace.converged and len(calls) == len(trace.records) > 1
-    for (args, out), rec in zip(calls, trace.records):
-        oracle = _saddle_point_gap(*args)
-        assert rec.condense_gap == out
-        assert abs(out - oracle) <= 1e-9 * (1.0 + oracle), (rec.iter, out, oracle)
+    for limit in (ALL_DENSE, ALL_SPARSE):
+        monkeypatch.setattr(residual_module, "SPARSE_MIN_FREE", limit)
+        calls.clear()
+        _, _, trace = solve(problems[name], SolverConfig(diagnose=True))
+        assert trace.converged and len(calls) == len(trace.records) > 1
+        for (args, out), rec in zip(calls, trace.records):
+            oracle = _saddle_point_gap(*args)
+            assert rec.condense_gap == out
+            assert abs(out - oracle) <= 1e-9 * (1.0 + oracle), (limit, rec.iter, out, oracle)
+
+
+def test_condense_gap_on_the_sparse_path_matches_the_dense_path(problems, monkeypatch):
+    # case404's 410-entry regions take the sparse path by default
+    p = problems["case404"]
+    assert all(r.net.n_free >= residual_module.SPARSE_MIN_FREE for r in p.regions)
+    _, _, sparse = solve(p, SolverConfig(diagnose=True))
+    monkeypatch.setattr(residual_module, "SPARSE_MIN_FREE", ALL_DENSE)
+    _, _, dense = solve(p, SolverConfig(diagnose=True))
+    assert sparse.converged and sparse.n_iter == dense.n_iter > 1
+    for a, b in zip(sparse.records, dense.records):
+        assert math.isfinite(a.condense_gap)
+        assert abs(a.condense_gap - b.condense_gap) <= 1e-10 * (1.0 + b.condense_gap), a.iter
+
+
+@pytest.mark.parametrize("name", ["fig1", "single14", "twin14", "case53", "case404", "case1100"])
+def test_sparse_and_dense_region_paths_agree(problems, central_refs, monkeypatch, name):
+    p = problems[name]
+    runs = {}
+    for limit in (ALL_SPARSE, ALL_DENSE):
+        monkeypatch.setattr(residual_module, "SPARSE_MIN_FREE", limit)
+        runs[limit] = solve(p)
+    (s_sparse, lams, t_sparse), (s_dense, _, t_dense) = runs[ALL_SPARSE], runs[ALL_DENSE]
+    assert t_sparse.status == t_dense.status == STATUS_CONVERGED
+    assert t_sparse.n_iter == t_dense.n_iter
+    assert np.max(np.abs(s_sparse.free() - s_dense.free())) <= 1e-10
+    ref = central_refs[name][0].free()
+    for s in (s_sparse, s_dense):
+        assert np.max(np.abs(s.free() - ref)) <= 1e-10
+    # the harness runs the same sparse step, bit for bit
+    monkeypatch.setattr(residual_module, "SPARSE_MIN_FREE", ALL_SPARSE)
+    s_harness, lams_harness, t_harness, _ = run_distributed(p)
+    assert np.array_equal(s_harness.free(), s_sparse.free())
+    assert trace_signature(t_harness) == trace_signature(t_sparse)
+    assert all(np.array_equal(a, b) for a, b in zip(lams_harness, lams))
 
 
 def test_condense_gap_is_zero_without_coupling(problems):

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from hdpf import ModelError, build_network, central_solve, flat_start, parse_case
-from hdpf.residual import jacobian, linearize, q_term, residual
+from hdpf.residual import SPARSE_MIN_FREE, jacobian, linearize, q_term, residual
 
 from helpers import (complex_jacobian, complex_power_residual, fd_hessian_of_f, fd_jacobian,
                      lm_hessian)
@@ -307,8 +307,10 @@ def test_non_finite_angle_rejected_with_positions(bad):
 
 
 def test_linearize_matches_sparse_oracle_bit_for_bit(problems):
-    # the bincount assembly adds in the order a sparse J'J and J'r do
+    # the bincount assembly adds in the order a sparse J'J and J'r do, into
+    # a dense B below SPARSE_MIN_FREE free entries and a CSC one from there on
     rng = np.random.default_rng(17)
+    forms = set()
     for name, p in problems.items():
         for reg in p.regions:
             net = reg.net
@@ -317,11 +319,22 @@ def test_linearize_matches_sparse_oracle_bit_for_bit(problems):
                 j = jacobian(net, s)
                 assert j.has_canonical_format, name
                 lin = linearize(net, s, 1e-10)
-                assert np.array_equal(lin.hess, lm_hessian(j, 1e-10)), name
+                sparse = net.n_free >= SPARSE_MIN_FREE
+                assert sp.issparse(lin.hess) == sparse, name
+                if sparse:
+                    assert lin.hess.format == "csc" and lin.hess.has_canonical_format, name
+                    hess = lin.hess.toarray()
+                else:
+                    hess = lin.hess
+                assert np.array_equal(hess, lm_hessian(j, 1e-10)), name
                 assert np.array_equal(lin.g, j.T @ residual(net, s)), name
+                forms.add(sparse)
+    # case404's regions are sparse, the other fixtures' dense
+    assert forms == {False, True}
 
 
 def test_linearize_builds_no_sparse_matrix(problems, monkeypatch):
+    # case53's regions are below SPARSE_MIN_FREE; a larger one builds only B
     calls = []
 
     def spy(name):
@@ -335,13 +348,22 @@ def test_linearize_builds_no_sparse_matrix(problems, monkeypatch):
     assert calls == []
 
 
-def test_index_maps_built_once_per_network(cases):
+def test_index_maps_built_once_per_network(cases, problems):
     net = build_network(cases["case14"])
     linearize(net, flat_start(net), 1e-10)
     maps = {k: net.__dict__[k] for k in ("jac_pattern", "jtj_pairs")}
-    assert "q_targets" not in net.__dict__
+    assert "q_targets" not in net.__dict__ and "jtj_pattern" not in net.__dict__
     linearize(net, flat_start(net), 1e-10)
     assert all(net.__dict__[k] is v for k, v in maps.items())
+    # a sparse-path region also keeps B's CSC pattern, whose index arrays
+    # every B it assembles shares
+    big = problems["case404"].regions[0].net
+    b1 = linearize(big, flat_start(big), 1e-10).hess
+    pattern = big.__dict__["jtj_pattern"]
+    b2 = linearize(big, flat_start(big), 1e-10).hess
+    assert big.__dict__["jtj_pattern"] is pattern
+    assert all(np.shares_memory(b.indices, pattern.indices)
+               and np.shares_memory(b.indptr, pattern.indptr) for b in (b1, b2))
     # the reference's linearization needs only the Jacobian's pattern
     merged = build_network(cases["case14"])
     central_solve(merged)
