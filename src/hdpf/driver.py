@@ -140,22 +140,22 @@ def _condense_gap(p: PartitionedProblem, lins, q_terms, chi_ks, x_plus) -> float
         m[m < 0] = off + np.arange(len(chi) - len(x))
         off += len(chi) - len(x)
         if sp.issparse(lin.hess):
-            # B's nonzeros and q's, summed as K is assembled, with no dense
-            # n_free^2 sum of the two
+            # a large region's CSC B keeps to its nonzeros: q's are appended
+            # and summed into them as K is assembled, with no dense n_free^2 sum
             b = lin.hess.tocoo()
             qi, qj = np.nonzero(q)
             i, j = np.concatenate([b.row, qi]), np.concatenate([b.col, qj])
             vals = np.concatenate([b.data, q[qi, qj]])
-            hx = lin.hess[:, x] @ chi[x] + q[:, x] @ chi[x]
         else:
+            # a small region's dense B is summed with q first: one np.nonzero
+            # of the sum costs a fraction of scipy's coo constructor on B
             h = lin.hess + q
             i, j = np.nonzero(h)
             vals = h[i, j]
-            hx = h[:, x] @ chi[x]
         entries.append((vals, m[i], m[j]))
         # the local unknowns are steps from chi, the coupling ones values;
         # z_cols are distinct within a region, so m has no repeats
-        rhs[m] += hx - lin.g
+        rhs[m] += lin.hess[:, x] @ chi[x] + q[:, x] @ chi[x] - lin.g
     vals, rows, cols = map(np.concatenate, zip(*entries))
     k = sp.csc_matrix((vals, (rows, cols)), shape=(len(rhs), len(rhs)))
     try:

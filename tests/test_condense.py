@@ -24,12 +24,16 @@ def _condense(b, g, x_cols, eps=0.0):
 
 
 def test_split_identity_blocks():
-    cqp = _condense(np.eye(4), np.arange(4.0), [0, 1])
-    np.testing.assert_array_equal(cqp.b_bar, np.eye(2))
-    np.testing.assert_array_equal(cqp.g_bar, [0.0, 1.0])
-    np.testing.assert_array_equal(cqp.w_y, [2.0, 3.0])
-    np.testing.assert_array_equal(cqp.y_cols, [2, 3])
-    np.testing.assert_array_equal(np.tril(cqp.factor), np.eye(4))
+    for form in FORMS:
+        cqp = _condense(form(np.eye(4)), np.arange(4.0), [0, 1])
+        np.testing.assert_array_equal(cqp.b_bar, np.eye(2))
+        np.testing.assert_array_equal(cqp.g_bar, [0.0, 1.0])
+        np.testing.assert_array_equal(cqp.w_y, [2.0, 3.0])
+        np.testing.assert_array_equal(cqp.y_cols, [2, 3])
+        if cqp.factor is None:
+            np.testing.assert_array_equal(cqp.w_x, np.zeros((2, 2)))
+        else:
+            np.testing.assert_array_equal(np.tril(cqp.factor), np.eye(4))
 
 
 def test_split_reassembles_under_permutation():
@@ -62,9 +66,10 @@ def test_decoupled_blocks_pass_through():
     byy = random_spd(rng, 2)
     b = sla.block_diag(bxx, byy)
     g = rng.standard_normal(5)
-    cqp = _condense(b, g, [0, 1, 2])
-    np.testing.assert_allclose(cqp.b_bar, bxx, atol=1e-14)
-    np.testing.assert_allclose(cqp.g_bar, g[:3], atol=1e-14)
+    for form in FORMS:
+        cqp = _condense(form(b), g, [0, 1, 2])
+        np.testing.assert_allclose(cqp.b_bar, bxx, atol=1e-14)
+        np.testing.assert_allclose(cqp.g_bar, g[:3], atol=1e-14)
 
 
 def test_schur_matches_dense_inverse_oracle():
@@ -116,8 +121,24 @@ def test_condensed_spd_floor():
     jac = rng.standard_normal((3, 6))  # rank-deficient J^T J on 6 variables
     eps = 1e-8
     b = jac.T @ jac + eps * np.eye(6)
-    cqp = _condense(b, np.zeros(6), [0, 1], eps)
-    assert np.linalg.eigvalsh(cqp.b_bar).min() >= eps * (1 - 1e-9)
+    for form in FORMS:
+        cqp = _condense(form(b), np.zeros(6), [0, 1], eps)
+        assert np.linalg.eigvalsh(cqp.b_bar).min() >= eps * (1 - 1e-9)
+
+
+def test_condensed_spd_floor_along_unseen_coupling_direction():
+    # a single row sees the two coupling entries through one combination
+    # only, as a copy bus's rows see little of the coupling: another
+    # combination is then a direction of J's null space with no local part,
+    # b_bar's smallest eigenvalue is eps itself, and both paths must keep it
+    # there through rounding
+    rng = np.random.default_rng(22)
+    for eps in (1e-8, 1e-10):
+        jac = rng.standard_normal((1, 6))
+        b = jac.T @ jac + eps * np.eye(6)
+        for form in FORMS:
+            cqp = _condense(form(b), np.zeros(6), [0, 1], eps)
+            np.testing.assert_allclose(np.linalg.eigvalsh(cqp.b_bar).min(), eps, rtol=1e-4)
 
 
 def test_schur_breakdown_reported():
