@@ -101,11 +101,22 @@ def consensus_step(p: PartitionedProblem, lins, chis, average=weighted_average):
     return cqps, sol, new_free
 
 
-def _lm_error(eps: float, q_terms: list[np.ndarray]) -> float:
+def _csc_columns(m: sp.csc_matrix) -> np.ndarray:
+    """Column of each stored entry of a CSC matrix."""
+    return np.repeat(np.arange(m.shape[1]), np.diff(m.indptr))
+
+
+def _lm_error(eps: float, q_terms) -> float:
+    """||eps*I - Q||_F over every region's Q, dense or CSC."""
     total = 0.0
     for q in q_terms:
-        delta = -q
-        delta[np.diag_indices_from(delta)] += eps
+        if sp.issparse(q):
+            # Q sits on B's CSC pattern, which holds the whole diagonal
+            delta = -q.data
+            delta[q.indices == _csc_columns(q)] += eps
+        else:
+            delta = -q
+            delta[np.diag_indices_from(delta)] += eps
         total += float(np.sum(delta * delta))
     return math.sqrt(total)
 
@@ -140,12 +151,10 @@ def _condense_gap(p: PartitionedProblem, lins, q_terms, chi_ks, x_plus) -> float
         m[m < 0] = off + np.arange(len(chi) - len(x))
         off += len(chi) - len(x)
         if sp.issparse(lin.hess):
-            # a large region's CSC B keeps to its nonzeros: q's are appended
-            # and summed into them as K is assembled, with no dense n_free^2 sum
-            b = lin.hess.tocoo()
-            qi, qj = np.nonzero(q)
-            i, j = np.concatenate([b.row, qi]), np.concatenate([b.col, qj])
-            vals = np.concatenate([b.data, q[qi, qj]])
+            # a large region's B and q are CSC on one pattern, so their sum
+            # is the sum of their values and no n_free^2 array is formed
+            i, j = lin.hess.indices, _csc_columns(lin.hess)
+            vals = lin.hess.data + q.data
         else:
             # a small region's dense B is summed with q first: one np.nonzero
             # of the sum costs a fraction of scipy's coo constructor on B

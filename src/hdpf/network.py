@@ -46,12 +46,15 @@ and keeps them (``functools.cached_property``):
   position in it of each pair's product and of each diagonal entry, for
   the regions :func:`hdpf.residual.linearize` assembles sparse;
 - :attr:`NetworkModel.q_targets`, the flat target of every entry of each
-  term's 4x4 curvature block in the diagnostic :func:`hdpf.residual.q_term`.
+  term's 4x4 curvature block in the diagnostic :func:`hdpf.residual.q_term`,
+  for the regions it assembles dense;
+- :attr:`NetworkModel.q_slots`, the position in ``jtj_pattern`` of every
+  such entry, for the regions it assembles CSC on B's pattern.
 
-A region's model builds the Jacobian's pattern, ``jtj_pairs`` and, when
-diagnosed, ``q_targets``, and a large one also ``jtj_pattern``; the merged
-network, used for stitching and by the sparse reference, builds only the
-Jacobian's pattern.
+A region's model builds the Jacobian's pattern and ``jtj_pairs``; a large
+one also ``jtj_pattern``; when diagnosed, a small one ``q_targets`` and a
+large one ``q_slots``.  The merged network, used for stitching and by the
+sparse reference, builds only the Jacobian's pattern.
 """
 
 from __future__ import annotations
@@ -293,17 +296,39 @@ class NetworkModel:
                            indices=(uniq % n).astype(np.int32),
                            indptr=np.concatenate([[0], np.cumsum(counts)]).astype(np.int32))
 
+    def _q_entries(self):
+        """Row and column of every entry of each term's 4x4 curvature block,
+        listed entry by entry (row-major over the block, every term per
+        entry) as :func:`hdpf.residual.q_term` lists its values, and whether
+        both are free."""
+        cols = self.jac_pattern.cols.T
+        r, c = cols[:, None, :], cols[None, :, :]
+        return r, c, (r >= 0) & (c >= 0)
+
     @functools.cached_property
     def q_targets(self) -> np.ndarray:
-        """Flat target ``row * n_free + col`` of every entry of each term's
-        4x4 curvature block, listed entry by entry (row-major over the
-        block, every term per entry) as :func:`hdpf.residual.q_term` lists
-        its values; an entry on a fixed column goes to the spare bin
+        """Flat target ``row * n_free + col`` of every listed curvature
+        entry; an entry on a fixed column goes to the spare bin
         ``n_free**2``."""
-        cols = self.jac_pattern.cols.T
+        r, c, free = self._q_entries()
         n = self.n_free
-        r, c = cols[:, None, :], cols[None, :, :]
-        return np.where((r >= 0) & (c >= 0), r * n + c, n * n).ravel()
+        return np.where(free, r * n + c, n * n).ravel()
+
+    @functools.cached_property
+    def q_slots(self) -> np.ndarray:
+        """Position in :attr:`jtj_pattern` of every listed curvature entry;
+        an entry on a fixed column goes to the spare bin ``len(indices)``.
+
+        A term's four columns all lie in its Jacobian row, so every entry of
+        its block is a pair of ``jtj_pairs`` and the pattern holds it.
+        """
+        r, c, free = self._q_entries()
+        n = self.n_free
+        gram = self.jtj_pattern
+        # the pattern's flat keys col * n_free + row, ascending in CSC order
+        keys = np.repeat(np.arange(n), np.diff(gram.indptr)) * n + gram.indices
+        pos = np.searchsorted(keys, np.where(free, c * n + r, 0))
+        return np.where(free, pos, len(keys)).ravel()
 
 
 class StateVector:

@@ -24,11 +24,14 @@ the Jacobian's fixed CSR pattern, :func:`linearize` forms ``g = J'r`` and
 with one more.  B is dense for a network with fewer than
 :data:`SPARSE_MIN_FREE` free entries, and CSC on the network's fixed
 pattern of B for a larger one, the one place that chooses between the
-dense and the sparse condensation of :mod:`hdpf.condense`.  A bincount adds
-in input order, and the maps list each entry's products in ascending
-Jacobian row, the order a sparse ``J.T @ J`` and ``J.T @ r`` use, so
-:func:`linearize` equals ``J.T @ J`` plus ``eps`` on the diagonal and
-``J.T @ r``, with ``J = jacobian(net, s)``, bit for bit, in either form.
+dense and the sparse condensation of :mod:`hdpf.condense`.  The
+diagnostic Q takes the same form by the same rule, CSC on B's pattern,
+which holds all of Q's entries, so the diagnostics of a large region stay
+on its nonzeros too.  A bincount adds in input order, and the maps list
+each entry's products in ascending Jacobian row, the order a sparse
+``J.T @ J`` and ``J.T @ r`` use, so :func:`linearize` equals ``J.T @ J``
+plus ``eps`` on the diagonal and ``J.T @ r``, with
+``J = jacobian(net, s)``, bit for bit, in either form.
 
 Every function here is a pure evaluation over a network and a state; the
 only state a network gains is its index maps, built on first use and
@@ -63,7 +66,8 @@ class RegionLinearization:
                             # below SPARSE_MIN_FREE free entries and CSC from there on;
                             # CSC from the central reference's _sparse_linearize
     eps: float
-    q: np.ndarray | None = None  # (n_free, n_free) q_term at the iterate, when diagnosed
+    q: np.ndarray | sp.csc_matrix | None = None  # (n_free, n_free) q_term at the iterate,
+                            # when diagnosed: in hess's form, CSC on hess's pattern
 
 
 def _check_state(net: NetworkModel, s: StateVector):
@@ -147,8 +151,12 @@ def _on_terms(net: NetworkModel, s: StateVector, terms):
     return c[t], d[t], tc[t], td[t], s.vm[net.y_row[t]], s.vm[net.y_col[t]]
 
 
-def q_term(net: NetworkModel, s: StateVector) -> np.ndarray:
-    """Second-order residual correction sum_m r_m * hess(r_m), dense.
+def q_term(net: NetworkModel, s: StateVector) -> np.ndarray | sp.csc_matrix:
+    """Second-order residual correction sum_m r_m * hess(r_m), in the form
+    :func:`linearize` gives B: dense below :data:`SPARSE_MIN_FREE` free
+    entries, and from there on CSC on ``net.jtj_pattern``, B's own pattern,
+    which holds every entry of Q.  Either form adds the same values in the
+    same order, so the two are equal bit for bit.
 
     Only used for diagnostics (the gap between the regularized Gauss-Newton
     matrix and the true Hessian of f); the solve path never forms it.  The
@@ -162,7 +170,7 @@ def q_term(net: NetworkModel, s: StateVector) -> np.ndarray:
     # over (theta_i, theta_k, v_i, v_k), w_p hess(v_i v_k c) + w_q hess(v_i v_k d)
     # has the angle block [[-a, a], [a, -a]], the angle-magnitude block
     # [[-v_k b, -v_i b], [v_k b, v_i b]] and the magnitude block [[0, e], [e, 0]];
-    # minus it is listed row by row, as net.q_targets expects
+    # minus it is listed row by row, as net.q_targets and net.q_slots expect
     a = w_p * tc + w_q * td
     b = w_p * d - w_q * c
     e = w_p * c + w_q * d
@@ -173,6 +181,10 @@ def q_term(net: NetworkModel, s: StateVector) -> np.ndarray:
                            ib, -ib, -e, zero])
     nf = net.n_free
     # the spare last bin collects the entries on fixed columns
+    if nf >= SPARSE_MIN_FREE:
+        gram = net.jtj_pattern
+        data = np.bincount(net.q_slots, weights=vals, minlength=len(gram.indices) + 1)[:-1]
+        return sp.csc_matrix((data, gram.indices, gram.indptr), shape=(nf, nf))
     return np.bincount(net.q_targets, weights=vals, minlength=nf * nf + 1)[:-1].reshape(nf, nf)
 
 

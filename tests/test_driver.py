@@ -147,19 +147,80 @@ def test_dist_to_ref_never_affects_stopping(problems, central_refs):
     assert all(r.dist_to_ref is not None for r in t_ref.records)
 
 
-def test_diagnosed_solve_evaluates_curvature_once_per_iterate(problems, monkeypatch):
-    # each iterate's q_term serves its lm_error and then the next
-    # condense_gap, so only the flat start adds a call of its own
+def _spy(monkeypatch, name):
+    """Record the arguments and result of every call the driver makes to
+    its attribute ``name``."""
     import hdpf.driver
 
     calls = []
-    real = hdpf.driver.q_term
-    monkeypatch.setattr(hdpf.driver, "q_term", lambda *a: calls.append(1) or real(*a))
-    p = problems["case53"]
+    real = getattr(hdpf.driver, name)
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(hdpf.driver, name, spy)
+    return calls
+
+
+def test_diagnosed_solve_evaluates_curvature_once_per_iterate(problems, monkeypatch):
+    # each iterate's q_term serves its lm_error and then the next
+    # condense_gap, so only the flat start adds a call of its own; case53's
+    # regions take the dense path, case404's the sparse one
+    calls = _spy(monkeypatch, "q_term")
+    for name in ("case53", "case404"):
+        calls.clear()
+        p = problems[name]
+        _, _, trace = solve(p, SolverConfig(diagnose=True))
+        assert trace.converged and trace.n_iter > 1, name
+        assert all(r.lm_error is not None for r in trace.records), name
+        assert len(calls) == len(p.regions) * (len(trace.records) + 1), name
+
+
+def test_diagnosed_sparse_region_forms_no_dense_square(problems, monkeypatch):
+    # every Q of a sparse-path region is CSC on its B's pattern, and the
+    # solve's peak stays below two dense n_free^2 arrays (2.7 MB; the peak
+    # was 8.4 MB with a dense Q per region, and is 1.5 MB on B's pattern)
+    import tracemalloc
+
+    calls = _spy(monkeypatch, "q_term")
+    p = problems["case404"]
+    solve(p, SolverConfig(diagnose=True))
+    calls.clear()
+    tracemalloc.start()
+    try:
+        _, _, trace = solve(p, SolverConfig(diagnose=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.converged and all(math.isfinite(r.lm_error) for r in trace.records)
+    assert calls and all(sp.issparse(q) and q.format == "csc" for _, q in calls)
+    n_free = max(r.net.n_free for r in p.regions)
+    assert peak < 2 * n_free * n_free * 8, peak
+
+
+def test_lm_error_on_csc_q_matches_the_dense_q(problems, monkeypatch):
+    # case404's diagnosed solve on the sparse path: each record's lm_error,
+    # from CSC Q's, against the dense Q's of the same iterate
+    from hdpf.driver import _lm_error
+
+    calls = _spy(monkeypatch, "q_term")
+    p = problems["case404"]
     _, _, trace = solve(p, SolverConfig(diagnose=True))
     assert trace.converged and trace.n_iter > 1
-    assert all(r.lm_error is not None for r in trace.records)
-    assert len(calls) == len(p.regions) * (len(trace.records) + 1)
+    monkeypatch.setattr(residual_module, "SPARSE_MIN_FREE", ALL_DENSE)
+    n = len(p.regions)
+    # calls run iterate by iterate, the flat start first; record k is iterate k's
+    for k, rec in enumerate(trace.records, start=1):
+        dense = [residual_module.q_term(*args) for args, _ in calls[k * n:(k + 1) * n]]
+        assert all(isinstance(q, np.ndarray) for q in dense)
+        expected = _lm_error(SolverConfig.eps, dense)
+        assert abs(rec.lm_error - expected) <= 1e-12 * expected, (k, rec.lm_error, expected)
+
+
+def _dense(m):
+    return m.toarray() if sp.issparse(m) else m
 
 
 def _saddle_point_gap(p, lins, q_terms, chi_ks, x_plus):
@@ -172,7 +233,8 @@ def _saddle_point_gap(p, lins, q_terms, chi_ks, x_plus):
     off = coff = 0
     for reg, lin, q, chi in zip(p.regions, lins, q_terms, chi_ks):
         n, n_x = len(chi), reg.n_cpl
-        h = (lin.hess.toarray() if sp.issparse(lin.hess) else lin.hess) + q
+        # a large region's B and q are CSC; ndarray + csc_matrix would be an np.matrix
+        h = _dense(lin.hess) + _dense(q)
         kkt[off:off + n, off:off + n] = h
         rhs[off:off + n] = h @ chi - lin.g
         rows = n_chi + p.n_z + coff + np.arange(n_x)
@@ -188,25 +250,10 @@ def _saddle_point_gap(p, lins, q_terms, chi_ks, x_plus):
     return gap
 
 
-def _spy_condense_gap(monkeypatch):
-    import hdpf.driver
-
-    calls = []
-    real = hdpf.driver._condense_gap
-
-    def spy(*args):
-        out = real(*args)
-        calls.append((args, out))
-        return out
-
-    monkeypatch.setattr(hdpf.driver, "_condense_gap", spy)
-    return calls
-
-
 @pytest.mark.parametrize("name", ["fig1", "twin14", "case53"])
 def test_condense_gap_matches_saddle_point_oracle(problems, monkeypatch, name):
     # on each region path, B dense and B in CSC
-    calls = _spy_condense_gap(monkeypatch)
+    calls = _spy(monkeypatch, "_condense_gap")
     for limit in (ALL_DENSE, ALL_SPARSE):
         monkeypatch.setattr(residual_module, "SPARSE_MIN_FREE", limit)
         calls.clear()

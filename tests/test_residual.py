@@ -252,6 +252,50 @@ def test_q_term_ignores_linear_rows():
     np.testing.assert_allclose(j.T @ j + q, h_fd, atol=1e-5)
 
 
+def test_q_term_on_b_pattern_matches_dense_bit_for_bit(problems, monkeypatch):
+    # with every region on the sparse path, Q is CSC on the network's B
+    # pattern and equals the dense assembly of the same state bit for bit
+    import importlib
+
+    residual_module = importlib.import_module("hdpf.residual")
+    rng = np.random.default_rng(29)
+    for name, p in problems.items():
+        for reg in p.regions:
+            net = reg.net
+            flat = flat_start(net)
+            for s in (flat, flat.with_free(flat.free() + rng.uniform(-0.1, 0.1, net.n_free))):
+                monkeypatch.setattr(residual_module, "SPARSE_MIN_FREE", 0)
+                q = q_term(net, s)
+                monkeypatch.setattr(residual_module, "SPARSE_MIN_FREE", 10**9)
+                dense = q_term(net, s)
+                gram = net.jtj_pattern
+                assert sp.issparse(q) and q.format == "csc" and q.has_canonical_format, name
+                assert np.shares_memory(q.indices, gram.indices), name
+                assert np.shares_memory(q.indptr, gram.indptr), name
+                assert isinstance(dense, np.ndarray), name
+                assert np.array_equal(q.toarray(), dense), name
+
+
+def test_q_term_takes_the_form_of_b(problems):
+    # dense below SPARSE_MIN_FREE free entries, CSC from there on, as B is,
+    # through a map of Q's entries the network builds once
+    forms = set()
+    for p in problems.values():
+        for reg in p.regions:
+            net = reg.net
+            s = flat_start(net)
+            q, hess = q_term(net, s), linearize(net, s, 1e-10).hess
+            assert sp.issparse(q) == sp.issparse(hess) == (net.n_free >= SPARSE_MIN_FREE)
+            if sp.issparse(q):
+                assert np.array_equal(q.indices, hess.indices)
+                assert np.array_equal(q.indptr, hess.indptr)
+                slots = net.__dict__["q_slots"]
+                q_term(net, s)
+                assert net.__dict__["q_slots"] is slots
+            forms.add(sp.issparse(q))
+    assert forms == {False, True}
+
+
 # --- regularized Gauss-Newton matrix -----------------------------------------
 
 
