@@ -25,7 +25,7 @@ def make_cqp(rng, n):
     return CondensedQP(
         b_bar=random_spd(rng, n), g_bar=rng.standard_normal(n), x_k=rng.standard_normal(n),
         x_cols=np.arange(n),
-        y_cols=np.zeros(0, dtype=np.int64), factor=None, w_y=np.zeros(0))
+        y_cols=np.zeros(0, dtype=np.int64), w_y=np.zeros(0), w_x=np.zeros((0, n)))
 
 
 rng = np.random.default_rng(7)
@@ -63,7 +63,7 @@ print(f"\naveraging projector M: |M^2 - M|_inf = {np.max(np.abs(m @ m - m)):.2e}
 # rerunning the pass from the produced point is a fixed point
 cqps2 = [CondensedQP(b_bar=c.b_bar, g_bar=c.g_bar + c.b_bar @ (xn - c.x_k), x_k=xn,
                      x_cols=c.x_cols, y_cols=c.y_cols,
-                     factor=None, w_y=c.w_y)
+                     w_y=c.w_y, w_x=c.w_x)
          for c, xn in zip(cqps, chi_next)]
 sol2 = consensus_pass(cqps2, regions, n_z)
 move = max(np.max(np.abs(sol2.z_bar[r.z_cols] - xn))

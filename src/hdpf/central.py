@@ -51,7 +51,7 @@ def _sparse_linearize(net: NetworkModel, s: StateVector, eps: float) -> RegionLi
     CSC matrix, so no dense n_free x n_free array is formed."""
     r, j = _residual_and_jacobian(net, s)
     hess = sp.csc_matrix(j.T @ j + eps * sp.identity(net.n_free, format="csc"))
-    return RegionLinearization(r=r, jac=j, g=j.T @ r, hess=hess, eps=eps)
+    return RegionLinearization(r=r, jac=None, g=j.T @ r, hess=hess, eps=eps)
 
 
 def _full_space_step(lins, chis):

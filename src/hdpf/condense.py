@@ -4,28 +4,23 @@ Each region's quadratic model over the free state splits into coupling
 entries x and purely local entries y.  Eliminating y through the Schur
 complement leaves a reduced SPD model (b_bar, g_bar) in x alone:
 
-    b_bar = Bxx - Bxy Byy^-1 Byx
-    g_bar = gx  - Bxy Byy^-1 gy
+    b_bar = Bxx - Byx' Byy^-1 Byx
+    g_bar = gx  - Byx' Byy^-1 gy
 
-There are two paths, and the form of B chooses between them: B is dense
-for a region with fewer than :data:`hdpf.residual.SPARSE_MIN_FREE` free
-entries and CSC for a larger one (see :func:`hdpf.residual.linearize`).
+Every region runs this one algebra: take Byy, Byx and Bxx out of B, factor
+Byy once, solve it for the n_cpl + 1 right-hand sides [Byx, gy], and form
+b_bar (symmetrized) and g_bar = gx - w_x' gy from the solutions
+w_x = Byy^-1 Byx and w_y = Byy^-1 gy, which recovery reuses.
 
-Dense path.  One Cholesky factorization of B, reordered with the local
-columns first and the coupling columns last, holds both factors the
-method needs:
+Only taking the blocks out and factoring Byy depend on the form of B, and
+the form chooses the factorization: B is dense for a region with fewer than
+:data:`hdpf.residual.SPARSE_MIN_FREE` free entries, and Byy is factored by
+LAPACK's Cholesky; B is CSC for a larger one (see
+:func:`hdpf.residual.linearize`), and Byy is factored by SuperLU with the
+symmetric settings of :func:`_sym_splu`, at a cost that grows with the
+nonzeros of Byy and its factor, not with n_free^3.
 
-    L = [[Lyy, 0], [Lxy, Lxx]],   Byy = Lyy Lyy',   b_bar = Lxx Lxx'
-
-so g_bar = gx - Lxy Lyy^-1 gy, and no second factorization is made.
-
-Sparse path.  One SuperLU factorization of Byy alone, with the symmetric
-settings of :func:`_sym_splu`, is solved for the n_cpl + 1 right-hand
-sides [Byx, gy]; b_bar and g_bar follow from the formulas above, and the
-solutions are kept for recovery.  Its cost grows with the nonzeros of Byy
-and its factor, not with n_free^3.
-
-Either factorization is made once per outer iteration and is the dominant
+The factorization is made once per outer iteration and is the dominant
 per-region cost.  Linearize, condense and recover of one region at the flat
 start, dense against sparse (best / median of 30 alternating runs, on a
 2-vCPU host with OpenBLAS on 2 threads):
@@ -33,16 +28,18 @@ start, dense against sparse (best / median of 30 alternating runs, on a
     ==========  ======  ===============  ===============
     region      n_free  dense            sparse
     ==========  ======  ===============  ===============
-    grid-8x8        36  0.24 / 0.29 ms   0.54 / 0.59 ms
-    case53          66  0.31 / 0.37 ms   0.74 / 0.79 ms
-    tiles-1100     238  1.61 / 2.12 ms   1.42 / 1.96 ms
-    case404        410  4.53 / 4.68 ms   1.95 / 2.11 ms
-    pair-808       814  12.1 / 14.8 ms   3.51 / 4.28 ms
+    grid-8x8        36  0.15 / 0.16 ms   0.34 / 0.37 ms
+    case53          66  0.22 / 0.27 ms   0.51 / 0.59 ms
+    tiles-1100     238  1.40 / 1.53 ms   1.29 / 1.36 ms
+    case404        410  4.17 / 4.59 ms   1.91 / 2.03 ms
+    pair-808       814  8.06 / 9.64 ms   3.17 / 3.65 ms
     ==========  ======  ===============  ===============
 
-Near 238 the two paths tie per region, and a whole tiles-1100 solve (ten
-regions of 222-238) was slower with every region sparse (median 77 against
-59 ms), so the threshold lies above the tiles and below case404's 410.
+Near 238 the two paths tie, per region and per whole tiles-1100 solve (ten
+regions of 222-238; medians of 68-91 ms dense against 70-103 ms sparse over
+three runs of 20 alternating solves), while from case404's 410 up the sparse
+path is more than twice as fast, so the threshold lies above the tiles and
+below case404.
 """
 
 from __future__ import annotations
@@ -54,26 +51,16 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .network import csc_columns
 from .residual import RegionLinearization
 
 __all__ = ["FactorizationError", "CondensedQP", "condense_region", "recover_local"]
 
+_LOCAL_BLOCK = "local block of the regularized Gauss-Newton matrix"
+
 
 class FactorizationError(RuntimeError):
     """A symmetric factorization failed; signals a numerical breakdown."""
-
-
-def _cho_factor(a: np.ndarray, what: str):
-    """Lower Cholesky factor (L, True) of the symmetric C-ordered ``a``.
-
-    Factors in place and so overwrites ``a``: its transpose is the
-    Fortran-ordered array LAPACK works on, and ``L`` is that transpose.
-    Only the lower triangle of ``L`` is the factor.
-    """
-    try:
-        return sla.cho_factor(a.T, lower=True, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"{what} is not positive definite: {exc}") from exc
 
 
 def _sym_splu(a, what: str):
@@ -87,22 +74,69 @@ def _sym_splu(a, what: str):
         raise FactorizationError(f"{what} is singular: {exc}") from exc
 
 
+def _dense_blocks(b: np.ndarray, x_cols, y_cols, local):
+    """(Byy, Byx, Bxx) of a dense B, each a fresh C-ordered array."""
+    return b[np.ix_(y_cols, y_cols)], b[np.ix_(y_cols, x_cols)], b[np.ix_(x_cols, x_cols)]
+
+
+def _csc_blocks(b: sp.csc_matrix, x_cols, y_cols, local):
+    """(Byy, Byx, Bxx) of a canonical CSC B, as :func:`hdpf.residual.linearize`
+    makes it: Byy in CSC, the two coupling blocks dense."""
+    ny, nx = len(y_cols), len(x_cols)
+    # each nonzero's row and column, and each column's position in its block
+    rows, cols = b.indices, csc_columns(b.indptr)
+    pos = np.empty(len(local), dtype=np.int64)
+    pos[y_cols] = np.arange(ny)
+    pos[x_cols] = np.arange(nx)
+    row_y, col_y = local[rows], local[cols]
+    # y_cols ascend, so Byy's entries keep their CSC order
+    yy = row_y & col_y
+    counts = np.bincount(pos[cols[yy]], minlength=ny)
+    byy = sp.csc_matrix((b.data[yy], pos[rows[yy]], np.concatenate([[0], np.cumsum(counts)])),
+                        shape=(ny, ny))
+    byx = np.zeros((ny, nx))
+    yx = row_y & ~col_y
+    byx[pos[rows[yx]], pos[cols[yx]]] = b.data[yx]
+    bxx = np.zeros((nx, nx))
+    xx = ~row_y & ~col_y
+    bxx[pos[rows[xx]], pos[cols[xx]]] = b.data[xx]
+    return byy, byx, bxx
+
+
+def _cho_solve(byy: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Byy^-1 rhs for a dense symmetric ``byy``, by one Cholesky
+    factorization; overwrites both arguments."""
+    try:
+        # the transpose of the C-ordered byy is the Fortran-ordered array
+        # LAPACK factors in place
+        factor = sla.cho_factor(byy.T, lower=True, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(f"{_LOCAL_BLOCK} is not positive definite: {exc}") from exc
+    return sla.cho_solve(factor, rhs, overwrite_b=True, check_finite=False)
+
+
+def _splu_solve(byy: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
+    """Byy^-1 rhs for a sparse symmetric ``byy``, by one SuperLU factor."""
+    lu = _sym_splu(byy, _LOCAL_BLOCK)
+    # with every pivot on the diagonal, the pivots are those of Byy's LDL'
+    # factorization, all positive exactly when Byy is positive definite
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)):
+        raise FactorizationError(f"{_LOCAL_BLOCK} is not positive definite: "
+                                 "one of its pivots is not positive")
+    return lu.solve(rhs)
+
+
 @dataclass
 class CondensedQP:
-    """Reduced model of one region plus everything recovery needs.
-
-    The dense path fills ``factor`` and its ``w_y``; the sparse path leaves
-    ``factor`` None and fills its ``w_y`` and ``w_x``.
-    """
+    """Reduced model of one region plus everything recovery needs."""
 
     b_bar: np.ndarray      # (n_cpl, n_cpl) SPD
     g_bar: np.ndarray      # (n_cpl,)
     x_k: np.ndarray        # current coupling values A chi^k
     x_cols: np.ndarray     # free-vector columns of the coupling entries
     y_cols: np.ndarray     # free-vector columns of the local entries
-    factor: np.ndarray | None  # dense: L of B in (y_cols, x_cols) order, lower triangle
-    w_y: np.ndarray        # dense: Lyy^-1 gy; sparse: Byy^-1 gy
-    w_x: np.ndarray | None = None  # sparse: Byy^-1 Byx, (n_local, n_cpl)
+    w_y: np.ndarray        # Byy^-1 gy, (n_local,)
+    w_x: np.ndarray        # Byy^-1 Byx, (n_local, n_cpl)
 
     @property
     def n_cpl(self) -> int:
@@ -117,59 +151,17 @@ def condense_region(lin: RegionLinearization, x_cols: np.ndarray,
     local[x_cols] = False
     y_cols = np.flatnonzero(local)
     if sp.issparse(lin.hess):
-        return _condense_sparse(lin, x_cols, y_cols, local, chi_free)
-    ny = len(y_cols)
-    order = np.concatenate([y_cols, x_cols])
-    l, _ = _cho_factor(lin.hess[np.ix_(order, order)], "regularized Gauss-Newton matrix")
-    # solves run through the whole Fortran-ordered factor, since scipy copies
-    # a non-contiguous block such as Lyy before calling LAPACK; the leading
-    # ny entries of L^-1 g are Lyy^-1 gy whatever follows them
-    w_y = sla.solve_triangular(l, lin.g[order], lower=True, check_finite=False)[:ny]
-    lxx = np.tril(l[ny:, ny:])
+        blocks, solve = _csc_blocks, _splu_solve
+    else:
+        blocks, solve = _dense_blocks, _cho_solve
+    byy, byx, bxx = blocks(lin.hess, x_cols, y_cols, local)
+    gy = lin.g[y_cols]
+    w = solve(byy, np.column_stack((byx, gy)))
+    w_x, w_y = w[:, :-1], w[:, -1]
+    s = bxx - byx.T @ w_x
     return CondensedQP(
-        b_bar=lxx @ lxx.T, g_bar=lin.g[x_cols] - l[ny:, :ny] @ w_y, x_k=chi_free[x_cols],
-        x_cols=x_cols, y_cols=y_cols, factor=l, w_y=w_y,
-    )
-
-
-def _condense_sparse(lin: RegionLinearization, x_cols, y_cols, local,
-                     chi_free: np.ndarray) -> CondensedQP:
-    """:func:`condense_region` for a CSC ``hess`` (canonical, as
-    :func:`hdpf.residual.linearize` makes it): one SuperLU factor of Byy,
-    solved for the n_cpl + 1 right-hand sides ``[Byx, gy]``."""
-    b = lin.hess
-    ny, nx = len(y_cols), len(x_cols)
-    # each nonzero's row and column, and each column's position in its block
-    rows = b.indices
-    cols = np.repeat(np.arange(b.shape[1]), np.diff(b.indptr))
-    pos = np.empty(len(local), dtype=np.int64)
-    pos[y_cols] = np.arange(ny)
-    pos[x_cols] = np.arange(nx)
-    row_y, col_y = local[rows], local[cols]
-    # y_cols ascend, so Byy's entries keep their CSC order
-    yy = row_y & col_y
-    counts = np.bincount(pos[cols[yy]], minlength=ny)
-    byy = sp.csc_matrix((b.data[yy], pos[rows[yy]], np.concatenate([[0], np.cumsum(counts)])),
-                        shape=(ny, ny))
-    lu = _sym_splu(byy, "regularized Gauss-Newton matrix")
-    # with every pivot on the diagonal, the pivots are those of Byy's LDL'
-    # factorization, all positive exactly when Byy is positive definite
-    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)):
-        raise FactorizationError("regularized Gauss-Newton matrix is not positive definite: "
-                                 "a pivot of its local block is not positive")
-    rhs = np.zeros((ny, nx + 1))
-    yx = row_y & ~col_y
-    rhs[pos[rows[yx]], pos[cols[yx]]] = b.data[yx]
-    rhs[:, nx] = lin.g[y_cols]
-    w = lu.solve(rhs)
-    byx = rhs[:, :nx]
-    bxx = np.zeros((nx, nx))
-    xx = ~row_y & ~col_y
-    bxx[pos[rows[xx]], pos[cols[xx]]] = b.data[xx]
-    s = bxx - byx.T @ w[:, :nx]
-    return CondensedQP(
-        b_bar=0.5 * (s + s.T), g_bar=lin.g[x_cols] - byx.T @ w[:, nx], x_k=chi_free[x_cols],
-        x_cols=x_cols, y_cols=y_cols, factor=None, w_y=w[:, nx], w_x=w[:, :nx],
+        b_bar=0.5 * (s + s.T), g_bar=lin.g[x_cols] - w_x.T @ gy, x_k=chi_free[x_cols],
+        x_cols=x_cols, y_cols=y_cols, w_y=w_y, w_x=w_x,
     )
 
 
@@ -184,27 +176,12 @@ def recover_local(cqp: CondensedQP, x_target: np.ndarray, chi_free: np.ndarray) 
     directions).  The hidden entries take the step form of the same SPD
     system's local block,
 
-        y+ = y - Lyy^-T (w_y + Lxy' (x_target - x_k)),
+        y+ = y - Byy^-1 (gy + Byx (x_target - x_k)) = y - (w_y + w_x (x_target - x_k)),
 
-    one back-substitution through the well-conditioned local factor.  The
-    sparse path's ``w_y`` and ``w_x`` already hold Byy^-1 applied to gy and
-    Byx, so there the step form
-
-        y+ = y - Byy^-1 (gy + Byx (x_target - x_k))
-
-    is one product with ``w_x``.
+    one product with the solutions condensation kept, through the
+    well-conditioned local block alone.
     """
     out = np.empty_like(chi_free)
     out[cqp.x_cols] = x_target
-    if cqp.factor is None:
-        out[cqp.y_cols] = chi_free[cqp.y_cols] - (cqp.w_y + cqp.w_x @ (x_target - cqp.x_k))
-        return out
-    ny = len(cqp.y_cols)
-    l = cqp.factor
-    # L' v = (w_y + Lxy' (x_target - x_k), 0): the zero block makes v's
-    # coupling part exactly zero, so its local part is the Lyy' solve
-    rhs = np.zeros(len(l))
-    rhs[:ny] = cqp.w_y + l[ny:, :ny].T @ (x_target - cqp.x_k)
-    v = sla.solve_triangular(l, rhs, trans="T", lower=True, check_finite=False)
-    out[cqp.y_cols] = chi_free[cqp.y_cols] - v[:ny]
+    out[cqp.y_cols] = chi_free[cqp.y_cols] - (cqp.w_y + cqp.w_x @ (x_target - cqp.x_k))
     return out

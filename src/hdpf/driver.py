@@ -33,7 +33,7 @@ import scipy.sparse as sp
 
 from .condense import FactorizationError, _sym_splu, condense_region, recover_local
 from .consensus import consensus_pass, weighted_average
-from .network import ModelError, NetworkModel, StateVector, flat_start
+from .network import ModelError, NetworkModel, StateVector, csc_columns, flat_start
 from .partition import PartitionedProblem
 from .residual import linearize, q_term
 from .trace import (
@@ -101,11 +101,6 @@ def consensus_step(p: PartitionedProblem, lins, chis, average=weighted_average):
     return cqps, sol, new_free
 
 
-def _csc_columns(m: sp.csc_matrix) -> np.ndarray:
-    """Column of each stored entry of a CSC matrix."""
-    return np.repeat(np.arange(m.shape[1]), np.diff(m.indptr))
-
-
 def _lm_error(eps: float, q_terms) -> float:
     """||eps*I - Q||_F over every region's Q, dense or CSC."""
     total = 0.0
@@ -113,7 +108,7 @@ def _lm_error(eps: float, q_terms) -> float:
         if sp.issparse(q):
             # Q sits on B's CSC pattern, which holds the whole diagonal
             delta = -q.data
-            delta[q.indices == _csc_columns(q)] += eps
+            delta[q.indices == csc_columns(q.indptr)] += eps
         else:
             delta = -q
             delta[np.diag_indices_from(delta)] += eps
@@ -153,7 +148,7 @@ def _condense_gap(p: PartitionedProblem, lins, q_terms, chi_ks, x_plus) -> float
         if sp.issparse(lin.hess):
             # a large region's B and q are CSC on one pattern, so their sum
             # is the sum of their values and no n_free^2 array is formed
-            i, j = lin.hess.indices, _csc_columns(lin.hess)
+            i, j = lin.hess.indices, csc_columns(lin.hess.indptr)
             vals = lin.hess.data + q.data
         else:
             # a small region's dense B is summed with q first: one np.nonzero

@@ -75,6 +75,12 @@ class ModelError(ValueError):
     """Raised when a case cannot be turned into a usable network model."""
 
 
+def csc_columns(indptr: np.ndarray) -> np.ndarray:
+    """Column of each stored entry of a CSC matrix with column pointers
+    ``indptr``."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
 @dataclass(frozen=True)
 class JacobianPattern:
     """Fixed sparsity of the residual Jacobian, canonical CSR, and the map
@@ -326,7 +332,7 @@ class NetworkModel:
         n = self.n_free
         gram = self.jtj_pattern
         # the pattern's flat keys col * n_free + row, ascending in CSC order
-        keys = np.repeat(np.arange(n), np.diff(gram.indptr)) * n + gram.indices
+        keys = csc_columns(gram.indptr) * n + gram.indices
         pos = np.searchsorted(keys, np.where(free, c * n + r, 0))
         return np.where(free, pos, len(keys)).ravel()
 

@@ -60,7 +60,8 @@ class RegionLinearization:
     """Residual, Jacobian and derived quantities at one iterate."""
 
     r: np.ndarray           # (2*n_core,)
-    jac: sp.csr_matrix | None  # (2*n_core, n_free); None from linearize, which builds no matrix
+    jac: sp.csr_matrix | None  # (2*n_core, n_free); None from linearize, which builds no
+                            # matrix, and from the central reference, which drops its J
     g: np.ndarray           # (n_free,)  gradient J^T r of f = 0.5*||r||^2
     hess: np.ndarray | sp.csc_matrix  # (n_free, n_free) J^T J + eps*I: from linearize dense
                             # below SPARSE_MIN_FREE free entries and CSC from there on;

@@ -236,7 +236,7 @@ def random_consensus_qp(rng: np.random.Generator, n_regions: int | None = None,
         x_k = rng.standard_normal(n)
         cqps.append(CondensedQP(
             b_bar=b_bar, g_bar=g_bar, x_k=x_k, x_cols=np.arange(n),
-            y_cols=np.zeros(0, dtype=np.int64), factor=None, w_y=np.zeros(0),
+            y_cols=np.zeros(0, dtype=np.int64), w_y=np.zeros(0), w_x=np.zeros((0, n)),
         ))
         regions.append(SimpleNamespace(index=reg, z_cols=cols, n_cpl=n))
     return cqps, regions, n_z

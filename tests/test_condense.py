@@ -23,31 +23,50 @@ def _condense(b, g, x_cols, eps=0.0):
     return condense_region(_lin_from(b, g, eps), np.asarray(x_cols), np.zeros(len(g)))
 
 
+def _assert_local_solves(cqp, b, g):
+    # w_x and w_y solve the local block for Byx and gy
+    byy = b[np.ix_(cqp.y_cols, cqp.y_cols)]
+    np.testing.assert_allclose(byy @ cqp.w_x, b[np.ix_(cqp.y_cols, cqp.x_cols)],
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(byy @ cqp.w_y, g[cqp.y_cols], rtol=0, atol=1e-12)
+
+
 def test_split_identity_blocks():
+    b, g = np.eye(4), np.arange(4.0)
     for form in FORMS:
-        cqp = _condense(form(np.eye(4)), np.arange(4.0), [0, 1])
+        cqp = _condense(form(b), g, [0, 1])
         np.testing.assert_array_equal(cqp.b_bar, np.eye(2))
         np.testing.assert_array_equal(cqp.g_bar, [0.0, 1.0])
         np.testing.assert_array_equal(cqp.w_y, [2.0, 3.0])
+        np.testing.assert_array_equal(cqp.w_x, np.zeros((2, 2)))
         np.testing.assert_array_equal(cqp.y_cols, [2, 3])
-        if cqp.factor is None:
-            np.testing.assert_array_equal(cqp.w_x, np.zeros((2, 2)))
-        else:
-            np.testing.assert_array_equal(np.tril(cqp.factor), np.eye(4))
+        _assert_local_solves(cqp, b, g)
 
 
 def test_split_reassembles_under_permutation():
-    # the one factor holds B with the local columns first, coupling last
+    # interleaved coupling columns: the local block is B's rows and columns
+    # 0, 2, 3, 5 in that order, and the coupling block 1, 4
     rng = np.random.default_rng(2)
     b = random_spd(rng, 6)
     g = rng.standard_normal(6)
     x_cols = np.array([1, 4])
-    cqp = _condense(b, g, x_cols)
-    np.testing.assert_array_equal(cqp.y_cols, [0, 2, 3, 5])
-    order = np.concatenate([cqp.y_cols, x_cols])
-    l = np.tril(cqp.factor)
-    np.testing.assert_allclose(l @ l.T, b[np.ix_(order, order)], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(l[:4, :4] @ cqp.w_y, g[cqp.y_cols], rtol=0, atol=1e-12)
+    for form in FORMS:
+        cqp = _condense(form(b), g, x_cols)
+        np.testing.assert_array_equal(cqp.y_cols, [0, 2, 3, 5])
+        _assert_local_solves(cqp, b, g)
+
+
+def test_condensed_matrix_is_exactly_symmetric(problems):
+    # every region of every shipped manifest, on both region paths
+    for name, p in problems.items():
+        for reg in p.regions:
+            s = flat_start(reg.net)
+            lin = linearize(reg.net, s, 1e-10)
+            dense = lin.hess.toarray() if sp.issparse(lin.hess) else lin.hess
+            for form in FORMS:
+                cqp = condense_region(_lin_from(form(dense), lin.g), reg.coupling_free_cols,
+                                      s.free())
+                assert np.array_equal(cqp.b_bar, cqp.b_bar.T), (name, reg.index, form)
 
 
 def test_fig1_region_coupling_block_order(problems):
@@ -150,23 +169,25 @@ def test_schur_breakdown_reported():
 
 
 def test_condense_makes_one_factorization_per_region(problems, monkeypatch):
-    # one dense Cholesky of B per small region, one SuperLU factor of Byy
-    # (and no Cholesky) per large one
+    # one factor of the local block Byy per region: a dense Cholesky of an
+    # n_local x n_local matrix per small region, one SuperLU factor (and no
+    # Cholesky) per large one
     import hdpf.condense
 
     calls = []
     real_cho, real_splu = sla.cho_factor, hdpf.condense._sym_splu
     monkeypatch.setattr(sla, "cho_factor",
-                        lambda *a, **k: calls.append("cho") or real_cho(*a, **k))
+                        lambda a, *r, **k: calls.append(("cho", a.shape)) or real_cho(a, *r, **k))
     monkeypatch.setattr(hdpf.condense, "_sym_splu",
-                        lambda *a, **k: calls.append("splu") or real_splu(*a, **k))
+                        lambda a, *r, **k: calls.append(("splu", a.shape)) or real_splu(a, *r, **k))
     for name, kind in (("case53", "cho"), ("case404", "splu")):
         calls.clear()
         p = problems[name]
         for reg in p.regions:
             s = flat_start(reg.net)
             condense_region(linearize(reg.net, s, 1e-10), reg.coupling_free_cols, s.free())
-        assert calls == [kind] * len(p.regions), name
+        n_local = [(r.net.n_free - r.n_cpl,) * 2 for r in p.regions]
+        assert calls == [(kind, shape) for shape in n_local], name
 
 
 # --- recovery -----------------------------------------------------------------

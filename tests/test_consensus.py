@@ -22,7 +22,7 @@ def _cqp(b, g, x_k):
     n = len(g)
     return CondensedQP(
         b_bar=b, g_bar=g, x_k=x_k, x_cols=np.arange(n),
-        y_cols=np.zeros(0, dtype=np.int64), factor=None, w_y=np.zeros(0))
+        y_cols=np.zeros(0, dtype=np.int64), w_y=np.zeros(0), w_x=np.zeros((0, n)))
 
 
 def _stub(cols):
