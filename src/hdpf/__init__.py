@@ -54,7 +54,7 @@ from .partition import (
     merge_cases,
     partition,
 )
-from .residual import RegionLinearization, jacobian, linearize, q_term, residual
+from .residual import RegionLinearization, jacobian, linearize, linearize_regions, q_term, residual
 from .trace import (
     IterationRecord,
     SolveTrace,

@@ -41,8 +41,9 @@ def central_solve(net: NetworkModel,
     """
     if cfg is None:
         cfg = SolverConfig(tol_residual=TOL_REFERENCE)
-    (s,), _, records, status = _iterate([net], [flat_start(net)], None, cfg,
-                                        _full_space_step, _sparse_linearize)
+    (s,), _, records, status = _iterate(
+        [flat_start(net)], None, cfg, _full_space_step,
+        lambda states, eps: [_sparse_linearize(net, states[0], eps)])
     return s, SolveTrace(records=records, status=status)
 
 

@@ -19,7 +19,7 @@ from .consensus import TOL_KKT, averaging_projector, verify_kkt
 from .driver import SolverConfig, consensus_step, solve
 from .network import build_network, flat_start
 from .partition import consensus_dims, partition
-from .residual import linearize, residual
+from .residual import linearize_regions, residual
 from .trace import read_state, write_state, write_trace
 
 __all__ = ["main"]
@@ -144,7 +144,7 @@ def _cmd_check(args) -> int:
         # the solver's first step from a flat start
         eps = SolverConfig().eps
         states = [flat_start(r.net) for r in prob.regions]
-        lins = [linearize(r.net, s, eps) for r, s in zip(prob.regions, states)]
+        lins = linearize_regions(prob.union, states, eps)
         cqps, sol, chi_next = consensus_step(prob, lins, [s.free() for s in states])
         m = averaging_projector(cqps, prob.regions, n_z)
         idem = float(np.max(np.abs(m @ m - m)))

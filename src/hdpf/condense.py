@@ -14,11 +14,14 @@ w_x = Byy^-1 Byx and w_y = Byy^-1 gy, which recovery reuses.
 
 Only taking the blocks out and factoring Byy depend on the form of B, and
 the form chooses the factorization: B is dense for a region with fewer than
-:data:`hdpf.residual.SPARSE_MIN_FREE` free entries, and Byy is factored by
-LAPACK's Cholesky; B is CSC for a larger one (see
-:func:`hdpf.residual.linearize`), and Byy is factored by SuperLU with the
-symmetric settings of :func:`_sym_splu`, at a cost that grows with the
-nonzeros of Byy and its factor, not with n_free^3.
+:data:`hdpf.residual.SPARSE_MIN_FREE` free entries, and Byy is factored and
+solved by LAPACK's Cholesky (``potrf``, ``potrs``), called directly; B is
+CSC for a larger one (see :func:`hdpf.residual.linearize`), and Byy is
+factored by SuperLU with the symmetric settings of :func:`_sym_splu`, at a
+cost that grows with the nonzeros of Byy and its factor, not with n_free^3.
+A region's :class:`BlockSplit` is built once and keeps, for a dense B, the
+flat gathers of its three blocks, so a dense condensation is three
+gathers, two LAPACK calls and two products.
 
 The factorization is made once per outer iteration and is the dominant
 per-region cost.  Linearize, condense and recover of one region at the flat
@@ -28,33 +31,36 @@ start, dense against sparse (best / median of 30 alternating runs, on a
     ==========  ======  ===============  ===============
     region      n_free  dense            sparse
     ==========  ======  ===============  ===============
-    grid-8x8        36  0.15 / 0.16 ms   0.34 / 0.37 ms
-    case53          66  0.22 / 0.27 ms   0.51 / 0.59 ms
-    tiles-1100     238  1.40 / 1.53 ms   1.29 / 1.36 ms
-    case404        410  4.17 / 4.59 ms   1.91 / 2.03 ms
-    pair-808       814  8.06 / 9.64 ms   3.17 / 3.65 ms
+    grid-8x8        36  0.09 / 0.14 ms   0.39 / 0.54 ms
+    case53          66  0.14 / 0.23 ms   0.78 / 0.85 ms
+    tiles-1100     238  1.02 / 1.62 ms   1.57 / 2.52 ms
+    case404        410  2.15 / 3.50 ms   2.25 / 3.84 ms
+    pair-808       814  10.3 / 11.3 ms   4.39 / 5.38 ms
     ==========  ======  ===============  ===============
 
-Near 238 the two paths tie, per region and per whole tiles-1100 solve (ten
-regions of 222-238; medians of 68-91 ms dense against 70-103 ms sparse over
-three runs of 20 alternating solves), while from case404's 410 up the sparse
-path is more than twice as fast, so the threshold lies above the tiles and
-below case404.
+Up to the tiles' 238 the dense path is the faster, per region and per whole
+tiles-1100 solve (medians of 70-92 ms dense against 93-102 ms sparse over
+three runs of 20 alternating solves).  The paths now cross near case404's
+410: its whole solve takes 32-34 ms on either (same protocol), while at
+pair-808's 814 the sparse path is twice as fast.  The threshold of 400 sits
+at the crossover, where the choice costs no time, and keeps the regions
+from 400 up off the n_free^2 arrays of the dense path.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .network import csc_columns
 from .residual import RegionLinearization
 
-__all__ = ["FactorizationError", "CondensedQP", "condense_region", "recover_local"]
+__all__ = ["FactorizationError", "BlockSplit", "CondensedQP", "condense_region", "recover_local"]
 
 _LOCAL_BLOCK = "local block of the regularized Gauss-Newton matrix"
 
@@ -74,14 +80,28 @@ def _sym_splu(a, what: str):
         raise FactorizationError(f"{what} is singular: {exc}") from exc
 
 
-def _dense_blocks(b: np.ndarray, x_cols, y_cols, local):
-    """(Byy, Byx, Bxx) of a dense B, each a fresh C-ordered array."""
-    return b[np.ix_(y_cols, y_cols)], b[np.ix_(y_cols, x_cols)], b[np.ix_(x_cols, x_cols)]
+class BlockSplit:
+    """A model's free columns split into coupling entries x and local
+    entries y, and, built on first use, the flat gathers that take Byy, Byx
+    and Bxx out of a dense, C-ordered B."""
+
+    def __init__(self, n_free: int, x_cols):
+        self.x_cols = np.asarray(x_cols, dtype=np.int64)
+        self.local = np.ones(n_free, dtype=bool)
+        self.local[self.x_cols] = False
+        self.y_cols = np.flatnonzero(self.local)
+
+    @functools.cached_property
+    def gathers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat positions in B of Byy, Byx and Bxx, each of its block's shape."""
+        n, y, x = len(self.local), self.y_cols, self.x_cols
+        return y[:, None] * n + y, y[:, None] * n + x, x[:, None] * n + x
 
 
-def _csc_blocks(b: sp.csc_matrix, x_cols, y_cols, local):
+def _csc_blocks(b: sp.csc_matrix, split: BlockSplit):
     """(Byy, Byx, Bxx) of a canonical CSC B, as :func:`hdpf.residual.linearize`
     makes it: Byy in CSC, the two coupling blocks dense."""
+    x_cols, y_cols, local = split.x_cols, split.y_cols, split.local
     ny, nx = len(y_cols), len(x_cols)
     # each nonzero's row and column, and each column's position in its block
     rows, cols = b.indices, csc_columns(b.indptr)
@@ -104,15 +124,20 @@ def _csc_blocks(b: sp.csc_matrix, x_cols, y_cols, local):
 
 
 def _cho_solve(byy: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Byy^-1 rhs for a dense symmetric ``byy``, by one Cholesky
-    factorization; overwrites both arguments."""
-    try:
-        # the transpose of the C-ordered byy is the Fortran-ordered array
-        # LAPACK factors in place
-        factor = sla.cho_factor(byy.T, lower=True, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"{_LOCAL_BLOCK} is not positive definite: {exc}") from exc
-    return sla.cho_solve(factor, rhs, overwrite_b=True, check_finite=False)
+    """Byy^-1 rhs for a dense symmetric ``byy`` and a Fortran-ordered
+    ``rhs``, by LAPACK's Cholesky factor and solve (``potrf``, ``potrs``),
+    the routines scipy's ``cho_factor`` and ``cho_solve`` call; overwrites
+    both arguments."""
+    # the transpose of the C-ordered byy is the Fortran-ordered array
+    # LAPACK factors in place
+    factor, info = lapack.dpotrf(byy.T, lower=1, overwrite_a=1, clean=0)
+    if info:
+        raise FactorizationError(f"{_LOCAL_BLOCK} is not positive definite: {info}-th leading "
+                                 f"minor of the array is not positive definite "
+                                 f"(LAPACK potrf info {info})")
+    if not len(byy):  # potrs rejects an empty factor
+        return rhs
+    return lapack.dpotrs(factor, rhs, lower=1, overwrite_b=1)[0]
 
 
 def _splu_solve(byy: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
@@ -143,20 +168,25 @@ class CondensedQP:
         return len(self.x_cols)
 
 
-def condense_region(lin: RegionLinearization, x_cols: np.ndarray,
+def condense_region(lin: RegionLinearization, cols: BlockSplit | np.ndarray,
                     chi_free: np.ndarray) -> CondensedQP:
-    """Condense one region's model at the current iterate."""
-    x_cols = np.asarray(x_cols, dtype=np.int64)
-    local = np.ones(lin.hess.shape[0], dtype=bool)
-    local[x_cols] = False
-    y_cols = np.flatnonzero(local)
+    """Condense one region's model at the current iterate.  ``cols`` is
+    the region's :class:`BlockSplit`, which keeps its gathers from call to
+    call, or the coupling entries' free-vector columns, split for this call
+    alone."""
+    split = cols if isinstance(cols, BlockSplit) else BlockSplit(lin.hess.shape[0], cols)
+    x_cols, y_cols = split.x_cols, split.y_cols
     if sp.issparse(lin.hess):
-        blocks, solve = _csc_blocks, _splu_solve
+        byy, byx, bxx = _csc_blocks(lin.hess, split)
+        solve = _splu_solve
     else:
-        blocks, solve = _dense_blocks, _cho_solve
-    byy, byx, bxx = blocks(lin.hess, x_cols, y_cols, local)
+        byy, byx, bxx = (lin.hess.take(flat) for flat in split.gathers)
+        solve = _cho_solve
     gy = lin.g[y_cols]
-    w = solve(byy, np.column_stack((byx, gy)))
+    rhs = np.empty((len(y_cols), len(x_cols) + 1), order="F")
+    rhs[:, :-1] = byx
+    rhs[:, -1] = gy
+    w = solve(byy, rhs)
     w_x, w_y = w[:, :-1], w[:, -1]
     s = bxx - byx.T @ w_x
     return CondensedQP(

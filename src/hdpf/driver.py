@@ -33,9 +33,9 @@ import scipy.sparse as sp
 
 from .condense import FactorizationError, _sym_splu, condense_region, recover_local
 from .consensus import consensus_pass, weighted_average
-from .network import ModelError, NetworkModel, StateVector, csc_columns, flat_start
+from .network import ModelError, StateVector, csc_columns, flat_start
 from .partition import PartitionedProblem
-from .residual import linearize, q_term
+from .residual import linearize_regions, q_term
 from .trace import (
     STATUS_BREAKDOWN,
     STATUS_CONVERGED,
@@ -93,8 +93,7 @@ def consensus_step(p: PartitionedProblem, lins, chis, average=weighted_average):
     The three functions are read from this module at call time, so a
     wrapper set on its attribute (as bench/layers.py sets) sees every call.
     """
-    cqps = [condense_region(lin, r.coupling_free_cols, chi)
-            for lin, r, chi in zip(lins, p.regions, chis)]
+    cqps = [condense_region(lin, r.split, chi) for lin, r, chi in zip(lins, p.regions, chis)]
     sol = consensus_pass(cqps, p.regions, p.n_z, average)
     new_free = [recover_local(c, sol.z_bar[r.z_cols], chi)
                 for c, r, chi in zip(cqps, p.regions, chis)]
@@ -173,16 +172,17 @@ def _condense_gap(p: PartitionedProblem, lins, q_terms, chi_ks, x_plus) -> float
                 for r, xp in zip(p.regions, x_plus) if len(xp)), default=0.0)
 
 
-def _iterate(nets: list[NetworkModel], states: list[StateVector], lams, cfg: SolverConfig,
-             step, linearize_fn, comm_floats: int = 0, extras=None):
+def _iterate(states: list[StateVector], lams, cfg: SolverConfig, step, evaluate_fn,
+             comm_floats: int = 0, extras=None):
     """The outer iteration shared by every solver; it evaluates each iterate
     once, where it is made, so every iterate it returns has been evaluated.
 
-    ``linearize_fn(net, state, eps)`` evaluates one network and raises
-    :class:`ModelError` on an iterate it cannot evaluate.  ``step(lins,
-    chis)`` maps the linearizations and free vectors of the current iterate
-    to the next free vectors, their multipliers and the primal residual; it
-    may raise :class:`FactorizationError`.  ``extras(lins, chis, new_free,
+    ``evaluate_fn(states, eps)`` linearizes every network at its state, in
+    order, in one call, and raises :class:`ModelError` on an iterate it
+    cannot evaluate.  ``step(lins, chis)`` maps the linearizations and free
+    vectors of the current iterate to the next free vectors, their
+    multipliers and the primal residual; it may raise
+    :class:`FactorizationError`.  ``extras(lins, chis, new_free,
     new_states, new_lins)`` returns the optional record fields, with
     ``new_lins`` None when the new iterate could not be evaluated.  Record
     k's ``wall_ns`` covers step k and the evaluation of the iterate it made.
@@ -190,7 +190,7 @@ def _iterate(nets: list[NetworkModel], states: list[StateVector], lams, cfg: Sol
     """
     def evaluate(states):
         try:
-            return [linearize_fn(net, s, cfg.eps) for net, s in zip(nets, states)]
+            return evaluate_fn(states, cfg.eps)
         except ModelError:
             return None
 
@@ -239,13 +239,14 @@ def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | N
         cfg = SolverConfig()
     ref_free = ref.free() if ref is not None else None
 
-    def evaluate(net, s, eps):
+    def evaluate(states, eps):
         # both names are read at call time, so a wrapper set on this
         # module's attribute (as bench/layers.py sets) sees every call
-        lin = linearize(net, s, eps)
+        lins = linearize_regions(p.union, states, eps)
         if cfg.diagnose:
-            lin.q = q_term(net, s)
-        return lin
+            for lin, reg, s in zip(lins, p.regions, states):
+                lin.q = q_term(reg.net, s)
+        return lins
 
     def step(lins, chis):
         _, sol, new_free = consensus_step(p, lins, chis, average)
@@ -271,8 +272,8 @@ def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | N
         return fields
 
     states, lams, records, status = _iterate(
-        [r.net for r in p.regions], [flat_start(r.net) for r in p.regions],
-        [np.zeros(r.n_cpl) for r in p.regions], cfg, step, evaluate,
+        [flat_start(r.net) for r in p.regions], [np.zeros(r.n_cpl) for r in p.regions],
+        cfg, step, evaluate,
         comm_floats_per_iteration(p), extras)
     return stitch_state(p, states), lams, SolveTrace(records=records, status=status)
 

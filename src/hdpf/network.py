@@ -55,6 +55,11 @@ A region's model builds the Jacobian's pattern and ``jtj_pairs``; a large
 one also ``jtj_pattern``; when diagnosed, a small one ``q_targets`` and a
 large one ``q_slots``.  The merged network, used for stitching and by the
 sparse reference, builds only the Jacobian's pattern.
+
+A :class:`NetworkUnion` puts several networks side by side as one, from
+their Jacobian patterns; a partitioned problem builds the union of its
+regions on its first solve, and the solvers evaluate every region through
+it in one pass.
 """
 
 from __future__ import annotations
@@ -68,7 +73,8 @@ import scipy.sparse as sp
 
 from .caseio import BusType, RawCase
 
-__all__ = ["ModelError", "NetworkModel", "StateVector", "build_network", "flat_start"]
+__all__ = ["ModelError", "NetworkModel", "NetworkUnion", "StateVector", "build_network",
+           "flat_start"]
 
 
 class ModelError(ValueError):
@@ -335,6 +341,61 @@ class NetworkModel:
         keys = csc_columns(gram.indptr) * n + gram.indices
         pos = np.searchsorted(keys, np.where(free, c * n + r, 0))
         return np.where(free, pos, len(keys)).ravel()
+
+
+def _offsets(sizes) -> np.ndarray:
+    """Start of each block and the total, for blocks of the given sizes."""
+    return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+
+
+class NetworkUnion:
+    """Several networks side by side as one network, for their evaluation.
+
+    Its buses, admittance nonzeros, residual rows and free entries are
+    those of ``nets``, network after network, each index shifted by the
+    networks before it, so its Jacobian is block diagonal with each
+    network's CSR pattern as a block.  It carries what
+    :mod:`hdpf.residual` reads of a network to evaluate the flow terms, the
+    residual and the Jacobian's values, so one evaluation of the union
+    evaluates every network.  Everything is built from the networks' own
+    maps when the union is made.
+    """
+
+    def __init__(self, nets):
+        nets = self.nets = tuple(nets)
+        pats = [net.jac_pattern for net in nets]
+        bus = _offsets([net.n_bus for net in nets])
+        rows = _offsets([2 * net.n_core for net in nets])
+        free = _offsets([net.n_free for net in nets])
+        jac = _offsets([len(pat.indices) for pat in pats])
+        self.n_bus, self.n_core, self.n_free = int(bus[-1]), int(rows[-1]) // 2, int(free[-1])
+
+        def cat(arrays, shifts=None):
+            """The arrays one after another, each plus its shift if given."""
+            if shifts is not None:
+                arrays = [a + shift for a, shift in zip(arrays, shifts)]
+            return np.concatenate(list(arrays))
+
+        self.y_row = cat([net.y_row for net in nets], bus)
+        self.y_col = cat([net.y_col for net in nets], bus)
+        self.g_val = cat(net.g_val for net in nets)
+        self.b_val = cat(net.b_val for net in nets)
+        self.core_idx = cat([net.core_idx for net in nets], bus)
+        # a network lists its term derivatives in eight blocks of n_terms
+        # values, then its injection entries in two blocks of n_core; the
+        # union lists each block of every network in turn, and sends a value
+        # on a fixed column to its own spare bin
+        blocks = [np.split(np.where(pat.slot < len(pat.indices), pat.slot + j, jac[-1]),
+                           np.cumsum([len(pat.terms)] * 8 + [net.n_core]))
+                  for net, pat, j in zip(nets, pats, jac)]
+        self.jac_pattern = JacobianPattern(
+            terms=cat([pat.terms for pat in pats], _offsets([len(net.y_row) for net in nets])),
+            cols=cat(np.where(pat.cols >= 0, pat.cols + f, -1) for pat, f in zip(pats, free)),
+            slot=cat(b[i] for i in range(10) for b in blocks),
+            rows=cat([pat.rows for pat in pats], rows),
+            indices=cat([pat.indices for pat in pats], free),
+            indptr=np.append(cat([pat.indptr[:-1] for pat in pats], jac), jac[-1]),
+        )
 
 
 class StateVector:

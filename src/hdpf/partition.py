@@ -45,7 +45,8 @@ from scipy.sparse.csgraph import connected_components
 
 from . import network
 from .caseio import BusType, MergeManifest, RawBranch, RawBus, RawCase, RawGen
-from .network import NetworkModel
+from .condense import BlockSplit
+from .network import NetworkModel, NetworkUnion
 
 __all__ = [
     "PartitionError",
@@ -95,6 +96,13 @@ class RegionStructure:
     def n_cpl(self) -> int:
         return len(self.coupling_free_cols)
 
+    @functools.cached_property
+    def split(self) -> BlockSplit:
+        """The free columns split into coupling and local ones, built on
+        first use; :func:`hdpf.condense.condense_region` keeps on it the
+        gathers it builds."""
+        return BlockSplit(self.net.n_free, self.coupling_free_cols)
+
 
 @dataclass
 class PartitionedProblem:
@@ -108,6 +116,13 @@ class PartitionedProblem:
     def merged_net(self) -> NetworkModel:
         """The merged case's network, built on first use."""
         return network.build_network(self.merged_case)
+
+    @functools.cached_property
+    def union(self) -> NetworkUnion:
+        """The regions' networks as one, in region order, built on first
+        use; :func:`hdpf.residual.linearize_regions` evaluates them through
+        it in one pass."""
+        return NetworkUnion(r.net for r in self.regions)
 
     @property
     def n_z(self) -> int:

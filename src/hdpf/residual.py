@@ -33,9 +33,15 @@ each entry's products in ascending Jacobian row, the order a sparse
 plus ``eps`` on the diagonal and ``J.T @ r``, with
 ``J = jacobian(net, s)``, bit for bit, in either form.
 
-Every function here is a pure evaluation over a network and a state; the
-only state a network gains is its index maps, built on first use and
-never changed, so regions can be linearized concurrently.
+The solvers evaluate all regions in one call, :func:`linearize_regions`,
+over a :class:`~hdpf.network.NetworkUnion` of their networks, so the
+per-call cost is paid once per iteration, not once per region, with the
+same bits as each region evaluated alone by :func:`linearize`, the same
+body with one network.
+
+Every function here is a pure evaluation over networks and states; the
+only state a network, a union or a problem gains is index maps, built on
+first use and never changed.
 """
 
 from __future__ import annotations
@@ -46,9 +52,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .network import ModelError, NetworkModel, StateVector
+from .network import ModelError, NetworkModel, NetworkUnion, StateVector
 
-__all__ = ["RegionLinearization", "residual", "jacobian", "q_term", "linearize"]
+__all__ = ["RegionLinearization", "residual", "jacobian", "q_term", "linearize",
+           "linearize_regions"]
 
 # free entries from which linearize assembles B sparse (see hdpf.condense
 # for the per-region timings behind the value)
@@ -71,28 +78,39 @@ class RegionLinearization:
                             # when diagnosed: in hess's form, CSC on hess's pattern
 
 
-def _check_state(net: NetworkModel, s: StateVector):
-    if s.x.shape != (4, net.n_bus):
+def _checked_table(nets, states) -> np.ndarray:
+    """The states of ``nets`` side by side, one (4, total buses) table,
+    after checking that each fits its network and that every entry is
+    finite and every magnitude positive.  With several networks, a bad
+    state names its region, by its index in ``nets``, and bus positions
+    within it."""
+    if len(states) != len(nets) or any(s.x.shape != (4, net.n_bus)
+                                       for net, s in zip(nets, states)):
         raise ValueError("state is dimensioned for a different network")
-    finite = np.isfinite(s.x).all(axis=0)
-    if not finite.all():
-        bad = np.flatnonzero(~finite)
-        raise ModelError(f"non-finite state at bus position(s) {bad.tolist()}")
-    if np.any(s.vm <= 0.0):
-        bad = np.flatnonzero(s.vm <= 0.0)
-        raise ModelError(f"non-positive voltage magnitude at bus position(s) {bad.tolist()}")
+    x = states[0].x if len(states) == 1 else np.concatenate([s.x for s in states], axis=1)
+    for what, bad in (("non-finite state", ~np.isfinite(x).all(axis=0)),
+                      ("non-positive voltage magnitude", x[1] <= 0.0)):
+        if bad.any():
+            pos, prefix = np.flatnonzero(bad), ""
+            if len(nets) > 1:
+                ends = np.cumsum([net.n_bus for net in nets])
+                k = int(np.searchsorted(ends, pos[0], side="right"))
+                pos = pos[pos < ends[k]] - (ends[k] - nets[k].n_bus)
+                prefix = f"region {k}: "
+            raise ModelError(f"{prefix}{what} at bus position(s) {pos.tolist()}")
+    return x
 
 
-def _flow_terms(net: NetworkModel, s: StateVector):
-    """Check the state, then return the per-nonzero trig terms and the
-    per-bus computed injections."""
-    _check_state(net, s)
+def _flow_terms(net, x: np.ndarray):
+    """The per-nonzero trig terms and the per-bus computed injections of
+    the state table ``x`` of ``net``, a network or a :class:`NetworkUnion`."""
+    theta, vm = x[0], x[1]
     i, k = net.y_row, net.y_col
-    dth = s.theta[i] - s.theta[k]
+    dth = theta[i] - theta[k]
     cos, sin = np.cos(dth), np.sin(dth)
     c = net.g_val * cos + net.b_val * sin     # G cos + B sin
     d = net.g_val * sin - net.b_val * cos     # G sin - B cos
-    vv = s.vm[i] * s.vm[k]
+    vv = vm[i] * vm[k]
     tc = vv * c
     td = vv * d
     p_calc = np.bincount(i, weights=tc, minlength=net.n_bus)
@@ -102,41 +120,44 @@ def _flow_terms(net: NetworkModel, s: StateVector):
 
 def residual(net: NetworkModel, s: StateVector) -> np.ndarray:
     """Residual vector over core buses, rows (p_1, q_1, p_2, q_2, ...)."""
-    return _residual(net, s, _flow_terms(net, s))
+    x = _checked_table((net,), (s,))
+    return _residual(net, x, _flow_terms(net, x))
 
 
-def _residual(net: NetworkModel, s: StateVector, terms) -> np.ndarray:
+def _residual(net, x: np.ndarray, terms) -> np.ndarray:
     _, _, _, _, p_calc, q_calc = terms
     core = net.core_idx
     r = np.empty(2 * net.n_core)
-    r[0::2] = s.p[core] - p_calc[core]
-    r[1::2] = s.q[core] - q_calc[core]
+    r[0::2] = x[2, core] - p_calc[core]
+    r[1::2] = x[3, core] - q_calc[core]
     return r
 
 
 def jacobian(net: NetworkModel, s: StateVector) -> sp.csr_matrix:
     """Analytic Jacobian of the residual w.r.t. the free state entries."""
-    return _jacobian(net, s, _flow_terms(net, s))
+    x = _checked_table((net,), (s,))
+    return _jacobian(net, x, _flow_terms(net, x))
 
 
 def _residual_and_jacobian(net: NetworkModel, s: StateVector) -> tuple[np.ndarray, sp.csr_matrix]:
     """:func:`residual` and :func:`jacobian` from one state check and one
     evaluation of the flow terms."""
-    terms = _flow_terms(net, s)
-    return _residual(net, s, terms), _jacobian(net, s, terms)
+    x = _checked_table((net,), (s,))
+    terms = _flow_terms(net, x)
+    return _residual(net, x, terms), _jacobian(net, x, terms)
 
 
-def _jacobian(net: NetworkModel, s: StateVector, terms) -> sp.csr_matrix:
+def _jacobian(net: NetworkModel, x: np.ndarray, terms) -> sp.csr_matrix:
     pat = net.jac_pattern
-    return sp.csr_matrix((_jacobian_values(net, s, terms), pat.indices, pat.indptr),
+    return sp.csr_matrix((_jacobian_values(net, x, terms), pat.indices, pat.indptr),
                          shape=(2 * net.n_core, net.n_free))
 
 
-def _jacobian_values(net: NetworkModel, s: StateVector, terms) -> np.ndarray:
+def _jacobian_values(net, x: np.ndarray, terms) -> np.ndarray:
     """The Jacobian's nonzeros in the CSR order of ``net.jac_pattern``: minus
     each term's gradient, listed as the pattern's ``slot`` expects, and +1
     for the injection entries."""
-    c, d, tc, td, vi, vk = _on_terms(net, s, terms)
+    c, d, tc, td, vi, vk = _on_terms(net, x, terms)
     ones = np.ones(net.n_core)
     vals = np.concatenate([td, -td, -vk * c, -vi * c,      # -grad of v_i v_k c
                            -tc, tc, -vk * d, -vi * d,      # -grad of v_i v_k d
@@ -145,11 +166,11 @@ def _jacobian_values(net: NetworkModel, s: StateVector, terms) -> np.ndarray:
     return np.bincount(pat.slot, weights=vals, minlength=len(pat.indices) + 1)[:-1]
 
 
-def _on_terms(net: NetworkModel, s: StateVector, terms):
+def _on_terms(net, x: np.ndarray, terms):
     """c, d, t_c, t_d, v_i and v_k of each term of ``net.jac_pattern``."""
     c, d, tc, td, _, _ = terms
     t = net.jac_pattern.terms
-    return c[t], d[t], tc[t], td[t], s.vm[net.y_row[t]], s.vm[net.y_col[t]]
+    return c[t], d[t], tc[t], td[t], x[1, net.y_row[t]], x[1, net.y_col[t]]
 
 
 def q_term(net: NetworkModel, s: StateVector) -> np.ndarray | sp.csc_matrix:
@@ -163,9 +184,10 @@ def q_term(net: NetworkModel, s: StateVector) -> np.ndarray | sp.csc_matrix:
     matrix and the true Hessian of f); the solve path never forms it.  The
     injection entries are linear and add nothing.
     """
-    terms = _flow_terms(net, s)
-    r = _residual(net, s, terms)
-    c, d, tc, td, vi, vk = _on_terms(net, s, terms)
+    x = _checked_table((net,), (s,))
+    terms = _flow_terms(net, x)
+    r = _residual(net, x, terms)
+    c, d, tc, td, vi, vk = _on_terms(net, x, terms)
     row = net.row_of_bus[net.y_row[net.jac_pattern.terms]]
     w_p, w_q = r[row], r[row + 1]
     # over (theta_i, theta_k, v_i, v_k), w_p hess(v_i v_k c) + w_q hess(v_i v_k d)
@@ -190,31 +212,65 @@ def q_term(net: NetworkModel, s: StateVector) -> np.ndarray | sp.csc_matrix:
 
 
 def linearize(net: NetworkModel, s: StateVector, eps: float) -> RegionLinearization:
-    """Evaluate residual, gradient and regularized Hessian at s.
+    """Evaluate residual, gradient and regularized Hessian at s: the
+    one-network case of :func:`linearize_regions`, the network standing
+    for its own union."""
+    return _linearize(net, (net,), (s,), eps)[0]
 
-    The Jacobian's values are filled into the network's fixed pattern and
-    never wrapped in a sparse matrix: ``g = J'r`` is one bincount over the
-    columns, and ``B = J'J + eps*I`` one bincount over ``net.jtj_pairs``,
-    into a dense array below :data:`SPARSE_MIN_FREE` free entries and into
-    the values of ``net.jtj_pattern``, a CSC matrix, from there on.  Both
-    add in ascending row order, so they equal the sparse ``J.T @ r`` and
-    ``J.T @ J + eps*I`` bit for bit.  ``eps`` must be positive and finite.
+
+def linearize_regions(union: NetworkUnion, states, eps: float) -> list[RegionLinearization]:
+    """Evaluate residual, gradient and regularized Hessian of every network
+    of ``union`` at its state in ``states``, in the union's order.
+
+    The flow terms, the residual, the Jacobian's values and ``g = J'r``
+    come from one pass over the union, whose Jacobian is block diagonal, so
+    each network's r, g and Jacobian values are a slice of the union's.
+    The values are filled into the fixed pattern and never wrapped in a
+    sparse matrix: ``g`` is one bincount over the columns, and each
+    network's ``B = J'J + eps*I`` one bincount over its ``net.jtj_pairs``
+    from its own slice, into a dense array below :data:`SPARSE_MIN_FREE`
+    free entries and into the values of ``net.jtj_pattern``, a CSC matrix,
+    from there on.  Every sum adds in ascending row order, so they equal
+    the sparse ``J.T @ r`` and ``J.T @ J + eps*I`` bit for bit, as a
+    network evaluated alone gives them.  ``eps`` must be positive and
+    finite.  A bad state raises :class:`ModelError`, naming its region
+    when the union has several networks.
     """
+    return _linearize(union, union.nets, states, eps)
+
+
+def _linearize(whole, nets, states, eps: float) -> list[RegionLinearization]:
+    """The evaluation of ``nets`` at ``states`` through ``whole``, their
+    union or the one network itself."""
     if not 0.0 < eps < math.inf:  # NaN fails too
         raise ValueError(f"regularization must be positive and finite, got {eps}")
-    terms = _flow_terms(net, s)
-    r = _residual(net, s, terms)
-    vals = _jacobian_values(net, s, terms)
-    pat = net.jac_pattern
+    x = _checked_table(nets, states)
+    terms = _flow_terms(whole, x)
+    r = _residual(whole, x, terms)
+    vals = _jacobian_values(whole, x, terms)
+    del terms  # every network's at once; free them before the B's are formed
+    pat = whole.jac_pattern
+    g = np.bincount(pat.indices, weights=vals * r[pat.rows], minlength=whole.n_free)
+    lins = []
+    row = free = nnz = 0
+    for net in nets:
+        ends = row + 2 * net.n_core, free + net.n_free, nnz + len(net.jac_pattern.indices)
+        lins.append(RegionLinearization(r=r[row:ends[0]], jac=None, g=g[free:ends[1]],
+                                        hess=_gram(net, vals[nnz:ends[2]], eps), eps=eps))
+        row, free, nnz = ends
+    return lins
+
+
+def _gram(net: NetworkModel, vals: np.ndarray, eps: float) -> np.ndarray | sp.csc_matrix:
+    """B = J'J + eps*I from the network's Jacobian values, in the form
+    :data:`SPARSE_MIN_FREE` picks at call time."""
     n = net.n_free
-    g = np.bincount(pat.indices, weights=vals * r[pat.rows], minlength=n)
     a, b, target = net.jtj_pairs
     if n >= SPARSE_MIN_FREE:
         gram = net.jtj_pattern
         data = np.bincount(gram.slot, weights=vals[a] * vals[b], minlength=len(gram.indices))
         data[gram.diag] += eps
-        hess = sp.csc_matrix((data, gram.indices, gram.indptr), shape=(n, n))
-    else:
-        hess = np.bincount(target, weights=vals[a] * vals[b], minlength=n * n).reshape(n, n)
-        hess[np.diag_indices(n)] += eps
-    return RegionLinearization(r=r, jac=None, g=g, hess=hess, eps=eps)
+        return sp.csc_matrix((data, gram.indices, gram.indptr), shape=(n, n))
+    flat = np.bincount(target, weights=vals[a] * vals[b], minlength=n * n)
+    flat[::n + 1] += eps
+    return flat.reshape(n, n)

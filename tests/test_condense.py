@@ -166,17 +166,20 @@ def test_schur_breakdown_reported():
     for form in FORMS:
         with pytest.raises(FactorizationError, match="not positive definite"):
             _condense(form(b), np.zeros(4), [0, 1])
+    # the dense path reports where LAPACK's Cholesky stopped
+    with pytest.raises(FactorizationError, match=r"1-th leading minor .* \(LAPACK potrf info 1\)"):
+        _condense(b, np.zeros(4), [0, 1])
 
 
 def test_condense_makes_one_factorization_per_region(problems, monkeypatch):
-    # one factor of the local block Byy per region: a dense Cholesky of an
-    # n_local x n_local matrix per small region, one SuperLU factor (and no
-    # Cholesky) per large one
+    # one factor of the local block Byy per region: a dense Cholesky (LAPACK's
+    # potrf) of an n_local x n_local matrix per small region, one SuperLU
+    # factor (and no Cholesky) per large one
     import hdpf.condense
 
     calls = []
-    real_cho, real_splu = sla.cho_factor, hdpf.condense._sym_splu
-    monkeypatch.setattr(sla, "cho_factor",
+    real_cho, real_splu = sla.lapack.dpotrf, hdpf.condense._sym_splu
+    monkeypatch.setattr(sla.lapack, "dpotrf",
                         lambda a, *r, **k: calls.append(("cho", a.shape)) or real_cho(a, *r, **k))
     monkeypatch.setattr(hdpf.condense, "_sym_splu",
                         lambda a, *r, **k: calls.append(("splu", a.shape)) or real_splu(a, *r, **k))

@@ -565,8 +565,8 @@ def test_non_finite_step_ends_breakdown_with_last_valid_iterate(cases, bad):
     # iterate that cannot be linearized, so every solver ends the run
     # numerical_breakdown and returns the iterate before it
     from hdpf.driver import _iterate
-    from hdpf.network import flat_start
-    from hdpf.residual import linearize
+    from hdpf.network import NetworkUnion, flat_start
+    from hdpf.residual import linearize_regions
     from hdpf.trace import STATUS_BREAKDOWN
 
     net = build_network(cases["case14"])
@@ -579,8 +579,10 @@ def test_non_finite_step_ends_breakdown_with_last_valid_iterate(cases, bad):
             return [chi - np.linalg.solve(lin.hess, lin.g)], ["lam"], 0.0
         return [np.full_like(chi, bad)], ["broken"], 0.0
 
+    union = NetworkUnion((net,))
     (state,), lams, records, status = _iterate(
-        [net], [flat_start(net)], ["lam0"], SolverConfig(), step, linearize)
+        [flat_start(net)], ["lam0"], SolverConfig(), step,
+        lambda states, eps: linearize_regions(union, states, eps))
     assert status == STATUS_BREAKDOWN
     assert len(records) == 2
     assert not math.isfinite(records[1].dchi_inf)
@@ -589,18 +591,25 @@ def test_non_finite_step_ends_breakdown_with_last_valid_iterate(cases, bad):
 
 
 def _count_evaluations(monkeypatch):
-    """Spy the regions' and the reference's evaluation; calls per network."""
+    """Spy the regions' evaluation, one call for every region, and the
+    reference's; evaluations per network."""
     import collections
 
     import hdpf.central
     import hdpf.driver
 
     counts = collections.Counter()
-    for mod, name in ((hdpf.driver, "linearize"), (hdpf.central, "_sparse_linearize")):
-        def spy(net, *args, real=getattr(mod, name)):
-            counts[id(net)] += 1
-            return real(net, *args)
-        monkeypatch.setattr(mod, name, spy)
+
+    def regions_spy(union, *args, real=hdpf.driver.linearize_regions):
+        counts.update(id(net) for net in union.nets)
+        return real(union, *args)
+
+    def central_spy(net, *args, real=hdpf.central._sparse_linearize):
+        counts[id(net)] += 1
+        return real(net, *args)
+
+    monkeypatch.setattr(hdpf.driver, "linearize_regions", regions_spy)
+    monkeypatch.setattr(hdpf.central, "_sparse_linearize", central_spy)
     return counts
 
 
@@ -635,13 +644,34 @@ def test_every_iterate_is_evaluated_once(problems, monkeypatch, name, cfg, stop)
     assert dict(counts) == {id(p.merged_net): len(trace.records) + 1}
 
 
+def test_evaluation_maps_are_built_on_first_solve_and_kept():
+    # partition builds neither the union of the regions' networks nor the
+    # regions' block splits; the first solve builds both, later solves reuse
+    # them, and only a dense-path region keeps dense gathers of its B
+    from hdpf import load_manifest, partition
+
+    from conftest import fixture_path
+
+    for name, dense in (("case53", True), ("case404", False)):
+        p = partition(*load_manifest(fixture_path(f"{name}.manifest")))
+        assert "union" not in p.__dict__, name
+        assert all("split" not in r.__dict__ for r in p.regions), name
+        solve(p)
+        union, splits = p.union, [r.split for r in p.regions]
+        assert [id(net) for net in union.nets] == [id(r.net) for r in p.regions], name
+        assert all(("gathers" in s.__dict__) == dense for s in splits), name
+        solve(p)
+        assert p.union is union and all(r.split is s for r, s in zip(p.regions, splits)), name
+
+
 def test_factorization_failure_evaluates_each_iterate_once(cases, monkeypatch):
     import hdpf.driver
     from hdpf.condense import FactorizationError
-    from hdpf.network import flat_start
+    from hdpf.network import NetworkUnion, flat_start
     from hdpf.trace import STATUS_BREAKDOWN
 
     net = build_network(cases["case14"])
+    union = NetworkUnion((net,))
     counts = _count_evaluations(monkeypatch)
     steps = []
 
@@ -653,7 +683,8 @@ def test_factorization_failure_evaluates_each_iterate_once(cases, monkeypatch):
         return [chi - np.linalg.solve(lin.hess, lin.g)], None, 0.0
 
     (state,), _, records, status = hdpf.driver._iterate(
-        [net], [flat_start(net)], None, SolverConfig(), step, hdpf.driver.linearize)
+        [flat_start(net)], None, SolverConfig(), step,
+        lambda states, eps: hdpf.driver.linearize_regions(union, states, eps))
     assert status == STATUS_BREAKDOWN
     assert len(records) == 1
     assert np.array_equal(state.free(), steps[1])

@@ -413,3 +413,58 @@ def test_index_maps_built_once_per_network(cases, problems):
     central_solve(merged)
     assert "jac_pattern" in merged.__dict__
     assert "jtj_pairs" not in merged.__dict__ and "q_targets" not in merged.__dict__
+
+
+# --- batched evaluation -------------------------------------------------------
+
+
+def _same(a, b):
+    """Equal bit for bit, in the same form."""
+    if sp.issparse(a):
+        return (sp.issparse(b) and a.format == b.format == "csc"
+                and all(np.array_equal(getattr(a, f), getattr(b, f))
+                        for f in ("data", "indices", "indptr")))
+    return isinstance(b, np.ndarray) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("limit", [0, 10**9])
+def test_batched_evaluation_equals_per_network_linearize(problems, monkeypatch, limit):
+    # every region of every shipped manifest, at the flat start and at a
+    # perturbed state, with every B sparse (limit 0) and every B dense
+    import importlib
+
+    from hdpf.residual import linearize_regions
+
+    monkeypatch.setattr(importlib.import_module("hdpf.residual"), "SPARSE_MIN_FREE", limit)
+    rng = np.random.default_rng(41)
+    for name, p in problems.items():
+        flat = [flat_start(r.net) for r in p.regions]
+        for states in (flat, [_random_state(r.net, rng) for r in p.regions]):
+            lins = linearize_regions(p.union, states, 1e-10)
+            assert len(lins) == len(p.regions), name
+            for reg, s, lin in zip(p.regions, states, lins):
+                one = linearize(reg.net, s, 1e-10)
+                assert sp.issparse(lin.hess) == (limit == 0), name
+                for field in ("r", "g", "hess"):
+                    assert _same(getattr(lin, field), getattr(one, field)), (name, reg.index, field)
+
+
+@pytest.mark.parametrize("row,bad,what", [
+    (0, np.nan, "non-finite state"),
+    (3, np.inf, "non-finite state"),
+    (1, 0.0, "non-positive voltage magnitude"),
+])
+def test_bad_state_names_its_region(problems, row, bad, what):
+    # positions are local to the region; a network evaluated alone keeps
+    # the message without a region
+    from hdpf.residual import linearize_regions
+
+    p = problems["case53"]
+    states = [flat_start(r.net) for r in p.regions]
+    assert len(p.regions) == 3
+    states[1].x[row, [1, 4]] = bad
+    states[2].x[row, 0] = bad
+    with pytest.raises(ModelError, match=rf"^region 1: {what} at bus position\(s\) \[1, 4\]$"):
+        linearize_regions(p.union, states, 1e-10)
+    with pytest.raises(ModelError, match=rf"^{what} at bus position\(s\) \[1, 4\]$"):
+        linearize(p.regions[1].net, states[1], 1e-10)
