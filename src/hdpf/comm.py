@@ -82,7 +82,7 @@ def run_distributed(p: PartitionedProblem, cfg: SolverConfig | None = None,
     ledger = CommLedger()
     iteration = itertools.count(1)
 
-    def metered_average(contributions, n_z):
+    def metered_average(contributions, n_z, system):
         k = next(iteration)
         received = []
         for reg, (cols, s_block, b_vec) in zip(p.regions, contributions):
@@ -90,7 +90,7 @@ def run_distributed(p: PartitionedProblem, cfg: SolverConfig | None = None,
             buf = np.concatenate([s_block.ravel(), b_vec])
             ledger.record(k, reg.index, len(buf), n)
             received.append((cols, buf[:n * n].reshape(n, n), buf[n * n:]))
-        return weighted_average(received, n_z)
+        return weighted_average(received, n_z, system)
 
     state, lams, trace = _solve(p, cfg, ref, metered_average)
     return state, lams, trace, ledger

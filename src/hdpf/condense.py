@@ -19,32 +19,44 @@ solved by LAPACK's Cholesky (``potrf``, ``potrs``), called directly; B is
 CSC for a larger one (see :func:`hdpf.residual.linearize`), and Byy is
 factored by SuperLU with the symmetric settings of :func:`_sym_splu`, at a
 cost that grows with the nonzeros of Byy and its factor, not with n_free^3.
-A region's :class:`BlockSplit` is built once and keeps, for a dense B, the
-flat gathers of its three blocks, so a dense condensation is three
-gathers, two LAPACK calls and two products.
+A region's :class:`BlockSplit` is built once and keeps what depends on B's
+fixed pattern alone: for a dense B, the flat gathers of its three blocks,
+so a dense condensation is three gathers, two LAPACK calls and two
+products; for a CSC B, built from the first one, the gather of Byy's values
+into Byy's fill-reducing order (a :class:`FixedOrder`), the scatters of Byx
+and Bxx and the order itself, so a sparse condensation is one gather, two
+scatters and one SuperLU factor in that order, with no ordering computed
+after the first.
 
 The factorization is made once per outer iteration and is the dominant
 per-region cost.  Linearize, condense and recover of one region at the flat
-start, dense against sparse (best / median of 30 alternating runs, on a
-2-vCPU host with OpenBLAS on 2 threads):
+start, dense against sparse, each path on a split that has seen a B of its
+form (best / median of 30 alternating runs, on a 2-vCPU host with OpenBLAS
+on 2 threads):
 
     ==========  ======  ===============  ===============
     region      n_free  dense            sparse
     ==========  ======  ===============  ===============
-    grid-8x8        36  0.09 / 0.14 ms   0.39 / 0.54 ms
-    case53          66  0.14 / 0.23 ms   0.78 / 0.85 ms
-    tiles-1100     238  1.02 / 1.62 ms   1.57 / 2.52 ms
-    case404        410  2.15 / 3.50 ms   2.25 / 3.84 ms
-    pair-808       814  10.3 / 11.3 ms   4.39 / 5.38 ms
+    grid-8x8        36  0.10 / 0.14 ms   0.29 / 0.39 ms
+    case53          66  0.14 / 0.17 ms   0.35 / 0.44 ms
+    tiles-1100     238  1.33 / 1.45 ms   1.04 / 1.13 ms
+    case404        410  4.00 / 4.40 ms   1.46 / 1.74 ms
+    pair-808       814  7.92 / 8.13 ms   2.39 / 2.56 ms
     ==========  ======  ===============  ===============
 
-Up to the tiles' 238 the dense path is the faster, per region and per whole
-tiles-1100 solve (medians of 70-92 ms dense against 93-102 ms sparse over
-three runs of 20 alternating solves).  The paths now cross near case404's
-410: its whole solve takes 32-34 ms on either (same protocol), while at
-pair-808's 814 the sparse path is twice as fast.  The threshold of 400 sits
-at the crossover, where the choice costs no time, and keeps the regions
-from 400 up off the n_free^2 arrays of the dense path.
+Over three such runs the sparse column read 2.39-3.93 / 2.56-4.23 ms at 814
+and 1.46-2.17 / 1.74-2.37 ms at 410; ordering Byy afresh at every call
+(SuperLU's own minimum-degree ordering) costs 4.05 / 5.43 ms and
+2.31 / 2.65 ms.  Per region the sparse path wins from the tiles' 238 up, but a
+whole solve also pays a first-call ordering per region.  A whole case404
+solve (three runs of 20 alternating solves) takes 30-34 ms with the
+threshold at 400 (sparse) against 36-42 ms at 500 (dense) on a fresh
+problem, and 19-20 ms against 27-28 ms on a problem that has solved before;
+a whole tiles-1100 solve takes 69-82 ms with the threshold at 200 (sparse)
+against 65-71 ms at 400 (dense) on a fresh problem, and 43-50 ms against
+50-57 ms on a solved one.  The threshold of 400 therefore stays: from 400
+up the sparse path wins either way, and below it a fresh solve would lose
+what later ones gain.
 """
 
 from __future__ import annotations
@@ -69,27 +81,82 @@ class FactorizationError(RuntimeError):
     """A symmetric factorization failed; signals a numerical breakdown."""
 
 
-def _sym_splu(a, what: str):
-    """SuperLU factor of the sparse symmetric CSC matrix ``a``, with the
-    settings for a symmetric matrix: minimum-degree ordering of A + A', no
-    pivoting off the diagonal, symmetric mode."""
+def _splu(a, what: str, permc_spec: str):
+    """SuperLU factor of the sparse symmetric CSC matrix ``a`` in the column
+    order ``permc_spec`` picks, with no pivoting off the diagonal, in
+    symmetric mode."""
     try:
-        return spla.splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        return spla.splu(a, permc_spec=permc_spec, diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise FactorizationError(f"{what} is singular: {exc}") from exc
 
 
+def _sym_splu(a, what: str):
+    """SuperLU factor of the sparse symmetric CSC matrix ``a``, with the
+    settings for a symmetric matrix: minimum-degree ordering of A + A', no
+    pivoting off the diagonal, symmetric mode."""
+    return _splu(a, what, "MMD_AT_PLUS_A")
+
+
+class FixedOrder:
+    """A fixed symmetric CSC pattern in a fill-reducing order, found once
+    for every matrix on the pattern.
+
+    A sparse Cholesky splits into an analysis that reads the pattern alone,
+    the ordering, and a numerical factorization (George & Liu, Computer
+    Solution of Large Sparse Positive Definite Systems, 1981).  scipy has no
+    separate analysis, so the order is the column order :func:`_sym_splu`
+    picks for the first matrix, whose factor is thrown away.  Every
+    factorization, the first one included, then factors the matrix permuted
+    into that order, A[q][:, q], in its natural order.  Each ordered column
+    keeps its entries in the stored order of the column it came from, and
+    SuperLU reads them in that order, so the factor makes the operations of
+    :func:`_sym_splu`'s own: the same fill and the same bits.
+    """
+
+    def __init__(self, a: sp.csc_matrix, what: str):
+        self.what = what
+        # perm[i] is the ordered position of row and column i, q its inverse
+        perm = _sym_splu(a, what).perm_c
+        self.q = np.argsort(perm)
+        cols = perm[csc_columns(a.indptr)]
+        # the ordered matrix's k-th stored entry is a's entry src[k]
+        self.src = np.argsort(cols, kind="stable")
+        # int32, the index type of scipy and SuperLU, so factor() copies none
+        self.indices = perm[a.indices[self.src]].astype(np.int32)
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=len(self.q)))]
+                                     ).astype(np.int32)
+
+    def factor(self, data: np.ndarray):
+        """SuperLU factor of the ordered matrix with stored values ``data``."""
+        n = len(self.q)
+        a = sp.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
+        # no duplicates; the flag keeps splu from sorting each column's rows
+        a.has_canonical_format = True
+        return _splu(a, self.what, "NATURAL")
+
+    def solve(self, lu, rhs: np.ndarray) -> np.ndarray:
+        """The solution, in the original order and in the memory layout of
+        ``rhs``, of A w = ``rhs`` for the factor ``lu`` of the ordered A."""
+        w = np.empty_like(rhs)
+        w[self.q] = lu.solve(rhs[self.q])
+        return w
+
+
 class BlockSplit:
     """A model's free columns split into coupling entries x and local
-    entries y, and, built on first use, the flat gathers that take Byy, Byx
-    and Bxx out of a dense, C-ordered B."""
+    entries y, and, built on first use, the maps that take Byy, Byx and Bxx
+    out of B: for a dense, C-ordered B, three flat gathers; for a CSC B on
+    its fixed pattern, one gather of Byy's values in the fill-reducing order
+    of :attr:`order`, two scatters of the coupling blocks and that order."""
 
     def __init__(self, n_free: int, x_cols):
         self.x_cols = np.asarray(x_cols, dtype=np.int64)
         self.local = np.ones(n_free, dtype=bool)
         self.local[self.x_cols] = False
         self.y_cols = np.flatnonzero(self.local)
+        self.order: FixedOrder | None = None  # Byy's, from the first CSC B
 
     @functools.cached_property
     def gathers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -97,30 +164,38 @@ class BlockSplit:
         n, y, x = len(self.local), self.y_cols, self.x_cols
         return y[:, None] * n + y, y[:, None] * n + x, x[:, None] * n + x
 
+    def csc_blocks(self, b: sp.csc_matrix):
+        """(Byy, Byx, Bxx) of a canonical CSC B, as :func:`hdpf.residual.linearize`
+        makes it, on the pattern of the first one this split saw: Byy's
+        stored values in :attr:`order`, the coupling blocks dense."""
+        if self.order is None:
+            self._map_csc(b)
+        byx = np.zeros((len(self.y_cols), len(self.x_cols)))
+        bxx = np.zeros((len(self.x_cols), len(self.x_cols)))
+        for block, (src, flat) in ((byx, self._yx), (bxx, self._xx)):
+            block.put(flat, b.data[src])
+        return b.data[self._yy], byx, bxx
 
-def _csc_blocks(b: sp.csc_matrix, split: BlockSplit):
-    """(Byy, Byx, Bxx) of a canonical CSC B, as :func:`hdpf.residual.linearize`
-    makes it: Byy in CSC, the two coupling blocks dense."""
-    x_cols, y_cols, local = split.x_cols, split.y_cols, split.local
-    ny, nx = len(y_cols), len(x_cols)
-    # each nonzero's row and column, and each column's position in its block
-    rows, cols = b.indices, csc_columns(b.indptr)
-    pos = np.empty(len(local), dtype=np.int64)
-    pos[y_cols] = np.arange(ny)
-    pos[x_cols] = np.arange(nx)
-    row_y, col_y = local[rows], local[cols]
-    # y_cols ascend, so Byy's entries keep their CSC order
-    yy = row_y & col_y
-    counts = np.bincount(pos[cols[yy]], minlength=ny)
-    byy = sp.csc_matrix((b.data[yy], pos[rows[yy]], np.concatenate([[0], np.cumsum(counts)])),
-                        shape=(ny, ny))
-    byx = np.zeros((ny, nx))
-    yx = row_y & ~col_y
-    byx[pos[rows[yx]], pos[cols[yx]]] = b.data[yx]
-    bxx = np.zeros((nx, nx))
-    xx = ~row_y & ~col_y
-    bxx[pos[rows[xx]], pos[cols[xx]]] = b.data[xx]
-    return byy, byx, bxx
+    def _map_csc(self, b: sp.csc_matrix):
+        x_cols, y_cols, local = self.x_cols, self.y_cols, self.local
+        ny, nx = len(y_cols), len(x_cols)
+        # each nonzero's row and column, and each column's position in its block
+        rows, cols = b.indices, csc_columns(b.indptr)
+        pos = np.empty(len(local), dtype=np.int64)
+        pos[y_cols] = np.arange(ny)
+        pos[x_cols] = np.arange(nx)
+        row_y, col_y = local[rows], local[cols]
+        # y_cols ascend, so Byy's entries keep their CSC order
+        yy = np.flatnonzero(row_y & col_y)
+        counts = np.bincount(pos[cols[yy]], minlength=ny)
+        byy = sp.csc_matrix((b.data[yy], pos[rows[yy]], np.concatenate([[0], np.cumsum(counts)])),
+                            shape=(ny, ny))
+        order = FixedOrder(byy, _LOCAL_BLOCK)
+        yx, xx = np.flatnonzero(row_y & ~col_y), np.flatnonzero(~row_y & ~col_y)
+        self._yx = yx, pos[rows[yx]] * nx + pos[cols[yx]]
+        self._xx = xx, pos[rows[xx]] * nx + pos[cols[xx]]
+        self._yy = yy[order.src]
+        self.order = order
 
 
 def _cho_solve(byy: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -140,15 +215,16 @@ def _cho_solve(byy: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return lapack.dpotrs(factor, rhs, lower=1, overwrite_b=1)[0]
 
 
-def _splu_solve(byy: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
-    """Byy^-1 rhs for a sparse symmetric ``byy``, by one SuperLU factor."""
-    lu = _sym_splu(byy, _LOCAL_BLOCK)
+def _splu_solve(order: FixedOrder, byy: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Byy^-1 rhs for the stored values ``byy`` of a sparse symmetric Byy in
+    ``order``, by one SuperLU factor."""
+    lu = order.factor(byy)
     # with every pivot on the diagonal, the pivots are those of Byy's LDL'
     # factorization, all positive exactly when Byy is positive definite
     if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)):
         raise FactorizationError(f"{_LOCAL_BLOCK} is not positive definite: "
                                  "one of its pivots is not positive")
-    return lu.solve(rhs)
+    return order.solve(lu, rhs)
 
 
 @dataclass
@@ -171,14 +247,14 @@ class CondensedQP:
 def condense_region(lin: RegionLinearization, cols: BlockSplit | np.ndarray,
                     chi_free: np.ndarray) -> CondensedQP:
     """Condense one region's model at the current iterate.  ``cols`` is
-    the region's :class:`BlockSplit`, which keeps its gathers from call to
-    call, or the coupling entries' free-vector columns, split for this call
-    alone."""
+    the region's :class:`BlockSplit`, which keeps its gathers and Byy's
+    order from call to call, or the coupling entries' free-vector columns,
+    split (and, for a CSC B, ordered) for this call alone."""
     split = cols if isinstance(cols, BlockSplit) else BlockSplit(lin.hess.shape[0], cols)
     x_cols, y_cols = split.x_cols, split.y_cols
     if sp.issparse(lin.hess):
-        byy, byx, bxx = _csc_blocks(lin.hess, split)
-        solve = _splu_solve
+        byy, byx, bxx = split.csc_blocks(lin.hess)
+        solve = functools.partial(_splu_solve, split.order)
     else:
         byy, byx, bxx = (lin.hess.take(flat) for flat in split.gathers)
         solve = _cho_solve

@@ -28,16 +28,20 @@ are accumulated in region order so repeated runs are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 
-from .condense import CondensedQP, FactorizationError, _sym_splu
-from .partition import RegionStructure
+from .condense import CondensedQP, FactorizationError, FixedOrder
+
+if TYPE_CHECKING:
+    from .partition import RegionStructure
 
 __all__ = [
     "TOL_KKT",
     "ConsensusSolution",
+    "ConsensusSystem",
     "KktResiduals",
     "weighted_average",
     "consensus_pass",
@@ -65,31 +69,63 @@ class ConsensusSolution:
     lam: list[np.ndarray]
 
 
-def weighted_average(contributions, n_z: int) -> np.ndarray:
+class ConsensusSystem:
+    """The fixed pattern of the coordinator's system S = sum E' Bbar E for
+    the regions' z columns, and its fill-reducing order.
+
+    The key map, built with the system, sends each entry of each region's
+    block to its stored entry of S; the order (a :class:`FixedOrder`) is
+    found from the first S and kept, and the map then sends each block entry
+    straight to its stored entry of S in that order.
+    """
+
+    def __init__(self, z_cols, n_z: int):
+        self.n_z = n_z
+        # column-major key of block entry (a, c): row cols[a], column cols[c]
+        key, self.at = np.unique(np.concatenate(
+            [np.tile(cols, len(cols)) * n_z + np.repeat(cols, len(cols)) for cols in z_cols]),
+            return_inverse=True)
+        self.indices = key % n_z
+        self.indptr = np.searchsorted(key, np.arange(n_z + 1) * n_z)
+        self.order: FixedOrder | None = None
+
+    def solve(self, contributions) -> np.ndarray:
+        """zbar from the payloads, whose columns are those the system was
+        built for, in the same order."""
+        b = np.zeros(self.n_z)
+        vals = []
+        for cols, block, vec in contributions:
+            vals.append(block.ravel())
+            b[cols] += vec
+        vals = np.concatenate(vals)
+        if self.order is None:
+            s = sp.csc_matrix((np.bincount(self.at, weights=vals), self.indices, self.indptr),
+                              shape=(self.n_z, self.n_z))
+            self.order = FixedOrder(s, "consensus system")
+            self.at = np.argsort(self.order.src)[self.at]
+        return self.order.solve(self.order.factor(np.bincount(self.at, weights=vals)), b)
+
+
+def weighted_average(contributions, n_z: int, system: ConsensusSystem | None = None,
+                     ) -> np.ndarray:
     """Solve for the consensus vector from per-region payloads.
 
     Each payload is ``(cols, block, vec)``: the region's z columns, the
     ``Bbar`` block on them and ``Bbar x^k - gbar``, in region order.  The
-    system ``S = sum E' Bbar E`` is assembled sparse, in CSC, and factored
-    by SuperLU with the symmetric settings.  Each entry of S is summed over
-    the regions in region order, whatever the order of a region's columns.
+    system ``S = sum E' Bbar E`` is assembled sparse, in CSC, on the fixed
+    pattern of ``system`` (a problem's :class:`ConsensusSystem`, kept from
+    call to call; one is built from the payloads' columns for this call
+    alone when none is given), and factored by SuperLU with the symmetric
+    settings in the system's fill-reducing order.  Each entry of S is summed
+    over the regions in region order, whatever the order of a region's
+    columns.
     """
     if n_z == 0:
         return np.zeros(0)
-    keys, vals = [], []
-    b = np.zeros(n_z)
-    for cols, block, vec in contributions:
-        # column-major key of block entry (a, c): row cols[a], column cols[c]
-        n = len(cols)
-        keys.append(np.tile(cols, n) * n_z + np.repeat(cols, n))
-        vals.append(block.ravel())
-        b[cols] += vec
-    key, at = np.unique(np.concatenate(keys), return_inverse=True)
-    indptr = np.searchsorted(key, np.arange(n_z + 1) * n_z)
-    s = sp.csc_matrix((np.bincount(at, weights=np.concatenate(vals)), key % n_z, indptr),
-                      shape=(n_z, n_z))
+    if system is None:
+        system = ConsensusSystem([cols for cols, _, _ in contributions], n_z)
     try:
-        return _sym_splu(s, "consensus system").solve(b)
+        return system.solve(contributions)
     except FactorizationError as exc:
         raise FactorizationError(
             "consensus system is singular; some consensus column is untouched "

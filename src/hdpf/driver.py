@@ -85,8 +85,9 @@ def stitch_state(p: PartitionedProblem, states: list[StateVector]) -> StateVecto
 def consensus_step(p: PartitionedProblem, lins, chis, average=weighted_average):
     """One step of the distributed solver, from every region's linearization
     and free vector: each region condenses its model onto its coupling
-    variables, one :func:`consensus_pass` through ``average`` resolves the
-    consensus, and each region recovers its step from its consensus values
+    variables, one :func:`consensus_pass` through ``average`` on the
+    problem's :attr:`~hdpf.partition.PartitionedProblem.consensus` system
+    resolves the consensus, and each region recovers its step from its consensus values
     ``E_l zbar``.  Returns the condensed models, the consensus solution and
     the new free vectors, in region order.
 
@@ -94,7 +95,8 @@ def consensus_step(p: PartitionedProblem, lins, chis, average=weighted_average):
     wrapper set on its attribute (as bench/layers.py sets) sees every call.
     """
     cqps = [condense_region(lin, r.split, chi) for lin, r, chi in zip(lins, p.regions, chis)]
-    sol = consensus_pass(cqps, p.regions, p.n_z, average)
+    sol = consensus_pass(cqps, p.regions, p.n_z,
+                         lambda contribs, n_z: average(contribs, n_z, p.consensus))
     new_free = [recover_local(c, sol.z_bar[r.z_cols], chi)
                 for c, r, chi in zip(cqps, p.regions, chis)]
     return cqps, sol, new_free
@@ -230,9 +232,9 @@ def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | N
            average) -> tuple[StateVector, list[np.ndarray], SolveTrace]:
     """The distributed solve with the coordinator's average as a parameter.
 
-    ``average(contributions, n_z)`` has the contract of
+    ``average(contributions, n_z, system)`` has the contract of
     :func:`weighted_average`: it takes the regions' consensus payloads in
-    region order and returns zbar.  Each iteration takes one
+    region order and the problem's consensus system, and returns zbar.  Each iteration takes one
     :func:`consensus_step` through ``average``.
     """
     if cfg is None:

@@ -46,6 +46,7 @@ from scipy.sparse.csgraph import connected_components
 from . import network
 from .caseio import BusType, MergeManifest, RawBranch, RawBus, RawCase, RawGen
 from .condense import BlockSplit
+from .consensus import ConsensusSystem
 from .network import NetworkModel, NetworkUnion
 
 __all__ = [
@@ -123,6 +124,13 @@ class PartitionedProblem:
         use; :func:`hdpf.residual.linearize_regions` evaluates them through
         it in one pass."""
         return NetworkUnion(r.net for r in self.regions)
+
+    @functools.cached_property
+    def consensus(self) -> ConsensusSystem:
+        """The coordinator's system on the regions' z columns, built on first
+        use; every solve of the problem assembles and orders it through this
+        one."""
+        return ConsensusSystem([r.z_cols for r in self.regions], self.n_z)
 
     @property
     def n_z(self) -> int:

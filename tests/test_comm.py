@@ -1,12 +1,17 @@
 import numpy as np
+import pytest
 
 from hdpf import (
     CommLedger,
     SolverConfig,
+    load_manifest,
+    partition,
     run_distributed,
     solve,
     trace_signature,
 )
+
+from conftest import fixture_path
 
 
 def test_fig1_per_region_float_counts(problems):
@@ -45,6 +50,25 @@ def test_harness_is_bit_identical_to_direct_path(problems):
         assert trace_signature(t1) == trace_signature(t2), name
         for a, b in zip(l1, l2):
             assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("name", ["case404", "case53"])
+def test_cold_and_warm_problems_give_byte_identical_runs(name):
+    # a problem orders its sparse patterns (case404's two Byy, case53's
+    # three-region S) on its first solve and keeps the orders; a run on the
+    # warm problem, direct or through the harness, and a run on another
+    # fresh one must all repeat the cold run bit for bit
+    def fresh():
+        return partition(*load_manifest(fixture_path(f"{name}.manifest")))
+
+    p = fresh()
+    cold = solve(p)
+    runs = [solve(p), run_distributed(p)[:3], run_distributed(fresh())[:3]]
+    assert cold[2].converged
+    for state, lams, trace in runs:
+        assert state.free().tobytes() == cold[0].free().tobytes()
+        assert [lam.tobytes() for lam in lams] == [lam.tobytes() for lam in cold[1]]
+        assert trace_signature(trace) == trace_signature(cold[2])
 
 
 def test_harness_bit_identical_with_diagnostics(problems):

@@ -3,11 +3,13 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from hdpf import FactorizationError, flat_start
-from hdpf.condense import condense_region, recover_local
+from hdpf import FactorizationError, flat_start, load_manifest, partition, run_distributed, solve
+from hdpf.condense import BlockSplit, _sym_splu, condense_region, recover_local
 from hdpf.consensus import consensus_pass
-from hdpf.residual import RegionLinearization, linearize
+from hdpf.driver import consensus_step
+from hdpf.residual import SPARSE_MIN_FREE, RegionLinearization, linearize, linearize_regions
 
+from conftest import fixture_path
 from helpers import random_spd
 
 # the model's B as linearize hands it over: dense for small regions, CSC
@@ -191,6 +193,80 @@ def test_condense_makes_one_factorization_per_region(problems, monkeypatch):
             condense_region(linearize(reg.net, s, 1e-10), reg.coupling_free_cols, s.free())
         n_local = [(r.net.n_free - r.n_cpl,) * 2 for r in p.regions]
         assert calls == [(kind, shape) for shape in n_local], name
+
+
+def _fill(lu) -> int:
+    return lu.L.nnz + lu.U.nnz
+
+
+def test_cached_orders_keep_the_minimum_degree_fill(problems):
+    # each cached order's own factor has the fill of the minimum-degree
+    # factor it was taken from, in its natural order: A[q][:, q] with
+    # q = argsort(perm_c), not A[perm_c][:, perm_c], which fills far more
+    # and still solves correctly
+    p = problems["case404"]
+    for reg in p.regions:
+        assert reg.net.n_free >= SPARSE_MIN_FREE
+        s = flat_start(reg.net)
+        lin = linearize(reg.net, s, 1e-10)
+        split = BlockSplit(reg.net.n_free, reg.coupling_free_cols)
+        condense_region(lin, split, s.free())
+        y = split.y_cols
+        byy = lin.hess[y][:, y]
+        assert byy.nnz == len(split.order.src)
+        lu = split.order.factor(split.csc_blocks(lin.hess)[0])
+        assert _fill(lu) == _fill(_sym_splu(byy, "Byy")), reg.index
+        assert np.array_equal(lu.perm_c, np.arange(len(y))), reg.index
+    for name in problems:
+        p = partition(*load_manifest(fixture_path(f"{name}.manifest")))
+        if not p.n_z:
+            continue
+        states = [flat_start(r.net) for r in p.regions]
+        cqps, _, _ = consensus_step(p, linearize_regions(p.union, states, 1e-10),
+                                    [st.free() for st in states])
+        system = p.consensus
+        data = np.bincount(system.at, weights=np.concatenate([c.b_bar.ravel() for c in cqps]))
+        s = np.empty_like(data)
+        s[system.order.src] = data
+        s = sp.csc_matrix((s, system.indices, system.indptr), shape=(p.n_z, p.n_z))
+        lu = system.order.factor(data)
+        assert _fill(lu) == _fill(_sym_splu(s, "S")), name
+        assert np.array_equal(lu.perm_c, np.arange(p.n_z)), name
+
+
+def test_patterns_are_ordered_on_the_first_solve_only(monkeypatch):
+    # a fresh case404 problem orders each region's Byy and the coordinator's
+    # S once, on its first solve; later solves factor in the kept orders
+    import hdpf.condense
+
+    calls = []
+    real = hdpf.condense._sym_splu
+    monkeypatch.setattr(hdpf.condense, "_sym_splu",
+                        lambda a, *r, **k: calls.append(a.shape) or real(a, *r, **k))
+    p = partition(*load_manifest(fixture_path("case404.manifest")))
+    solve(p)
+    assert calls == [(r.net.n_free - r.n_cpl,) * 2 for r in p.regions] + [(p.n_z, p.n_z)]
+    calls.clear()
+    solve(p)
+    run_distributed(p)
+    assert calls == []
+
+
+def test_cached_order_keeps_the_positive_definiteness_check(problems):
+    # a split that has ordered Byy still rejects a later B on the same
+    # pattern whose local block is not positive definite
+    reg = problems["case404"].regions[0]
+    s = flat_start(reg.net)
+    lin = linearize(reg.net, s, 1e-10)
+    split = BlockSplit(reg.net.n_free, reg.coupling_free_cols)
+    condense_region(lin, split, s.free())
+    assert split.order is not None
+    bad = lin.hess.copy()
+    y = split.y_cols[len(split.y_cols) // 2]
+    bad[y, y] = -1.0  # a stored entry: the pattern stays B's
+    assert np.array_equal(bad.indices, lin.hess.indices)
+    with pytest.raises(FactorizationError, match="not positive definite"):
+        condense_region(_lin_from(bad, lin.g), split, s.free())
 
 
 # --- recovery -----------------------------------------------------------------
