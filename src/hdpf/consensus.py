@@ -70,38 +70,44 @@ class ConsensusSolution:
 
 
 class ConsensusSystem:
-    """The fixed pattern of the coordinator's system S = sum E' Bbar E for
-    the regions' z columns, and its fill-reducing order.
+    """A sparse symmetric system summed from pieces on fixed entries: piece
+    l lists its values at its local (row, col) ``entries[l]`` and maps its
+    local unknowns to the system's by ``maps[l]``.
 
-    The key map, built with the system, sends each entry of each region's
-    block to its stored entry of S; the order (a :class:`FixedOrder`) is
-    found from the first S and kept, and the map then sends each block entry
-    straight to its stored entry of S in that order.
+    The key map, built with the system, sends each listed value to its
+    stored CSC entry; the order (a :class:`FixedOrder`) is found from the
+    first matrix and kept, and the map then sends each value straight to its
+    entry in that order.  The coordinator's S is one (:meth:`of_blocks`),
+    the exact-Hessian K of :func:`hdpf.driver._condense_gap` another.
     """
 
-    def __init__(self, z_cols, n_z: int):
-        self.n_z = n_z
-        # column-major key of block entry (a, c): row cols[a], column cols[c]
+    def __init__(self, maps, entries, n: int, what: str):
+        self.maps, self.n, self.what = maps, n, what
+        # column-major key of each listed value
         key, self.at = np.unique(np.concatenate(
-            [np.tile(cols, len(cols)) * n_z + np.repeat(cols, len(cols)) for cols in z_cols]),
+            [m[cols] * n + m[rows] for m, (rows, cols) in zip(maps, entries)]),
             return_inverse=True)
-        self.indices = key % n_z
-        self.indptr = np.searchsorted(key, np.arange(n_z + 1) * n_z)
+        self.indices = key % n
+        self.indptr = np.searchsorted(key, np.arange(n + 1) * n)
         self.order: FixedOrder | None = None
 
-    def solve(self, contributions) -> np.ndarray:
-        """zbar from the payloads, whose columns are those the system was
-        built for, in the same order."""
-        b = np.zeros(self.n_z)
-        vals = []
-        for cols, block, vec in contributions:
-            vals.append(block.ravel())
-            b[cols] += vec
-        vals = np.concatenate(vals)
+    @classmethod
+    def of_blocks(cls, z_cols, n_z: int) -> ConsensusSystem:
+        """S = sum E' Bbar E; each region lists its z columns' block row by row."""
+        return cls(z_cols, [np.divmod(np.arange(len(c) ** 2), len(c)) for c in z_cols], n_z,
+                   "consensus system")
+
+    def solve(self, values, vectors) -> np.ndarray:
+        """w with A w = b: A sums each piece's ``values`` at its entries, b
+        each one's ``vectors`` at its unknowns, in piece order."""
+        b = np.zeros(self.n)
+        for m, vec in zip(self.maps, vectors):
+            b[m] += vec
+        vals = np.concatenate(values)
         if self.order is None:
-            s = sp.csc_matrix((np.bincount(self.at, weights=vals), self.indices, self.indptr),
-                              shape=(self.n_z, self.n_z))
-            self.order = FixedOrder(s, "consensus system")
+            a = sp.csc_matrix((np.bincount(self.at, weights=vals), self.indices, self.indptr),
+                              shape=(self.n, self.n))
+            self.order = FixedOrder(a, self.what)
             self.at = np.argsort(self.order.src)[self.at]
         return self.order.solve(self.order.factor(np.bincount(self.at, weights=vals)), b)
 
@@ -113,19 +119,20 @@ def weighted_average(contributions, n_z: int, system: ConsensusSystem | None = N
     Each payload is ``(cols, block, vec)``: the region's z columns, the
     ``Bbar`` block on them and ``Bbar x^k - gbar``, in region order.  The
     system ``S = sum E' Bbar E`` is assembled sparse, in CSC, on the fixed
-    pattern of ``system`` (a problem's :class:`ConsensusSystem`, kept from
-    call to call; one is built from the payloads' columns for this call
-    alone when none is given), and factored by SuperLU with the symmetric
-    settings in the system's fill-reducing order.  Each entry of S is summed
-    over the regions in region order, whatever the order of a region's
-    columns.
+    pattern of ``system`` (a problem's :class:`ConsensusSystem` for the
+    payloads' columns, kept from call to call; one is built from them for
+    this call alone when none is given), and factored by SuperLU with the
+    symmetric settings in the system's fill-reducing order.  Each entry of S
+    is summed over the regions in region order, whatever the order of a
+    region's columns.
     """
     if n_z == 0:
         return np.zeros(0)
     if system is None:
-        system = ConsensusSystem([cols for cols, _, _ in contributions], n_z)
+        system = ConsensusSystem.of_blocks([cols for cols, _, _ in contributions], n_z)
     try:
-        return system.solve(contributions)
+        return system.solve([block.ravel() for _, block, _ in contributions],
+                            [vec for _, _, vec in contributions])
     except FactorizationError as exc:
         raise FactorizationError(
             "consensus system is singular; some consensus column is untouched "

@@ -29,13 +29,12 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-import scipy.sparse as sp
 
-from .condense import FactorizationError, _sym_splu, condense_region, recover_local
+from .condense import FactorizationError, condense_region, recover_local
 from .consensus import consensus_pass, weighted_average
-from .network import ModelError, StateVector, csc_columns, flat_start
+from .network import ModelError, StateVector, flat_start
 from .partition import PartitionedProblem
-from .residual import linearize_regions, q_term
+from .residual import linearize_regions, on_pattern, q_term
 from .trace import (
     STATUS_BREAKDOWN,
     STATUS_CONVERGED,
@@ -102,17 +101,13 @@ def consensus_step(p: PartitionedProblem, lins, chis, average=weighted_average):
     return cqps, sol, new_free
 
 
-def _lm_error(eps: float, q_terms) -> float:
-    """||eps*I - Q||_F over every region's Q, dense or CSC."""
+def _lm_error(eps: float, nets, q_terms) -> float:
+    """||eps*I - Q||_F over every region's Q, in either form, read on its
+    network's B pattern, which holds every entry of Q and the diagonal."""
     total = 0.0
-    for q in q_terms:
-        if sp.issparse(q):
-            # Q sits on B's CSC pattern, which holds the whole diagonal
-            delta = -q.data
-            delta[q.indices == csc_columns(q.indptr)] += eps
-        else:
-            delta = -q
-            delta[np.diag_indices_from(delta)] += eps
+    for net, q in zip(nets, q_terms):
+        delta = -on_pattern(net, q)
+        delta[net.jtj_pattern.diag] += eps
         total += float(np.sum(delta * delta))
     return math.sqrt(total)
 
@@ -127,49 +122,31 @@ def _condense_gap(p: PartitionedProblem, lins, q_terms, chi_ks, x_plus) -> float
     substituting the constraint leaves one sparse symmetric system
     ``K u = rhs`` whose unknowns are the regions' local (non-coupling) steps,
     in region order, then ``z``; ``K = sum_l M_l' H_l M_l`` with ``M_l`` the
-    0/1 map from ``u`` to region l's free entries, factored by SuperLU with
-    the symmetric settings of :func:`hdpf.condense._sym_splu`.  The
+    0/1 map from ``u`` to region l's free entries, each ``H_l`` read on
+    B's fixed pattern, so K is assembled and ordered once per problem by its
+    :attr:`~hdpf.partition.PartitionedProblem.exact_consensus`.  The
     constraint picks distinct entries (full row rank), so ``K`` is singular
     exactly when the saddle-point KKT matrix is; the gap is then ``None``,
     as it is for a non-finite solution.  Without coupling it is 0.0.
     """
-    n_z = p.n_z
-    if n_z == 0:
+    if p.n_z == 0:
         return 0.0
-    n_local = sum(r.net.n_free - r.n_cpl for r in p.regions)
-    rhs = np.zeros(n_local + n_z)
-    entries = []
-    off = 0
+    values, vectors = [], []
     for reg, lin, q, chi in zip(p.regions, lins, q_terms, chi_ks):
-        x = reg.coupling_free_cols
-        m = np.full(len(chi), -1)
-        m[x] = n_local + reg.z_cols
-        m[m < 0] = off + np.arange(len(chi) - len(x))
-        off += len(chi) - len(x)
-        if sp.issparse(lin.hess):
-            # a large region's B and q are CSC on one pattern, so their sum
-            # is the sum of their values and no n_free^2 array is formed
-            i, j = lin.hess.indices, csc_columns(lin.hess.indptr)
-            vals = lin.hess.data + q.data
-        else:
-            # a small region's dense B is summed with q first: one np.nonzero
-            # of the sum costs a fraction of scipy's coo constructor on B
-            h = lin.hess + q
-            i, j = np.nonzero(h)
-            vals = h[i, j]
-        entries.append((vals, m[i], m[j]))
-        # the local unknowns are steps from chi, the coupling ones values;
-        # z_cols are distinct within a region, so m has no repeats
-        rhs[m] += lin.hess[:, x] @ chi[x] + q[:, x] @ chi[x] - lin.g
-    vals, rows, cols = map(np.concatenate, zip(*entries))
-    k = sp.csc_matrix((vals, (rows, cols)), shape=(len(rhs), len(rhs)))
+        gram = reg.net.jtj_pattern
+        h = on_pattern(reg.net, lin.hess) + on_pattern(reg.net, q)
+        # the local unknowns are steps from chi, the coupling ones values
+        chi_x = np.where(reg.split.local, 0.0, chi)
+        values.append(h)
+        vectors.append(np.bincount(gram.indices, weights=h * chi_x[gram.cols],
+                                   minlength=len(chi)) - lin.g)
     try:
-        u = _sym_splu(k, "exact-Hessian consensus matrix").solve(rhs)
+        u = p.exact_consensus.solve(values, vectors)
     except FactorizationError:
         return None
     if not np.all(np.isfinite(u)):
         return None
-    z = u[n_local:]
+    z = u[-p.n_z:]
     return max((float(np.max(np.abs(z[r.z_cols] - xp)))
                 for r, xp in zip(p.regions, x_plus) if len(xp)), default=0.0)
 
@@ -267,7 +244,7 @@ def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | N
             # attributed to the iterate just produced, like dist_to_ref; an
             # iterate that cannot be evaluated gets none and ends the run
             if new_lins is not None:
-                fields["lm_error"] = _lm_error(cfg.eps, [lin.q for lin in new_lins])
+                fields["lm_error"] = _lm_error(cfg.eps, p.union.nets, [lin.q for lin in new_lins])
         if ref_free is not None:
             stitched = stitch_state(p, new_states)
             fields["dist_to_ref"] = float(np.max(np.abs(stitched.free() - ref_free)))

@@ -42,19 +42,18 @@ and keeps them (``functools.cached_property``):
 - :attr:`NetworkModel.jtj_pairs`, for each Jacobian row every pair (a, b)
   of its nonzeros and the flat target ``col_a * n_free + col_b`` of their
   product in J'J;
-- :attr:`NetworkModel.jtj_pattern`, the CSC pattern of J'J + eps*I and the
-  position in it of each pair's product and of each diagonal entry, for
-  the regions :func:`hdpf.residual.linearize` assembles sparse;
-- :attr:`NetworkModel.q_targets`, the flat target of every entry of each
-  term's 4x4 curvature block in the diagnostic :func:`hdpf.residual.q_term`,
-  for the regions it assembles dense;
+- :attr:`NetworkModel.jtj_pattern`, the CSC pattern of J'J + eps*I, the
+  column of each of its nonzeros, and the position in it of each pair's
+  product and of each diagonal entry;
 - :attr:`NetworkModel.q_slots`, the position in ``jtj_pattern`` of every
-  such entry, for the regions it assembles CSC on B's pattern.
+  entry of each term's 4x4 curvature block in the diagnostic
+  :func:`hdpf.residual.q_term`.
 
 A region's model builds the Jacobian's pattern and ``jtj_pairs``; a large
-one also ``jtj_pattern``; when diagnosed, a small one ``q_targets`` and a
-large one ``q_slots``.  The merged network, used for stitching and by the
-sparse reference, builds only the Jacobian's pattern.
+one also ``jtj_pattern``; when diagnosed, every one ``jtj_pattern`` and
+``q_slots``, as the diagnostics read B and Q on that pattern in either
+form.  The merged network, used for stitching and by the sparse
+reference, builds only the Jacobian's pattern.
 
 A :class:`NetworkUnion` puts several networks side by side as one, from
 their Jacobian patterns; a partitioned problem builds the union of its
@@ -120,6 +119,7 @@ class GramPattern:
     diag: np.ndarray     # position of each diagonal entry, by column
     indices: np.ndarray  # row of each nonzero, ascending within a column
     indptr: np.ndarray
+    cols: np.ndarray     # column of each nonzero
 
 
 class NetworkModel:
@@ -303,42 +303,29 @@ class NetworkModel:
         target = self.jtj_pairs[2]
         uniq, slot = np.unique(np.concatenate([target, np.arange(n) * (n + 1)]),
                                return_inverse=True)
-        counts = np.bincount(uniq // n, minlength=n)
+        cols = uniq // n
+        counts = np.bincount(cols, minlength=n)
         return GramPattern(slot=slot[:len(target)], diag=slot[len(target):],
                            indices=(uniq % n).astype(np.int32),
-                           indptr=np.concatenate([[0], np.cumsum(counts)]).astype(np.int32))
-
-    def _q_entries(self):
-        """Row and column of every entry of each term's 4x4 curvature block,
-        listed entry by entry (row-major over the block, every term per
-        entry) as :func:`hdpf.residual.q_term` lists its values, and whether
-        both are free."""
-        cols = self.jac_pattern.cols.T
-        r, c = cols[:, None, :], cols[None, :, :]
-        return r, c, (r >= 0) & (c >= 0)
-
-    @functools.cached_property
-    def q_targets(self) -> np.ndarray:
-        """Flat target ``row * n_free + col`` of every listed curvature
-        entry; an entry on a fixed column goes to the spare bin
-        ``n_free**2``."""
-        r, c, free = self._q_entries()
-        n = self.n_free
-        return np.where(free, r * n + c, n * n).ravel()
+                           indptr=np.concatenate([[0], np.cumsum(counts)]).astype(np.int32),
+                           cols=cols)
 
     @functools.cached_property
     def q_slots(self) -> np.ndarray:
-        """Position in :attr:`jtj_pattern` of every listed curvature entry;
-        an entry on a fixed column goes to the spare bin ``len(indices)``.
+        """Position in :attr:`jtj_pattern` of every entry of each term's 4x4
+        curvature block, listed as :func:`hdpf.residual.q_term` lists them
+        (row-major over the block, every term per entry); an entry on a
+        fixed column goes to the spare bin ``len(indices)``.
 
         A term's four columns all lie in its Jacobian row, so every entry of
         its block is a pair of ``jtj_pairs`` and the pattern holds it.
         """
-        r, c, free = self._q_entries()
+        cols = self.jac_pattern.cols.T
+        r, c = cols[:, None, :], cols[None, :, :]
+        free = (r >= 0) & (c >= 0)
         n = self.n_free
-        gram = self.jtj_pattern
         # the pattern's flat keys col * n_free + row, ascending in CSC order
-        keys = csc_columns(gram.indptr) * n + gram.indices
+        keys = self.jtj_pattern.cols * n + self.jtj_pattern.indices
         pos = np.searchsorted(keys, np.where(free, c * n + r, 0))
         return np.where(free, pos, len(keys)).ravel()
 

@@ -130,7 +130,22 @@ class PartitionedProblem:
         """The coordinator's system on the regions' z columns, built on first
         use; every solve of the problem assembles and orders it through this
         one."""
-        return ConsensusSystem([r.z_cols for r in self.regions], self.n_z)
+        return ConsensusSystem.of_blocks([r.z_cols for r in self.regions], self.n_z)
+
+    @functools.cached_property
+    def exact_consensus(self) -> ConsensusSystem:
+        """The system K of :func:`hdpf.driver._condense_gap`, built on first
+        use: its unknowns are the regions' local entries, in region order,
+        then z, and each region lists its values on its B's fixed pattern."""
+        ends = np.cumsum([len(r.split.y_cols) for r in self.regions])
+        maps = []
+        for r, end in zip(self.regions, ends):
+            m = np.empty(r.net.n_free, dtype=np.int64)
+            m[r.split.y_cols] = np.arange(end - len(r.split.y_cols), end)
+            m[r.coupling_free_cols] = ends[-1] + r.z_cols  # distinct within a region
+            maps.append(m)
+        entries = [(r.net.jtj_pattern.indices, r.net.jtj_pattern.cols) for r in self.regions]
+        return ConsensusSystem(maps, entries, ends[-1] + self.n_z, "exact-Hessian consensus matrix")
 
     @property
     def n_z(self) -> int:

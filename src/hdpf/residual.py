@@ -25,13 +25,14 @@ with one more.  B is dense for a network with fewer than
 :data:`SPARSE_MIN_FREE` free entries, and CSC on the network's fixed
 pattern of B for a larger one, the one place that chooses between the
 dense and the sparse condensation of :mod:`hdpf.condense`.  The
-diagnostic Q takes the same form by the same rule, CSC on B's pattern,
-which holds all of Q's entries, so the diagnostics of a large region stay
-on its nonzeros too.  A bincount adds in input order, and the maps list
-each entry's products in ascending Jacobian row, the order a sparse
-``J.T @ J`` and ``J.T @ r`` use, so :func:`linearize` equals ``J.T @ J``
-plus ``eps`` on the diagonal and ``J.T @ r``, with
-``J = jacobian(net, s)``, bit for bit, in either form.
+diagnostic Q is added into B's pattern, which holds all of Q's entries,
+and takes B's form; :func:`on_pattern` reads either, in either form, as
+its values on that pattern, so every region's diagnostics run on its
+nonzeros.  A bincount adds in input order, and the maps list each entry's
+products in ascending Jacobian row, the order a sparse ``J.T @ J`` and
+``J.T @ r`` use, so :func:`linearize` equals ``J.T @ J`` plus ``eps`` on
+the diagonal and ``J.T @ r``, with ``J = jacobian(net, s)``, bit for bit,
+in either form.
 
 The solvers evaluate all regions in one call, :func:`linearize_regions`,
 over a :class:`~hdpf.network.NetworkUnion` of their networks, so the
@@ -54,7 +55,7 @@ import scipy.sparse as sp
 
 from .network import ModelError, NetworkModel, NetworkUnion, StateVector
 
-__all__ = ["RegionLinearization", "residual", "jacobian", "q_term", "linearize",
+__all__ = ["RegionLinearization", "residual", "jacobian", "q_term", "on_pattern", "linearize",
            "linearize_regions"]
 
 # free entries from which linearize assembles B sparse (see hdpf.condense
@@ -175,10 +176,10 @@ def _on_terms(net, x: np.ndarray, terms):
 
 def q_term(net: NetworkModel, s: StateVector) -> np.ndarray | sp.csc_matrix:
     """Second-order residual correction sum_m r_m * hess(r_m), in the form
-    :func:`linearize` gives B: dense below :data:`SPARSE_MIN_FREE` free
-    entries, and from there on CSC on ``net.jtj_pattern``, B's own pattern,
-    which holds every entry of Q.  Either form adds the same values in the
-    same order, so the two are equal bit for bit.
+    :func:`linearize` gives B.  Its values are added once into B's pattern
+    ``net.jtj_pattern``, which holds all of Q, and returned CSC on it from
+    :data:`SPARSE_MIN_FREE` free entries up, scattered dense below; the two
+    forms are equal bit for bit.
 
     Only used for diagnostics (the gap between the regularized Gauss-Newton
     matrix and the true Hessian of f); the solve path never forms it.  The
@@ -193,7 +194,7 @@ def q_term(net: NetworkModel, s: StateVector) -> np.ndarray | sp.csc_matrix:
     # over (theta_i, theta_k, v_i, v_k), w_p hess(v_i v_k c) + w_q hess(v_i v_k d)
     # has the angle block [[-a, a], [a, -a]], the angle-magnitude block
     # [[-v_k b, -v_i b], [v_k b, v_i b]] and the magnitude block [[0, e], [e, 0]];
-    # minus it is listed row by row, as net.q_targets and net.q_slots expect
+    # minus it is listed row by row, as net.q_slots expects
     a = w_p * tc + w_q * td
     b = w_p * d - w_q * c
     e = w_p * c + w_q * d
@@ -203,12 +204,21 @@ def q_term(net: NetworkModel, s: StateVector) -> np.ndarray | sp.csc_matrix:
                            kb, -kb, zero, -e,
                            ib, -ib, -e, zero])
     nf = net.n_free
+    gram = net.jtj_pattern
     # the spare last bin collects the entries on fixed columns
+    data = np.bincount(net.q_slots, weights=vals, minlength=len(gram.indices) + 1)[:-1]
     if nf >= SPARSE_MIN_FREE:
-        gram = net.jtj_pattern
-        data = np.bincount(net.q_slots, weights=vals, minlength=len(gram.indices) + 1)[:-1]
         return sp.csc_matrix((data, gram.indices, gram.indptr), shape=(nf, nf))
-    return np.bincount(net.q_targets, weights=vals, minlength=nf * nf + 1)[:-1].reshape(nf, nf)
+    q = np.zeros((nf, nf))
+    q[gram.indices, gram.cols] = data
+    return q
+
+
+def on_pattern(net: NetworkModel, m: np.ndarray | sp.csc_matrix) -> np.ndarray:
+    """The values of ``m``, a B or Q of ``net`` in either form, at the
+    entries of ``net.jtj_pattern`` in its CSC order: the stored values of a
+    CSC one, which lies on that pattern, and those entries of a dense one."""
+    return m.data if sp.issparse(m) else m[net.jtj_pattern.indices, net.jtj_pattern.cols]
 
 
 def linearize(net: NetworkModel, s: StateVector, eps: float) -> RegionLinearization:

@@ -112,7 +112,10 @@ def read_trace(source: IO) -> SolveTrace:
     lines = [(n, ln) for n, ln in enumerate(source.read().splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty trace stream")
-    header = json.loads(lines[0][1])
+    try:
+        header = json.loads(lines[0][1])
+    except ValueError as exc:
+        raise ValueError(f"line {lines[0][0]}: malformed trace header ({exc!r})") from None
     if not isinstance(header, dict) or header.get("format") != "hdpf-trace":
         raise ValueError(f"line {lines[0][0]}: not a trace stream (missing header)")
     records = []

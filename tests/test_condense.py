@@ -3,11 +3,13 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from hdpf import FactorizationError, flat_start, load_manifest, partition, run_distributed, solve
+from hdpf import (FactorizationError, SolverConfig, flat_start, load_manifest, partition,
+                  run_distributed, solve)
 from hdpf.condense import BlockSplit, _sym_splu, condense_region, recover_local
 from hdpf.consensus import consensus_pass
 from hdpf.driver import consensus_step
 from hdpf.residual import SPARSE_MIN_FREE, RegionLinearization, linearize, linearize_regions
+from hdpf.trace import trace_signature
 
 from conftest import fixture_path
 from helpers import random_spd
@@ -175,24 +177,32 @@ def test_schur_breakdown_reported():
 
 def test_condense_makes_one_factorization_per_region(problems, monkeypatch):
     # one factor of the local block Byy per region: a dense Cholesky (LAPACK's
-    # potrf) of an n_local x n_local matrix per small region, one SuperLU
-    # factor (and no Cholesky) per large one
+    # potrf) of an n_local x n_local matrix per small region; per large one,
+    # through condense._splu, which makes every SuperLU factor, and no
+    # Cholesky: a fresh split's throwaway minimum-degree factor that finds
+    # Byy's order and one factor in that order, then only the ordered factor
     import hdpf.condense
 
     calls = []
-    real_cho, real_splu = sla.lapack.dpotrf, hdpf.condense._sym_splu
+    real_cho, real_splu = sla.lapack.dpotrf, hdpf.condense._splu
     monkeypatch.setattr(sla.lapack, "dpotrf",
                         lambda a, *r, **k: calls.append(("cho", a.shape)) or real_cho(a, *r, **k))
-    monkeypatch.setattr(hdpf.condense, "_sym_splu",
-                        lambda a, *r, **k: calls.append(("splu", a.shape)) or real_splu(a, *r, **k))
-    for name, kind in (("case53", "cho"), ("case404", "splu")):
-        calls.clear()
+    monkeypatch.setattr(hdpf.condense, "_splu",
+                        lambda a, what, spec: calls.append((spec, a.shape))
+                        or real_splu(a, what, spec))
+    for name, fresh, ordered in (("case53", ["cho"], ["cho"]),
+                                 ("case404", ["MMD_AT_PLUS_A", "NATURAL"], ["NATURAL"])):
         p = problems[name]
         for reg in p.regions:
             s = flat_start(reg.net)
-            condense_region(linearize(reg.net, s, 1e-10), reg.coupling_free_cols, s.free())
-        n_local = [(r.net.n_free - r.n_cpl,) * 2 for r in p.regions]
-        assert calls == [(kind, shape) for shape in n_local], name
+            lin = linearize(reg.net, s, 1e-10)
+            shape = (reg.net.n_free - reg.n_cpl,) * 2
+            split = BlockSplit(reg.net.n_free, reg.coupling_free_cols)
+            for cols, kinds in ((reg.coupling_free_cols, fresh), (split, fresh),
+                                (split, ordered)):
+                calls.clear()
+                condense_region(lin, cols, s.free())
+                assert calls == [(kind, shape) for kind in kinds], (name, reg.index)
 
 
 def _fill(lu) -> int:
@@ -250,6 +260,34 @@ def test_patterns_are_ordered_on_the_first_solve_only(monkeypatch):
     solve(p)
     run_distributed(p)
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["case404", "case53"])
+def test_exact_hessian_system_is_ordered_once_per_problem(monkeypatch, name):
+    # condense_gap's K, over every local entry and z, is ordered on a fresh
+    # problem's first diagnosed solve, with its regions on the sparse path
+    # (case404) or the dense one (case53); later diagnosed solves, direct or
+    # through the harness, factor it in the kept order, to the same bits
+    import hdpf.condense
+
+    calls = []
+    real = hdpf.condense._sym_splu
+    monkeypatch.setattr(hdpf.condense, "_sym_splu",
+                        lambda a, *r, **k: calls.append(a.shape) or real(a, *r, **k))
+    p = partition(*load_manifest(fixture_path(f"{name}.manifest")))
+    n_k = sum(r.net.n_free - r.n_cpl for r in p.regions) + p.n_z
+    cfg = SolverConfig(diagnose=True)
+    cold = solve(p, cfg)
+    assert calls.count((n_k, n_k)) == 1, calls
+    calls.clear()
+    warm = solve(p, cfg)
+    harness = run_distributed(p, cfg)
+    assert calls == []
+    assert cold[2].converged and all(r.condense_gap is not None for r in cold[2].records)
+    for run in (warm, harness):
+        assert run[0].x.tobytes() == cold[0].x.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(run[1], cold[1]))
+        assert trace_signature(run[2]) == trace_signature(cold[2])
 
 
 def test_cached_order_keeps_the_positive_definiteness_check(problems):

@@ -215,7 +215,7 @@ def test_lm_error_on_csc_q_matches_the_dense_q(problems, monkeypatch):
     for k, rec in enumerate(trace.records, start=1):
         dense = [residual_module.q_term(*args) for args, _ in calls[k * n:(k + 1) * n]]
         assert all(isinstance(q, np.ndarray) for q in dense)
-        expected = _lm_error(SolverConfig.eps, dense)
+        expected = _lm_error(SolverConfig.eps, [r.net for r in p.regions], dense)
         assert abs(rec.lm_error - expected) <= 1e-12 * expected, (k, rec.lm_error, expected)
 
 

@@ -396,7 +396,7 @@ def test_index_maps_built_once_per_network(cases, problems):
     net = build_network(cases["case14"])
     linearize(net, flat_start(net), 1e-10)
     maps = {k: net.__dict__[k] for k in ("jac_pattern", "jtj_pairs")}
-    assert "q_targets" not in net.__dict__ and "jtj_pattern" not in net.__dict__
+    assert "q_slots" not in net.__dict__ and "jtj_pattern" not in net.__dict__
     linearize(net, flat_start(net), 1e-10)
     assert all(net.__dict__[k] is v for k, v in maps.items())
     # a sparse-path region also keeps B's CSC pattern, whose index arrays
@@ -412,7 +412,7 @@ def test_index_maps_built_once_per_network(cases, problems):
     merged = build_network(cases["case14"])
     central_solve(merged)
     assert "jac_pattern" in merged.__dict__
-    assert "jtj_pairs" not in merged.__dict__ and "q_targets" not in merged.__dict__
+    assert "jtj_pairs" not in merged.__dict__ and "q_slots" not in merged.__dict__
 
 
 # --- batched evaluation -------------------------------------------------------

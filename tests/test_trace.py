@@ -120,7 +120,9 @@ _HEADER, _RECORD = V1_TRACE.splitlines()[:2]
     (_HEADER + "\n[1, 2]\n", 2),
     ("[1]\n" + _RECORD + "\n", 1),
     ('"x"\n' + _RECORD + "\n", 1),
-], ids=["record-lacks-f", "record-is-array", "header-is-array", "header-is-string"])
+    ("\n  \n{not json\n" + _RECORD + "\n", 3),
+], ids=["record-lacks-f", "record-is-array", "header-is-array", "header-is-string",
+        "header-is-not-json-after-blank-lines"])
 def test_read_trace_names_the_malformed_line(text, line):
     with pytest.raises(ValueError, match=f"^line {line}: "):
         read_trace(io.StringIO(text))
