@@ -17,6 +17,8 @@ QP.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -47,12 +49,18 @@ def central_solve(net: NetworkModel,
     return s, SolveTrace(records=records, status=status)
 
 
+@dataclass
+class _FullSpaceLinearization(RegionLinearization):
+    hess: sp.csc_matrix  # the whole J'J + eps*I, for one SuperLU factor
+
+
 def _sparse_linearize(net: NetworkModel, s: StateVector, eps: float) -> RegionLinearization:
     """:func:`hdpf.residual.linearize` with ``hess`` = J'J + eps*I kept as a
-    CSC matrix, so no dense n_free x n_free array is formed."""
+    CSC matrix of its own pattern, so no dense n_free x n_free array is
+    formed and no region's pattern maps are built."""
     r, j = _residual_and_jacobian(net, s)
     hess = sp.csc_matrix(j.T @ j + eps * sp.identity(net.n_free, format="csc"))
-    return RegionLinearization(r=r, jac=None, g=j.T @ r, hess=hess, eps=eps)
+    return _FullSpaceLinearization(r=r, jac=None, g=j.T @ r, hess=hess, eps=eps)
 
 
 def _full_space_step(lins, chis):

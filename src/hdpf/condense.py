@@ -12,27 +12,23 @@ Byy once, solve it for the n_cpl + 1 right-hand sides [Byx, gy], and form
 b_bar (symmetrized) and g_bar = gx - w_x' gy from the solutions
 w_x = Byy^-1 Byx and w_y = Byy^-1 gy, which recovery reuses.
 
-Only taking the blocks out and factoring Byy depend on the form of B, and
-the form chooses the factorization: B is dense for a region with fewer than
-:data:`hdpf.residual.SPARSE_MIN_FREE` free entries, and Byy is factored and
-solved by LAPACK's Cholesky (``potrf``, ``potrs``), called directly; B is
-CSC for a larger one (see :func:`hdpf.residual.linearize`), and Byy is
-factored by SuperLU with the symmetric settings of :func:`_sym_splu`, at a
-cost that grows with the nonzeros of Byy and its factor, not with n_free^3.
-A region's :class:`BlockSplit` is built once and keeps what depends on B's
-fixed pattern alone: for a dense B, the flat gathers of its three blocks,
-so a dense condensation is three gathers, two LAPACK calls and two
-products; for a CSC B, built from the first one, the gather of Byy's values
-into Byy's fill-reducing order (a :class:`FixedOrder`), the scatters of Byx
-and Bxx and the order itself, so a sparse condensation is one gather, two
-scatters and one SuperLU factor in that order, with no ordering computed
-after the first.
+B reaches condensation in one form: its values on the region's fixed
+pattern ``net.jtj_pattern`` (a 2-D B built by hand is read as its values on
+the full n x n pattern).  A region's :class:`BlockSplit`, built from the
+first B it condenses, keeps O(nnz) maps that scatter Byx, Bxx and Byy out of
+the values.  Only Byy's form and factorization depend on the region's size,
+chosen here alone: below :data:`SPARSE_MIN_FREE` free entries Byy is dense,
+factored and solved by LAPACK's Cholesky (``potrf``, ``potrs``); from there
+on its values are gathered in its fill-reducing order (a :class:`FixedOrder`
+found from the first B and kept) and factored by SuperLU with the symmetric
+settings of :func:`_sym_splu`, at a cost that grows with the nonzeros of Byy
+and its factor, not with n_free^3.
 
 The factorization is made once per outer iteration and is the dominant
 per-region cost.  Linearize, condense and recover of one region at the flat
-start, dense against sparse, each path on a split that has seen a B of its
-form (best / median of 30 alternating runs, on a 2-vCPU host with OpenBLAS
-on 2 threads):
+start, dense against sparse, each path on a split that has condensed before
+(best / median of 30 alternating runs, on a 2-vCPU host with OpenBLAS on 2
+threads, measured while a dense-path B was a dense n_free x n_free array):
 
     ==========  ======  ===============  ===============
     region      n_free  dense            sparse
@@ -44,12 +40,10 @@ on 2 threads):
     pair-808       814  7.92 / 8.13 ms   2.39 / 2.56 ms
     ==========  ======  ===============  ===============
 
-Over three such runs the sparse column read 2.39-3.93 / 2.56-4.23 ms at 814
-and 1.46-2.17 / 1.74-2.37 ms at 410; ordering Byy afresh at every call
-(SuperLU's own minimum-degree ordering) costs 4.05 / 5.43 ms and
-2.31 / 2.65 ms.  Per region the sparse path wins from the tiles' 238 up, but a
-whole solve also pays a first-call ordering per region.  A whole case404
-solve (three runs of 20 alternating solves) takes 30-34 ms with the
+Ordering Byy afresh at every call would cost 4.05 / 5.43 ms at 814 and
+2.31 / 2.65 ms at 410.  Per region the sparse path wins from the tiles' 238
+up, but a whole solve also pays a first-call ordering per region.  A whole
+case404 solve (three runs of 20 alternating solves) takes 30-34 ms with the
 threshold at 400 (sparse) against 36-42 ms at 500 (dense) on a fresh
 problem, and 19-20 ms against 27-28 ms on a problem that has solved before;
 a whole tiles-1100 solve takes 69-82 ms with the threshold at 200 (sparse)
@@ -61,7 +55,6 @@ what later ones gain.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +68,9 @@ from .residual import RegionLinearization
 __all__ = ["FactorizationError", "BlockSplit", "CondensedQP", "condense_region", "recover_local"]
 
 _LOCAL_BLOCK = "local block of the regularized Gauss-Newton matrix"
+
+# free entries from which a region's Byy is factored sparse (timings above)
+SPARSE_MIN_FREE = 400
 
 
 class FactorizationError(RuntimeError):
@@ -107,18 +103,19 @@ class FixedOrder:
     the ordering, and a numerical factorization (George & Liu, Computer
     Solution of Large Sparse Positive Definite Systems, 1981).  scipy has no
     separate analysis, so the order is the column order :func:`_sym_splu`
-    picks for the first matrix, whose factor is thrown away.  Every
-    factorization, the first one included, then factors the matrix permuted
-    into that order, A[q][:, q], in its natural order.  Each ordered column
-    keeps its entries in the stored order of the column it came from, and
-    SuperLU reads them in that order, so the factor makes the operations of
-    :func:`_sym_splu`'s own: the same fill and the same bits.
+    picks for the first matrix, and that factor serves the first solve.
+    Every later factorization factors the matrix permuted into that order,
+    A[q][:, q], in its natural order.  Each ordered column keeps its entries
+    in the stored order of the column it came from, and SuperLU reads them
+    in that order, so the factor makes the operations of :func:`_sym_splu`'s
+    own: the same fill and the same bits.
     """
 
     def __init__(self, a: sp.csc_matrix, what: str):
         self.what = what
+        self._first = _sym_splu(a, what)  # for the first solve, which is of a
         # perm[i] is the ordered position of row and column i, q its inverse
-        perm = _sym_splu(a, what).perm_c
+        perm = self._first.perm_c
         self.q = np.argsort(perm)
         cols = perm[csc_columns(a.indptr)]
         # the ordered matrix's k-th stored entry is a's entry src[k]
@@ -136,66 +133,87 @@ class FixedOrder:
         a.has_canonical_format = True
         return _splu(a, self.what, "NATURAL")
 
-    def solve(self, lu, rhs: np.ndarray) -> np.ndarray:
-        """The solution, in the original order and in the memory layout of
-        ``rhs``, of A w = ``rhs`` for the factor ``lu`` of the ordered A."""
+    def solve(self, data: np.ndarray, rhs: np.ndarray, spd: bool = False) -> np.ndarray:
+        """w with A w = ``rhs``, in ``rhs``'s memory layout, for the matrix A
+        with stored values ``data`` in this order; the first call's A must be
+        the matrix the order was found from.  With ``spd``, a pivot that is
+        not positive raises :class:`FactorizationError`: with every pivot on
+        the diagonal, they are those of A's LDL' factorization."""
+        # the first factor is of A itself, a later one of A[q][:, q]
+        lu, self._first, q = self._first, None, slice(None)
+        if lu is None:
+            lu, q = self.factor(data), self.q
+        if spd and not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)):
+            raise FactorizationError(f"{self.what} is not positive definite: "
+                                     "one of its pivots is not positive")
         w = np.empty_like(rhs)
-        w[self.q] = lu.solve(rhs[self.q])
+        w[q] = lu.solve(rhs[q])
         return w
 
 
 class BlockSplit:
     """A model's free columns split into coupling entries x and local
-    entries y, and, built on first use, the maps that take Byy, Byx and Bxx
-    out of B: for a dense, C-ordered B, three flat gathers; for a CSC B on
-    its fixed pattern, one gather of Byy's values in the fill-reducing order
-    of :attr:`order`, two scatters of the coupling blocks and that order."""
+    entries y, and, built from the first B it condenses, the maps that take
+    Byx, Bxx and, on the dense path, Byy out of B's values by one gather and
+    one scatter into one zeroed buffer, each block C-ordered; on the sparse
+    path, Byy's values are gathered in its :attr:`order`."""
 
     def __init__(self, n_free: int, x_cols):
         self.x_cols = np.asarray(x_cols, dtype=np.int64)
         self.local = np.ones(n_free, dtype=bool)
         self.local[self.x_cols] = False
         self.y_cols = np.flatnonzero(self.local)
-        self.order: FixedOrder | None = None  # Byy's, from the first CSC B
+        self.order: FixedOrder | None = None  # Byy's, from the first sparse-path B
+        # each block entry's position in B's values and in the buffer
+        # [Byx, Bxx, Byy], the n_cpl_entries of Byx and Bxx first
+        self.src = self.flat = None
+        self.n_cpl_entries = 0
 
-    @functools.cached_property
-    def gathers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat positions in B of Byy, Byx and Bxx, each of its block's shape."""
-        n, y, x = len(self.local), self.y_cols, self.x_cols
-        return y[:, None] * n + y, y[:, None] * n + x, x[:, None] * n + x
-
-    def csc_blocks(self, b: sp.csc_matrix):
-        """(Byy, Byx, Bxx) of a canonical CSC B, as :func:`hdpf.residual.linearize`
-        makes it, on the pattern of the first one this split saw: Byy's
-        stored values in :attr:`order`, the coupling blocks dense."""
+    def blocks(self, lin: RegionLinearization, dense: bool):
+        """(Byy, Byx, Bxx) of ``lin``'s B, the coupling blocks dense, and
+        Byy dense when ``dense``, else its stored values in :attr:`order`."""
+        vals = lin.hess.ravel(order="F")  # a 2-D B column by column; 1-D values as they are
+        if self.src is None:
+            self._map(lin)
+        ny, nx = len(self.y_cols), len(self.x_cols)
+        k = len(self.src) if dense else self.n_cpl_entries
+        buf = np.zeros(ny * nx + nx * nx + (ny * ny if dense else 0))
+        buf.put(self.flat[:k], vals.take(self.src[:k]))
+        byx, bxx = buf[:ny * nx].reshape(ny, nx), buf[ny * nx:ny * nx + nx * nx].reshape(nx, nx)
+        if dense:
+            return buf[ny * nx + nx * nx:].reshape(ny, ny), byx, bxx
         if self.order is None:
-            self._map_csc(b)
-        byx = np.zeros((len(self.y_cols), len(self.x_cols)))
-        bxx = np.zeros((len(self.x_cols), len(self.x_cols)))
-        for block, (src, flat) in ((byx, self._yx), (bxx, self._xx)):
-            block.put(flat, b.data[src])
-        return b.data[self._yy], byx, bxx
+            self._order_byy(vals)
+        return vals.take(self._yy), byx, bxx
 
-    def _map_csc(self, b: sp.csc_matrix):
-        x_cols, y_cols, local = self.x_cols, self.y_cols, self.local
-        ny, nx = len(y_cols), len(x_cols)
-        # each nonzero's row and column, and each column's position in its block
-        rows, cols = b.indices, csc_columns(b.indptr)
-        pos = np.empty(len(local), dtype=np.int64)
-        pos[y_cols] = np.arange(ny)
-        pos[x_cols] = np.arange(nx)
-        row_y, col_y = local[rows], local[cols]
-        # y_cols ascend, so Byy's entries keep their CSC order
-        yy = np.flatnonzero(row_y & col_y)
-        counts = np.bincount(pos[cols[yy]], minlength=ny)
-        byy = sp.csc_matrix((b.data[yy], pos[rows[yy]], np.concatenate([[0], np.cumsum(counts)])),
-                            shape=(ny, ny))
-        order = FixedOrder(byy, _LOCAL_BLOCK)
+    def _map(self, lin: RegionLinearization):
+        n, ny, nx = len(self.local), len(self.y_cols), len(self.x_cols)
+        if lin.pattern is None:  # a 2-D B: the full pattern, column by column
+            cols, rows = np.divmod(np.arange(n * n), n)
+        else:
+            rows, cols = lin.pattern.indices, lin.pattern.cols
+        # each nonzero's position in its block's rows and columns
+        pos = np.empty(n, dtype=np.int64)
+        pos[self.y_cols] = np.arange(ny)
+        pos[self.x_cols] = np.arange(nx)
+        row_y, col_y = self.local[rows], self.local[cols]
+        pr, pc = pos[rows], pos[cols]
         yx, xx = np.flatnonzero(row_y & ~col_y), np.flatnonzero(~row_y & ~col_y)
-        self._yx = yx, pos[rows[yx]] * nx + pos[cols[yx]]
-        self._xx = xx, pos[rows[xx]] * nx + pos[cols[xx]]
-        self._yy = yy[order.src]
-        self.order = order
+        # y_cols ascend, so Byy's entries keep B's CSC order
+        yy = np.flatnonzero(row_y & col_y)
+        self.src = np.concatenate([yx, xx, yy])
+        self.flat = np.concatenate([pr[yx] * nx + pc[yx], ny * nx + pr[xx] * nx + pc[xx],
+                                    ny * nx + nx * nx + pr[yy] * ny + pc[yy]])
+        self.n_cpl_entries = len(yx) + len(xx)
+
+    def _order_byy(self, vals: np.ndarray):
+        ny, nx, k = len(self.y_cols), len(self.x_cols), self.n_cpl_entries
+        yy = self.src[k:]
+        rows, cols = np.divmod(self.flat[k:] - (ny * nx + nx * nx), ny)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=ny))])
+        self.order = FixedOrder(sp.csc_matrix((vals[yy], rows, indptr), shape=(ny, ny)),
+                                _LOCAL_BLOCK)
+        self._yy = yy[self.order.src]
 
 
 def _cho_solve(byy: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -213,18 +231,6 @@ def _cho_solve(byy: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if not len(byy):  # potrs rejects an empty factor
         return rhs
     return lapack.dpotrs(factor, rhs, lower=1, overwrite_b=1)[0]
-
-
-def _splu_solve(order: FixedOrder, byy: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Byy^-1 rhs for the stored values ``byy`` of a sparse symmetric Byy in
-    ``order``, by one SuperLU factor."""
-    lu = order.factor(byy)
-    # with every pivot on the diagonal, the pivots are those of Byy's LDL'
-    # factorization, all positive exactly when Byy is positive definite
-    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)):
-        raise FactorizationError(f"{_LOCAL_BLOCK} is not positive definite: "
-                                 "one of its pivots is not positive")
-    return order.solve(lu, rhs)
 
 
 @dataclass
@@ -247,22 +253,20 @@ class CondensedQP:
 def condense_region(lin: RegionLinearization, cols: BlockSplit | np.ndarray,
                     chi_free: np.ndarray) -> CondensedQP:
     """Condense one region's model at the current iterate.  ``cols`` is
-    the region's :class:`BlockSplit`, which keeps its gathers and Byy's
-    order from call to call, or the coupling entries' free-vector columns,
-    split (and, for a CSC B, ordered) for this call alone."""
-    split = cols if isinstance(cols, BlockSplit) else BlockSplit(lin.hess.shape[0], cols)
+    the region's :class:`BlockSplit`, which keeps its maps and Byy's order
+    from call to call, or the coupling entries' free-vector columns, split
+    (and, on the sparse path, ordered) for this call alone.  A region with
+    :data:`SPARSE_MIN_FREE` free entries or more takes the sparse path."""
+    n = len(lin.g)
+    split = cols if isinstance(cols, BlockSplit) else BlockSplit(n, cols)
     x_cols, y_cols = split.x_cols, split.y_cols
-    if sp.issparse(lin.hess):
-        byy, byx, bxx = split.csc_blocks(lin.hess)
-        solve = functools.partial(_splu_solve, split.order)
-    else:
-        byy, byx, bxx = (lin.hess.take(flat) for flat in split.gathers)
-        solve = _cho_solve
+    dense = n < SPARSE_MIN_FREE
+    byy, byx, bxx = split.blocks(lin, dense)
     gy = lin.g[y_cols]
     rhs = np.empty((len(y_cols), len(x_cols) + 1), order="F")
     rhs[:, :-1] = byx
     rhs[:, -1] = gy
-    w = solve(byy, rhs)
+    w = _cho_solve(byy, rhs) if dense else split.order.solve(byy, rhs, spd=True)
     w_x, w_y = w[:, :-1], w[:, -1]
     s = bxx - byx.T @ w_x
     return CondensedQP(

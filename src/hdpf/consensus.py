@@ -109,7 +109,7 @@ class ConsensusSystem:
                               shape=(self.n, self.n))
             self.order = FixedOrder(a, self.what)
             self.at = np.argsort(self.order.src)[self.at]
-        return self.order.solve(self.order.factor(np.bincount(self.at, weights=vals)), b)
+        return self.order.solve(np.bincount(self.at, weights=vals), b)
 
 
 def weighted_average(contributions, n_z: int, system: ConsensusSystem | None = None,

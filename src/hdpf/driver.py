@@ -34,7 +34,7 @@ from .condense import FactorizationError, condense_region, recover_local
 from .consensus import consensus_pass, weighted_average
 from .network import ModelError, StateVector, flat_start
 from .partition import PartitionedProblem
-from .residual import linearize_regions, on_pattern, q_term
+from .residual import _q_values, linearize_regions
 from .trace import (
     STATUS_BREAKDOWN,
     STATUS_CONVERGED,
@@ -102,11 +102,11 @@ def consensus_step(p: PartitionedProblem, lins, chis, average=weighted_average):
 
 
 def _lm_error(eps: float, nets, q_terms) -> float:
-    """||eps*I - Q||_F over every region's Q, in either form, read on its
-    network's B pattern, which holds every entry of Q and the diagonal."""
+    """||eps*I - Q||_F over every region's Q, its values on its network's B
+    pattern, which holds every entry of Q and the diagonal."""
     total = 0.0
     for net, q in zip(nets, q_terms):
-        delta = -on_pattern(net, q)
+        delta = -q
         delta[net.jtj_pattern.diag] += eps
         total += float(np.sum(delta * delta))
     return math.sqrt(total)
@@ -134,7 +134,7 @@ def _condense_gap(p: PartitionedProblem, lins, q_terms, chi_ks, x_plus) -> float
     values, vectors = [], []
     for reg, lin, q, chi in zip(p.regions, lins, q_terms, chi_ks):
         gram = reg.net.jtj_pattern
-        h = on_pattern(reg.net, lin.hess) + on_pattern(reg.net, q)
+        h = lin.hess + q
         # the local unknowns are steps from chi, the coupling ones values
         chi_x = np.where(reg.split.local, 0.0, chi)
         values.append(h)
@@ -224,11 +224,14 @@ def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | N
         lins = linearize_regions(p.union, states, eps)
         if cfg.diagnose:
             for lin, reg, s in zip(lins, p.regions, states):
-                lin.q = q_term(reg.net, s)
+                lin.q = _q_values(reg.net, s)
         return lins
 
     def step(lins, chis):
         _, sol, new_free = consensus_step(p, lins, chis, average)
+        if not cfg.diagnose:  # condensed: free every B before the next iterate's are evaluated
+            for lin in lins:
+                lin.hess = None
         primal = 0.0
         for nf, reg in zip(new_free, p.regions):
             if reg.n_cpl:

@@ -40,8 +40,7 @@ and keeps them (``functools.cached_property``):
   nonzero (i, k) on a core row, with its columns theta_i, theta_k, v_i and
   v_k), its CSR pattern, and the slot in it of each term derivative;
 - :attr:`NetworkModel.jtj_pairs`, for each Jacobian row every pair (a, b)
-  of its nonzeros and the flat target ``col_a * n_free + col_b`` of their
-  product in J'J;
+  of its nonzeros, whose product adds into one entry of J'J;
 - :attr:`NetworkModel.jtj_pattern`, the CSC pattern of J'J + eps*I, the
   column of each of its nonzeros, and the position in it of each pair's
   product and of each diagonal entry;
@@ -49,11 +48,11 @@ and keeps them (``functools.cached_property``):
   entry of each term's 4x4 curvature block in the diagnostic
   :func:`hdpf.residual.q_term`.
 
-A region's model builds the Jacobian's pattern and ``jtj_pairs``; a large
-one also ``jtj_pattern``; when diagnosed, every one ``jtj_pattern`` and
-``q_slots``, as the diagnostics read B and Q on that pattern in either
-form.  The merged network, used for stitching and by the sparse
-reference, builds only the Jacobian's pattern.
+A region's model builds the Jacobian's pattern, ``jtj_pairs`` and
+``jtj_pattern``, on which B's values live; when diagnosed, also
+``q_slots``, as Q's values live there too.  The merged network, used for
+stitching and by the sparse reference, builds only the Jacobian's
+pattern.
 
 A :class:`NetworkUnion` puts several networks side by side as one, from
 their Jacobian patterns; a partitioned problem builds the union of its
@@ -278,12 +277,12 @@ class NetworkModel:
                                indptr=np.concatenate([[0], np.cumsum(counts)]))
 
     @functools.cached_property
-    def jtj_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def jtj_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR positions (a, b) of every pair of nonzeros sharing a Jacobian
-        row, and the flat target ``col_a * n_free + col_b`` of each.
+        row.
 
-        Pairs run row by row, so a bincount over the targets adds each
-        entry's products in ascending row order, as a sparse J'J does.
+        Pairs run row by row, so a bincount over their entries of J'J adds
+        each entry's products in ascending row order, as a sparse J'J does.
         """
         pat = self.jac_pattern
         counts = np.diff(pat.indptr)
@@ -293,16 +292,25 @@ class NetworkModel:
         t = np.arange(int(n_pairs.sum())) - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
         a = first + t // width
         b = first + t % width
-        return a, b, pat.indices[a] * self.n_free + pat.indices[b]
+        return a, b
 
     @functools.cached_property
     def jtj_pattern(self) -> GramPattern:
-        """CSC pattern of J'J + eps*I over the unique ``jtj_pairs`` targets
-        and the diagonal."""
+        """CSC pattern of J'J + eps*I over the entries of the ``jtj_pairs``,
+        ``col_a * n_free + col_b`` flat, and the diagonal."""
         n = self.n_free
-        target = self.jtj_pairs[2]
-        uniq, slot = np.unique(np.concatenate([target, np.arange(n) * (n + 1)]),
-                               return_inverse=True)
+        a, b = self.jtj_pairs
+        indices = self.jac_pattern.indices
+        target = indices[a] * n + indices[b]
+        keys = np.concatenate([target, np.arange(n) * (n + 1)])
+        if n * n <= 8 * len(keys):  # a small square: rank the keys by a mark in it, not a sort
+            rank = np.zeros(n * n, dtype=np.intp)
+            rank[keys] = 1
+            uniq = np.flatnonzero(rank)
+            rank[uniq] = np.arange(len(uniq))
+            slot = rank[keys]
+        else:
+            uniq, slot = np.unique(keys, return_inverse=True)
         cols = uniq // n
         counts = np.bincount(cols, minlength=n)
         return GramPattern(slot=slot[:len(target)], diag=slot[len(target):],

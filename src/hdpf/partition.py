@@ -101,7 +101,7 @@ class RegionStructure:
     def split(self) -> BlockSplit:
         """The free columns split into coupling and local ones, built on
         first use; :func:`hdpf.condense.condense_region` keeps on it the
-        gathers it builds."""
+        maps it builds."""
         return BlockSplit(self.net.n_free, self.coupling_free_cols)
 
 

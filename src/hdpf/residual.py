@@ -19,20 +19,18 @@ coincide and the sums are the derivatives of v_i**2 G_ii and -v_i**2 B_ii
 
 Assembly runs on index maps the network computes once (see
 :mod:`hdpf.network`): one ``np.bincount`` adds the term derivatives into
-the Jacobian's fixed CSR pattern, :func:`linearize` forms ``g = J'r`` and
-``B = J'J + eps*I`` with one more each, and :func:`q_term` adds its blocks
-with one more.  B is dense for a network with fewer than
-:data:`SPARSE_MIN_FREE` free entries, and CSC on the network's fixed
-pattern of B for a larger one, the one place that chooses between the
-dense and the sparse condensation of :mod:`hdpf.condense`.  The
-diagnostic Q is added into B's pattern, which holds all of Q's entries,
-and takes B's form; :func:`on_pattern` reads either, in either form, as
-its values on that pattern, so every region's diagnostics run on its
-nonzeros.  A bincount adds in input order, and the maps list each entry's
+the Jacobian's fixed CSR pattern, and :func:`linearize` forms ``g = J'r``
+and ``B = J'J + eps*I`` with one more each.  B has one form for every
+network: its values on the network's fixed pattern of B,
+``net.jtj_pattern``, a 1-D array that is never wrapped in a matrix, so a
+region's B costs its nonzeros, not n_free^2.  The diagnostic Q takes the
+same form, added with one more bincount into B's pattern, which holds all
+of Q's entries; the public :func:`q_term` scatters those values dense, as
+an oracle.  A bincount adds in input order, and the maps list each entry's
 products in ascending Jacobian row, the order a sparse ``J.T @ J`` and
 ``J.T @ r`` use, so :func:`linearize` equals ``J.T @ J`` plus ``eps`` on
 the diagonal and ``J.T @ r``, with ``J = jacobian(net, s)``, bit for bit,
-in either form.
+at every entry of the pattern.
 
 The solvers evaluate all regions in one call, :func:`linearize_regions`,
 over a :class:`~hdpf.network.NetworkUnion` of their networks, so the
@@ -53,14 +51,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .network import ModelError, NetworkModel, NetworkUnion, StateVector
+from .network import GramPattern, ModelError, NetworkModel, NetworkUnion, StateVector
 
-__all__ = ["RegionLinearization", "residual", "jacobian", "q_term", "on_pattern", "linearize",
+__all__ = ["RegionLinearization", "residual", "jacobian", "q_term", "linearize",
            "linearize_regions"]
-
-# free entries from which linearize assembles B sparse (see hdpf.condense
-# for the per-region timings behind the value)
-SPARSE_MIN_FREE = 400
 
 
 @dataclass
@@ -71,12 +65,11 @@ class RegionLinearization:
     jac: sp.csr_matrix | None  # (2*n_core, n_free); None from linearize, which builds no
                             # matrix, and from the central reference, which drops its J
     g: np.ndarray           # (n_free,)  gradient J^T r of f = 0.5*||r||^2
-    hess: np.ndarray | sp.csc_matrix  # (n_free, n_free) J^T J + eps*I: from linearize dense
-                            # below SPARSE_MIN_FREE free entries and CSC from there on;
-                            # CSC from the central reference's _sparse_linearize
+    hess: np.ndarray | None  # J^T J + eps*I, (nnz,) values on `pattern` (a 2-D one, with no
+                            # pattern, on the full one); None once a plain solve condensed it
     eps: float
-    q: np.ndarray | sp.csc_matrix | None = None  # (n_free, n_free) q_term at the iterate,
-                            # when diagnosed: in hess's form, CSC on hess's pattern
+    q: np.ndarray | None = None  # (nnz,) q_term's values on `pattern`, when diagnosed
+    pattern: GramPattern | None = None  # the network's jtj_pattern, from linearize
 
 
 def _checked_table(nets, states) -> np.ndarray:
@@ -174,17 +167,20 @@ def _on_terms(net, x: np.ndarray, terms):
     return c[t], d[t], tc[t], td[t], x[1, net.y_row[t]], x[1, net.y_col[t]]
 
 
-def q_term(net: NetworkModel, s: StateVector) -> np.ndarray | sp.csc_matrix:
-    """Second-order residual correction sum_m r_m * hess(r_m), in the form
-    :func:`linearize` gives B.  Its values are added once into B's pattern
-    ``net.jtj_pattern``, which holds all of Q, and returned CSC on it from
-    :data:`SPARSE_MIN_FREE` free entries up, scattered dense below; the two
-    forms are equal bit for bit.
+def q_term(net: NetworkModel, s: StateVector) -> np.ndarray:
+    """Second-order residual correction sum_m r_m * hess(r_m), dense: the
+    oracle of the diagnostics (the gap between the regularized Gauss-Newton
+    matrix and the true Hessian of f), which read only its values on B's
+    pattern, from :func:`_q_values`.  The injection entries add nothing."""
+    gram = net.jtj_pattern
+    q = np.zeros((net.n_free, net.n_free))
+    q[gram.indices, gram.cols] = _q_values(net, s)
+    return q
 
-    Only used for diagnostics (the gap between the regularized Gauss-Newton
-    matrix and the true Hessian of f); the solve path never forms it.  The
-    injection entries are linear and add nothing.
-    """
+
+def _q_values(net: NetworkModel, s: StateVector) -> np.ndarray:
+    """The values of :func:`q_term` on ``net.jtj_pattern``, added once into
+    that pattern by ``net.q_slots``."""
     x = _checked_table((net,), (s,))
     terms = _flow_terms(net, x)
     r = _residual(net, x, terms)
@@ -203,22 +199,8 @@ def q_term(net: NetworkModel, s: StateVector) -> np.ndarray | sp.csc_matrix:
                            -a, a, -kb, -ib,
                            kb, -kb, zero, -e,
                            ib, -ib, -e, zero])
-    nf = net.n_free
-    gram = net.jtj_pattern
     # the spare last bin collects the entries on fixed columns
-    data = np.bincount(net.q_slots, weights=vals, minlength=len(gram.indices) + 1)[:-1]
-    if nf >= SPARSE_MIN_FREE:
-        return sp.csc_matrix((data, gram.indices, gram.indptr), shape=(nf, nf))
-    q = np.zeros((nf, nf))
-    q[gram.indices, gram.cols] = data
-    return q
-
-
-def on_pattern(net: NetworkModel, m: np.ndarray | sp.csc_matrix) -> np.ndarray:
-    """The values of ``m``, a B or Q of ``net`` in either form, at the
-    entries of ``net.jtj_pattern`` in its CSC order: the stored values of a
-    CSC one, which lies on that pattern, and those entries of a dense one."""
-    return m.data if sp.issparse(m) else m[net.jtj_pattern.indices, net.jtj_pattern.cols]
+    return np.bincount(net.q_slots, weights=vals, minlength=len(net.jtj_pattern.indices) + 1)[:-1]
 
 
 def linearize(net: NetworkModel, s: StateVector, eps: float) -> RegionLinearization:
@@ -238,13 +220,12 @@ def linearize_regions(union: NetworkUnion, states, eps: float) -> list[RegionLin
     The values are filled into the fixed pattern and never wrapped in a
     sparse matrix: ``g`` is one bincount over the columns, and each
     network's ``B = J'J + eps*I`` one bincount over its ``net.jtj_pairs``
-    from its own slice, into a dense array below :data:`SPARSE_MIN_FREE`
-    free entries and into the values of ``net.jtj_pattern``, a CSC matrix,
-    from there on.  Every sum adds in ascending row order, so they equal
-    the sparse ``J.T @ r`` and ``J.T @ J + eps*I`` bit for bit, as a
-    network evaluated alone gives them.  ``eps`` must be positive and
-    finite.  A bad state raises :class:`ModelError`, naming its region
-    when the union has several networks.
+    from its own slice, into the values of ``net.jtj_pattern``.  Every sum
+    adds in ascending row order, so they equal the sparse ``J.T @ r`` and
+    ``J.T @ J + eps*I`` bit for bit, as a network evaluated alone gives
+    them.  ``eps`` must be positive and finite.  A bad state raises
+    :class:`ModelError`, naming its region when the union has several
+    networks.
     """
     return _linearize(union, union.nets, states, eps)
 
@@ -266,21 +247,17 @@ def _linearize(whole, nets, states, eps: float) -> list[RegionLinearization]:
     for net in nets:
         ends = row + 2 * net.n_core, free + net.n_free, nnz + len(net.jac_pattern.indices)
         lins.append(RegionLinearization(r=r[row:ends[0]], jac=None, g=g[free:ends[1]],
-                                        hess=_gram(net, vals[nnz:ends[2]], eps), eps=eps))
+                                        hess=_gram(net, vals[nnz:ends[2]], eps), eps=eps,
+                                        pattern=net.jtj_pattern))
         row, free, nnz = ends
     return lins
 
 
-def _gram(net: NetworkModel, vals: np.ndarray, eps: float) -> np.ndarray | sp.csc_matrix:
-    """B = J'J + eps*I from the network's Jacobian values, in the form
-    :data:`SPARSE_MIN_FREE` picks at call time."""
-    n = net.n_free
-    a, b, target = net.jtj_pairs
-    if n >= SPARSE_MIN_FREE:
-        gram = net.jtj_pattern
-        data = np.bincount(gram.slot, weights=vals[a] * vals[b], minlength=len(gram.indices))
-        data[gram.diag] += eps
-        return sp.csc_matrix((data, gram.indices, gram.indptr), shape=(n, n))
-    flat = np.bincount(target, weights=vals[a] * vals[b], minlength=n * n)
-    flat[::n + 1] += eps
-    return flat.reshape(n, n)
+def _gram(net: NetworkModel, vals: np.ndarray, eps: float) -> np.ndarray:
+    """B = J'J + eps*I's values on ``net.jtj_pattern`` from the network's
+    Jacobian values, one network's products at a time."""
+    a, b = net.jtj_pairs
+    gram = net.jtj_pattern
+    data = np.bincount(gram.slot, weights=vals[a] * vals[b], minlength=len(gram.indices))
+    data[gram.diag] += eps
+    return data

@@ -123,6 +123,16 @@ def lm_hessian(jac, eps: float) -> np.ndarray:
     return b
 
 
+def dense_b(lin, values=None) -> np.ndarray:
+    """The dense n_free x n_free array of a linearization's B, or of
+    ``values`` on B's pattern (its Q), zero off the pattern."""
+    pat = lin.pattern
+    n = len(pat.indptr) - 1
+    out = np.zeros((n, n))
+    out[pat.indices, pat.cols] = lin.hess if values is None else values
+    return out
+
+
 def newton_solve_complex(case: RawCase, tol: float = 1e-10, max_iter: int = 40):
     """Plain Newton power flow in complex form; returns (vm, theta) by bus.
 

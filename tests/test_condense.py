@@ -1,22 +1,33 @@
+import contextlib
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+import hdpf.condense
 from hdpf import (FactorizationError, SolverConfig, flat_start, load_manifest, partition,
                   run_distributed, solve)
-from hdpf.condense import BlockSplit, _sym_splu, condense_region, recover_local
+from hdpf.condense import SPARSE_MIN_FREE, BlockSplit, _sym_splu, condense_region, recover_local
 from hdpf.consensus import consensus_pass
 from hdpf.driver import consensus_step
-from hdpf.residual import SPARSE_MIN_FREE, RegionLinearization, linearize, linearize_regions
+from hdpf.residual import RegionLinearization, linearize, linearize_regions
 from hdpf.trace import trace_signature
 
 from conftest import fixture_path
-from helpers import random_spd
+from helpers import dense_b, random_spd
 
-# the model's B as linearize hands it over: dense for small regions, CSC
-# for large ones (each form takes its own condensation path)
-FORMS = (np.asarray, sp.csc_matrix)
+# SPARSE_MIN_FREE values that put every model on the dense path (LAPACK's
+# Cholesky of a dense Byy) or on the sparse one (SuperLU in a kept order)
+PATHS = (10**9, 0)
+
+
+@contextlib.contextmanager
+def _path(limit):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hdpf.condense, "SPARSE_MIN_FREE", limit)
+        yield
 
 
 def _lin_from(b, g, eps=0.0):
@@ -37,8 +48,9 @@ def _assert_local_solves(cqp, b, g):
 
 def test_split_identity_blocks():
     b, g = np.eye(4), np.arange(4.0)
-    for form in FORMS:
-        cqp = _condense(form(b), g, [0, 1])
+    for limit in PATHS:
+        with _path(limit):
+            cqp = _condense(b, g, [0, 1])
         np.testing.assert_array_equal(cqp.b_bar, np.eye(2))
         np.testing.assert_array_equal(cqp.g_bar, [0.0, 1.0])
         np.testing.assert_array_equal(cqp.w_y, [2.0, 3.0])
@@ -54,8 +66,9 @@ def test_split_reassembles_under_permutation():
     b = random_spd(rng, 6)
     g = rng.standard_normal(6)
     x_cols = np.array([1, 4])
-    for form in FORMS:
-        cqp = _condense(form(b), g, x_cols)
+    for limit in PATHS:
+        with _path(limit):
+            cqp = _condense(b, g, x_cols)
         np.testing.assert_array_equal(cqp.y_cols, [0, 2, 3, 5])
         _assert_local_solves(cqp, b, g)
 
@@ -66,11 +79,10 @@ def test_condensed_matrix_is_exactly_symmetric(problems):
         for reg in p.regions:
             s = flat_start(reg.net)
             lin = linearize(reg.net, s, 1e-10)
-            dense = lin.hess.toarray() if sp.issparse(lin.hess) else lin.hess
-            for form in FORMS:
-                cqp = condense_region(_lin_from(form(dense), lin.g), reg.coupling_free_cols,
-                                      s.free())
-                assert np.array_equal(cqp.b_bar, cqp.b_bar.T), (name, reg.index, form)
+            for limit in PATHS:
+                with _path(limit):
+                    cqp = condense_region(lin, reg.coupling_free_cols, s.free())
+                assert np.array_equal(cqp.b_bar, cqp.b_bar.T), (name, reg.index, limit)
 
 
 def test_fig1_region_coupling_block_order(problems):
@@ -89,8 +101,9 @@ def test_decoupled_blocks_pass_through():
     byy = random_spd(rng, 2)
     b = sla.block_diag(bxx, byy)
     g = rng.standard_normal(5)
-    for form in FORMS:
-        cqp = _condense(form(b), g, [0, 1, 2])
+    for limit in PATHS:
+        with _path(limit):
+            cqp = _condense(b, g, [0, 1, 2])
         np.testing.assert_allclose(cqp.b_bar, bxx, atol=1e-14)
         np.testing.assert_allclose(cqp.g_bar, g[:3], atol=1e-14)
 
@@ -102,8 +115,9 @@ def test_schur_matches_dense_inverse_oracle():
         g = rng.standard_normal(4)
         bxx, bxy, byy = b[:2, :2], b[:2, 2:], b[2:, 2:]
         inv_yy = np.linalg.inv(byy)
-        for form in FORMS:
-            cqp = _condense(form(b), g, [0, 1])
+        for limit in PATHS:
+            with _path(limit):
+                cqp = _condense(b, g, [0, 1])
             np.testing.assert_allclose(cqp.b_bar, bxx - bxy @ inv_yy @ bxy.T, atol=1e-12)
             np.testing.assert_allclose(cqp.g_bar, g[:2] - bxy @ inv_yy @ g[2:], atol=1e-12)
 
@@ -122,8 +136,9 @@ def test_condensation_is_exact_partial_minimization():
     def full_model(chi):
         return 0.5 * chi @ b @ chi + (g - b @ chi_k) @ chi
 
-    for form in FORMS:
-        cqp = _condense(form(b), g, x_cols)
+    for limit in PATHS:
+        with _path(limit):
+            cqp = _condense(b, g, x_cols)
         np.testing.assert_array_equal(cqp.y_cols, y_cols)
         b_bar, g_bar = cqp.b_bar, cqp.g_bar
         diffs = []
@@ -144,8 +159,9 @@ def test_condensed_spd_floor():
     jac = rng.standard_normal((3, 6))  # rank-deficient J^T J on 6 variables
     eps = 1e-8
     b = jac.T @ jac + eps * np.eye(6)
-    for form in FORMS:
-        cqp = _condense(form(b), np.zeros(6), [0, 1], eps)
+    for limit in PATHS:
+        with _path(limit):
+            cqp = _condense(b, np.zeros(6), [0, 1], eps)
         assert np.linalg.eigvalsh(cqp.b_bar).min() >= eps * (1 - 1e-9)
 
 
@@ -159,17 +175,18 @@ def test_condensed_spd_floor_along_unseen_coupling_direction():
     for eps in (1e-8, 1e-10):
         jac = rng.standard_normal((1, 6))
         b = jac.T @ jac + eps * np.eye(6)
-        for form in FORMS:
-            cqp = _condense(form(b), np.zeros(6), [0, 1], eps)
+        for limit in PATHS:
+            with _path(limit):
+                cqp = _condense(b, np.zeros(6), [0, 1], eps)
             np.testing.assert_allclose(np.linalg.eigvalsh(cqp.b_bar).min(), eps, rtol=1e-4)
 
 
 def test_schur_breakdown_reported():
     b = np.eye(4)
     b[2, 2] = -1.0  # indefinite local block
-    for form in FORMS:
-        with pytest.raises(FactorizationError, match="not positive definite"):
-            _condense(form(b), np.zeros(4), [0, 1])
+    for limit in PATHS:
+        with _path(limit), pytest.raises(FactorizationError, match="not positive definite"):
+            _condense(b, np.zeros(4), [0, 1])
     # the dense path reports where LAPACK's Cholesky stopped
     with pytest.raises(FactorizationError, match=r"1-th leading minor .* \(LAPACK potrf info 1\)"):
         _condense(b, np.zeros(4), [0, 1])
@@ -179,10 +196,8 @@ def test_condense_makes_one_factorization_per_region(problems, monkeypatch):
     # one factor of the local block Byy per region: a dense Cholesky (LAPACK's
     # potrf) of an n_local x n_local matrix per small region; per large one,
     # through condense._splu, which makes every SuperLU factor, and no
-    # Cholesky: a fresh split's throwaway minimum-degree factor that finds
-    # Byy's order and one factor in that order, then only the ordered factor
-    import hdpf.condense
-
+    # Cholesky: on a fresh split the minimum-degree factor that finds Byy's
+    # order, which also serves that first solve, then only the ordered factor
     calls = []
     real_cho, real_splu = sla.lapack.dpotrf, hdpf.condense._splu
     monkeypatch.setattr(sla.lapack, "dpotrf",
@@ -191,7 +206,7 @@ def test_condense_makes_one_factorization_per_region(problems, monkeypatch):
                         lambda a, what, spec: calls.append((spec, a.shape))
                         or real_splu(a, what, spec))
     for name, fresh, ordered in (("case53", ["cho"], ["cho"]),
-                                 ("case404", ["MMD_AT_PLUS_A", "NATURAL"], ["NATURAL"])):
+                                 ("case404", ["MMD_AT_PLUS_A"], ["NATURAL"])):
         p = problems[name]
         for reg in p.regions:
             s = flat_start(reg.net)
@@ -222,9 +237,10 @@ def test_cached_orders_keep_the_minimum_degree_fill(problems):
         split = BlockSplit(reg.net.n_free, reg.coupling_free_cols)
         condense_region(lin, split, s.free())
         y = split.y_cols
-        byy = lin.hess[y][:, y]
+        pat = reg.net.jtj_pattern
+        byy = sp.csc_matrix((lin.hess, pat.indices, pat.indptr))[y][:, y]
         assert byy.nnz == len(split.order.src)
-        lu = split.order.factor(split.csc_blocks(lin.hess)[0])
+        lu = split.order.factor(split.blocks(lin, dense=False)[0])
         assert _fill(lu) == _fill(_sym_splu(byy, "Byy")), reg.index
         assert np.array_equal(lu.perm_c, np.arange(len(y))), reg.index
     for name in problems:
@@ -247,8 +263,6 @@ def test_cached_orders_keep_the_minimum_degree_fill(problems):
 def test_patterns_are_ordered_on_the_first_solve_only(monkeypatch):
     # a fresh case404 problem orders each region's Byy and the coordinator's
     # S once, on its first solve; later solves factor in the kept orders
-    import hdpf.condense
-
     calls = []
     real = hdpf.condense._sym_splu
     monkeypatch.setattr(hdpf.condense, "_sym_splu",
@@ -268,8 +282,6 @@ def test_exact_hessian_system_is_ordered_once_per_problem(monkeypatch, name):
     # problem's first diagnosed solve, with its regions on the sparse path
     # (case404) or the dense one (case53); later diagnosed solves, direct or
     # through the harness, factor it in the kept order, to the same bits
-    import hdpf.condense
-
     calls = []
     real = hdpf.condense._sym_splu
     monkeypatch.setattr(hdpf.condense, "_sym_splu",
@@ -301,10 +313,9 @@ def test_cached_order_keeps_the_positive_definiteness_check(problems):
     assert split.order is not None
     bad = lin.hess.copy()
     y = split.y_cols[len(split.y_cols) // 2]
-    bad[y, y] = -1.0  # a stored entry: the pattern stays B's
-    assert np.array_equal(bad.indices, lin.hess.indices)
+    bad[reg.net.jtj_pattern.diag[y]] = -1.0  # Byy's diagonal entry (y, y)
     with pytest.raises(FactorizationError, match="not positive definite"):
-        condense_region(_lin_from(bad, lin.g), split, s.free())
+        condense_region(dataclasses.replace(lin, hess=bad), split, s.free())
 
 
 # --- recovery -----------------------------------------------------------------
@@ -331,7 +342,7 @@ def test_recover_single_region_is_plain_newton_step(problems):
     chi = s.free()
     cqp = condense_region(lin, reg.coupling_free_cols, chi)
     out = recover_local(cqp, np.zeros(0), chi)
-    expected = chi - np.linalg.solve(lin.hess, lin.g)
+    expected = chi - np.linalg.solve(dense_b(lin), lin.g)
     np.testing.assert_allclose(out, expected, atol=1e-10)
 
 
@@ -359,9 +370,10 @@ def test_recover_hidden_entries_match_block_solve_with_interleaved_coupling():
         hess0, g0 = b.copy(), g.copy()
         chi = rng.standard_normal(n)
         x_target = chi[x_cols] + rng.standard_normal(len(x_cols))
-        for form in FORMS:
-            lin = _lin_from(form(b), g)
-            cqp = condense_region(lin, x_cols, chi)
+        for limit in PATHS:
+            lin = _lin_from(b, g)
+            with _path(limit):
+                cqp = condense_region(lin, x_cols, chi)
             out = recover_local(cqp, x_target, chi)
             y_cols = cqp.y_cols
             rhs = (b @ chi - g)[y_cols] - b[np.ix_(y_cols, x_cols)] @ x_target
@@ -370,5 +382,5 @@ def test_recover_hidden_entries_match_block_solve_with_interleaved_coupling():
                                        atol=1e-12 * np.max(np.abs(expected)))
             np.testing.assert_array_equal(out[x_cols], x_target)
             # the in-place factorization works on a copy: the model is untouched
-            np.testing.assert_array_equal(sp.csc_matrix(lin.hess).toarray(), hess0)
+            np.testing.assert_array_equal(lin.hess, hess0)
             np.testing.assert_array_equal(lin.g, g0)

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from hdpf import (
     SolverConfig,
@@ -21,8 +20,9 @@ from hdpf.driver import consensus_step
 from hdpf.residual import linearize, residual
 from hdpf.trace import STATUS_CONVERGED, STATUS_MAX_ITER, IterationRecord, SolveTrace, trace_signature
 
-# the package re-exports the function residual under the module's name
-residual_module = importlib.import_module("hdpf.residual")
+from helpers import dense_b
+
+condense_module = importlib.import_module("hdpf.condense")
 # SPARSE_MIN_FREE values that put every region on the sparse or the dense path
 ALL_SPARSE, ALL_DENSE = 0, 10**9
 
@@ -165,10 +165,10 @@ def _spy(monkeypatch, name):
 
 
 def test_diagnosed_solve_evaluates_curvature_once_per_iterate(problems, monkeypatch):
-    # each iterate's q_term serves its lm_error and then the next
-    # condense_gap, so only the flat start adds a call of its own; case53's
-    # regions take the dense path, case404's the sparse one
-    calls = _spy(monkeypatch, "q_term")
+    # each iterate's Q serves its lm_error and then the next condense_gap,
+    # so only the flat start adds a call of its own; case53's regions take
+    # the dense path, case404's the sparse one
+    calls = _spy(monkeypatch, "_q_values")
     for name in ("case53", "case404"):
         calls.clear()
         p = problems[name]
@@ -179,12 +179,12 @@ def test_diagnosed_solve_evaluates_curvature_once_per_iterate(problems, monkeypa
 
 
 def test_diagnosed_sparse_region_forms_no_dense_square(problems, monkeypatch):
-    # every Q of a sparse-path region is CSC on its B's pattern, and the
-    # solve's peak stays below two dense n_free^2 arrays (2.7 MB; the peak
-    # was 8.4 MB with a dense Q per region, and is 1.5 MB on B's pattern)
+    # every Q of a sparse-path region is its values on its B's pattern, and
+    # the solve's peak stays below two dense n_free^2 arrays (2.7 MB; the
+    # peak was 8.4 MB with a dense Q per region, and is 0.94 MB on B's pattern)
     import tracemalloc
 
-    calls = _spy(monkeypatch, "q_term")
+    calls = _spy(monkeypatch, "_q_values")
     p = problems["case404"]
     solve(p, SolverConfig(diagnose=True))
     calls.clear()
@@ -195,32 +195,28 @@ def test_diagnosed_sparse_region_forms_no_dense_square(problems, monkeypatch):
     finally:
         tracemalloc.stop()
     assert trace.converged and all(math.isfinite(r.lm_error) for r in trace.records)
-    assert calls and all(sp.issparse(q) and q.format == "csc" for _, q in calls)
+    assert calls and all(q.shape == (len(net.jtj_pattern.indices),) for (net, _), q in calls)
     n_free = max(r.net.n_free for r in p.regions)
     assert peak < 2 * n_free * n_free * 8, peak
 
 
 def test_lm_error_on_csc_q_matches_the_dense_q(problems, monkeypatch):
     # case404's diagnosed solve on the sparse path: each record's lm_error,
-    # from CSC Q's, against the dense Q's of the same iterate
-    from hdpf.driver import _lm_error
+    # from Q's values on B's pattern, against ||eps*I - Q||_F of the dense
+    # q_term of the same iterate
+    from hdpf.residual import q_term
 
-    calls = _spy(monkeypatch, "q_term")
+    calls = _spy(monkeypatch, "_q_values")
     p = problems["case404"]
     _, _, trace = solve(p, SolverConfig(diagnose=True))
     assert trace.converged and trace.n_iter > 1
-    monkeypatch.setattr(residual_module, "SPARSE_MIN_FREE", ALL_DENSE)
     n = len(p.regions)
     # calls run iterate by iterate, the flat start first; record k is iterate k's
     for k, rec in enumerate(trace.records, start=1):
-        dense = [residual_module.q_term(*args) for args, _ in calls[k * n:(k + 1) * n]]
-        assert all(isinstance(q, np.ndarray) for q in dense)
-        expected = _lm_error(SolverConfig.eps, [r.net for r in p.regions], dense)
+        dense = [q_term(*args) for args, _ in calls[k * n:(k + 1) * n]]
+        expected = math.sqrt(sum(
+            np.sum((SolverConfig.eps * np.eye(len(q)) - q) ** 2) for q in dense))
         assert abs(rec.lm_error - expected) <= 1e-12 * expected, (k, rec.lm_error, expected)
-
-
-def _dense(m):
-    return m.toarray() if sp.issparse(m) else m
 
 
 def _saddle_point_gap(p, lins, q_terms, chi_ks, x_plus):
@@ -233,8 +229,7 @@ def _saddle_point_gap(p, lins, q_terms, chi_ks, x_plus):
     off = coff = 0
     for reg, lin, q, chi in zip(p.regions, lins, q_terms, chi_ks):
         n, n_x = len(chi), reg.n_cpl
-        # a large region's B and q are CSC; ndarray + csc_matrix would be an np.matrix
-        h = _dense(lin.hess) + _dense(q)
+        h = dense_b(lin) + dense_b(lin, q)
         kkt[off:off + n, off:off + n] = h
         rhs[off:off + n] = h @ chi - lin.g
         rows = n_chi + p.n_z + coff + np.arange(n_x)
@@ -252,10 +247,10 @@ def _saddle_point_gap(p, lins, q_terms, chi_ks, x_plus):
 
 @pytest.mark.parametrize("name", ["fig1", "twin14", "case53"])
 def test_condense_gap_matches_saddle_point_oracle(problems, monkeypatch, name):
-    # on each region path, B dense and B in CSC
+    # on each region path, Byy factored dense and sparse
     calls = _spy(monkeypatch, "_condense_gap")
     for limit in (ALL_DENSE, ALL_SPARSE):
-        monkeypatch.setattr(residual_module, "SPARSE_MIN_FREE", limit)
+        monkeypatch.setattr(condense_module, "SPARSE_MIN_FREE", limit)
         calls.clear()
         _, _, trace = solve(problems[name], SolverConfig(diagnose=True))
         assert trace.converged and len(calls) == len(trace.records) > 1
@@ -268,9 +263,9 @@ def test_condense_gap_matches_saddle_point_oracle(problems, monkeypatch, name):
 def test_condense_gap_on_the_sparse_path_matches_the_dense_path(problems, monkeypatch):
     # case404's 410-entry regions take the sparse path by default
     p = problems["case404"]
-    assert all(r.net.n_free >= residual_module.SPARSE_MIN_FREE for r in p.regions)
+    assert all(r.net.n_free >= condense_module.SPARSE_MIN_FREE for r in p.regions)
     _, _, sparse = solve(p, SolverConfig(diagnose=True))
-    monkeypatch.setattr(residual_module, "SPARSE_MIN_FREE", ALL_DENSE)
+    monkeypatch.setattr(condense_module, "SPARSE_MIN_FREE", ALL_DENSE)
     _, _, dense = solve(p, SolverConfig(diagnose=True))
     assert sparse.converged and sparse.n_iter == dense.n_iter > 1
     for a, b in zip(sparse.records, dense.records):
@@ -283,7 +278,7 @@ def test_sparse_and_dense_region_paths_agree(problems, central_refs, monkeypatch
     p = problems[name]
     runs = {}
     for limit in (ALL_SPARSE, ALL_DENSE):
-        monkeypatch.setattr(residual_module, "SPARSE_MIN_FREE", limit)
+        monkeypatch.setattr(condense_module, "SPARSE_MIN_FREE", limit)
         runs[limit] = solve(p)
     (s_sparse, lams, t_sparse), (s_dense, _, t_dense) = runs[ALL_SPARSE], runs[ALL_DENSE]
     assert t_sparse.status == t_dense.status == STATUS_CONVERGED
@@ -293,7 +288,7 @@ def test_sparse_and_dense_region_paths_agree(problems, central_refs, monkeypatch
     for s in (s_sparse, s_dense):
         assert np.max(np.abs(s.free() - ref)) <= 1e-10
     # the harness runs the same sparse step, bit for bit
-    monkeypatch.setattr(residual_module, "SPARSE_MIN_FREE", ALL_SPARSE)
+    monkeypatch.setattr(condense_module, "SPARSE_MIN_FREE", ALL_SPARSE)
     s_harness, lams_harness, t_harness, _ = run_distributed(p)
     assert np.array_equal(s_harness.free(), s_sparse.free())
     assert trace_signature(t_harness) == trace_signature(t_sparse)
@@ -576,7 +571,7 @@ def test_non_finite_step_ends_breakdown_with_last_valid_iterate(cases, bad):
         (lin,), (chi,) = lins, chis
         calls.append(chi)
         if len(calls) == 1:
-            return [chi - np.linalg.solve(lin.hess, lin.g)], ["lam"], 0.0
+            return [chi - np.linalg.solve(dense_b(lin), lin.g)], ["lam"], 0.0
         return [np.full_like(chi, bad)], ["broken"], 0.0
 
     union = NetworkUnion((net,))
@@ -647,7 +642,9 @@ def test_every_iterate_is_evaluated_once(problems, monkeypatch, name, cfg, stop)
 def test_evaluation_maps_are_built_on_first_solve_and_kept():
     # partition builds neither the union of the regions' networks nor the
     # regions' block splits; the first solve builds both, later solves reuse
-    # them, and only a dense-path region keeps dense gathers of its B
+    # them, and a split on either path keeps maps from B's values, one entry
+    # per pattern entry at most, and no dense gathers of an n_free^2 B; only
+    # a sparse-path split keeps Byy's order
     from hdpf import load_manifest, partition
 
     from conftest import fixture_path
@@ -659,9 +656,39 @@ def test_evaluation_maps_are_built_on_first_solve_and_kept():
         solve(p)
         union, splits = p.union, [r.split for r in p.regions]
         assert [id(net) for net in union.nets] == [id(r.net) for r in p.regions], name
-        assert all(("gathers" in s.__dict__) == dense for s in splits), name
+        for r, s in zip(p.regions, splits):
+            assert "gathers" not in s.__dict__ and (s.order is None) == dense, name
+            maps = (s.src, s.flat)
+            assert all(len(m) <= len(r.net.jtj_pattern.indices) for m in maps), name
+        maps = [(s.src, s.order) for s in splits]
         solve(p)
         assert p.union is union and all(r.split is s for r, s in zip(p.regions, splits)), name
+        assert all(s.src is src and s.order is order
+                   for s, (src, order) in zip(splits, maps)), name
+
+
+def test_solve_memory_below_half_of_the_dense_bs(problems):
+    # a warm case1100 solve (ten dense-path regions of 238 free entries)
+    # holds each region's B as its values on B's pattern, never as a dense
+    # n_free^2 array: its peak stays below half of one dense B per region
+    # (about 2.0 MB; it was 8.5 MB when each iterate's B's were dense)
+    import tracemalloc
+
+    p = problems["case1100"]
+    solve(p)
+    dense_bytes = sum(8 * r.net.n_free * r.net.n_free for r in p.regions)
+    tracemalloc.start()
+    try:
+        _, _, trace = solve(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.converged
+    assert peak < dense_bytes / 2, (peak, dense_bytes)
+    # and each dense-path split keeps O(pattern nnz) map entries, not O(n_free^2)
+    for r in p.regions:
+        assert r.net.n_free < condense_module.SPARSE_MIN_FREE
+        assert len(r.split.src) + len(r.split.flat) <= 2 * len(r.net.jtj_pattern.indices)
 
 
 def test_factorization_failure_evaluates_each_iterate_once(cases, monkeypatch):
@@ -680,7 +707,7 @@ def test_factorization_failure_evaluates_each_iterate_once(cases, monkeypatch):
         steps.append(chi)
         if len(steps) == 2:
             raise FactorizationError("stub")
-        return [chi - np.linalg.solve(lin.hess, lin.g)], None, 0.0
+        return [chi - np.linalg.solve(dense_b(lin), lin.g)], None, 0.0
 
     (state,), _, records, status = hdpf.driver._iterate(
         [flat_start(net)], None, SolverConfig(), step,

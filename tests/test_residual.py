@@ -5,10 +5,10 @@ import pytest
 import scipy.sparse as sp
 
 from hdpf import ModelError, build_network, central_solve, flat_start, parse_case
-from hdpf.residual import SPARSE_MIN_FREE, jacobian, linearize, q_term, residual
+from hdpf.residual import _q_values, jacobian, linearize, q_term, residual
 
-from helpers import (complex_jacobian, complex_power_residual, fd_hessian_of_f, fd_jacobian,
-                     lm_hessian)
+from helpers import (complex_jacobian, complex_power_residual, dense_b, fd_hessian_of_f,
+                     fd_jacobian, lm_hessian)
 
 LOSSLESS_2BUS = """
 mpc.baseMVA = 100;
@@ -252,48 +252,38 @@ def test_q_term_ignores_linear_rows():
     np.testing.assert_allclose(j.T @ j + q, h_fd, atol=1e-5)
 
 
-def test_q_term_on_b_pattern_matches_dense_bit_for_bit(problems, monkeypatch):
-    # with every region on the sparse path, Q is CSC on the network's B
-    # pattern and equals the dense assembly of the same state bit for bit
-    import importlib
-
-    residual_module = importlib.import_module("hdpf.residual")
+def test_q_term_on_b_pattern_matches_dense_bit_for_bit(problems):
+    # the diagnostics' Q, its values on the network's B pattern, equals the
+    # dense q_term of the same state there bit for bit, and the dense one
+    # is zero off the pattern
     rng = np.random.default_rng(29)
     for name, p in problems.items():
         for reg in p.regions:
             net = reg.net
             flat = flat_start(net)
             for s in (flat, flat.with_free(flat.free() + rng.uniform(-0.1, 0.1, net.n_free))):
-                monkeypatch.setattr(residual_module, "SPARSE_MIN_FREE", 0)
-                q = q_term(net, s)
-                monkeypatch.setattr(residual_module, "SPARSE_MIN_FREE", 10**9)
-                dense = q_term(net, s)
+                values, dense = _q_values(net, s), q_term(net, s)
                 gram = net.jtj_pattern
-                assert sp.issparse(q) and q.format == "csc" and q.has_canonical_format, name
-                assert np.shares_memory(q.indices, gram.indices), name
-                assert np.shares_memory(q.indptr, gram.indptr), name
-                assert isinstance(dense, np.ndarray), name
-                assert np.array_equal(q.toarray(), dense), name
+                assert isinstance(dense, np.ndarray) and dense.shape == (net.n_free,) * 2, name
+                assert np.array_equal(values, dense[gram.indices, gram.cols]), name
+                off = np.ones_like(dense, dtype=bool)
+                off[gram.indices, gram.cols] = False
+                assert not dense[off].any(), name
 
 
 def test_q_term_takes_the_form_of_b(problems):
-    # dense below SPARSE_MIN_FREE free entries, CSC from there on, as B is,
-    # through a map of Q's entries the network builds once
-    forms = set()
+    # Q's values lie on B's pattern, one value per entry as B's do, for
+    # every region, through a map of Q's entries the network builds once
     for p in problems.values():
         for reg in p.regions:
             net = reg.net
             s = flat_start(net)
-            q, hess = q_term(net, s), linearize(net, s, 1e-10).hess
-            assert sp.issparse(q) == sp.issparse(hess) == (net.n_free >= SPARSE_MIN_FREE)
-            if sp.issparse(q):
-                assert np.array_equal(q.indices, hess.indices)
-                assert np.array_equal(q.indptr, hess.indptr)
-                slots = net.__dict__["q_slots"]
-                q_term(net, s)
-                assert net.__dict__["q_slots"] is slots
-            forms.add(sp.issparse(q))
-    assert forms == {False, True}
+            q, lin = _q_values(net, s), linearize(net, s, 1e-10)
+            assert lin.pattern is net.jtj_pattern
+            assert q.shape == lin.hess.shape == (len(net.jtj_pattern.indices),)
+            slots = net.__dict__["q_slots"]
+            _q_values(net, s)
+            assert net.__dict__["q_slots"] is slots
 
 
 # --- regularized Gauss-Newton matrix -----------------------------------------
@@ -331,7 +321,7 @@ def test_lm_hessian_spd_on_regions(problems):
     p = problems["twin14"]
     for reg in p.regions:
         lin = linearize(reg.net, flat_start(reg.net), 1e-10)
-        eigs = np.linalg.eigvalsh(lin.hess)
+        eigs = np.linalg.eigvalsh(dense_b(lin))
         assert eigs.min() > 0
 
 
@@ -352,9 +342,8 @@ def test_non_finite_angle_rejected_with_positions(bad):
 
 def test_linearize_matches_sparse_oracle_bit_for_bit(problems):
     # the bincount assembly adds in the order a sparse J'J and J'r do, into
-    # a dense B below SPARSE_MIN_FREE free entries and a CSC one from there on
+    # B's values on the network's fixed pattern, for every region
     rng = np.random.default_rng(17)
-    forms = set()
     for name, p in problems.items():
         for reg in p.regions:
             net = reg.net
@@ -363,22 +352,16 @@ def test_linearize_matches_sparse_oracle_bit_for_bit(problems):
                 j = jacobian(net, s)
                 assert j.has_canonical_format, name
                 lin = linearize(net, s, 1e-10)
-                sparse = net.n_free >= SPARSE_MIN_FREE
-                assert sp.issparse(lin.hess) == sparse, name
-                if sparse:
-                    assert lin.hess.format == "csc" and lin.hess.has_canonical_format, name
-                    hess = lin.hess.toarray()
-                else:
-                    hess = lin.hess
-                assert np.array_equal(hess, lm_hessian(j, 1e-10)), name
+                gram = lin.pattern
+                assert gram is net.jtj_pattern, name
+                oracle = lm_hessian(j, 1e-10)
+                assert np.array_equal(lin.hess, oracle[gram.indices, gram.cols]), name
+                assert np.array_equal(dense_b(lin), oracle), name  # zero off the pattern
                 assert np.array_equal(lin.g, j.T @ residual(net, s)), name
-                forms.add(sparse)
-    # case404's regions are sparse, the other fixtures' dense
-    assert forms == {False, True}
 
 
 def test_linearize_builds_no_sparse_matrix(problems, monkeypatch):
-    # case53's regions are below SPARSE_MIN_FREE; a larger one builds only B
+    # no region's linearization builds a matrix, small (case53) or large (case404)
     calls = []
 
     def spy(name):
@@ -387,27 +370,27 @@ def test_linearize_builds_no_sparse_matrix(problems, monkeypatch):
 
     for name in ("coo_matrix", "csr_matrix", "csc_matrix"):
         monkeypatch.setattr(sp, name, spy(name))
-    for reg in problems["case53"].regions:
+    for reg in problems["case53"].regions + problems["case404"].regions:
         linearize(reg.net, flat_start(reg.net), 1e-10)
     assert calls == []
 
 
-def test_index_maps_built_once_per_network(cases, problems):
-    net = build_network(cases["case14"])
-    linearize(net, flat_start(net), 1e-10)
-    maps = {k: net.__dict__[k] for k in ("jac_pattern", "jtj_pairs")}
-    assert "q_slots" not in net.__dict__ and "jtj_pattern" not in net.__dict__
-    linearize(net, flat_start(net), 1e-10)
-    assert all(net.__dict__[k] is v for k, v in maps.items())
-    # a sparse-path region also keeps B's CSC pattern, whose index arrays
-    # every B it assembles shares
-    big = problems["case404"].regions[0].net
-    b1 = linearize(big, flat_start(big), 1e-10).hess
-    pattern = big.__dict__["jtj_pattern"]
-    b2 = linearize(big, flat_start(big), 1e-10).hess
-    assert big.__dict__["jtj_pattern"] is pattern
-    assert all(np.shares_memory(b.indices, pattern.indices)
-               and np.shares_memory(b.indptr, pattern.indptr) for b in (b1, b2))
+def test_index_maps_built_once_per_network(cases):
+    # every region, small or large, builds B's pattern, on which its values
+    # live, and keeps it
+    from hdpf import load_manifest, partition
+
+    from conftest import fixture_path
+
+    big = partition(*load_manifest(fixture_path("case404.manifest"))).regions[0].net
+    for net in (build_network(cases["case14"]), big):
+        lin = linearize(net, flat_start(net), 1e-10)
+        maps = {k: net.__dict__[k] for k in ("jac_pattern", "jtj_pairs", "jtj_pattern")}
+        assert "q_slots" not in net.__dict__
+        assert lin.pattern is maps["jtj_pattern"]
+        lin = linearize(net, flat_start(net), 1e-10)
+        assert all(net.__dict__[k] is v for k, v in maps.items())
+        assert lin.pattern is maps["jtj_pattern"]
     # the reference's linearization needs only the Jacobian's pattern
     merged = build_network(cases["case14"])
     central_solve(merged)
@@ -419,23 +402,19 @@ def test_index_maps_built_once_per_network(cases, problems):
 
 
 def _same(a, b):
-    """Equal bit for bit, in the same form."""
-    if sp.issparse(a):
-        return (sp.issparse(b) and a.format == b.format == "csc"
-                and all(np.array_equal(getattr(a, f), getattr(b, f))
-                        for f in ("data", "indices", "indptr")))
-    return isinstance(b, np.ndarray) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    """Equal bit for bit, in the same shape."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("limit", [0, 10**9])
 def test_batched_evaluation_equals_per_network_linearize(problems, monkeypatch, limit):
     # every region of every shipped manifest, at the flat start and at a
-    # perturbed state, with every B sparse (limit 0) and every B dense
-    import importlib
-
+    # perturbed state, with every region on the sparse path (limit 0) and
+    # every one on the dense path: B takes one form on either
+    import hdpf.condense
     from hdpf.residual import linearize_regions
 
-    monkeypatch.setattr(importlib.import_module("hdpf.residual"), "SPARSE_MIN_FREE", limit)
+    monkeypatch.setattr(hdpf.condense, "SPARSE_MIN_FREE", limit)
     rng = np.random.default_rng(41)
     for name, p in problems.items():
         flat = [flat_start(r.net) for r in p.regions]
@@ -444,7 +423,7 @@ def test_batched_evaluation_equals_per_network_linearize(problems, monkeypatch, 
             assert len(lins) == len(p.regions), name
             for reg, s, lin in zip(p.regions, states, lins):
                 one = linearize(reg.net, s, 1e-10)
-                assert sp.issparse(lin.hess) == (limit == 0), name
+                assert lin.pattern is one.pattern is reg.net.jtj_pattern, name
                 for field in ("r", "g", "hess"):
                     assert _same(getattr(lin, field), getattr(one, field)), (name, reg.index, field)
 
