@@ -19,16 +19,18 @@ first B it condenses, keeps O(nnz) maps that scatter Byx, Bxx and Byy out of
 the values.  Only Byy's form and factorization depend on the region's size,
 chosen here alone: below :data:`SPARSE_MIN_FREE` free entries Byy is dense,
 factored and solved by LAPACK's Cholesky (``potrf``, ``potrs``); from there
-on its values are gathered in its fill-reducing order (a :class:`FixedOrder`
-found from the first B and kept) and factored by SuperLU with the symmetric
-settings of :func:`_sym_splu`, at a cost that grows with the nonzeros of Byy
-and its factor, not with n_free^3.
+on a :class:`FixedSystem` over B's values, with every entry outside Byy off
+the system, sums Byy in the fill-reducing order it found from the first B
+and factors it by SuperLU with the symmetric settings of :func:`_sym_splu`,
+at a cost that grows with the nonzeros of Byy and its factor, not with
+n_free^3.  The coordinator's S and the diagnostic K are fixed systems too.
 
 The factorization is made once per outer iteration and is the dominant
 per-region cost.  Linearize, condense and recover of one region at the flat
 start, dense against sparse, each path on a split that has condensed before
 (best / median of 30 alternating runs, on a 2-vCPU host with OpenBLAS on 2
-threads, measured while a dense-path B was a dense n_free x n_free array):
+threads, measured while a dense-path B was a dense n_free x n_free array and
+a sparse-path Byy was gathered, not summed, into its kept order):
 
     ==========  ======  ===============  ===============
     region      n_free  dense            sparse
@@ -65,7 +67,8 @@ from scipy.linalg import lapack
 from .network import csc_columns
 from .residual import RegionLinearization
 
-__all__ = ["FactorizationError", "BlockSplit", "CondensedQP", "condense_region", "recover_local"]
+__all__ = ["FactorizationError", "FixedSystem", "BlockSplit", "CondensedQP", "condense_region",
+           "recover_local"]
 
 _LOCAL_BLOCK = "local block of the regularized Gauss-Newton matrix"
 
@@ -95,54 +98,64 @@ def _sym_splu(a, what: str):
     return _splu(a, what, "MMD_AT_PLUS_A")
 
 
-class FixedOrder:
-    """A fixed symmetric CSC pattern in a fill-reducing order, found once
-    for every matrix on the pattern.
+class FixedSystem:
+    """A sparse symmetric n x n system on a fixed pattern: the values listed
+    at (``rows``, ``cols``) entries, duplicates added in listing order; a
+    value with a negative row or column goes to a spare bin, off the system.
 
     A sparse Cholesky splits into an analysis that reads the pattern alone,
     the ordering, and a numerical factorization (George & Liu, Computer
     Solution of Large Sparse Positive Definite Systems, 1981).  scipy has no
     separate analysis, so the order is the column order :func:`_sym_splu`
     picks for the first matrix, and that factor serves the first solve.
-    Every later factorization factors the matrix permuted into that order,
-    A[q][:, q], in its natural order.  Each ordered column keeps its entries
-    in the stored order of the column it came from, and SuperLU reads them
-    in that order, so the factor makes the operations of :func:`_sym_splu`'s
-    own: the same fill and the same bits.
+    Every later solve sums the values straight into the matrix permuted into
+    that order, A[q][:, q], and factors it in its natural order.  Each
+    ordered column keeps its entries in the stored order of the column it
+    came from, and SuperLU reads them in that order, so the factor makes the
+    operations of :func:`_sym_splu`'s own: the same fill and the same bits.
     """
 
-    def __init__(self, a: sp.csc_matrix, what: str):
-        self.what = what
-        self._first = _sym_splu(a, what)  # for the first solve, which is of a
-        # perm[i] is the ordered position of row and column i, q its inverse
-        perm = self._first.perm_c
-        self.q = np.argsort(perm)
-        cols = perm[csc_columns(a.indptr)]
-        # the ordered matrix's k-th stored entry is a's entry src[k]
-        self.src = np.argsort(cols, kind="stable")
-        # int32, the index type of scipy and SuperLU, so factor() copies none
-        self.indices = perm[a.indices[self.src]].astype(np.int32)
-        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=len(self.q)))]
+    def __init__(self, rows, cols, n: int, what: str):
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        self.n, self.what = n, what
+        # column-major key of each listed value; the spare bin's, n * n, sorts last
+        key, self._at = np.unique(np.where((rows < 0) | (cols < 0), n * n, cols * n + rows),
+                                  return_inverse=True)
+        self.indptr = np.searchsorted(key, np.arange(n + 1) * n)
+        self.indices = key[:self.indptr[-1]] % n
+        self._q = None  # the kept order's inverse, from the first solve
+
+    def _keep_order(self, perm: np.ndarray):
+        # perm[i] is the ordered position of row and column i
+        cols = perm[csc_columns(self.indptr)]
+        # the ordered matrix's k-th stored entry is the pattern's entry src[k]
+        src = np.argsort(cols, kind="stable")
+        # int32, the index type of scipy and SuperLU, so splu copies none
+        self.indices = perm[self.indices[src]].astype(np.int32)
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=self.n))]
                                      ).astype(np.int32)
+        # send each listed value straight to its ordered entry, the spare bin's stays last
+        dest = np.append(np.empty_like(src), len(src))
+        dest[src] = np.arange(len(src))
+        self._at = dest[self._at]
+        self._q = np.argsort(perm)
 
-    def factor(self, data: np.ndarray):
-        """SuperLU factor of the ordered matrix with stored values ``data``."""
-        n = len(self.q)
-        a = sp.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
-        # no duplicates; the flag keeps splu from sorting each column's rows
-        a.has_canonical_format = True
-        return _splu(a, self.what, "NATURAL")
-
-    def solve(self, data: np.ndarray, rhs: np.ndarray, spd: bool = False) -> np.ndarray:
+    def solve(self, values: np.ndarray, rhs: np.ndarray, spd: bool = False) -> np.ndarray:
         """w with A w = ``rhs``, in ``rhs``'s memory layout, for the matrix A
-        with stored values ``data`` in this order; the first call's A must be
-        the matrix the order was found from.  With ``spd``, a pivot that is
-        not positive raises :class:`FactorizationError`: with every pivot on
-        the diagonal, they are those of A's LDL' factorization."""
+        summed from ``values``, one per listed entry.  With ``spd``, a pivot
+        that is not positive raises :class:`FactorizationError`: with every
+        pivot on the diagonal, they are those of A's LDL' factorization."""
+        data = np.bincount(self._at, weights=values, minlength=len(self.indices) + 1)[:-1]
+        a = sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
         # the first factor is of A itself, a later one of A[q][:, q]
-        lu, self._first, q = self._first, None, slice(None)
-        if lu is None:
-            lu, q = self.factor(data), self.q
+        q = self._q
+        if q is None:
+            lu, q = _sym_splu(a, self.what), slice(None)
+            self._keep_order(lu.perm_c)
+        else:
+            # no duplicates; the flag keeps splu from sorting each column's rows
+            a.has_canonical_format = True
+            lu = _splu(a, self.what, "NATURAL")
         if spd and not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)):
             raise FactorizationError(f"{self.what} is not positive definite: "
                                      "one of its pivots is not positive")
@@ -156,14 +169,15 @@ class BlockSplit:
     entries y, and, built from the first B it condenses, the maps that take
     Byx, Bxx and, on the dense path, Byy out of B's values by one gather and
     one scatter into one zeroed buffer, each block C-ordered; on the sparse
-    path, Byy's values are gathered in its :attr:`order`."""
+    path, :attr:`byy` sums Byy out of B's values."""
 
     def __init__(self, n_free: int, x_cols):
         self.x_cols = np.asarray(x_cols, dtype=np.int64)
         self.local = np.ones(n_free, dtype=bool)
         self.local[self.x_cols] = False
         self.y_cols = np.flatnonzero(self.local)
-        self.order: FixedOrder | None = None  # Byy's, from the first sparse-path B
+        # Byy's system over B's values, the others off it, from the first sparse-path B
+        self.byy: FixedSystem | None = None
         # each block entry's position in B's values and in the buffer
         # [Byx, Bxx, Byy], the n_cpl_entries of Byx and Bxx first
         self.src = self.flat = None
@@ -171,7 +185,7 @@ class BlockSplit:
 
     def blocks(self, lin: RegionLinearization, dense: bool):
         """(Byy, Byx, Bxx) of ``lin``'s B, the coupling blocks dense, and
-        Byy dense when ``dense``, else its stored values in :attr:`order`."""
+        Byy dense when ``dense``, else B's values, which :attr:`byy` lists."""
         vals = lin.hess.ravel(order="F")  # a 2-D B column by column; 1-D values as they are
         if self.src is None:
             self._map(lin)
@@ -182,9 +196,12 @@ class BlockSplit:
         byx, bxx = buf[:ny * nx].reshape(ny, nx), buf[ny * nx:ny * nx + nx * nx].reshape(nx, nx)
         if dense:
             return buf[ny * nx + nx * nx:].reshape(ny, ny), byx, bxx
-        if self.order is None:
-            self._order_byy(vals)
-        return vals.take(self._yy), byx, bxx
+        if self.byy is None:
+            yy = self.src[k:]
+            rows, cols = np.full(len(vals), -1), np.full(len(vals), -1)
+            rows[yy], cols[yy] = np.divmod(self.flat[k:] - (ny * nx + nx * nx), ny)
+            self.byy = FixedSystem(rows, cols, ny, _LOCAL_BLOCK)
+        return vals, byx, bxx
 
     def _map(self, lin: RegionLinearization):
         n, ny, nx = len(self.local), len(self.y_cols), len(self.x_cols)
@@ -199,21 +216,11 @@ class BlockSplit:
         row_y, col_y = self.local[rows], self.local[cols]
         pr, pc = pos[rows], pos[cols]
         yx, xx = np.flatnonzero(row_y & ~col_y), np.flatnonzero(~row_y & ~col_y)
-        # y_cols ascend, so Byy's entries keep B's CSC order
         yy = np.flatnonzero(row_y & col_y)
         self.src = np.concatenate([yx, xx, yy])
         self.flat = np.concatenate([pr[yx] * nx + pc[yx], ny * nx + pr[xx] * nx + pc[xx],
                                     ny * nx + nx * nx + pr[yy] * ny + pc[yy]])
         self.n_cpl_entries = len(yx) + len(xx)
-
-    def _order_byy(self, vals: np.ndarray):
-        ny, nx, k = len(self.y_cols), len(self.x_cols), self.n_cpl_entries
-        yy = self.src[k:]
-        rows, cols = np.divmod(self.flat[k:] - (ny * nx + nx * nx), ny)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=ny))])
-        self.order = FixedOrder(sp.csc_matrix((vals[yy], rows, indptr), shape=(ny, ny)),
-                                _LOCAL_BLOCK)
-        self._yy = yy[self.order.src]
 
 
 def _cho_solve(byy: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -253,10 +260,11 @@ class CondensedQP:
 def condense_region(lin: RegionLinearization, cols: BlockSplit | np.ndarray,
                     chi_free: np.ndarray) -> CondensedQP:
     """Condense one region's model at the current iterate.  ``cols`` is
-    the region's :class:`BlockSplit`, which keeps its maps and Byy's order
-    from call to call, or the coupling entries' free-vector columns, split
-    (and, on the sparse path, ordered) for this call alone.  A region with
-    :data:`SPARSE_MIN_FREE` free entries or more takes the sparse path."""
+    the region's :class:`BlockSplit`, which keeps its maps and Byy's ordered
+    system from call to call, or the coupling entries' free-vector columns,
+    split (and, on the sparse path, ordered) for this call alone.  A region
+    with :data:`SPARSE_MIN_FREE` free entries or more takes the sparse
+    path."""
     n = len(lin.g)
     split = cols if isinstance(cols, BlockSplit) else BlockSplit(n, cols)
     x_cols, y_cols = split.x_cols, split.y_cols
@@ -266,7 +274,7 @@ def condense_region(lin: RegionLinearization, cols: BlockSplit | np.ndarray,
     rhs = np.empty((len(y_cols), len(x_cols) + 1), order="F")
     rhs[:, :-1] = byx
     rhs[:, -1] = gy
-    w = _cho_solve(byy, rhs) if dense else split.order.solve(byy, rhs, spd=True)
+    w = _cho_solve(byy, rhs) if dense else split.byy.solve(byy, rhs, spd=True)
     w_x, w_y = w[:, :-1], w[:, -1]
     s = bxx - byx.T @ w_x
     return CondensedQP(

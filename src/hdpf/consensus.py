@@ -21,8 +21,11 @@ model is flat in.  From the payloads the coordinator solves
 
 and each region sets lam_l = (Bbar_l x_l^k - gbar_l) - Bbar_l E_l zbar.
 
-The weighted average is the only cross-region computation; contributions
-are accumulated in region order so repeated runs are bit-identical.
+The weighted average is the only cross-region computation.  S is summed on
+its fixed pattern, the regions' z-column blocks, by one
+:class:`~hdpf.condense.FixedSystem` per problem (:func:`consensus_system`),
+which orders it on the first solve and keeps the order; contributions are
+accumulated in region order so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -31,9 +34,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
-from .condense import CondensedQP, FactorizationError, FixedOrder
+from .condense import CondensedQP, FactorizationError, FixedSystem
 
 if TYPE_CHECKING:
     from .partition import RegionStructure
@@ -41,8 +43,8 @@ if TYPE_CHECKING:
 __all__ = [
     "TOL_KKT",
     "ConsensusSolution",
-    "ConsensusSystem",
     "KktResiduals",
+    "consensus_system",
     "weighted_average",
     "consensus_pass",
     "verify_kkt",
@@ -69,70 +71,36 @@ class ConsensusSolution:
     lam: list[np.ndarray]
 
 
-class ConsensusSystem:
-    """A sparse symmetric system summed from pieces on fixed entries: piece
-    l lists its values at its local (row, col) ``entries[l]`` and maps its
-    local unknowns to the system's by ``maps[l]``.
-
-    The key map, built with the system, sends each listed value to its
-    stored CSC entry; the order (a :class:`FixedOrder`) is found from the
-    first matrix and kept, and the map then sends each value straight to its
-    entry in that order.  The coordinator's S is one (:meth:`of_blocks`),
-    the exact-Hessian K of :func:`hdpf.driver._condense_gap` another.
-    """
-
-    def __init__(self, maps, entries, n: int, what: str):
-        self.maps, self.n, self.what = maps, n, what
-        # column-major key of each listed value
-        key, self.at = np.unique(np.concatenate(
-            [m[cols] * n + m[rows] for m, (rows, cols) in zip(maps, entries)]),
-            return_inverse=True)
-        self.indices = key % n
-        self.indptr = np.searchsorted(key, np.arange(n + 1) * n)
-        self.order: FixedOrder | None = None
-
-    @classmethod
-    def of_blocks(cls, z_cols, n_z: int) -> ConsensusSystem:
-        """S = sum E' Bbar E; each region lists its z columns' block row by row."""
-        return cls(z_cols, [np.divmod(np.arange(len(c) ** 2), len(c)) for c in z_cols], n_z,
-                   "consensus system")
-
-    def solve(self, values, vectors) -> np.ndarray:
-        """w with A w = b: A sums each piece's ``values`` at its entries, b
-        each one's ``vectors`` at its unknowns, in piece order."""
-        b = np.zeros(self.n)
-        for m, vec in zip(self.maps, vectors):
-            b[m] += vec
-        vals = np.concatenate(values)
-        if self.order is None:
-            a = sp.csc_matrix((np.bincount(self.at, weights=vals), self.indices, self.indptr),
-                              shape=(self.n, self.n))
-            self.order = FixedOrder(a, self.what)
-            self.at = np.argsort(self.order.src)[self.at]
-        return self.order.solve(np.bincount(self.at, weights=vals), b)
+def consensus_system(z_cols, n_z: int) -> FixedSystem:
+    """The coordinator's S = sum E' Bbar E on its fixed pattern: each region
+    lists its z columns' block row by row, as ``Bbar.ravel()`` reads it."""
+    return FixedSystem(np.concatenate([np.repeat(c, len(c)) for c in z_cols]),
+                       np.concatenate([np.tile(c, len(c)) for c in z_cols]), n_z,
+                       "consensus system")
 
 
-def weighted_average(contributions, n_z: int, system: ConsensusSystem | None = None,
-                     ) -> np.ndarray:
+def weighted_average(contributions, n_z: int, system: FixedSystem | None = None) -> np.ndarray:
     """Solve for the consensus vector from per-region payloads.
 
     Each payload is ``(cols, block, vec)``: the region's z columns, the
     ``Bbar`` block on them and ``Bbar x^k - gbar``, in region order.  The
-    system ``S = sum E' Bbar E`` is assembled sparse, in CSC, on the fixed
-    pattern of ``system`` (a problem's :class:`ConsensusSystem` for the
-    payloads' columns, kept from call to call; one is built from them for
-    this call alone when none is given), and factored by SuperLU with the
-    symmetric settings in the system's fill-reducing order.  Each entry of S
-    is summed over the regions in region order, whatever the order of a
-    region's columns.
+    system ``S = sum E' Bbar E`` is summed, sparse, on the fixed pattern of
+    ``system`` (a problem's :func:`consensus_system` for the payloads'
+    columns, kept from call to call, which orders S on its first solve; one
+    is built from them for this call alone when none is given) and factored
+    by SuperLU with the symmetric settings in its fill-reducing order.  Each
+    entry of S and of the right-hand side is summed over the regions in
+    region order, whatever the order of a region's columns.
     """
     if n_z == 0:
         return np.zeros(0)
     if system is None:
-        system = ConsensusSystem.of_blocks([cols for cols, _, _ in contributions], n_z)
+        system = consensus_system([cols for cols, _, _ in contributions], n_z)
+    b = np.zeros(n_z)
+    for cols, _, vec in contributions:
+        b[cols] += vec
     try:
-        return system.solve([block.ravel() for _, block, _ in contributions],
-                            [vec for _, _, vec in contributions])
+        return system.solve(np.concatenate([block.ravel() for _, block, _ in contributions]), b)
     except FactorizationError as exc:
         raise FactorizationError(
             "consensus system is singular; some consensus column is untouched "

@@ -123,7 +123,8 @@ def _condense_gap(p: PartitionedProblem, lins, q_terms, chi_ks, x_plus) -> float
     ``K u = rhs`` whose unknowns are the regions' local (non-coupling) steps,
     in region order, then ``z``; ``K = sum_l M_l' H_l M_l`` with ``M_l`` the
     0/1 map from ``u`` to region l's free entries, each ``H_l`` read on
-    B's fixed pattern, so K is assembled and ordered once per problem by its
+    B's fixed pattern, so the maps and K's pattern are built, and K is
+    ordered, once per problem by its
     :attr:`~hdpf.partition.PartitionedProblem.exact_consensus`.  The
     constraint picks distinct entries (full row rank), so ``K`` is singular
     exactly when the saddle-point KKT matrix is; the gap is then ``None``,
@@ -131,17 +132,18 @@ def _condense_gap(p: PartitionedProblem, lins, q_terms, chi_ks, x_plus) -> float
     """
     if p.n_z == 0:
         return 0.0
-    values, vectors = [], []
-    for reg, lin, q, chi in zip(p.regions, lins, q_terms, chi_ks):
+    maps, system = p.exact_consensus
+    values, rhs = [], np.zeros(system.n)
+    for m, reg, lin, q, chi in zip(maps, p.regions, lins, q_terms, chi_ks):
         gram = reg.net.jtj_pattern
         h = lin.hess + q
         # the local unknowns are steps from chi, the coupling ones values
         chi_x = np.where(reg.split.local, 0.0, chi)
         values.append(h)
-        vectors.append(np.bincount(gram.indices, weights=h * chi_x[gram.cols],
-                                   minlength=len(chi)) - lin.g)
+        rhs[m] += np.bincount(gram.indices, weights=h * chi_x[gram.cols],
+                              minlength=len(chi)) - lin.g
     try:
-        u = p.exact_consensus.solve(values, vectors)
+        u = system.solve(np.concatenate(values), rhs)
     except FactorizationError:
         return None
     if not np.all(np.isfinite(u)):

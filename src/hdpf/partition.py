@@ -45,8 +45,8 @@ from scipy.sparse.csgraph import connected_components
 
 from . import network
 from .caseio import BusType, MergeManifest, RawBranch, RawBus, RawCase, RawGen
-from .condense import BlockSplit
-from .consensus import ConsensusSystem
+from .condense import BlockSplit, FixedSystem
+from .consensus import consensus_system
 from .network import NetworkModel, NetworkUnion
 
 __all__ = [
@@ -126,17 +126,17 @@ class PartitionedProblem:
         return NetworkUnion(r.net for r in self.regions)
 
     @functools.cached_property
-    def consensus(self) -> ConsensusSystem:
+    def consensus(self) -> FixedSystem:
         """The coordinator's system on the regions' z columns, built on first
-        use; every solve of the problem assembles and orders it through this
-        one."""
-        return ConsensusSystem.of_blocks([r.z_cols for r in self.regions], self.n_z)
+        use; every solve of the problem sums and orders S through this one."""
+        return consensus_system([r.z_cols for r in self.regions], self.n_z)
 
     @functools.cached_property
-    def exact_consensus(self) -> ConsensusSystem:
+    def exact_consensus(self) -> tuple[list[np.ndarray], FixedSystem]:
         """The system K of :func:`hdpf.driver._condense_gap`, built on first
-        use: its unknowns are the regions' local entries, in region order,
-        then z, and each region lists its values on its B's fixed pattern."""
+        use, and each region's map from its free entries to K's unknowns:
+        the regions' local entries, in region order, then z.  Each region
+        lists its values on its B's fixed pattern through its map."""
         ends = np.cumsum([len(r.split.y_cols) for r in self.regions])
         maps = []
         for r, end in zip(self.regions, ends):
@@ -144,8 +144,10 @@ class PartitionedProblem:
             m[r.split.y_cols] = np.arange(end - len(r.split.y_cols), end)
             m[r.coupling_free_cols] = ends[-1] + r.z_cols  # distinct within a region
             maps.append(m)
-        entries = [(r.net.jtj_pattern.indices, r.net.jtj_pattern.cols) for r in self.regions]
-        return ConsensusSystem(maps, entries, ends[-1] + self.n_z, "exact-Hessian consensus matrix")
+        pats = [r.net.jtj_pattern for r in self.regions]
+        return maps, FixedSystem(np.concatenate([m[g.indices] for m, g in zip(maps, pats)]),
+                                 np.concatenate([m[g.cols] for m, g in zip(maps, pats)]),
+                                 ends[-1] + self.n_z, "exact-Hessian consensus matrix")
 
     @property
     def n_z(self) -> int:

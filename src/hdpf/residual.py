@@ -65,8 +65,9 @@ class RegionLinearization:
     jac: sp.csr_matrix | None  # (2*n_core, n_free); None from linearize, which builds no
                             # matrix, and from the central reference, which drops its J
     g: np.ndarray           # (n_free,)  gradient J^T r of f = 0.5*||r||^2
-    hess: np.ndarray | None  # J^T J + eps*I, (nnz,) values on `pattern` (a 2-D one, with no
-                            # pattern, on the full one); None once a plain solve condensed it
+    hess: np.ndarray | sp.csc_matrix | None  # J^T J + eps*I, (nnz,) values on `pattern` (a 2-D
+                            # one, with no pattern, on the full one; the central reference's
+                            # whole CSC B); None once a plain solve condensed it
     eps: float
     q: np.ndarray | None = None  # (nnz,) q_term's values on `pattern`, when diagnosed
     pattern: GramPattern | None = None  # the network's jtj_pattern, from linearize

@@ -95,7 +95,9 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _record_dict(rec: IterationRecord) -> dict:
-    return {k: _NON_FINITE[repr(v)] if isinstance(v, float) and not math.isfinite(v) else v
+    # keyed on the Python float's repr: numpy 2 renders an np.float64 NaN
+    # as 'np.float64(nan)'
+    return {k: _NON_FINITE[repr(float(v))] if isinstance(v, float) and not math.isfinite(v) else v
             for k, v in vars(rec).items() if k in _FIELDS or v is not None}
 
 

@@ -9,7 +9,8 @@ import scipy.sparse as sp
 import hdpf.condense
 from hdpf import (FactorizationError, SolverConfig, flat_start, load_manifest, partition,
                   run_distributed, solve)
-from hdpf.condense import SPARSE_MIN_FREE, BlockSplit, _sym_splu, condense_region, recover_local
+from hdpf.condense import (SPARSE_MIN_FREE, BlockSplit, FixedSystem, _sym_splu, condense_region,
+                           recover_local)
 from hdpf.consensus import consensus_pass
 from hdpf.driver import consensus_step
 from hdpf.residual import RegionLinearization, linearize, linearize_regions
@@ -224,23 +225,39 @@ def _fill(lu) -> int:
     return lu.L.nnz + lu.U.nnz
 
 
-def test_cached_orders_keep_the_minimum_degree_fill(problems):
-    # each cached order's own factor has the fill of the minimum-degree
-    # factor it was taken from, in its natural order: A[q][:, q] with
+def test_cached_orders_keep_the_minimum_degree_fill(monkeypatch, problems):
+    # each later factor, in a cached order, has the fill of the minimum-degree
+    # factor that order was taken from, in its natural order: A[q][:, q] with
     # q = argsort(perm_c), not A[perm_c][:, perm_c], which fills far more
     # and still solves correctly
+    factors = []
+    real = hdpf.condense._splu
+
+    def spy(a, what, spec):
+        lu = real(a, what, spec)
+        factors.append((what, spec, lu))
+        return lu
+
+    monkeypatch.setattr(hdpf.condense, "_splu", spy)
+
+    def first_and_later(what):
+        (_, s0, first), (_, s1, later) = [f for f in factors if f[0] == what]
+        assert (s0, s1) == ("MMD_AT_PLUS_A", "NATURAL")
+        return first, later
+
     p = problems["case404"]
     for reg in p.regions:
         assert reg.net.n_free >= SPARSE_MIN_FREE
         s = flat_start(reg.net)
         lin = linearize(reg.net, s, 1e-10)
         split = BlockSplit(reg.net.n_free, reg.coupling_free_cols)
+        factors.clear()
+        condense_region(lin, split, s.free())
         condense_region(lin, split, s.free())
         y = split.y_cols
         pat = reg.net.jtj_pattern
         byy = sp.csc_matrix((lin.hess, pat.indices, pat.indptr))[y][:, y]
-        assert byy.nnz == len(split.order.src)
-        lu = split.order.factor(split.blocks(lin, dense=False)[0])
+        _, lu = first_and_later("local block of the regularized Gauss-Newton matrix")
         assert _fill(lu) == _fill(_sym_splu(byy, "Byy")), reg.index
         assert np.array_equal(lu.perm_c, np.arange(len(y))), reg.index
     for name in problems:
@@ -248,15 +265,12 @@ def test_cached_orders_keep_the_minimum_degree_fill(problems):
         if not p.n_z:
             continue
         states = [flat_start(r.net) for r in p.regions]
-        cqps, _, _ = consensus_step(p, linearize_regions(p.union, states, 1e-10),
-                                    [st.free() for st in states])
-        system = p.consensus
-        data = np.bincount(system.at, weights=np.concatenate([c.b_bar.ravel() for c in cqps]))
-        s = np.empty_like(data)
-        s[system.order.src] = data
-        s = sp.csc_matrix((s, system.indices, system.indptr), shape=(p.n_z, p.n_z))
-        lu = system.order.factor(data)
-        assert _fill(lu) == _fill(_sym_splu(s, "S")), name
+        factors.clear()
+        for _ in range(2):
+            consensus_step(p, linearize_regions(p.union, states, 1e-10),
+                           [st.free() for st in states])
+        first, lu = first_and_later("consensus system")
+        assert _fill(lu) == _fill(first), name
         assert np.array_equal(lu.perm_c, np.arange(p.n_z)), name
 
 
@@ -310,12 +324,72 @@ def test_cached_order_keeps_the_positive_definiteness_check(problems):
     lin = linearize(reg.net, s, 1e-10)
     split = BlockSplit(reg.net.n_free, reg.coupling_free_cols)
     condense_region(lin, split, s.free())
-    assert split.order is not None
+    assert split.byy is not None
     bad = lin.hess.copy()
     y = split.y_cols[len(split.y_cols) // 2]
     bad[reg.net.jtj_pattern.diag[y]] = -1.0  # Byy's diagonal entry (y, y)
     with pytest.raises(FactorizationError, match="not positive definite"):
         condense_region(dataclasses.replace(lin, hess=bad), split, s.free())
+
+
+def _listed_system(rng):
+    # a symmetric 6 x 6 pattern (tridiagonal plus the (0, 5) corner), each
+    # entry listed twice, with off-system entries, in a shuffled order; the
+    # values are those of 2 * w on the pattern, w symmetric and SPD
+    n = 6
+    w = rng.uniform(-1.0, 1.0, (n, n))
+    w = w + w.T + 8.0 * np.eye(n)
+    on = [(i, j) for i in range(n) for j in range(n) if abs(i - j) <= 1 or {i, j} == {0, n - 1}]
+    rows, cols = np.array(on * 2 + [(-1, 2), (3, -1), (-1, -1)]).T
+    vals = np.concatenate([[w[i, j] for i, j in on] * 2, [1e3, -1e3, 7.0]])
+    perm = rng.permutation(len(rows))
+    rows, cols, vals = rows[perm], cols[perm], vals[perm]
+    dense = np.zeros((n, n))
+    kept = (rows >= 0) & (cols >= 0)
+    np.add.at(dense, (rows[kept], cols[kept]), vals[kept])
+    return rows, cols, vals, dense
+
+
+def test_fixed_system_on_a_listed_pattern():
+    rng = np.random.default_rng(5)
+    rows, cols, vals, dense = _listed_system(rng)
+    n = len(dense)
+    rhs = rng.standard_normal(n)
+    rhs2 = np.asfortranarray(rng.standard_normal((n, 3)))
+    system = FixedSystem(rows, cols, n, "test matrix")
+    first = system.solve(vals, rhs, spd=True)
+    later = system.solve(vals, rhs, spd=True)
+    assert np.array_equal(first, later)
+    np.testing.assert_allclose(first, np.linalg.solve(dense, rhs), rtol=0, atol=1e-12)
+    w = system.solve(vals, rhs2)
+    assert w.flags.f_contiguous and not w.flags.c_contiguous
+    np.testing.assert_allclose(w, np.linalg.solve(dense, rhs2), rtol=0, atol=1e-12)
+    fresh = FixedSystem(rows, cols, n, "test matrix")
+    assert np.array_equal(fresh.solve(vals, rhs2), w)
+
+
+def test_fixed_system_rejects_indefinite_and_singular_matrices():
+    rng = np.random.default_rng(6)
+    rows, cols, vals, dense = _listed_system(rng)
+    n = len(dense)
+    bad = np.where((rows == 2) & (cols == 2), -20.0, vals)  # (2, 2) sums to -40
+    dense_bad = dense.copy()
+    dense_bad[2, 2] = -40.0
+    assert np.min(np.linalg.eigvalsh(dense)) > 0.0 > np.min(np.linalg.eigvalsh(dense_bad))
+    singular = np.where(rows == 3, 0.0, vals)  # row 3 empty
+    singular = np.where(cols == 3, 0.0, singular)
+    # on the first solve, which orders the pattern, and on a later one
+    for warm in (False, True):
+        for values, spd, error in ((bad, True, "not positive definite"),
+                                   (singular, False, "singular")):
+            system = FixedSystem(rows, cols, n, "test matrix")
+            if warm:
+                system.solve(vals, np.ones(n), spd=True)
+            with pytest.raises(FactorizationError, match=f"test matrix is {error}"):
+                system.solve(values, np.ones(n), spd=spd)
+        # indefinite but nonsingular: solved without the check
+        np.testing.assert_allclose(system.solve(bad, np.ones(n)),
+                                   np.linalg.solve(dense_bad, np.ones(n)), rtol=0, atol=1e-12)
 
 
 # --- recovery -----------------------------------------------------------------

@@ -644,7 +644,7 @@ def test_evaluation_maps_are_built_on_first_solve_and_kept():
     # regions' block splits; the first solve builds both, later solves reuse
     # them, and a split on either path keeps maps from B's values, one entry
     # per pattern entry at most, and no dense gathers of an n_free^2 B; only
-    # a sparse-path split keeps Byy's order
+    # a sparse-path split keeps Byy's system
     from hdpf import load_manifest, partition
 
     from conftest import fixture_path
@@ -657,14 +657,14 @@ def test_evaluation_maps_are_built_on_first_solve_and_kept():
         union, splits = p.union, [r.split for r in p.regions]
         assert [id(net) for net in union.nets] == [id(r.net) for r in p.regions], name
         for r, s in zip(p.regions, splits):
-            assert "gathers" not in s.__dict__ and (s.order is None) == dense, name
+            assert "gathers" not in s.__dict__ and (s.byy is None) == dense, name
             maps = (s.src, s.flat)
             assert all(len(m) <= len(r.net.jtj_pattern.indices) for m in maps), name
-        maps = [(s.src, s.order) for s in splits]
+        maps = [(s.src, s.byy) for s in splits]
         solve(p)
         assert p.union is union and all(r.split is s for r, s in zip(p.regions, splits)), name
-        assert all(s.src is src and s.order is order
-                   for s, (src, order) in zip(splits, maps)), name
+        assert all(s.src is src and s.byy is byy
+                   for s, (src, byy) in zip(splits, maps)), name
 
 
 def test_solve_memory_below_half_of_the_dense_bs(problems):

@@ -151,6 +151,19 @@ def test_non_finite_values_write_strict_json_and_read_back():
     assert back[1].dist_to_ref is None
 
 
+def test_non_finite_numpy_scalars_round_trip():
+    # numpy 2 renders np.float64('nan') as 'np.float64(nan)', not 'nan'
+    recs = [IterationRecord(iter=1, f=1.0, r_norm2=np.float64("inf"), dchi_inf=np.float64("nan"),
+                            primal_residual=0.0, comm_floats=0, wall_ns=1,
+                            lm_error=np.float64("-inf"))]
+    buf = io.StringIO()
+    write_trace(SolveTrace(records=recs), buf)
+    (back,) = read_trace(io.StringIO(buf.getvalue())).records
+    assert np.isnan(back.dchi_inf)
+    assert back.r_norm2 == float("inf")
+    assert back.lm_error == float("-inf")
+
+
 def test_solver_trace_roundtrip(problems):
     _, _, trace = solve(problems["fig1"], SolverConfig(diagnose=True))
     buf = io.StringIO()
