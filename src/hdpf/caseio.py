@@ -402,6 +402,9 @@ def parse_manifest(text: str) -> MergeManifest:
         elif kind == "slack_region":
             if len(parts) != 2:
                 raise ManifestError(f"line {lineno}: slack_region takes one index")
+            if slack_region is not None:
+                raise ManifestError(
+                    f"line {lineno}: slack_region given twice, first as {slack_region}")
             try:
                 slack_region = int(parts[1])
             except ValueError:

@@ -89,15 +89,9 @@ def dense_kkt_solve(b_bars: list[np.ndarray], g_bars: list[np.ndarray],
     sizes = [len(g) for g in g_bars]
     n_x = sum(sizes)
     if n_z == 0:
-        xs = []
-        lams = []
-        for b, g, xk in zip(b_bars, g_bars, x_ks):
-            if len(g) == 0:
-                xs.append(np.zeros(0))
-            else:
-                xs.append(xk - np.linalg.solve(b, g))
-            lams.append(np.zeros(len(g)))
-        return xs, np.zeros(0), lams
+        xs = [xk - np.linalg.solve(b, g) if len(g) else np.zeros(0)
+              for b, g, xk in zip(b_bars, g_bars, x_ks)]
+        return xs, np.zeros(0), [np.zeros(len(g)) for g in g_bars]
 
     dim = n_x + n_z + n_x
     kkt = np.zeros((dim, dim))
@@ -119,11 +113,5 @@ def dense_kkt_solve(b_bars: list[np.ndarray], g_bars: list[np.ndarray],
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"singular consensus KKT system: {exc}") from exc
 
-    xs = []
-    lams = []
-    off = 0
-    for n in sizes:
-        xs.append(sol[off:off + n])
-        lams.append(sol[n_x + n_z + off:n_x + n_z + off + n])
-        off += n
-    return xs, sol[n_x:n_x + n_z], lams
+    ends = np.cumsum(sizes)[:-1]
+    return np.split(sol[:n_x], ends), sol[n_x:n_x + n_z], np.split(sol[n_x + n_z:], ends)

@@ -34,7 +34,7 @@ from .condense import FactorizationError, condense_region, recover_local
 from .consensus import consensus_pass, weighted_average
 from .network import ModelError, StateVector, flat_start
 from .partition import PartitionedProblem
-from .residual import _q_values, linearize_regions
+from .residual import linearize_regions
 from .trace import (
     STATUS_BREAKDOWN,
     STATUS_CONVERGED,
@@ -101,30 +101,31 @@ def consensus_step(p: PartitionedProblem, lins, chis, average=weighted_average):
     return cqps, sol, new_free
 
 
-def _lm_error(eps: float, nets, q_terms) -> float:
-    """||eps*I - Q||_F over every region's Q, its values on its network's B
-    pattern, which holds every entry of Q and the diagonal."""
+def _lm_error(lins) -> float:
+    """||eps*I - Q||_F over every region's diagnosed linearization: its Q
+    and eps, Q's values on the region's B pattern, which holds every entry
+    of Q and the diagonal."""
     total = 0.0
-    for net, q in zip(nets, q_terms):
-        delta = -q
-        delta[net.jtj_pattern.diag] += eps
+    for lin in lins:
+        delta = -lin.q
+        delta[lin.pattern.diag] += lin.eps
         total += float(np.sum(delta * delta))
     return math.sqrt(total)
 
 
-def _condense_gap(p: PartitionedProblem, lins, q_terms, chi_ks, x_plus) -> float | None:
+def _condense_gap(p: PartitionedProblem, lins, chi_ks, x_plus) -> float | None:
     """Largest gap between the condensed step's coupling entries ``x_plus``
     and those of the full-space step built from exact second derivatives.
 
-    The full-space QP takes each region's model with curvature
-    ``H_l = hess + q_term`` subject to ``x_l = E_l z``, in null-space form
-    (Nocedal & Wright, Numerical Optimization, 2nd ed., section 16.2):
-    substituting the constraint leaves one sparse symmetric system
-    ``K u = rhs`` whose unknowns are the regions' local (non-coupling) steps,
-    in region order, then ``z``; ``K = sum_l M_l' H_l M_l`` with ``M_l`` the
-    0/1 map from ``u`` to region l's free entries, each ``H_l`` read on
-    B's fixed pattern, so the maps and K's pattern are built, and K is
-    ordered, once per problem by its
+    The full-space QP takes each region's diagnosed linearization with
+    curvature ``H_l = hess + q``, both values on B's fixed ``pattern``,
+    subject to ``x_l = E_l z``, in null-space form (Nocedal & Wright,
+    Numerical Optimization, 2nd ed., section 16.2): substituting the
+    constraint leaves one sparse symmetric system ``K u = rhs`` whose
+    unknowns are the regions' local (non-coupling) steps, in region order,
+    then ``z``; ``K = sum_l M_l' H_l M_l`` with ``M_l`` the 0/1 map from
+    ``u`` to region l's free entries, so the maps and K's pattern are
+    built, and K is ordered, once per problem by its
     :attr:`~hdpf.partition.PartitionedProblem.exact_consensus`.  The
     constraint picks distinct entries (full row rank), so ``K`` is singular
     exactly when the saddle-point KKT matrix is; the gap is then ``None``,
@@ -134,9 +135,9 @@ def _condense_gap(p: PartitionedProblem, lins, q_terms, chi_ks, x_plus) -> float
         return 0.0
     maps, system = p.exact_consensus
     values, rhs = [], np.zeros(system.n)
-    for m, reg, lin, q, chi in zip(maps, p.regions, lins, q_terms, chi_ks):
-        gram = reg.net.jtj_pattern
-        h = lin.hess + q
+    for m, reg, lin, chi in zip(maps, p.regions, lins, chi_ks):
+        gram = lin.pattern
+        h = lin.hess + lin.q
         # the local unknowns are steps from chi, the coupling ones values
         chi_x = np.where(reg.split.local, 0.0, chi)
         values.append(h)
@@ -221,13 +222,10 @@ def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | N
     ref_free = ref.free() if ref is not None else None
 
     def evaluate(states, eps):
-        # both names are read at call time, so a wrapper set on this
-        # module's attribute (as bench/layers.py sets) sees every call
-        lins = linearize_regions(p.union, states, eps)
-        if cfg.diagnose:
-            for lin, reg, s in zip(lins, p.regions, states):
-                lin.q = _q_values(reg.net, s)
-        return lins
+        # one pass per iterate, Q included when diagnosed; the name is read
+        # at call time, so a wrapper set on this module's attribute (as
+        # bench/layers.py sets) sees every call
+        return linearize_regions(p.union, states, eps, cfg.diagnose)
 
     def step(lins, chis):
         _, sol, new_free = consensus_step(p, lins, chis, average)
@@ -245,11 +243,11 @@ def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | N
         fields = {}
         if cfg.diagnose:
             x_plus = [nf[r.coupling_free_cols] for r, nf in zip(p.regions, new_free)]
-            fields["condense_gap"] = _condense_gap(p, lins, [lin.q for lin in lins], chis, x_plus)
+            fields["condense_gap"] = _condense_gap(p, lins, chis, x_plus)
             # attributed to the iterate just produced, like dist_to_ref; an
             # iterate that cannot be evaluated gets none and ends the run
             if new_lins is not None:
-                fields["lm_error"] = _lm_error(cfg.eps, p.union.nets, [lin.q for lin in new_lins])
+                fields["lm_error"] = _lm_error(new_lins)
         if ref_free is not None:
             stitched = stitch_state(p, new_states)
             fields["dist_to_ref"] = float(np.max(np.abs(stitched.free() - ref_free)))

@@ -49,15 +49,16 @@ and keeps them (``functools.cached_property``):
   :func:`hdpf.residual.q_term`.
 
 A region's model builds the Jacobian's pattern, ``jtj_pairs`` and
-``jtj_pattern``, on which B's values live; when diagnosed, also
+``jtj_pattern``, on which B's values live; only when diagnosed, also
 ``q_slots``, as Q's values live there too.  The merged network, used for
 stitching and by the sparse reference, builds only the Jacobian's
 pattern.
 
 A :class:`NetworkUnion` puts several networks side by side as one, from
-their Jacobian patterns; a partitioned problem builds the union of its
-regions on its first solve, and the solvers evaluate every region through
-it in one pass.
+their Jacobian patterns and residual rows (``row_of_bus``, shifted); a
+partitioned problem builds the union of its regions on its first solve,
+and the solvers evaluate every region through it in one pass, Q
+included when diagnosed.
 """
 
 from __future__ import annotations
@@ -351,7 +352,8 @@ class NetworkUnion:
     networks before it, so its Jacobian is block diagonal with each
     network's CSR pattern as a block.  It carries what
     :mod:`hdpf.residual` reads of a network to evaluate the flow terms, the
-    residual and the Jacobian's values, so one evaluation of the union
+    residual, the Jacobian's values and Q's curvature weights (each term's
+    residual rows, by ``row_of_bus``), so one evaluation of the union
     evaluates every network.  Everything is built from the networks' own
     maps when the union is made.
     """
@@ -376,6 +378,8 @@ class NetworkUnion:
         self.g_val = cat(net.g_val for net in nets)
         self.b_val = cat(net.b_val for net in nets)
         self.core_idx = cat([net.core_idx for net in nets], bus)
+        self.row_of_bus = cat(np.where(net.row_of_bus >= 0, net.row_of_bus + r, -1)
+                              for net, r in zip(nets, rows))
         # a network lists its term derivatives in eight blocks of n_terms
         # values, then its injection entries in two blocks of n_core; the
         # union lists each block of every network in turn, and sends a value

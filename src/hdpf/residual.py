@@ -12,7 +12,7 @@ row.  Copy buses contribute no rows.
 Every derivative comes from one rule.  Each admittance nonzero (i, k) on a
 core row, the diagonal included, is one term of each sum above, a function
 of (th_i, th_k, v_i, v_k).  The Jacobian adds minus each term's gradient
-into bus i's two rows; :func:`q_term`, for diagnostics only, adds minus its
+into bus i's two rows; the diagnostic Q (:func:`q_term`) adds minus its
 4x4 curvature weighted by those rows' residuals.  For k = i the columns
 coincide and the sums are the derivatives of v_i**2 G_ii and -v_i**2 B_ii
 (MATPOWER Technical Note 2 sums the same per-branch structure).
@@ -23,20 +23,20 @@ the Jacobian's fixed CSR pattern, and :func:`linearize` forms ``g = J'r``
 and ``B = J'J + eps*I`` with one more each.  B has one form for every
 network: its values on the network's fixed pattern of B,
 ``net.jtj_pattern``, a 1-D array that is never wrapped in a matrix, so a
-region's B costs its nonzeros, not n_free^2.  The diagnostic Q takes the
-same form, added with one more bincount into B's pattern, which holds all
-of Q's entries; the public :func:`q_term` scatters those values dense, as
-an oracle.  A bincount adds in input order, and the maps list each entry's
-products in ascending Jacobian row, the order a sparse ``J.T @ J`` and
-``J.T @ r`` use, so :func:`linearize` equals ``J.T @ J`` plus ``eps`` on
-the diagonal and ``J.T @ r``, with ``J = jacobian(net, s)``, bit for bit,
-at every entry of the pattern.
+region's B costs its nonzeros, not n_free^2.  Q takes the same form, when
+asked for, from the same evaluation: one more bincount into B's pattern,
+which holds all of Q's entries; the public :func:`q_term` scatters those
+values dense, as an oracle.  A bincount adds in input order, and the maps
+list each entry's products in ascending Jacobian row, the order a sparse
+``J.T @ J`` and ``J.T @ r`` use, so :func:`linearize` equals ``J.T @ J``
+plus ``eps`` on the diagonal and ``J.T @ r``, with ``J = jacobian(net,
+s)``, bit for bit, at every entry of the pattern.
 
 The solvers evaluate all regions in one call, :func:`linearize_regions`,
 over a :class:`~hdpf.network.NetworkUnion` of their networks, so the
-per-call cost is paid once per iteration, not once per region, with the
-same bits as each region evaluated alone by :func:`linearize`, the same
-body with one network.
+per-call cost is paid once per iteration, not once per region, diagnosed
+or not, with the same bits as each region evaluated alone by
+:func:`linearize`, which is that call over a union of one network.
 
 Every function here is a pure evaluation over networks and states; the
 only state a network, a union or a problem gains is index maps, built on
@@ -69,7 +69,8 @@ class RegionLinearization:
                             # one, with no pattern, on the full one; the central reference's
                             # whole CSC B); None once a plain solve condensed it
     eps: float
-    q: np.ndarray | None = None  # (nnz,) q_term's values on `pattern`, when diagnosed
+    q: np.ndarray | None = None  # (nnz,) q_term's values on `pattern`, from the same pass;
+                            # None unless asked for (a diagnosed solve)
     pattern: GramPattern | None = None  # the network's jtj_pattern, from linearize
 
 
@@ -130,8 +131,7 @@ def _residual(net, x: np.ndarray, terms) -> np.ndarray:
 
 def jacobian(net: NetworkModel, s: StateVector) -> sp.csr_matrix:
     """Analytic Jacobian of the residual w.r.t. the free state entries."""
-    x = _checked_table((net,), (s,))
-    return _jacobian(net, x, _flow_terms(net, x))
+    return _residual_and_jacobian(net, s)[1]
 
 
 def _residual_and_jacobian(net: NetworkModel, s: StateVector) -> tuple[np.ndarray, sp.csr_matrix]:
@@ -139,13 +139,10 @@ def _residual_and_jacobian(net: NetworkModel, s: StateVector) -> tuple[np.ndarra
     evaluation of the flow terms."""
     x = _checked_table((net,), (s,))
     terms = _flow_terms(net, x)
-    return _residual(net, x, terms), _jacobian(net, x, terms)
-
-
-def _jacobian(net: NetworkModel, x: np.ndarray, terms) -> sp.csr_matrix:
     pat = net.jac_pattern
-    return sp.csr_matrix((_jacobian_values(net, x, terms), pat.indices, pat.indptr),
-                         shape=(2 * net.n_core, net.n_free))
+    return _residual(net, x, terms), sp.csr_matrix(
+        (_jacobian_values(net, x, terms), pat.indices, pat.indptr),
+        shape=(2 * net.n_core, net.n_free))
 
 
 def _jacobian_values(net, x: np.ndarray, terms) -> np.ndarray:
@@ -172,48 +169,27 @@ def q_term(net: NetworkModel, s: StateVector) -> np.ndarray:
     """Second-order residual correction sum_m r_m * hess(r_m), dense: the
     oracle of the diagnostics (the gap between the regularized Gauss-Newton
     matrix and the true Hessian of f), which read only its values on B's
-    pattern, from :func:`_q_values`.  The injection entries add nothing."""
+    pattern, from :func:`linearize`.  The injection entries add nothing."""
     gram = net.jtj_pattern
     q = np.zeros((net.n_free, net.n_free))
-    q[gram.indices, gram.cols] = _q_values(net, s)
+    # Q does not depend on eps, so any valid one serves
+    q[gram.indices, gram.cols] = linearize(net, s, 1.0, q=True).q
     return q
 
 
-def _q_values(net: NetworkModel, s: StateVector) -> np.ndarray:
-    """The values of :func:`q_term` on ``net.jtj_pattern``, added once into
-    that pattern by ``net.q_slots``."""
-    x = _checked_table((net,), (s,))
-    terms = _flow_terms(net, x)
-    r = _residual(net, x, terms)
-    c, d, tc, td, vi, vk = _on_terms(net, x, terms)
-    row = net.row_of_bus[net.y_row[net.jac_pattern.terms]]
-    w_p, w_q = r[row], r[row + 1]
-    # over (theta_i, theta_k, v_i, v_k), w_p hess(v_i v_k c) + w_q hess(v_i v_k d)
-    # has the angle block [[-a, a], [a, -a]], the angle-magnitude block
-    # [[-v_k b, -v_i b], [v_k b, v_i b]] and the magnitude block [[0, e], [e, 0]];
-    # minus it is listed row by row, as net.q_slots expects
-    a = w_p * tc + w_q * td
-    b = w_p * d - w_q * c
-    e = w_p * c + w_q * d
-    kb, ib, zero = vk * b, vi * b, np.zeros(len(a))
-    vals = np.concatenate([a, -a, kb, ib,
-                           -a, a, -kb, -ib,
-                           kb, -kb, zero, -e,
-                           ib, -ib, -e, zero])
-    # the spare last bin collects the entries on fixed columns
-    return np.bincount(net.q_slots, weights=vals, minlength=len(net.jtj_pattern.indices) + 1)[:-1]
+def linearize(net: NetworkModel, s: StateVector, eps: float,
+              q: bool = False) -> RegionLinearization:
+    """Evaluate residual, gradient and regularized Hessian at s, and with
+    ``q`` the diagnostic Q: :func:`linearize_regions` over the network as
+    a union of one."""
+    return linearize_regions(NetworkUnion((net,)), (s,), eps, q)[0]
 
 
-def linearize(net: NetworkModel, s: StateVector, eps: float) -> RegionLinearization:
-    """Evaluate residual, gradient and regularized Hessian at s: the
-    one-network case of :func:`linearize_regions`, the network standing
-    for its own union."""
-    return _linearize(net, (net,), (s,), eps)[0]
-
-
-def linearize_regions(union: NetworkUnion, states, eps: float) -> list[RegionLinearization]:
+def linearize_regions(union: NetworkUnion, states, eps: float,
+                      q: bool = False) -> list[RegionLinearization]:
     """Evaluate residual, gradient and regularized Hessian of every network
-    of ``union`` at its state in ``states``, in the union's order.
+    of ``union`` at its state in ``states``, in the union's order; with
+    ``q``, also each network's Q, the values of :func:`q_term`.
 
     The flow terms, the residual, the Jacobian's values and ``g = J'r``
     come from one pass over the union, whose Jacobian is block diagonal, so
@@ -221,37 +197,58 @@ def linearize_regions(union: NetworkUnion, states, eps: float) -> list[RegionLin
     The values are filled into the fixed pattern and never wrapped in a
     sparse matrix: ``g`` is one bincount over the columns, and each
     network's ``B = J'J + eps*I`` one bincount over its ``net.jtj_pairs``
-    from its own slice, into the values of ``net.jtj_pattern``.  Every sum
-    adds in ascending row order, so they equal the sparse ``J.T @ r`` and
-    ``J.T @ J + eps*I`` bit for bit, as a network evaluated alone gives
-    them.  ``eps`` must be positive and finite.  A bad state raises
-    :class:`ModelError`, naming its region when the union has several
-    networks.
+    from its own slice, into the values of ``net.jtj_pattern``.  Q's
+    curvature weights come from the same pass, each network's Q one
+    bincount over its ``net.q_slots`` from its own slice of the terms.
+    Every sum adds in ascending row order, so they equal the sparse
+    ``J.T @ r`` and ``J.T @ J + eps*I`` bit for bit, and every value equals
+    that of the network evaluated alone.  ``eps`` must be positive and
+    finite.  A bad state raises :class:`ModelError`, naming its region when
+    the union has several networks.
     """
-    return _linearize(union, union.nets, states, eps)
-
-
-def _linearize(whole, nets, states, eps: float) -> list[RegionLinearization]:
-    """The evaluation of ``nets`` at ``states`` through ``whole``, their
-    union or the one network itself."""
     if not 0.0 < eps < math.inf:  # NaN fails too
         raise ValueError(f"regularization must be positive and finite, got {eps}")
-    x = _checked_table(nets, states)
-    terms = _flow_terms(whole, x)
-    r = _residual(whole, x, terms)
-    vals = _jacobian_values(whole, x, terms)
+    x = _checked_table(union.nets, states)
+    terms = _flow_terms(union, x)
+    r = _residual(union, x, terms)
+    vals = _jacobian_values(union, x, terms)
+    if q:
+        # over (theta_i, theta_k, v_i, v_k), w_p hess(v_i v_k c) + w_q hess(v_i v_k d),
+        # with w_p and w_q the residuals of the term's rows, has the angle block
+        # [[-a, a], [a, -a]], the angle-magnitude block [[-v_k b, -v_i b],
+        # [v_k b, v_i b]] and the magnitude block [[0, e], [e, 0]]
+        c, d, tc, td, vi, vk = _on_terms(union, x, terms)
+        term_row = union.row_of_bus[union.y_row[union.jac_pattern.terms]]
+        w_p, w_q = r[term_row], r[term_row + 1]
+        b = w_p * d - w_q * c
+        weights = (w_p * tc + w_q * td, vk * b, vi * b, w_p * c + w_q * d)  # a, v_k b, v_i b, e
     del terms  # every network's at once; free them before the B's are formed
-    pat = whole.jac_pattern
-    g = np.bincount(pat.indices, weights=vals * r[pat.rows], minlength=whole.n_free)
+    pat = union.jac_pattern
+    g = np.bincount(pat.indices, weights=vals * r[pat.rows], minlength=union.n_free)
     lins = []
-    row = free = nnz = 0
-    for net in nets:
-        ends = row + 2 * net.n_core, free + net.n_free, nnz + len(net.jac_pattern.indices)
-        lins.append(RegionLinearization(r=r[row:ends[0]], jac=None, g=g[free:ends[1]],
-                                        hess=_gram(net, vals[nnz:ends[2]], eps), eps=eps,
-                                        pattern=net.jtj_pattern))
-        row, free, nnz = ends
+    row = free = nnz = term = 0
+    for net in union.nets:
+        ends = (row + 2 * net.n_core, free + net.n_free, nnz + len(net.jac_pattern.indices),
+                term + len(net.jac_pattern.terms))
+        lins.append(RegionLinearization(
+            r=r[row:ends[0]], jac=None, g=g[free:ends[1]],
+            hess=_gram(net, vals[nnz:ends[2]], eps), eps=eps, pattern=net.jtj_pattern,
+            q=_curvature(net, *(w[term:ends[3]] for w in weights)) if q else None))
+        row, free, nnz, term = ends
     return lins
+
+
+def _curvature(net: NetworkModel, a, kb, ib, e) -> np.ndarray:
+    """Q's values on ``net.jtj_pattern`` from the curvature weights of the
+    network's terms: minus each term's 4x4 block, listed row by row as
+    ``net.q_slots`` expects, added once into the pattern."""
+    zero = np.zeros(len(a))
+    vals = np.concatenate([a, -a, kb, ib,
+                           -a, a, -kb, -ib,
+                           kb, -kb, zero, -e,
+                           ib, -ib, -e, zero])
+    # the spare last bin collects the entries on fixed columns
+    return np.bincount(net.q_slots, weights=vals, minlength=len(net.jtj_pattern.indices) + 1)[:-1]
 
 
 def _gram(net: NetworkModel, vals: np.ndarray, eps: float) -> np.ndarray:

@@ -110,7 +110,8 @@ def write_trace(trace: SolveTrace, sink: IO) -> None:
 
 
 def read_trace(source: IO) -> SolveTrace:
-    """Read a trace; a malformed line raises ``ValueError`` naming its 1-based number."""
+    """Read a version-1 trace; a malformed line, the header included (another
+    version, an unknown status), raises ``ValueError`` naming its 1-based number."""
     lines = [(n, ln) for n, ln in enumerate(source.read().splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty trace stream")
@@ -120,6 +121,11 @@ def read_trace(source: IO) -> SolveTrace:
         raise ValueError(f"line {lines[0][0]}: malformed trace header ({exc!r})") from None
     if not isinstance(header, dict) or header.get("format") != "hdpf-trace":
         raise ValueError(f"line {lines[0][0]}: not a trace stream (missing header)")
+    version, status = header.get("version"), header.get("status")
+    if type(version) is not int or version != 1:  # JSON true reads as 1, and is no version
+        raise ValueError(f"line {lines[0][0]}: unsupported trace version {version!r}")
+    if status not in (STATUS_CONVERGED, STATUS_MAX_ITER, STATUS_BREAKDOWN):
+        raise ValueError(f"line {lines[0][0]}: unknown trace status {status!r}")
     records = []
     for n, ln in lines[1:]:
         try:
@@ -129,7 +135,7 @@ def read_trace(source: IO) -> SolveTrace:
                                               for k in _OPTIONAL}))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"line {n}: malformed trace record ({exc!r})") from None
-    return SolveTrace(records=records, status=header.get("status", STATUS_MAX_ITER))
+    return SolveTrace(records=records, status=status)
 
 
 def trace_signature(trace: SolveTrace) -> tuple:

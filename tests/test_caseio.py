@@ -228,6 +228,14 @@ def test_manifest_non_integer_slack_region_rejected():
         parse_manifest(bad)
 
 
+def test_manifest_second_slack_region_rejected():
+    # a later slack_region line once silently overrode the first
+    text = ("region a.m\nregion b.m\nslack_region 0\nslack_region 1\n"
+            "link 0 1 1 2 0.01 0.1 0 1 0\n")
+    with pytest.raises(ManifestError, match=r"^line 4: slack_region given twice, first as 0$"):
+        parse_manifest(text)
+
+
 def test_manifest_roundtrip():
     m = parse_manifest(MANIFEST)
     assert parse_manifest(serialize_manifest(m)) == m

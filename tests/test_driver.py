@@ -165,17 +165,26 @@ def _spy(monkeypatch, name):
 
 
 def test_diagnosed_solve_evaluates_curvature_once_per_iterate(problems, monkeypatch):
-    # each iterate's Q serves its lm_error and then the next condense_gap,
-    # so only the flat start adds a call of its own; case53's regions take
-    # the dense path, case404's the sparse one
-    calls = _spy(monkeypatch, "_q_values")
+    # one union pass per iterate, the flat start first, evaluates every
+    # region's Q with the rest, and nothing evaluates flow terms besides it;
+    # each iterate's Q serves its lm_error and then the next condense_gap;
+    # case53's regions take the dense path, case404's the sparse one
+    residual_module = importlib.import_module("hdpf.residual")
+    calls = _spy(monkeypatch, "linearize_regions")
+    flows = []
+    real_flows = residual_module._flow_terms
+    monkeypatch.setattr(residual_module, "_flow_terms",
+                        lambda *args: flows.append(None) or real_flows(*args))
     for name in ("case53", "case404"):
         calls.clear()
+        flows.clear()
         p = problems[name]
         _, _, trace = solve(p, SolverConfig(diagnose=True))
         assert trace.converged and trace.n_iter > 1, name
         assert all(r.lm_error is not None for r in trace.records), name
-        assert len(calls) == len(p.regions) * (len(trace.records) + 1), name
+        assert len(calls) == len(flows) == len(trace.records) + 1, name
+        assert all(args[0] is p.union and args[3] is True for args, _ in calls), name
+        assert all(lin.q is not None for _, lins in calls for lin in lins), name
 
 
 def test_diagnosed_sparse_region_forms_no_dense_square(problems, monkeypatch):
@@ -184,7 +193,7 @@ def test_diagnosed_sparse_region_forms_no_dense_square(problems, monkeypatch):
     # peak was 8.4 MB with a dense Q per region, and is 0.94 MB on B's pattern)
     import tracemalloc
 
-    calls = _spy(monkeypatch, "_q_values")
+    calls = _spy(monkeypatch, "linearize_regions")
     p = problems["case404"]
     solve(p, SolverConfig(diagnose=True))
     calls.clear()
@@ -195,7 +204,8 @@ def test_diagnosed_sparse_region_forms_no_dense_square(problems, monkeypatch):
     finally:
         tracemalloc.stop()
     assert trace.converged and all(math.isfinite(r.lm_error) for r in trace.records)
-    assert calls and all(q.shape == (len(net.jtj_pattern.indices),) for (net, _), q in calls)
+    assert calls and all(lin.q.shape == (len(reg.net.jtj_pattern.indices),)
+                         for _, lins in calls for reg, lin in zip(p.regions, lins))
     n_free = max(r.net.n_free for r in p.regions)
     assert peak < 2 * n_free * n_free * 8, peak
 
@@ -206,20 +216,20 @@ def test_lm_error_on_csc_q_matches_the_dense_q(problems, monkeypatch):
     # q_term of the same iterate
     from hdpf.residual import q_term
 
-    calls = _spy(monkeypatch, "_q_values")
+    calls = _spy(monkeypatch, "linearize_regions")
     p = problems["case404"]
     _, _, trace = solve(p, SolverConfig(diagnose=True))
     assert trace.converged and trace.n_iter > 1
-    n = len(p.regions)
     # calls run iterate by iterate, the flat start first; record k is iterate k's
     for k, rec in enumerate(trace.records, start=1):
-        dense = [q_term(*args) for args, _ in calls[k * n:(k + 1) * n]]
+        states = calls[k][0][1]
+        dense = [q_term(reg.net, s) for reg, s in zip(p.regions, states)]
         expected = math.sqrt(sum(
             np.sum((SolverConfig.eps * np.eye(len(q)) - q) ** 2) for q in dense))
         assert abs(rec.lm_error - expected) <= 1e-12 * expected, (k, rec.lm_error, expected)
 
 
-def _saddle_point_gap(p, lins, q_terms, chi_ks, x_plus):
+def _saddle_point_gap(p, lins, chi_ks, x_plus):
     """condense_gap from the dense saddle-point KKT over (chi, z, lambda)."""
     n_chi = sum(len(c) for c in chi_ks)
     n_c = sum(r.n_cpl for r in p.regions)
@@ -227,9 +237,9 @@ def _saddle_point_gap(p, lins, q_terms, chi_ks, x_plus):
     kkt = np.zeros((dim, dim))
     rhs = np.zeros(dim)
     off = coff = 0
-    for reg, lin, q, chi in zip(p.regions, lins, q_terms, chi_ks):
+    for reg, lin, chi in zip(p.regions, lins, chi_ks):
         n, n_x = len(chi), reg.n_cpl
-        h = dense_b(lin) + dense_b(lin, q)
+        h = dense_b(lin) + dense_b(lin, lin.q)
         kkt[off:off + n, off:off + n] = h
         rhs[off:off + n] = h @ chi - lin.g
         rows = n_chi + p.n_z + coff + np.arange(n_x)

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from hdpf import ModelError, build_network, central_solve, flat_start, parse_case
-from hdpf.residual import _q_values, jacobian, linearize, q_term, residual
+from hdpf.residual import jacobian, linearize, q_term, residual
 
 from helpers import (complex_jacobian, complex_power_residual, dense_b, fd_hessian_of_f,
                      fd_jacobian, lm_hessian)
@@ -262,7 +262,7 @@ def test_q_term_on_b_pattern_matches_dense_bit_for_bit(problems):
             net = reg.net
             flat = flat_start(net)
             for s in (flat, flat.with_free(flat.free() + rng.uniform(-0.1, 0.1, net.n_free))):
-                values, dense = _q_values(net, s), q_term(net, s)
+                values, dense = linearize(net, s, 1e-10, q=True).q, q_term(net, s)
                 gram = net.jtj_pattern
                 assert isinstance(dense, np.ndarray) and dense.shape == (net.n_free,) * 2, name
                 assert np.array_equal(values, dense[gram.indices, gram.cols]), name
@@ -278,11 +278,11 @@ def test_q_term_takes_the_form_of_b(problems):
         for reg in p.regions:
             net = reg.net
             s = flat_start(net)
-            q, lin = _q_values(net, s), linearize(net, s, 1e-10)
+            lin = linearize(net, s, 1e-10, q=True)
             assert lin.pattern is net.jtj_pattern
-            assert q.shape == lin.hess.shape == (len(net.jtj_pattern.indices),)
+            assert lin.q.shape == lin.hess.shape == (len(net.jtj_pattern.indices),)
             slots = net.__dict__["q_slots"]
-            _q_values(net, s)
+            linearize(net, s, 1e-10, q=True)
             assert net.__dict__["q_slots"] is slots
 
 
@@ -410,7 +410,8 @@ def _same(a, b):
 def test_batched_evaluation_equals_per_network_linearize(problems, monkeypatch, limit):
     # every region of every shipped manifest, at the flat start and at a
     # perturbed state, with every region on the sparse path (limit 0) and
-    # every one on the dense path: B takes one form on either
+    # every one on the dense path: B takes one form on either, and so does
+    # Q, when asked for, from the same pass
     import hdpf.condense
     from hdpf.residual import linearize_regions
 
@@ -419,13 +420,19 @@ def test_batched_evaluation_equals_per_network_linearize(problems, monkeypatch, 
     for name, p in problems.items():
         flat = [flat_start(r.net) for r in p.regions]
         for states in (flat, [_random_state(r.net, rng) for r in p.regions]):
-            lins = linearize_regions(p.union, states, 1e-10)
-            assert len(lins) == len(p.regions), name
-            for reg, s, lin in zip(p.regions, states, lins):
-                one = linearize(reg.net, s, 1e-10)
-                assert lin.pattern is one.pattern is reg.net.jtj_pattern, name
-                for field in ("r", "g", "hess"):
-                    assert _same(getattr(lin, field), getattr(one, field)), (name, reg.index, field)
+            for q in (False, True):
+                lins = linearize_regions(p.union, states, 1e-10, q=q)
+                assert len(lins) == len(p.regions), name
+                for reg, s, lin in zip(p.regions, states, lins):
+                    one = linearize(reg.net, s, 1e-10, q=q)
+                    assert lin.pattern is one.pattern is reg.net.jtj_pattern, name
+                    for field in ("r", "g", "hess"):
+                        assert _same(getattr(lin, field), getattr(one, field)), \
+                            (name, reg.index, field)
+                    if q:
+                        assert _same(lin.q, one.q), (name, reg.index, "q")
+                    else:
+                        assert lin.q is None and one.q is None, name
 
 
 @pytest.mark.parametrize("row,bad,what", [

@@ -128,6 +128,25 @@ def test_read_trace_names_the_malformed_line(text, line):
         read_trace(io.StringIO(text))
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("version", 7, "unsupported trace version 7"),
+    ("version", True, "unsupported trace version True"),
+    ("version", None, "unsupported trace version None"),
+    ("status", "bogus", "unknown trace status 'bogus'"),
+    ("status", None, "unknown trace status None"),
+], ids=["version-7", "version-true", "no-version", "status-bogus", "no-status"])
+def test_read_trace_rejects_a_header_of_another_version_or_status(key, value, message):
+    # only what write_trace writes reads back: version 1 and one of the
+    # three statuses; None drops the key
+    header = json.loads(_HEADER)
+    header.pop(key)
+    if value is not None:
+        header[key] = value
+    text = json.dumps(header) + "\n" + _RECORD + "\n"
+    with pytest.raises(ValueError, match=f"^line 1: {message}$"):
+        read_trace(io.StringIO(text))
+
+
 def test_non_finite_values_write_strict_json_and_read_back():
     import json
 
