@@ -50,10 +50,14 @@ def central_solve(net: NetworkModel,
 def _sparse_linearize(net: NetworkModel, s: StateVector, eps: float) -> RegionLinearization:
     """:func:`hdpf.residual.linearize` with ``hess`` = J'J + eps*I kept as a
     CSC matrix of its own pattern, so no dense n_free x n_free array is
-    formed and no region's pattern maps are built."""
+    formed and no region's pattern maps are built.  J is dropped as soon
+    as J'r and J'J are formed, before eps*I is added."""
     r, j = _residual_and_jacobian(net, s)
-    hess = sp.csc_matrix(j.T @ j + eps * sp.identity(net.n_free, format="csc"))
-    return RegionLinearization(r=r, jac=None, g=j.T @ r, hess=hess, eps=eps)
+    g = j.T @ r
+    jtj = j.T @ j
+    del j
+    hess = sp.csc_matrix(jtj + eps * sp.identity(net.n_free, format="csc"))
+    return RegionLinearization(r=r, jac=None, g=g, hess=hess, eps=eps)
 
 
 def _full_space_step(lins, chis):
@@ -62,12 +66,14 @@ def _full_space_step(lins, chis):
 
     The step form is algebraically B^-1 (B chi - g), but its rounding error
     scales with the step rather than with |chi|, which keeps the residual
-    of the returned state near machine precision.
+    of the returned state near machine precision.  B is dropped from
+    ``lin`` once factored.
     """
     (lin,), (chi,) = lins, chis
     if len(chi) == 0:
         return [chi.copy()], None, 0.0
     lu = _sym_splu(lin.hess, "full-space Gauss-Newton matrix")
+    lin.hess = None  # factored: free B before the next iterate's is formed
     return [chi - lu.solve(lin.g)], None, 0.0
 
 

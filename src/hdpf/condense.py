@@ -48,11 +48,14 @@ up, but a whole solve also pays a first-call ordering per region.  A whole
 case404 solve (three runs of 20 alternating solves) takes 30-34 ms with the
 threshold at 400 (sparse) against 36-42 ms at 500 (dense) on a fresh
 problem, and 19-20 ms against 27-28 ms on a problem that has solved before;
-a whole tiles-1100 solve takes 69-82 ms with the threshold at 200 (sparse)
-against 65-71 ms at 400 (dense) on a fresh problem, and 43-50 ms against
-50-57 ms on a solved one.  The threshold of 400 therefore stays: from 400
-up the sparse path wins either way, and below it a fresh solve would lose
-what later ones gain.
+on fresh tiles-1100 problems (three runs, medians of 10 each, measured
+once the factor that finds a sparse order served the first solve and the
+dense path scattered Byy from B's values) the threshold at 200 (sparse)
+against 400 (dense) takes 66-73 against 55-58 ms for the first solve,
+45-49 against 38-42 ms for a repeat solve and 44-48 against 37-41 ms for
+the message-passing harness.  The threshold of 400 therefore stays: from
+400 up the sparse path wins either way, and the tiles' 238-entry regions
+lose every solve on it.
 """
 
 from __future__ import annotations

@@ -81,19 +81,26 @@ def stitch_state(p: PartitionedProblem, states: list[StateVector]) -> StateVecto
     return StateVector(p.merged_net, *x)
 
 
-def consensus_step(p: PartitionedProblem, lins, chis, average=weighted_average):
+def consensus_step(p: PartitionedProblem, lins, chis, average=weighted_average,
+                   release: bool = False):
     """One step of the distributed solver, from every region's linearization
     and free vector: each region condenses its model onto its coupling
     variables, one :func:`consensus_pass` through ``average`` on the
     problem's :attr:`~hdpf.partition.PartitionedProblem.consensus` system
     resolves the consensus, and each region recovers its step from its consensus values
     ``E_l zbar``.  Returns the condensed models, the consensus solution and
-    the new free vectors, in region order.
+    the new free vectors, in region order.  With ``release``, each region's
+    B (``lin.hess``) is set to None as soon as the region has condensed it,
+    so no B outlives its condensation.
 
     The three functions are read from this module at call time, so a
     wrapper set on its attribute (as bench/layers.py sets) sees every call.
     """
-    cqps = [condense_region(lin, r.split, chi) for lin, r, chi in zip(lins, p.regions, chis)]
+    cqps = []
+    for lin, r, chi in zip(lins, p.regions, chis):
+        cqps.append(condense_region(lin, r.split, chi))
+        if release:
+            lin.hess = None
     sol = consensus_pass(cqps, p.regions, p.n_z,
                          lambda contribs, n_z: average(contribs, n_z, p.consensus))
     new_free = [recover_local(c, sol.z_bar[r.z_cols], chi)
@@ -228,10 +235,8 @@ def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | N
         return linearize_regions(p.union, states, eps, cfg.diagnose)
 
     def step(lins, chis):
-        _, sol, new_free = consensus_step(p, lins, chis, average)
-        if not cfg.diagnose:  # condensed: free every B before the next iterate's are evaluated
-            for lin in lins:
-                lin.hess = None
+        # the diagnostics read every B after the step; a plain solve frees each once condensed
+        _, sol, new_free = consensus_step(p, lins, chis, average, release=not cfg.diagnose)
         primal = 0.0
         for nf, reg in zip(new_free, p.regions):
             if reg.n_cpl:

@@ -37,8 +37,10 @@ network alone, so each model computes its index maps once, on first use,
 and keeps them (``functools.cached_property``):
 
 - :attr:`NetworkModel.jac_pattern`: the Jacobian's terms (each admittance
-  nonzero (i, k) on a core row, with its columns theta_i, theta_k, v_i and
-  v_k), its CSR pattern, and the slot in it of each term derivative;
+  nonzero (i, k) on a core row, as arrays of i, k, G_ik and B_ik, the only
+  admittance entries the evaluation reads, with its columns theta_i,
+  theta_k, v_i and v_k), its CSR pattern, and the slot in it of each term
+  derivative;
 - :attr:`NetworkModel.jtj_pairs`, for each Jacobian row every pair (a, b)
   of its nonzeros, whose product adds into one entry of J'J;
 - :attr:`NetworkModel.jtj_pattern`, the CSC pattern of J'J + eps*I, the
@@ -46,7 +48,9 @@ and keeps them (``functools.cached_property``):
   product and of each diagonal entry;
 - :attr:`NetworkModel.q_slots`, the position in ``jtj_pattern`` of every
   entry of each term's 4x4 curvature block in the diagnostic
-  :func:`hdpf.residual.q_term`.
+  :func:`hdpf.residual.q_term`;
+- :attr:`NetworkModel.union`, the network as a :class:`NetworkUnion` of
+  one, through which :func:`hdpf.residual.linearize` evaluates it.
 
 A region's model builds the Jacobian's pattern, ``jtj_pairs`` and
 ``jtj_pattern``, on which B's values live; only when diagnosed, also
@@ -55,10 +59,11 @@ stitching and by the sparse reference, builds only the Jacobian's
 pattern.
 
 A :class:`NetworkUnion` puts several networks side by side as one, from
-their Jacobian patterns and residual rows (``row_of_bus``, shifted); a
-partitioned problem builds the union of its regions on its first solve,
-and the solvers evaluate every region through it in one pass, Q
-included when diagnosed.
+their Jacobian patterns (the term arrays concatenated, bus indices
+shifted; the full admittance arrays are not copied) and residual rows
+(``row_of_bus``, shifted); a partitioned problem builds the union of its
+regions on its first solve, and the solvers evaluate every region
+through it in one pass, Q included when diagnosed.
 """
 
 from __future__ import annotations
@@ -97,7 +102,10 @@ class JacobianPattern:
     position, or one on a fixed column to the spare bin ``len(indices)``.
     """
 
-    terms: np.ndarray    # positions of the admittance nonzeros on core rows
+    i: np.ndarray        # each term's row bus (a core bus), in admittance storage order
+    k: np.ndarray        # its column bus
+    g: np.ndarray        # G_ik
+    b: np.ndarray        # B_ik
     cols: np.ndarray     # (n_terms, 4) free columns of (theta_i, theta_k, v_i, v_k), -1 if fixed
     slot: np.ndarray     # listed value -> CSR position
     rows: np.ndarray     # row of each CSR nonzero
@@ -256,7 +264,7 @@ class NetworkModel:
     @functools.cached_property
     def jac_pattern(self) -> JacobianPattern:
         """The Jacobian's CSR pattern and the map from listed values into it."""
-        terms = np.flatnonzero(self.row_of_bus[self.y_row] >= 0)
+        terms = self.row_of_bus[self.y_row] >= 0
         i, k = self.y_row[terms], self.y_col[terms]
         th, v = self.col[0], self.col[1]
         cols = np.stack([th[i], th[k], v[i], v[k]], axis=1)
@@ -273,7 +281,8 @@ class NetworkModel:
         uniq, slot = np.unique(np.append(keys, sentinel), return_inverse=True)
         csr_rows = uniq[:-1] // n
         counts = np.bincount(csr_rows, minlength=2 * self.n_core)
-        return JacobianPattern(terms=terms, cols=cols, slot=slot[:-1], rows=csr_rows,
+        return JacobianPattern(i=i, k=k, g=self.g_val[terms], b=self.b_val[terms],
+                               cols=cols, slot=slot[:-1], rows=csr_rows,
                                indices=uniq[:-1] % n,
                                indptr=np.concatenate([[0], np.cumsum(counts)]))
 
@@ -320,6 +329,12 @@ class NetworkModel:
                            cols=cols)
 
     @functools.cached_property
+    def union(self) -> NetworkUnion:
+        """The network as a union of one, built on first use, through which
+        :func:`hdpf.residual.linearize` evaluates it."""
+        return NetworkUnion((self,))
+
+    @functools.cached_property
     def q_slots(self) -> np.ndarray:
         """Position in :attr:`jtj_pattern` of every entry of each term's 4x4
         curvature block, listed as :func:`hdpf.residual.q_term` lists them
@@ -351,11 +366,12 @@ class NetworkUnion:
     those of ``nets``, network after network, each index shifted by the
     networks before it, so its Jacobian is block diagonal with each
     network's CSR pattern as a block.  It carries what
-    :mod:`hdpf.residual` reads of a network to evaluate the flow terms, the
-    residual, the Jacobian's values and Q's curvature weights (each term's
-    residual rows, by ``row_of_bus``), so one evaluation of the union
-    evaluates every network.  Everything is built from the networks' own
-    maps when the union is made.
+    :mod:`hdpf.residual` reads of a network to evaluate the flow terms (the
+    Jacobian pattern's term arrays, not the full admittance), the residual,
+    the Jacobian's values and Q's curvature weights (each term's residual
+    rows, by ``row_of_bus``), so one evaluation of the union evaluates
+    every network.  Everything is built from the networks' own maps when
+    the union is made.
     """
 
     def __init__(self, nets):
@@ -373,10 +389,6 @@ class NetworkUnion:
                 arrays = [a + shift for a, shift in zip(arrays, shifts)]
             return np.concatenate(list(arrays))
 
-        self.y_row = cat([net.y_row for net in nets], bus)
-        self.y_col = cat([net.y_col for net in nets], bus)
-        self.g_val = cat(net.g_val for net in nets)
-        self.b_val = cat(net.b_val for net in nets)
         self.core_idx = cat([net.core_idx for net in nets], bus)
         self.row_of_bus = cat(np.where(net.row_of_bus >= 0, net.row_of_bus + r, -1)
                               for net, r in zip(nets, rows))
@@ -385,10 +397,11 @@ class NetworkUnion:
         # union lists each block of every network in turn, and sends a value
         # on a fixed column to its own spare bin
         blocks = [np.split(np.where(pat.slot < len(pat.indices), pat.slot + j, jac[-1]),
-                           np.cumsum([len(pat.terms)] * 8 + [net.n_core]))
+                           np.cumsum([len(pat.i)] * 8 + [net.n_core]))
                   for net, pat, j in zip(nets, pats, jac)]
         self.jac_pattern = JacobianPattern(
-            terms=cat([pat.terms for pat in pats], _offsets([len(net.y_row) for net in nets])),
+            i=cat([pat.i for pat in pats], bus), k=cat([pat.k for pat in pats], bus),
+            g=cat(pat.g for pat in pats), b=cat(pat.b for pat in pats),
             cols=cat(np.where(pat.cols >= 0, pat.cols + f, -1) for pat, f in zip(pats, free)),
             slot=cat(b[i] for i in range(10) for b in blocks),
             rows=cat([pat.rows for pat in pats], rows),

@@ -17,6 +17,14 @@ into bus i's two rows; the diagnostic Q (:func:`q_term`) adds minus its
 coincide and the sums are the derivatives of v_i**2 G_ii and -v_i**2 B_ii
 (MATPOWER Technical Note 2 sums the same per-branch structure).
 
+The evaluation reads only these terms: the Jacobian's pattern keeps each
+one's (i, k, G_ik, B_ik) as arrays, and a copy bus, with no residual rows,
+adds none.  Each term's c = G cos + B sin, d = G sin - B cos, v_i v_k c,
+v_i v_k d, v_i and v_k are formed in place, and the eight blocks of term
+derivatives are written with ufunc ``out=`` into one preallocated
+listing, so an evaluation holds about fourteen arrays of the terms'
+length at its peak; J'J's pair products are multiplied in place.
+
 Assembly runs on index maps the network computes once (see
 :mod:`hdpf.network`): one ``np.bincount`` adds the term derivatives into
 the Jacobian's fixed CSR pattern, and :func:`linearize` forms ``g = J'r``
@@ -36,11 +44,12 @@ The solvers evaluate all regions in one call, :func:`linearize_regions`,
 over a :class:`~hdpf.network.NetworkUnion` of their networks, so the
 per-call cost is paid once per iteration, not once per region, diagnosed
 or not, with the same bits as each region evaluated alone by
-:func:`linearize`, which is that call over a union of one network.
+:func:`linearize`, which is that call over the network's union of one,
+``net.union``, built on its first call and kept.
 
 Every function here is a pure evaluation over networks and states; the
-only state a network, a union or a problem gains is index maps, built on
-first use and never changed.
+only state a network, a union or a problem gains is index maps, a
+network's union of one among them, built on first use and never changed.
 """
 
 from __future__ import annotations
@@ -67,7 +76,8 @@ class RegionLinearization:
     g: np.ndarray           # (n_free,)  gradient J^T r of f = 0.5*||r||^2
     hess: np.ndarray | sp.csc_matrix | None  # J^T J + eps*I, (nnz,) values on `pattern` (a 2-D
                             # one, with no pattern, on the full one; the central reference's
-                            # whole CSC B); None once a plain solve condensed it
+                            # whole CSC B); None once a plain solve condensed it or
+                            # the reference factored it
     eps: float
     q: np.ndarray | None = None  # (nnz,) q_term's values on `pattern`, from the same pass;
                             # None unless asked for (a diagnosed solve)
@@ -98,20 +108,28 @@ def _checked_table(nets, states) -> np.ndarray:
 
 
 def _flow_terms(net, x: np.ndarray):
-    """The per-nonzero trig terms and the per-bus computed injections of
-    the state table ``x`` of ``net``, a network or a :class:`NetworkUnion`."""
+    """Each term's c = G cos + B sin, d = G sin - B cos, t_c = v_i v_k c,
+    t_d = v_i v_k d, v_i and v_k, and the per-bus computed injections, of
+    the state table ``x`` of ``net``, a network or a :class:`NetworkUnion`;
+    a copy bus has no terms, and no computed injection is read there."""
+    pat = net.jac_pattern
     theta, vm = x[0], x[1]
-    i, k = net.y_row, net.y_col
-    dth = theta[i] - theta[k]
-    cos, sin = np.cos(dth), np.sin(dth)
-    c = net.g_val * cos + net.b_val * sin     # G cos + B sin
-    d = net.g_val * sin - net.b_val * cos     # G sin - B cos
-    vv = vm[i] * vm[k]
-    tc = vv * c
-    td = vv * d
-    p_calc = np.bincount(i, weights=tc, minlength=net.n_bus)
-    q_calc = np.bincount(i, weights=td, minlength=net.n_bus)
-    return c, d, tc, td, p_calc, q_calc
+    vi, vk = vm[pat.i], vm[pat.k]
+    cos = theta[pat.i]
+    cos -= theta[pat.k]
+    sin = np.sin(cos)
+    np.cos(cos, out=cos)
+    c, d = pat.g * cos, pat.g * sin
+    c += np.multiply(pat.b, sin, out=sin)
+    d -= np.multiply(pat.b, cos, out=cos)
+    # v_i v_k into the spent cos and sin
+    tc = np.multiply(vi, vk, out=cos)
+    tc *= c
+    td = np.multiply(vi, vk, out=sin)
+    td *= d
+    p_calc = np.bincount(pat.i, weights=tc, minlength=net.n_bus)
+    q_calc = np.bincount(pat.i, weights=td, minlength=net.n_bus)
+    return c, d, tc, td, vi, vk, p_calc, q_calc
 
 
 def residual(net: NetworkModel, s: StateVector) -> np.ndarray:
@@ -121,7 +139,7 @@ def residual(net: NetworkModel, s: StateVector) -> np.ndarray:
 
 
 def _residual(net, x: np.ndarray, terms) -> np.ndarray:
-    _, _, _, _, p_calc, q_calc = terms
+    p_calc, q_calc = terms[-2:]
     core = net.core_idx
     r = np.empty(2 * net.n_core)
     r[0::2] = x[2, core] - p_calc[core]
@@ -141,28 +159,27 @@ def _residual_and_jacobian(net: NetworkModel, s: StateVector) -> tuple[np.ndarra
     terms = _flow_terms(net, x)
     pat = net.jac_pattern
     return _residual(net, x, terms), sp.csr_matrix(
-        (_jacobian_values(net, x, terms), pat.indices, pat.indptr),
+        (_jacobian_values(net, terms), pat.indices, pat.indptr),
         shape=(2 * net.n_core, net.n_free))
 
 
-def _jacobian_values(net, x: np.ndarray, terms) -> np.ndarray:
+def _jacobian_values(net, terms) -> np.ndarray:
     """The Jacobian's nonzeros in the CSR order of ``net.jac_pattern``: minus
     each term's gradient, listed as the pattern's ``slot`` expects, and +1
     for the injection entries."""
-    c, d, tc, td, vi, vk = _on_terms(net, x, terms)
-    ones = np.ones(net.n_core)
-    vals = np.concatenate([td, -td, -vk * c, -vi * c,      # -grad of v_i v_k c
-                           -tc, tc, -vk * d, -vi * d,      # -grad of v_i v_k d
-                           ones, ones])
+    c, d, tc, td, vi, vk, _, _ = terms
+    n = len(c)
+    listing = np.empty(8 * n + 2 * net.n_core)
+    blocks = listing[:8 * n].reshape(8, n)
+    # -grad of v_i v_k c, then of v_i v_k d, over (theta_i, theta_k, v_i, v_k)
+    blocks[0], blocks[5] = td, tc
+    np.negative(td, out=blocks[1])
+    np.negative(tc, out=blocks[4])
+    for j, a, b in ((2, vk, c), (3, vi, c), (6, vk, d), (7, vi, d)):
+        np.negative(np.multiply(a, b, out=blocks[j]), out=blocks[j])
+    listing[8 * n:] = 1.0
     pat = net.jac_pattern
-    return np.bincount(pat.slot, weights=vals, minlength=len(pat.indices) + 1)[:-1]
-
-
-def _on_terms(net, x: np.ndarray, terms):
-    """c, d, t_c, t_d, v_i and v_k of each term of ``net.jac_pattern``."""
-    c, d, tc, td, _, _ = terms
-    t = net.jac_pattern.terms
-    return c[t], d[t], tc[t], td[t], x[1, net.y_row[t]], x[1, net.y_col[t]]
+    return np.bincount(pat.slot, weights=listing, minlength=len(pat.indices) + 1)[:-1]
 
 
 def q_term(net: NetworkModel, s: StateVector) -> np.ndarray:
@@ -180,9 +197,9 @@ def q_term(net: NetworkModel, s: StateVector) -> np.ndarray:
 def linearize(net: NetworkModel, s: StateVector, eps: float,
               q: bool = False) -> RegionLinearization:
     """Evaluate residual, gradient and regularized Hessian at s, and with
-    ``q`` the diagnostic Q: :func:`linearize_regions` over the network as
-    a union of one."""
-    return linearize_regions(NetworkUnion((net,)), (s,), eps, q)[0]
+    ``q`` the diagnostic Q: :func:`linearize_regions` over the network's
+    union of one, ``net.union``."""
+    return linearize_regions(net.union, (s,), eps, q)[0]
 
 
 def linearize_regions(union: NetworkUnion, states, eps: float,
@@ -211,31 +228,42 @@ def linearize_regions(union: NetworkUnion, states, eps: float,
     x = _checked_table(union.nets, states)
     terms = _flow_terms(union, x)
     r = _residual(union, x, terms)
-    vals = _jacobian_values(union, x, terms)
-    if q:
-        # over (theta_i, theta_k, v_i, v_k), w_p hess(v_i v_k c) + w_q hess(v_i v_k d),
-        # with w_p and w_q the residuals of the term's rows, has the angle block
-        # [[-a, a], [a, -a]], the angle-magnitude block [[-v_k b, -v_i b],
-        # [v_k b, v_i b]] and the magnitude block [[0, e], [e, 0]]
-        c, d, tc, td, vi, vk = _on_terms(union, x, terms)
-        term_row = union.row_of_bus[union.y_row[union.jac_pattern.terms]]
-        w_p, w_q = r[term_row], r[term_row + 1]
-        b = w_p * d - w_q * c
-        weights = (w_p * tc + w_q * td, vk * b, vi * b, w_p * c + w_q * d)  # a, v_k b, v_i b, e
+    vals = _jacobian_values(union, terms)
+    weights = _curvature_weights(union, r, terms) if q else None
     del terms  # every network's at once; free them before the B's are formed
     pat = union.jac_pattern
-    g = np.bincount(pat.indices, weights=vals * r[pat.rows], minlength=union.n_free)
+    jr = r[pat.rows]
+    jr *= vals
+    g = np.bincount(pat.indices, weights=jr, minlength=union.n_free)
+    del jr
     lins = []
     row = free = nnz = term = 0
     for net in union.nets:
         ends = (row + 2 * net.n_core, free + net.n_free, nnz + len(net.jac_pattern.indices),
-                term + len(net.jac_pattern.terms))
+                term + len(net.jac_pattern.i))
         lins.append(RegionLinearization(
             r=r[row:ends[0]], jac=None, g=g[free:ends[1]],
             hess=_gram(net, vals[nnz:ends[2]], eps), eps=eps, pattern=net.jtj_pattern,
             q=_curvature(net, *(w[term:ends[3]] for w in weights)) if q else None))
         row, free, nnz, term = ends
     return lins
+
+
+def _curvature_weights(net, r: np.ndarray, terms):
+    """The curvature weights (a, v_k b, v_i b, e) of each term of ``net``, a
+    network or a :class:`NetworkUnion`, from its flow terms and residual
+    ``r``.
+
+    Over (theta_i, theta_k, v_i, v_k), w_p hess(v_i v_k c) + w_q hess(v_i v_k d),
+    with w_p and w_q the residuals of the term's rows, has the angle block
+    [[-a, a], [a, -a]], the angle-magnitude block [[-v_k b, -v_i b],
+    [v_k b, v_i b]] and the magnitude block [[0, e], [e, 0]].
+    """
+    c, d, tc, td, vi, vk, _, _ = terms
+    term_row = net.row_of_bus[net.jac_pattern.i]
+    w_p, w_q = r[term_row], r[term_row + 1]
+    b = w_p * d - w_q * c
+    return w_p * tc + w_q * td, vk * b, vi * b, w_p * c + w_q * d
 
 
 def _curvature(net: NetworkModel, a, kb, ib, e) -> np.ndarray:
@@ -256,6 +284,8 @@ def _gram(net: NetworkModel, vals: np.ndarray, eps: float) -> np.ndarray:
     Jacobian values, one network's products at a time."""
     a, b = net.jtj_pairs
     gram = net.jtj_pattern
-    data = np.bincount(gram.slot, weights=vals[a] * vals[b], minlength=len(gram.indices))
+    products = vals[a]
+    products *= vals[b]
+    data = np.bincount(gram.slot, weights=products, minlength=len(gram.indices))
     data[gram.diag] += eps
     return data

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hdpf import SolverConfig, build_network, central_solve, flat_start, parse_case
-from hdpf.central import _full_space_step
+from hdpf.central import _full_space_step, _sparse_linearize
 from hdpf.condense import FactorizationError
 from hdpf.residual import RegionLinearization, residual
 from hdpf.trace import STATUS_MAX_ITER
@@ -128,3 +128,28 @@ def test_reference_memory_below_quarter_of_one_dense_matrix(merged_nets):
         tracemalloc.stop()
     assert trace.converged
     assert peak < dense_bytes / 4, (peak, dense_bytes)
+
+
+def test_full_space_step_drops_b_once_factored(merged_nets):
+    net = merged_nets["twin14"]
+    lin = _sparse_linearize(net, flat_start(net), 1e-10)
+    (out,), _, _ = _full_space_step([lin], [flat_start(net).free()])
+    assert lin.hess is None and np.all(np.isfinite(out))
+
+
+def test_reference_memory_below_three_gram_matrices(merged_nets):
+    # J is dropped before eps*I is added and each iterate's B once factored,
+    # so a warm case1100 reference peaks below three J'J + eps*I in CSC form
+    # (2.6 of them; 4.1 while J, J'J, J'J + eps*I and the last B lived at once)
+    net = merged_nets["case1100"]
+    hess = _sparse_linearize(net, flat_start(net), 1e-10).hess
+    gram_bytes = hess.data.nbytes + hess.indices.nbytes + hess.indptr.nbytes
+    central_solve(net)
+    tracemalloc.start()
+    try:
+        _, trace = central_solve(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.converged
+    assert peak < 3 * gram_bytes, (peak, gram_bytes)

@@ -701,6 +701,33 @@ def test_solve_memory_below_half_of_the_dense_bs(problems):
         assert len(r.split.src) + len(r.split.flat) <= 2 * len(r.net.jtj_pattern.indices)
 
 
+@pytest.mark.parametrize("diagnose", [False, True])
+def test_each_b_is_freed_once_condensed_unless_diagnosed(problems, monkeypatch, diagnose):
+    # a plain solve drops each region's B as soon as that region has
+    # condensed it: when region l condenses, every earlier region's B of
+    # the step is gone; the diagnostics read every B after the step, so a
+    # diagnosed solve keeps them all
+    import hdpf.driver
+
+    p = problems["case1100"]
+    real = hdpf.driver.condense_region
+    step, freed = [], []
+
+    def spy(lin, split, chi):
+        if split is p.regions[0].split:
+            step.clear()
+        freed.extend(earlier.hess is None for earlier in step)
+        step.append(lin)
+        return real(lin, split, chi)
+
+    monkeypatch.setattr(hdpf.driver, "condense_region", spy)
+    _, _, trace = solve(p, SolverConfig(diagnose=diagnose))
+    assert trace.converged
+    n = len(p.regions)
+    assert len(freed) == trace.n_iter * n * (n - 1) // 2
+    assert all(freed) if not diagnose else not any(freed)
+
+
 def test_factorization_failure_evaluates_each_iterate_once(cases, monkeypatch):
     import hdpf.driver
     from hdpf.condense import FactorizationError

@@ -377,7 +377,7 @@ def test_linearize_builds_no_sparse_matrix(problems, monkeypatch):
 
 def test_index_maps_built_once_per_network(cases):
     # every region, small or large, builds B's pattern, on which its values
-    # live, and keeps it
+    # live, and keeps it, with the union of one through which it is evaluated
     from hdpf import load_manifest, partition
 
     from conftest import fixture_path
@@ -385,7 +385,7 @@ def test_index_maps_built_once_per_network(cases):
     big = partition(*load_manifest(fixture_path("case404.manifest"))).regions[0].net
     for net in (build_network(cases["case14"]), big):
         lin = linearize(net, flat_start(net), 1e-10)
-        maps = {k: net.__dict__[k] for k in ("jac_pattern", "jtj_pairs", "jtj_pattern")}
+        maps = {k: net.__dict__[k] for k in ("jac_pattern", "jtj_pairs", "jtj_pattern", "union")}
         assert "q_slots" not in net.__dict__
         assert lin.pattern is maps["jtj_pattern"]
         lin = linearize(net, flat_start(net), 1e-10)
@@ -395,7 +395,7 @@ def test_index_maps_built_once_per_network(cases):
     merged = build_network(cases["case14"])
     central_solve(merged)
     assert "jac_pattern" in merged.__dict__
-    assert "jtj_pairs" not in merged.__dict__ and "q_slots" not in merged.__dict__
+    assert all(k not in merged.__dict__ for k in ("jtj_pairs", "q_slots", "union"))
 
 
 # --- batched evaluation -------------------------------------------------------
