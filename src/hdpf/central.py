@@ -71,10 +71,10 @@ def _full_space_step(lins, chis):
     """
     (lin,), (chi,) = lins, chis
     if len(chi) == 0:
-        return [chi.copy()], None, 0.0
+        return [chi.copy()], None, {"primal_residual": 0.0}
     lu = _sym_splu(lin.hess, "full-space Gauss-Newton matrix")
     lin.hess = None  # factored: free B before the next iterate's is formed
-    return [chi - lu.solve(lin.g)], None, 0.0
+    return [chi - lu.solve(lin.g)], None, {"primal_residual": 0.0}
 
 
 def dense_kkt_solve(b_bars: list[np.ndarray], g_bars: list[np.ndarray],

@@ -12,18 +12,18 @@ Byy once, solve it for the n_cpl + 1 right-hand sides [Byx, gy], and form
 b_bar (symmetrized) and g_bar = gx - w_x' gy from the solutions
 w_x = Byy^-1 Byx and w_y = Byy^-1 gy, which recovery reuses.
 
-B reaches condensation in one form: its values on the region's fixed
-pattern ``net.jtj_pattern`` (a 2-D B built by hand is read as its values on
-the full n x n pattern).  A region's :class:`BlockSplit`, built from the
-first B it condenses, keeps O(nnz) maps that scatter Byx, Bxx and Byy out of
-the values.  Only Byy's form and factorization depend on the region's size,
-chosen here alone: below :data:`SPARSE_MIN_FREE` free entries Byy is dense,
-factored and solved by LAPACK's Cholesky (``potrf``, ``potrs``); from there
-on a :class:`FixedSystem` over B's values, with every entry outside Byy off
-the system, sums Byy in the fill-reducing order it found from the first B
-and factors it by SuperLU with the symmetric settings of :func:`_sym_splu`,
-at a cost that grows with the nonzeros of Byy and its factor, not with
-n_free^3.  The coordinator's S and the diagnostic K are fixed systems too.
+B reaches condensation in one form: its values on the region's fixed pattern
+``net.jtj_pattern`` (a 2-D B built by hand is read as its values on the full
+n x n pattern).  A region's :class:`BlockSplit`, built from that pattern
+alone, keeps O(nnz) maps that scatter Byx, Bxx and Byy out of the values.
+Only Byy's form and factorization depend on the region's size, chosen here
+alone, once per split: below :data:`SPARSE_MIN_FREE` free entries Byy is
+dense, factored and solved by LAPACK's Cholesky (``potrf``, ``potrs``); from
+there on a :class:`FixedSystem` over B's values, with every entry outside Byy
+off the system, sums Byy in the fill-reducing order it found from the first B
+and factors it by SuperLU with the symmetric settings of :func:`_sym_splu`, at
+a cost that grows with the nonzeros of Byy and its factor, not with n_free^3.
+The coordinator's S and the diagnostic K are fixed systems too.
 
 The factorization is made once per outer iteration and is the dominant
 per-region cost.  Linearize, condense and recover of one region at the flat
@@ -67,7 +67,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .network import csc_columns
+from .network import GramPattern, csc_columns
 from .residual import RegionLinearization
 
 __all__ = ["FactorizationError", "FixedSystem", "BlockSplit", "CondensedQP", "condense_region",
@@ -169,61 +169,47 @@ class FixedSystem:
 
 class BlockSplit:
     """A model's free columns split into coupling entries x and local
-    entries y, and, built from the first B it condenses, the maps that take
-    Byx, Bxx and, on the dense path, Byy out of B's values by one gather and
-    one scatter into one zeroed buffer, each block C-ordered; on the sparse
-    path, :attr:`byy` sums Byy out of B's values."""
+    entries y, and the maps, built from B's fixed ``pattern`` (None for the
+    full n x n pattern of a 2-D B built by hand, column by column), that
+    take Byx, Bxx and, on the dense path, Byy out of B's values by one
+    gather and one scatter into one zeroed buffer, each block C-ordered; on
+    the sparse path, :attr:`byy` sums Byy out of B's values."""
 
-    def __init__(self, n_free: int, x_cols):
+    def __init__(self, pattern: GramPattern | None, n_free: int, x_cols):
         self.x_cols = np.asarray(x_cols, dtype=np.int64)
         self.local = np.ones(n_free, dtype=bool)
         self.local[self.x_cols] = False
         self.y_cols = np.flatnonzero(self.local)
-        # Byy's system over B's values, the others off it, from the first sparse-path B
-        self.byy: FixedSystem | None = None
-        # each block entry's position in B's values and in the buffer
-        # [Byx, Bxx, Byy], the n_cpl_entries of Byx and Bxx first
-        self.src = self.flat = None
-        self.n_cpl_entries = 0
-
-    def blocks(self, lin: RegionLinearization, dense: bool):
-        """(Byy, Byx, Bxx) of ``lin``'s B, the coupling blocks dense, and
-        Byy dense when ``dense``, else B's values, which :attr:`byy` lists."""
-        vals = lin.hess.ravel(order="F")  # a 2-D B column by column; 1-D values as they are
-        if self.src is None:
-            self._map(lin)
+        self.dense = n_free < SPARSE_MIN_FREE
         ny, nx = len(self.y_cols), len(self.x_cols)
-        k = len(self.src) if dense else self.n_cpl_entries
-        buf = np.zeros(ny * nx + nx * nx + (ny * ny if dense else 0))
-        buf.put(self.flat[:k], vals.take(self.src[:k]))
-        byx, bxx = buf[:ny * nx].reshape(ny, nx), buf[ny * nx:ny * nx + nx * nx].reshape(nx, nx)
-        if dense:
-            return buf[ny * nx + nx * nx:].reshape(ny, ny), byx, bxx
-        if self.byy is None:
-            yy = self.src[k:]
-            rows, cols = np.full(len(vals), -1), np.full(len(vals), -1)
-            rows[yy], cols[yy] = np.divmod(self.flat[k:] - (ny * nx + nx * nx), ny)
-            self.byy = FixedSystem(rows, cols, ny, _LOCAL_BLOCK)
-        return vals, byx, bxx
-
-    def _map(self, lin: RegionLinearization):
-        n, ny, nx = len(self.local), len(self.y_cols), len(self.x_cols)
-        if lin.pattern is None:  # a 2-D B: the full pattern, column by column
-            cols, rows = np.divmod(np.arange(n * n), n)
+        if pattern is None:
+            cols, rows = np.divmod(np.arange(n_free * n_free), n_free)
         else:
-            rows, cols = lin.pattern.indices, lin.pattern.cols
+            rows, cols = pattern.indices, pattern.cols
         # each nonzero's position in its block's rows and columns
-        pos = np.empty(n, dtype=np.int64)
+        pos = np.empty(n_free, dtype=np.int64)
         pos[self.y_cols] = np.arange(ny)
         pos[self.x_cols] = np.arange(nx)
         row_y, col_y = self.local[rows], self.local[cols]
         pr, pc = pos[rows], pos[cols]
-        yx, xx = np.flatnonzero(row_y & ~col_y), np.flatnonzero(~row_y & ~col_y)
-        yy = np.flatnonzero(row_y & col_y)
-        self.src = np.concatenate([yx, xx, yy])
-        self.flat = np.concatenate([pr[yx] * nx + pc[yx], ny * nx + pr[xx] * nx + pc[xx],
-                                    ny * nx + nx * nx + pr[yy] * ny + pc[yy]])
-        self.n_cpl_entries = len(yx) + len(xx)
+        yy = row_y & col_y
+        # each nonzero's position in the buffer [Byx, Bxx, Byy] if it is in one
+        flat = np.where(col_y, ny * nx + nx * nx + pr * ny + pc, (~row_y * ny + pr) * nx + pc)
+        # the entries of Byx, Bxx and, on the dense path, Byy: their positions in
+        # B's values and in the buffer; on the sparse path Byy has its own system
+        self.src = np.flatnonzero(~col_y | (yy & self.dense))
+        self.flat = flat[self.src]
+        self.byy = None if self.dense else FixedSystem(np.where(yy, pr, -1), np.where(yy, pc, -1),
+                                                       ny, _LOCAL_BLOCK)
+
+    def blocks(self, vals: np.ndarray):
+        """(Byy, Byx, Bxx) of B's values ``vals``, the coupling blocks dense,
+        and Byy dense on the dense path, else ``vals``, which :attr:`byy` lists."""
+        ny, nx = len(self.y_cols), len(self.x_cols)
+        buf = np.zeros(ny * nx + nx * nx + (ny * ny if self.dense else 0))
+        buf.put(self.flat, vals.take(self.src))
+        byy = buf[ny * nx + nx * nx:].reshape(ny, ny) if self.dense else vals
+        return byy, buf[:ny * nx].reshape(ny, nx), buf[ny * nx:ny * nx + nx * nx].reshape(nx, nx)
 
 
 def _cho_solve(byy: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -265,19 +251,18 @@ def condense_region(lin: RegionLinearization, cols: BlockSplit | np.ndarray,
     """Condense one region's model at the current iterate.  ``cols`` is
     the region's :class:`BlockSplit`, which keeps its maps and Byy's ordered
     system from call to call, or the coupling entries' free-vector columns,
-    split (and, on the sparse path, ordered) for this call alone.  A region
-    with :data:`SPARSE_MIN_FREE` free entries or more takes the sparse
-    path."""
-    n = len(lin.g)
-    split = cols if isinstance(cols, BlockSplit) else BlockSplit(n, cols)
+    split on ``lin.pattern`` (and, on the sparse path, ordered) for this call
+    alone.  A region with :data:`SPARSE_MIN_FREE` free entries or more
+    takes the sparse path."""
+    split = cols if isinstance(cols, BlockSplit) else BlockSplit(lin.pattern, len(lin.g), cols)
     x_cols, y_cols = split.x_cols, split.y_cols
-    dense = n < SPARSE_MIN_FREE
-    byy, byx, bxx = split.blocks(lin, dense)
+    # a 2-D B column by column, 1-D values as they are
+    byy, byx, bxx = split.blocks(lin.hess.ravel(order="F"))
     gy = lin.g[y_cols]
     rhs = np.empty((len(y_cols), len(x_cols) + 1), order="F")
     rhs[:, :-1] = byx
     rhs[:, -1] = gy
-    w = _cho_solve(byy, rhs) if dense else split.byy.solve(byy, rhs, spd=True)
+    w = _cho_solve(byy, rhs) if split.dense else split.byy.solve(byy, rhs, spd=True)
     w_x, w_y = w[:, :-1], w[:, -1]
     s = bxx - byx.T @ w_x
     return CondensedQP(

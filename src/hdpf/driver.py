@@ -24,6 +24,7 @@ identical traces.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import ClassVar
@@ -56,10 +57,11 @@ class SolverConfig:
     diagnose: bool = False      # also compute lm_error and condense_gap
 
     def __post_init__(self):
-        # written so that NaN fails too
-        if not 0.0 < self.tol_residual < math.inf:
-            raise ValueError("tol_residual must be positive and finite")
-        # bool is an int subclass, so True would run one iteration
+        # bool is an int subclass, so True would read as 1.0 or run one
+        # iteration; the range test is written so that NaN fails too
+        tol = self.tol_residual
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
+            raise ValueError("tol_residual must be a positive and finite real number")
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
             raise ValueError("max_iter must be an integer")
         if self.max_iter < 1:
@@ -81,17 +83,16 @@ def stitch_state(p: PartitionedProblem, states: list[StateVector]) -> StateVecto
     return StateVector(p.merged_net, *x)
 
 
-def consensus_step(p: PartitionedProblem, lins, chis, average=weighted_average,
-                   release: bool = False):
+def consensus_step(p: PartitionedProblem, lins, chis, average=weighted_average):
     """One step of the distributed solver, from every region's linearization
     and free vector: each region condenses its model onto its coupling
     variables, one :func:`consensus_pass` through ``average`` on the
     problem's :attr:`~hdpf.partition.PartitionedProblem.consensus` system
     resolves the consensus, and each region recovers its step from its consensus values
     ``E_l zbar``.  Returns the condensed models, the consensus solution and
-    the new free vectors, in region order.  With ``release``, each region's
-    B (``lin.hess``) is set to None as soon as the region has condensed it,
-    so no B outlives its condensation.
+    the new free vectors, in region order.  Each region's B (``lin.hess``)
+    is set to None as soon as the region has condensed it, so no B outlives
+    its condensation.
 
     The three functions are read from this module at call time, so a
     wrapper set on its attribute (as bench/layers.py sets) sees every call.
@@ -99,8 +100,7 @@ def consensus_step(p: PartitionedProblem, lins, chis, average=weighted_average,
     cqps = []
     for lin, r, chi in zip(lins, p.regions, chis):
         cqps.append(condense_region(lin, r.split, chi))
-        if release:
-            lin.hess = None
+        lin.hess = None
     sol = consensus_pass(cqps, p.regions, p.n_z,
                          lambda contribs, n_z: average(contribs, n_z, p.consensus))
     new_free = [recover_local(c, sol.z_bar[r.z_cols], chi)
@@ -120,9 +120,11 @@ def _lm_error(lins) -> float:
     return math.sqrt(total)
 
 
-def _condense_gap(p: PartitionedProblem, lins, chi_ks, x_plus) -> float | None:
-    """Largest gap between the condensed step's coupling entries ``x_plus``
-    and those of the full-space step built from exact second derivatives.
+def _exact_z(p: PartitionedProblem, lins, chi_ks) -> np.ndarray | None:
+    """The consensus values z of the full-space step built from exact
+    second derivatives, against which ``condense_gap`` measures the
+    condensed step's coupling entries.  Each region's Q (``lin.q``) is set
+    to None once it has been summed into K.
 
     The full-space QP takes each region's diagnosed linearization with
     curvature ``H_l = hess + q``, both values on B's fixed ``pattern``,
@@ -135,16 +137,17 @@ def _condense_gap(p: PartitionedProblem, lins, chi_ks, x_plus) -> float | None:
     built, and K is ordered, once per problem by its
     :attr:`~hdpf.partition.PartitionedProblem.exact_consensus`.  The
     constraint picks distinct entries (full row rank), so ``K`` is singular
-    exactly when the saddle-point KKT matrix is; the gap is then ``None``,
-    as it is for a non-finite solution.  Without coupling it is 0.0.
+    exactly when the saddle-point KKT matrix is; z is then None, as it is
+    for a non-finite solution.  Without coupling z is empty.
     """
     if p.n_z == 0:
-        return 0.0
+        return np.zeros(0)
     maps, system = p.exact_consensus
     values, rhs = [], np.zeros(system.n)
     for m, reg, lin, chi in zip(maps, p.regions, lins, chi_ks):
         gram = lin.pattern
         h = lin.hess + lin.q
+        lin.q = None
         # the local unknowns are steps from chi, the coupling ones values
         chi_x = np.where(reg.split.local, 0.0, chi)
         values.append(h)
@@ -154,11 +157,7 @@ def _condense_gap(p: PartitionedProblem, lins, chi_ks, x_plus) -> float | None:
         u = system.solve(np.concatenate(values), rhs)
     except FactorizationError:
         return None
-    if not np.all(np.isfinite(u)):
-        return None
-    z = u[-p.n_z:]
-    return max((float(np.max(np.abs(z[r.z_cols] - xp)))
-                for r, xp in zip(p.regions, x_plus) if len(xp)), default=0.0)
+    return u[-p.n_z:] if np.all(np.isfinite(u)) else None
 
 
 def _iterate(states: list[StateVector], lams, cfg: SolverConfig, step, evaluate_fn,
@@ -170,12 +169,13 @@ def _iterate(states: list[StateVector], lams, cfg: SolverConfig, step, evaluate_
     order, in one call, and raises :class:`ModelError` on an iterate it
     cannot evaluate.  ``step(lins, chis)`` maps the linearizations and free
     vectors of the current iterate to the next free vectors, their
-    multipliers and the primal residual; it may raise
-    :class:`FactorizationError`.  ``extras(lins, chis, new_free,
-    new_states, new_lins)`` returns the optional record fields, with
-    ``new_lins`` None when the new iterate could not be evaluated.  Record
-    k's ``wall_ns`` covers step k and the evaluation of the iterate it made.
-    Returns the final states and multipliers, the records and the status.
+    multipliers and the step's record fields (``primal_residual`` and any
+    it measures); it may raise :class:`FactorizationError`.
+    ``extras(new_states, new_lins)`` returns the new iterate's optional
+    record fields, with ``new_lins`` None when it could not be evaluated.
+    Record k's ``wall_ns`` covers step k and the evaluation of the iterate
+    it made.  Returns the final states and multipliers, the records and the
+    status.
     """
     def evaluate(states):
         try:
@@ -195,17 +195,17 @@ def _iterate(states: list[StateVector], lams, cfg: SolverConfig, step, evaluate_
             return states, lams, records, STATUS_CONVERGED
         chis = [s.free() for s in states]
         try:
-            new_free, new_lams, primal = step(lins, chis)
+            new_free, new_lams, step_fields = step(lins, chis)
         except FactorizationError:
             return states, lams, records, STATUS_BREAKDOWN
         dchi = max(float(np.max(np.abs(nf - chi))) if len(nf) else 0.0
                    for nf, chi in zip(new_free, chis))
         new_states = [s.with_free(nf) for s, nf in zip(states, new_free)]
         new_lins = evaluate(new_states)
-        fields = extras(lins, chis, new_free, new_states, new_lins) if extras else {}
+        fields = extras(new_states, new_lins) if extras else {}
         records.append(IterationRecord(
-            iter=k, f=0.5 * rss, r_norm2=r_norm2, dchi_inf=dchi, primal_residual=primal,
-            comm_floats=comm_floats, wall_ns=time.perf_counter_ns() - t0, **fields,
+            iter=k, f=0.5 * rss, r_norm2=r_norm2, dchi_inf=dchi, comm_floats=comm_floats,
+            wall_ns=time.perf_counter_ns() - t0, **step_fields, **fields,
         ))
         if new_lins is None:
             return states, lams, records, STATUS_BREAKDOWN
@@ -235,27 +235,26 @@ def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | N
         return linearize_regions(p.union, states, eps, cfg.diagnose)
 
     def step(lins, chis):
-        # the diagnostics read every B after the step; a plain solve frees each once condensed
-        _, sol, new_free = consensus_step(p, lins, chis, average, release=not cfg.diagnose)
-        primal = 0.0
-        for nf, reg in zip(new_free, p.regions):
-            if reg.n_cpl:
-                z = sol.z_bar[reg.z_cols]
-                primal = max(primal, float(np.max(np.abs(nf[reg.coupling_free_cols] - z))))
-        return new_free, sol.lam, primal
+        # K's solve reads this iterate's B and Q, so it runs before condensation frees each B
+        z_exact = _exact_z(p, lins, chis) if cfg.diagnose else None
+        _, sol, new_free = consensus_step(p, lins, chis, average)
 
-    def extras(lins, chis, new_free, new_states, new_lins):
-        fields = {}
+        def gap(z):  # the largest gap between the new coupling entries and z's
+            return max((float(np.max(np.abs(nf[r.coupling_free_cols] - z[r.z_cols])))
+                        for r, nf in zip(p.regions, new_free) if r.n_cpl), default=0.0)
+        fields = {"primal_residual": gap(sol.z_bar)}
         if cfg.diagnose:
-            x_plus = [nf[r.coupling_free_cols] for r, nf in zip(p.regions, new_free)]
-            fields["condense_gap"] = _condense_gap(p, lins, chis, x_plus)
-            # attributed to the iterate just produced, like dist_to_ref; an
-            # iterate that cannot be evaluated gets none and ends the run
-            if new_lins is not None:
-                fields["lm_error"] = _lm_error(new_lins)
+            fields["condense_gap"] = None if z_exact is None else gap(z_exact)
+        return new_free, sol.lam, fields
+
+    def extras(new_states, new_lins):
+        fields = {}
+        # attributed to the iterate just produced, like dist_to_ref; an
+        # iterate that cannot be evaluated gets none and ends the run
+        if cfg.diagnose and new_lins is not None:
+            fields["lm_error"] = _lm_error(new_lins)
         if ref_free is not None:
-            stitched = stitch_state(p, new_states)
-            fields["dist_to_ref"] = float(np.max(np.abs(stitched.free() - ref_free)))
+            fields["dist_to_ref"] = float(np.max(np.abs(stitch_state(p, new_states).free() - ref_free)))
         return fields
 
     states, lams, records, status = _iterate(

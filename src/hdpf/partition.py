@@ -99,10 +99,10 @@ class RegionStructure:
 
     @functools.cached_property
     def split(self) -> BlockSplit:
-        """The free columns split into coupling and local ones, built on
-        first use; :func:`hdpf.condense.condense_region` keeps on it the
-        maps it builds."""
-        return BlockSplit(self.net.n_free, self.coupling_free_cols)
+        """The free columns split into coupling and local ones, with the maps
+        that take B's blocks out of its values on ``net.jtj_pattern``, built
+        on first use."""
+        return BlockSplit(self.net.jtj_pattern, self.net.n_free, self.coupling_free_cols)
 
 
 @dataclass
@@ -133,7 +133,7 @@ class PartitionedProblem:
 
     @functools.cached_property
     def exact_consensus(self) -> tuple[list[np.ndarray], FixedSystem]:
-        """The system K of :func:`hdpf.driver._condense_gap`, built on first
+        """The system K of :func:`hdpf.driver._exact_z`, built on first
         use, and each region's map from its free entries to K's unknowns:
         the regions' local entries, in region order, then z.  Each region
         lists its values on its B's fixed pattern through its map."""

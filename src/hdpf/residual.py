@@ -76,11 +76,12 @@ class RegionLinearization:
     g: np.ndarray           # (n_free,)  gradient J^T r of f = 0.5*||r||^2
     hess: np.ndarray | sp.csc_matrix | None  # J^T J + eps*I, (nnz,) values on `pattern` (a 2-D
                             # one, with no pattern, on the full one; the central reference's
-                            # whole CSC B); None once a plain solve condensed it or
+                            # whole CSC B); None once consensus_step condensed it or
                             # the reference factored it
     eps: float
     q: np.ndarray | None = None  # (nnz,) q_term's values on `pattern`, from the same pass;
-                            # None unless asked for (a diagnosed solve)
+                            # None unless asked for (a diagnosed solve), and once the
+                            # step's exact-Hessian system has summed it
     pattern: GramPattern | None = None  # the network's jtj_pattern, from linearize
 
 

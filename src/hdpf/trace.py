@@ -109,9 +109,20 @@ def write_trace(trace: SolveTrace, sink: IO) -> None:
     sink.write("\n".join(lines) + "\n")
 
 
+def _field(d: dict, key: str, kind: type):
+    """Record field ``key`` of ``d`` as ``kind``, from a JSON integer, or for
+    a float also a JSON float or the string :func:`write_trace` writes for a
+    non-finite value; never from a JSON boolean, which Python reads as 1 or 0."""
+    v = d[key]
+    if type(v) is int or (kind is float and (type(v) is float or v in _NON_FINITE.values())):
+        return kind(v)
+    raise ValueError(f"{key} is {v!r}, not a JSON {'integer' if kind is int else 'number'}")
+
+
 def read_trace(source: IO) -> SolveTrace:
     """Read a version-1 trace; a malformed line, the header included (another
-    version, an unknown status), raises ``ValueError`` naming its 1-based number."""
+    version, an unknown status), or a record field of another type raises
+    ``ValueError`` naming its 1-based number."""
     lines = [(n, ln) for n, ln in enumerate(source.read().splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty trace stream")
@@ -130,8 +141,8 @@ def read_trace(source: IO) -> SolveTrace:
     for n, ln in lines[1:]:
         try:
             d = json.loads(ln)
-            records.append(IterationRecord(**{k: cast(d[k]) for k, cast in _FIELDS.items()},
-                                           **{k: None if d.get(k) is None else float(d[k])
+            records.append(IterationRecord(**{k: _field(d, k, kind) for k, kind in _FIELDS.items()},
+                                           **{k: None if d.get(k) is None else _field(d, k, float)
                                               for k in _OPTIONAL}))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"line {n}: malformed trace record ({exc!r})") from None

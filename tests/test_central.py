@@ -106,9 +106,9 @@ def test_zero_column_network_steps_without_factoring(monkeypatch):
     monkeypatch.setattr(spla, "splu", no_factor)
     lin = RegionLinearization(r=np.zeros(0), jac=None, g=np.zeros(0),
                               hess=sp.csc_matrix((0, 0)), eps=1e-10)
-    (out,), lams, primal = _full_space_step([lin], [np.zeros(0)])
+    (out,), lams, fields = _full_space_step([lin], [np.zeros(0)])
     assert out.shape == (0,)
-    assert lams is None and primal == 0.0
+    assert lams is None and fields == {"primal_residual": 0.0}
 
 
 def test_reference_residual_at_most_2e_12_on_fixtures(merged_nets, central_refs):

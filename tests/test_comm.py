@@ -71,13 +71,16 @@ def test_cold_and_warm_problems_give_byte_identical_runs(name):
         assert trace_signature(trace) == trace_signature(cold[2])
 
 
-def test_harness_bit_identical_with_diagnostics(problems):
-    p = problems["case53"]
+@pytest.mark.parametrize("name", ["fig1", "twin14", "case53", "case404", "case1100"])
+def test_harness_bit_identical_with_diagnostics(problems, name):
+    # case404's regions take the sparse path, the others the dense one
+    p = problems[name]
     cfg = SolverConfig(diagnose=True)
     s1, _, t1 = solve(p, cfg)
     s2, _, t2, _ = run_distributed(p, cfg)
-    assert np.array_equal(s1.free(), s2.free())
-    assert trace_signature(t1) == trace_signature(t2)
+    assert t1.converged and all(r.condense_gap is not None for r in t1.records), name
+    assert np.array_equal(s1.free(), s2.free()), name
+    assert trace_signature(t1) == trace_signature(t2), name
 
 
 def test_harness_bit_identical_with_reference(problems, central_refs):

@@ -213,7 +213,7 @@ def test_condense_makes_one_factorization_per_region(problems, monkeypatch):
             s = flat_start(reg.net)
             lin = linearize(reg.net, s, 1e-10)
             shape = (reg.net.n_free - reg.n_cpl,) * 2
-            split = BlockSplit(reg.net.n_free, reg.coupling_free_cols)
+            split = BlockSplit(reg.net.jtj_pattern, reg.net.n_free, reg.coupling_free_cols)
             for cols, kinds in ((reg.coupling_free_cols, fresh), (split, fresh),
                                 (split, ordered)):
                 calls.clear()
@@ -250,7 +250,7 @@ def test_cached_orders_keep_the_minimum_degree_fill(monkeypatch, problems):
         assert reg.net.n_free >= SPARSE_MIN_FREE
         s = flat_start(reg.net)
         lin = linearize(reg.net, s, 1e-10)
-        split = BlockSplit(reg.net.n_free, reg.coupling_free_cols)
+        split = BlockSplit(reg.net.jtj_pattern, reg.net.n_free, reg.coupling_free_cols)
         factors.clear()
         condense_region(lin, split, s.free())
         condense_region(lin, split, s.free())
@@ -322,7 +322,7 @@ def test_cached_order_keeps_the_positive_definiteness_check(problems):
     reg = problems["case404"].regions[0]
     s = flat_start(reg.net)
     lin = linearize(reg.net, s, 1e-10)
-    split = BlockSplit(reg.net.n_free, reg.coupling_free_cols)
+    split = BlockSplit(reg.net.jtj_pattern, reg.net.n_free, reg.coupling_free_cols)
     condense_region(lin, split, s.free())
     assert split.byy is not None
     bad = lin.hess.copy()

@@ -51,6 +51,12 @@ def test_config_validation():
     for bad in (math.nan, math.inf, 0.0, -1.0):
         with pytest.raises(ValueError):
             SolverConfig(tol_residual=bad)
+    # a bool is no tolerance, though True reads as 1.0; nor is a string
+    for bad in (True, False, np.bool_(True), "1e-8", None, 1e-8j):
+        with pytest.raises(ValueError, match="tol_residual must be a positive and finite real number"):
+            SolverConfig(tol_residual=bad)
+    for ok in (1, np.float64(1e-8), np.float32(1e-8), np.int64(1)):
+        assert SolverConfig(tol_residual=ok).tol_residual == ok
 
 
 def test_stitch_state_puts_core_buses_at_merged_positions(problems):
@@ -147,9 +153,9 @@ def test_dist_to_ref_never_affects_stopping(problems, central_refs):
     assert all(r.dist_to_ref is not None for r in t_ref.records)
 
 
-def _spy(monkeypatch, name):
-    """Record the arguments and result of every call the driver makes to
-    its attribute ``name``."""
+def _spy(monkeypatch, name, keep=lambda out: out):
+    """Record the arguments of every call the driver makes to its attribute
+    ``name``, and ``keep`` of the result, taken when the call returns."""
     import hdpf.driver
 
     calls = []
@@ -157,7 +163,7 @@ def _spy(monkeypatch, name):
 
     def spy(*args):
         out = real(*args)
-        calls.append((args, out))
+        calls.append((args, keep(out)))
         return out
 
     monkeypatch.setattr(hdpf.driver, name, spy)
@@ -167,10 +173,12 @@ def _spy(monkeypatch, name):
 def test_diagnosed_solve_evaluates_curvature_once_per_iterate(problems, monkeypatch):
     # one union pass per iterate, the flat start first, evaluates every
     # region's Q with the rest, and nothing evaluates flow terms besides it;
-    # each iterate's Q serves its lm_error and then the next condense_gap;
+    # each iterate's Q serves its lm_error and then the next step's exact
+    # solve, which drops it, so only the last iterate's Q is left;
     # case53's regions take the dense path, case404's the sparse one
     residual_module = importlib.import_module("hdpf.residual")
-    calls = _spy(monkeypatch, "linearize_regions")
+    calls = _spy(monkeypatch, "linearize_regions",
+                 keep=lambda lins: (lins, all(lin.q is not None for lin in lins)))
     flows = []
     real_flows = residual_module._flow_terms
     monkeypatch.setattr(residual_module, "_flow_terms",
@@ -183,8 +191,10 @@ def test_diagnosed_solve_evaluates_curvature_once_per_iterate(problems, monkeypa
         assert trace.converged and trace.n_iter > 1, name
         assert all(r.lm_error is not None for r in trace.records), name
         assert len(calls) == len(flows) == len(trace.records) + 1, name
-        assert all(args[0] is p.union and args[3] is True for args, _ in calls), name
-        assert all(lin.q is not None for _, lins in calls for lin in lins), name
+        assert all(args[0] is p.union and args[3] is True and evaluated
+                   for args, (_, evaluated) in calls), name
+        assert all(lin.q is None for _, (lins, _) in calls[:-1] for lin in lins), name
+        assert all(lin.q is not None for lin in calls[-1][1][0]), name
 
 
 def test_diagnosed_sparse_region_forms_no_dense_square(problems, monkeypatch):
@@ -193,7 +203,7 @@ def test_diagnosed_sparse_region_forms_no_dense_square(problems, monkeypatch):
     # peak was 8.4 MB with a dense Q per region, and is 0.94 MB on B's pattern)
     import tracemalloc
 
-    calls = _spy(monkeypatch, "linearize_regions")
+    calls = _spy(monkeypatch, "linearize_regions", keep=lambda lins: [lin.q.shape for lin in lins])
     p = problems["case404"]
     solve(p, SolverConfig(diagnose=True))
     calls.clear()
@@ -204,8 +214,8 @@ def test_diagnosed_sparse_region_forms_no_dense_square(problems, monkeypatch):
     finally:
         tracemalloc.stop()
     assert trace.converged and all(math.isfinite(r.lm_error) for r in trace.records)
-    assert calls and all(lin.q.shape == (len(reg.net.jtj_pattern.indices),)
-                         for _, lins in calls for reg, lin in zip(p.regions, lins))
+    assert calls and all(shape == (len(reg.net.jtj_pattern.indices),)
+                         for _, shapes in calls for reg, shape in zip(p.regions, shapes))
     n_free = max(r.net.n_free for r in p.regions)
     assert peak < 2 * n_free * n_free * 8, peak
 
@@ -229,8 +239,19 @@ def test_lm_error_on_csc_q_matches_the_dense_q(problems, monkeypatch):
         assert abs(rec.lm_error - expected) <= 1e-12 * expected, (k, rec.lm_error, expected)
 
 
-def _saddle_point_gap(p, lins, chi_ks, x_plus):
-    """condense_gap from the dense saddle-point KKT over (chi, z, lambda)."""
+def _fresh(name):
+    """A partitioned problem for a shipped manifest whose regions have not
+    been split yet, so they take the path SPARSE_MIN_FREE sets now."""
+    from hdpf import load_manifest, partition
+
+    from conftest import fixture_path
+
+    return partition(*load_manifest(fixture_path(f"{name}.manifest")))
+
+
+def _saddle_point_coupling(p, lins, chi_ks):
+    """Each region's coupling entries after the full-space step, from the
+    dense saddle-point KKT over (chi, z, lambda)."""
     n_chi = sum(len(c) for c in chi_ks)
     n_c = sum(r.n_cpl for r in p.regions)
     dim = n_chi + p.n_z + n_c
@@ -248,35 +269,54 @@ def _saddle_point_gap(p, lins, chi_ks, x_plus):
         off += n
         coff += n_x
     full = np.linalg.solve(kkt, rhs)
-    gap, off = 0.0, 0
-    for reg, chi, xp in zip(p.regions, chi_ks, x_plus):
-        gap = max(gap, float(np.max(np.abs(full[off + reg.coupling_free_cols] - xp))))
-        off += len(chi)
-    return gap
+    offs = np.cumsum([0] + [len(c) for c in chi_ks])
+    return [full[o + reg.coupling_free_cols] for o, reg in zip(offs, p.regions)]
+
+
+def _gap(x_exact, x_plus) -> float:
+    return max(float(np.max(np.abs(xe - xp))) for xe, xp in zip(x_exact, x_plus) if len(xp))
 
 
 @pytest.mark.parametrize("name", ["fig1", "twin14", "case53"])
-def test_condense_gap_matches_saddle_point_oracle(problems, monkeypatch, name):
-    # on each region path, Byy factored dense and sparse
-    calls = _spy(monkeypatch, "_condense_gap")
+def test_condense_gap_matches_saddle_point_oracle(monkeypatch, name):
+    # on each region path, Byy factored dense and sparse; the oracle reads
+    # each iterate's B and Q when the exact step does, before the exact
+    # step drops Q and condensation drops B
+    import hdpf.driver
+
+    oracles, exact = [], []
+    real = hdpf.driver._exact_z
+
+    def spy(p, lins, chi_ks):
+        oracles.append(_saddle_point_coupling(p, lins, chi_ks))
+        exact.append(real(p, lins, chi_ks))
+        return exact[-1]
+
+    monkeypatch.setattr(hdpf.driver, "_exact_z", spy)
+    steps = _spy(monkeypatch, "consensus_step")
     for limit in (ALL_DENSE, ALL_SPARSE):
         monkeypatch.setattr(condense_module, "SPARSE_MIN_FREE", limit)
-        calls.clear()
-        _, _, trace = solve(problems[name], SolverConfig(diagnose=True))
-        assert trace.converged and len(calls) == len(trace.records) > 1
-        for (args, out), rec in zip(calls, trace.records):
-            oracle = _saddle_point_gap(*args)
-            assert rec.condense_gap == out
-            assert abs(out - oracle) <= 1e-9 * (1.0 + oracle), (limit, rec.iter, out, oracle)
+        oracles.clear(), exact.clear(), steps.clear()
+        p = _fresh(name)
+        _, _, trace = solve(p, SolverConfig(diagnose=True))
+        assert all(r.split.dense == (limit == ALL_DENSE) for r in p.regions)
+        assert trace.converged and len(oracles) == len(steps) == len(trace.records) > 1
+        for oracle, z, (_, (_, _, new_free)), rec in zip(oracles, exact, steps, trace.records):
+            x_plus = [nf[r.coupling_free_cols] for r, nf in zip(p.regions, new_free)]
+            gap, expected = _gap([z[r.z_cols] for r in p.regions], x_plus), _gap(oracle, x_plus)
+            assert rec.condense_gap == gap
+            assert abs(gap - expected) <= 1e-9 * (1.0 + expected), (limit, rec.iter, gap, expected)
 
 
 def test_condense_gap_on_the_sparse_path_matches_the_dense_path(problems, monkeypatch):
     # case404's 410-entry regions take the sparse path by default
     p = problems["case404"]
-    assert all(r.net.n_free >= condense_module.SPARSE_MIN_FREE for r in p.regions)
     _, _, sparse = solve(p, SolverConfig(diagnose=True))
     monkeypatch.setattr(condense_module, "SPARSE_MIN_FREE", ALL_DENSE)
-    _, _, dense = solve(p, SolverConfig(diagnose=True))
+    p_dense = _fresh("case404")
+    _, _, dense = solve(p_dense, SolverConfig(diagnose=True))
+    assert not any(r.split.dense for r in p.regions)
+    assert all(r.split.dense for r in p_dense.regions)
     assert sparse.converged and sparse.n_iter == dense.n_iter > 1
     for a, b in zip(sparse.records, dense.records):
         assert math.isfinite(a.condense_gap)
@@ -284,21 +324,22 @@ def test_condense_gap_on_the_sparse_path_matches_the_dense_path(problems, monkey
 
 
 @pytest.mark.parametrize("name", ["fig1", "single14", "twin14", "case53", "case404", "case1100"])
-def test_sparse_and_dense_region_paths_agree(problems, central_refs, monkeypatch, name):
-    p = problems[name]
+def test_sparse_and_dense_region_paths_agree(central_refs, monkeypatch, name):
     runs = {}
     for limit in (ALL_SPARSE, ALL_DENSE):
         monkeypatch.setattr(condense_module, "SPARSE_MIN_FREE", limit)
-        runs[limit] = solve(p)
-    (s_sparse, lams, t_sparse), (s_dense, _, t_dense) = runs[ALL_SPARSE], runs[ALL_DENSE]
+        p = _fresh(name)
+        runs[limit] = p, solve(p)
+        assert all(r.split.dense == (limit == ALL_DENSE) for r in p.regions)
+    (p, (s_sparse, lams, t_sparse)), (_, (s_dense, _, t_dense)) = runs[ALL_SPARSE], runs[ALL_DENSE]
     assert t_sparse.status == t_dense.status == STATUS_CONVERGED
     assert t_sparse.n_iter == t_dense.n_iter
     assert np.max(np.abs(s_sparse.free() - s_dense.free())) <= 1e-10
     ref = central_refs[name][0].free()
     for s in (s_sparse, s_dense):
         assert np.max(np.abs(s.free() - ref)) <= 1e-10
-    # the harness runs the same sparse step, bit for bit
-    monkeypatch.setattr(condense_module, "SPARSE_MIN_FREE", ALL_SPARSE)
+    # the harness runs the same sparse step, bit for bit: each split keeps
+    # the path it was built on
     s_harness, lams_harness, t_harness, _ = run_distributed(p)
     assert np.array_equal(s_harness.free(), s_sparse.free())
     assert trace_signature(t_harness) == trace_signature(t_sparse)
@@ -581,8 +622,8 @@ def test_non_finite_step_ends_breakdown_with_last_valid_iterate(cases, bad):
         (lin,), (chi,) = lins, chis
         calls.append(chi)
         if len(calls) == 1:
-            return [chi - np.linalg.solve(dense_b(lin), lin.g)], ["lam"], 0.0
-        return [np.full_like(chi, bad)], ["broken"], 0.0
+            return [chi - np.linalg.solve(dense_b(lin), lin.g)], ["lam"], {"primal_residual": 0.0}
+        return [np.full_like(chi, bad)], ["broken"], {"primal_residual": 0.0}
 
     union = NetworkUnion((net,))
     (state,), lams, records, status = _iterate(
@@ -701,12 +742,33 @@ def test_solve_memory_below_half_of_the_dense_bs(problems):
         assert len(r.split.src) + len(r.split.flat) <= 2 * len(r.net.jtj_pattern.indices)
 
 
+def test_diagnosed_solve_peaks_below_2_2_plain_solves(problems):
+    # a warm diagnosed case1100 solve holds one iterate's B and Q, not two,
+    # while K is summed and factored: its peak was 2.55 plain solves' when
+    # the diagnostics ran after the next iterate had been evaluated
+    import tracemalloc
+
+    p = problems["case1100"]
+    peaks = {}
+    for diagnose in (False, True):
+        cfg = SolverConfig(diagnose=diagnose)
+        solve(p, cfg)
+        tracemalloc.start()
+        try:
+            _, _, trace = solve(p, cfg)
+            peaks[diagnose] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.converged, diagnose
+    assert peaks[True] < 2.2 * peaks[False], peaks
+
+
 @pytest.mark.parametrize("diagnose", [False, True])
-def test_each_b_is_freed_once_condensed_unless_diagnosed(problems, monkeypatch, diagnose):
-    # a plain solve drops each region's B as soon as that region has
+def test_each_b_is_freed_once_condensed(problems, monkeypatch, diagnose):
+    # every solve drops each region's B as soon as that region has
     # condensed it: when region l condenses, every earlier region's B of
-    # the step is gone; the diagnostics read every B after the step, so a
-    # diagnosed solve keeps them all
+    # the step is gone; a diagnosed solve's exact step has read every B
+    # before condensation starts
     import hdpf.driver
 
     p = problems["case1100"]
@@ -725,7 +787,7 @@ def test_each_b_is_freed_once_condensed_unless_diagnosed(problems, monkeypatch, 
     assert trace.converged
     n = len(p.regions)
     assert len(freed) == trace.n_iter * n * (n - 1) // 2
-    assert all(freed) if not diagnose else not any(freed)
+    assert all(freed)
 
 
 def test_factorization_failure_evaluates_each_iterate_once(cases, monkeypatch):
@@ -744,7 +806,7 @@ def test_factorization_failure_evaluates_each_iterate_once(cases, monkeypatch):
         steps.append(chi)
         if len(steps) == 2:
             raise FactorizationError("stub")
-        return [chi - np.linalg.solve(dense_b(lin), lin.g)], None, 0.0
+        return [chi - np.linalg.solve(dense_b(lin), lin.g)], None, {"primal_residual": 0.0}
 
     (state,), _, records, status = hdpf.driver._iterate(
         [flat_start(net)], None, SolverConfig(), step,

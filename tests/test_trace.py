@@ -128,6 +128,32 @@ def test_read_trace_names_the_malformed_line(text, line):
         read_trace(io.StringIO(text))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("iter", 1.7), ("iter", 2.0), ("iter", True), ("iter", "1"),
+    ("comm_floats", 48.9), ("wall_ns", False), ("wall_ns", None),
+    ("f", "12"), ("f", "nan"), ("f", None), ("r_norm2", True), ("dchi_inf", [1.0]),
+    ("lm_error", False), ("condense_gap", "Inf"), ("dist_to_ref", {"x": 1.0}),
+])
+def test_read_trace_rejects_a_field_of_another_type(key, value):
+    # a field reads back only as write_trace writes it: an int field as a
+    # JSON integer, a float field as a JSON number or as the string of a
+    # non-finite value; nothing is coerced, a JSON boolean least of all
+    record = json.loads(_RECORD)
+    record[key] = value
+    text = _HEADER + "\n" + _RECORD + "\n" + json.dumps(record) + "\n"
+    with pytest.raises(ValueError, match=f"^line 3: malformed trace record .*{key}"):
+        read_trace(io.StringIO(text))
+
+
+def test_read_trace_reads_every_field_type_write_trace_writes():
+    record = json.loads(_RECORD)
+    record.update(f=0, r_norm2="Infinity", dchi_inf="NaN", lm_error="-Infinity", condense_gap=3)
+    (rec,) = read_trace(io.StringIO(_HEADER + "\n" + json.dumps(record) + "\n")).records
+    assert type(rec.f) is float and rec.f == 0.0 and rec.r_norm2 == float("inf")
+    assert np.isnan(rec.dchi_inf) and rec.lm_error == float("-inf") and rec.condense_gap == 3.0
+    assert type(rec.iter) is int and type(rec.comm_floats) is int and type(rec.wall_ns) is int
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("version", 7, "unsupported trace version 7"),
     ("version", True, "unsupported trace version True"),
