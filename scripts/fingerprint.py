@@ -10,8 +10,13 @@ reference itself, and hashes each output on its own line:
 The outputs are the state's bytes, the multipliers' bytes, the trace's
 ``trace_signature`` (every record's deterministic fields: residuals, steps,
 ``lm_error``, ``condense_gap``, ``dist_to_ref``, and the status) and, for the
-harness, its ledger.  The problems are the shipped manifests and, with
-``--bench``, the benchmark's generated workloads ``grid-8x8`` and
+harness, its ledger.  After the solves, each problem's index maps are
+hashed too, one line each, ``<problem> maps - <map> <sha1>``: the regions'
+union Jacobian pattern, every region's ``jtj_pairs`` and B pattern, its
+``q_slots``, its split maps (with Byy's ordered system on the sparse path)
+and every network's admittance matrix, merged and regional, by the bytes of
+its values, indices and pointers.  The problems are the shipped manifests
+and, with ``--bench``, the benchmark's generated workloads ``grid-8x8`` and
 ``pair-808`` at seeds 1 and 2.
 
 Run from the repository root:
@@ -70,7 +75,26 @@ def fingerprint(name: str, manifest, cases) -> list[str]:
             if ledger:
                 outputs["ledger"] = ledger[0].entries
             lines += [f"{name} {solver} {variant} {out} {_sha1(v)}" for out, v in outputs.items()]
-    return lines
+    return lines + [f"{name} maps - {m} {hashlib.sha1(b''.join(a.tobytes() for a in arrays)).hexdigest()}"
+                    for m, arrays in _maps(p).items()]
+
+
+def _maps(p) -> dict[str, list]:
+    """The arrays of each index map of a solved problem, by map."""
+    pat = p.union.jac_pattern
+    nets = [r.net for r in p.regions]
+    splits = [r.split for r in p.regions]
+    return {
+        "union": [pat.slot, pat.rows, pat.indices, pat.indptr, pat.cols],
+        "pairs": [v for net in nets for v in net.jtj_pairs],
+        "grams": [getattr(net.jtj_pattern, f) for net in nets
+                  for f in ("slot", "diag", "indices", "indptr", "cols")],
+        "q_slots": [net.q_slots for net in nets],
+        "splits": [v for s in splits for v in (s.x_cols, s.y_cols, s.src, s.flat)
+                   + (() if s.byy is None else (s.byy.indices, s.byy.indptr, s.byy._at))],
+        "ybus": [v for net in [p.merged_net] + nets
+                 for v in (net.ybus.data, net.ybus.indices, net.ybus.indptr)],
+    }
 
 
 def main(argv=None) -> int:

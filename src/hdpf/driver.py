@@ -160,6 +160,13 @@ def _exact_z(p: PartitionedProblem, lins, chi_ks) -> np.ndarray | None:
     return u[-p.n_z:] if np.all(np.isfinite(u)) else None
 
 
+def _max_abs(arrays) -> float:
+    """The largest magnitude over the arrays, 0.0 if they hold none, and NaN
+    if any entry is NaN (``np.max`` propagates it; Python's ``max(0.1, nan)``
+    is 0.1)."""
+    return float(np.max([np.max(np.abs(a), initial=0.0) for a in arrays], initial=0.0))
+
+
 def _iterate(states: list[StateVector], lams, cfg: SolverConfig, step, evaluate_fn,
              comm_floats: int = 0, extras=None):
     """The outer iteration shared by every solver; it evaluates each iterate
@@ -198,8 +205,7 @@ def _iterate(states: list[StateVector], lams, cfg: SolverConfig, step, evaluate_
             new_free, new_lams, step_fields = step(lins, chis)
         except FactorizationError:
             return states, lams, records, STATUS_BREAKDOWN
-        dchi = max(float(np.max(np.abs(nf - chi))) if len(nf) else 0.0
-                   for nf, chi in zip(new_free, chis))
+        dchi = _max_abs(nf - chi for nf, chi in zip(new_free, chis))
         new_states = [s.with_free(nf) for s, nf in zip(states, new_free)]
         new_lins = evaluate(new_states)
         fields = extras(new_states, new_lins) if extras else {}
@@ -240,8 +246,8 @@ def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | N
         _, sol, new_free = consensus_step(p, lins, chis, average)
 
         def gap(z):  # the largest gap between the new coupling entries and z's
-            return max((float(np.max(np.abs(nf[r.coupling_free_cols] - z[r.z_cols])))
-                        for r, nf in zip(p.regions, new_free) if r.n_cpl), default=0.0)
+            return _max_abs(nf[r.coupling_free_cols] - z[r.z_cols]
+                            for r, nf in zip(p.regions, new_free))
         fields = {"primal_residual": gap(sol.z_bar)}
         if cfg.diagnose:
             fields["condense_gap"] = None if z_exact is None else gap(z_exact)

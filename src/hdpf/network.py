@@ -33,8 +33,8 @@ where fixed, so ``col[0, i]`` is the free-vector column of bus i's angle;
 coupling selectors and the index maps below are read from it.
 
 The sparsity of everything :mod:`hdpf.residual` assembles depends on the
-network alone, so each model computes its index maps once, on first use,
-and keeps them (``functools.cached_property``):
+network alone, so its index maps are computed once, on first use, and kept
+(``functools.cached_property``):
 
 - :attr:`NetworkModel.jac_pattern`: the Jacobian's terms (each admittance
   nonzero (i, k) on a core row, as arrays of i, k, G_ik and B_ik, the only
@@ -52,18 +52,25 @@ and keeps them (``functools.cached_property``):
 - :attr:`NetworkModel.union`, the network as a :class:`NetworkUnion` of
   one, through which :func:`hdpf.residual.linearize` evaluates it.
 
-A region's model builds the Jacobian's pattern, ``jtj_pairs`` and
-``jtj_pattern``, on which B's values live; only when diagnosed, also
-``q_slots``, as Q's values live there too.  The merged network, used for
-stitching and by the sparse reference, builds only the Jacobian's
-pattern.
+A :class:`NetworkUnion` puts several networks side by side as one: their
+buses, admittance nonzeros, residual rows and free entries, each index
+shifted.  Every map is built by one function for a network and for a
+union alike, and a union builds each map once for all its networks: the
+Jacobian pattern from the networks' admittance arrays put side by side,
+when it is made, and on first use every network's ``jtj_pairs`` and
+``jtj_pattern`` (:attr:`NetworkUnion.grams`) and, when diagnosed, its
+``q_slots`` (:attr:`NetworkUnion.q_slots`), which each network keeps as its
+own.  A partitioned problem builds the union of its regions on its first
+solve, so each problem's maps are built once, in one pass over the union,
+and never region by region; the solvers evaluate every region through it
+in one pass, Q included when diagnosed.  A network used alone builds the
+same maps through its union of one; the merged network, used for
+stitching and by the sparse reference, builds only its Jacobian's pattern.
 
-A :class:`NetworkUnion` puts several networks side by side as one, from
-their Jacobian patterns (the term arrays concatenated, bus indices
-shifted; the full admittance arrays are not copied) and residual rows
-(``row_of_bus``, shifted); a partitioned problem builds the union of its
-regions on its first solve, and the solvers evaluate every region
-through it in one pass, Q included when diagnosed.
+Y is assembled from arrays of the in-service branches' parameters, each
+entry by the float operations of the scalar pi-model formula in Python's
+``complex`` arithmetic, and summed by SciPy's COO to CSR conversion, so
+it is the same, byte for byte, as a branch-by-branch assembly.
 """
 
 from __future__ import annotations
@@ -155,11 +162,16 @@ class NetworkModel:
         for g in case.generators:
             if g.bus_id not in pos:
                 raise ModelError(f"generator references unknown bus {g.bus_id}")
-        for br in case.branches:
-            for end in (br.from_bus, br.to_bus):
-                if end not in pos:
-                    raise ModelError(
-                        f"branch {br.from_bus}-{br.to_bus} references unknown bus {end}")
+        # each branch's end positions (-1 if unknown), r, x, b, tap, shift, in-service flag
+        table = np.array([(pos.get(br.from_bus, -1), pos.get(br.to_bus, -1), br.r, br.x,
+                           br.total_line_charging_b, br.tap_ratio, br.phase_shift,
+                           bool(br.in_service)) for br in case.branches],
+                         dtype=float).reshape(-1, 8)
+        unknown = np.flatnonzero((table[:, :2] < 0).any(axis=1))
+        if len(unknown):
+            br = case.branches[unknown[0]]
+            end = br.from_bus if br.from_bus not in pos else br.to_bus
+            raise ModelError(f"branch {br.from_bus}-{br.to_bus} references unknown bus {end}")
 
         # in-service generators add into the injections; the first one at a
         # PV or slack bus sets its magnitude
@@ -178,62 +190,67 @@ class NetworkModel:
                                 for i, b in enumerate(buses)])
         self.theta_spec = np.radians([b.v_ang for b in buses])
         # written so that NaN fails too; a PQ bus's magnitude is free
-        bad = self.bus_ids[np.isin(self.bus_type, regulated) & ~(self.v_spec > 0.0)]
+        t = self.bus_type
+        bad = self.bus_ids[((t == BusType.PV) | (t == BusType.SLACK)) & ~(self.v_spec > 0.0)]
         if len(bad):
             raise ModelError(f"non-positive voltage setpoint at PV or slack bus(es) {bad.tolist()}")
 
-        self._assemble_admittance(buses, case.branches, pos)
+        self._assemble_admittance(buses, case.branches, table)
         self._index_free_entries()
 
     # -- admittance ---------------------------------------------------------
 
-    def _assemble_admittance(self, buses, branches, pos):
+    def _assemble_admittance(self, buses, branches, table):
         n = self.n_bus
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[complex] = []
-
+        live = np.flatnonzero(table[:, 7])
+        f, t, r, x, b, tap, shift, _ = table[live].T
+        zero = np.flatnonzero((r == 0.0) & (x == 0.0))
+        if len(zero):
+            br = branches[live[zero[0]]]
+            raise ModelError(f"zero-impedance branch {br.from_bus}-{br.to_bus}")
+        ends = np.stack([f, t]).astype(np.int64)
         touched = np.zeros(n, dtype=bool)
-        for br in branches:
-            if not br.in_service:
-                continue
-            if br.r == 0.0 and br.x == 0.0:
-                raise ModelError(f"zero-impedance branch {br.from_bus}-{br.to_bus}")
-            f, t = pos[br.from_bus], pos[br.to_bus]
-            tap = br.tap_ratio if br.tap_ratio != 0.0 else 1.0
-            shift = math.radians(br.phase_shift)
-            ys = 1.0 / complex(br.r, br.x)
-            ysh = 0.5j * br.total_line_charging_b
-            a = tap * complex(math.cos(shift), math.sin(shift))
-            rows += [f, f, t, t]
-            cols += [f, t, f, t]
-            vals += [
-                (ys + ysh) / (tap * tap),
-                -ys / a.conjugate(),
-                -ys / a,
-                ys + ysh,
-            ]
-            touched[f] = True
-            touched[t] = True
-
+        touched[ends] = True
         if n > 1 and not touched.all():
             lonely = self.bus_ids[~touched]
             raise ModelError(f"isolated bus(es) with no in-service branch: {lonely.tolist()}")
 
-        # bus shunts, plus a structural zero so every diagonal entry exists
-        base = self.base_mva
-        rows += range(n)
-        cols += range(n)
-        vals += [complex(b.shunt_g / base, b.shunt_b / base) for b in buses]
+        # each branch's entries (f, f), (f, t), (t, f), (t, t) as Python's
+        # complex arithmetic forms them, one float operation at a time:
+        # ys = 1/(r + jx), ysh = 0.5j*b, a = tap*(cos + j sin) of the shift,
+        # then (ys + ysh)/tap^2, -ys/conj(a), -ys/a and ys + ysh
+        tap = np.where(tap != 0.0, tap, 1.0)
+        ys_re, ys_im = _complex_quotient(1.0, 0.0, r, x)
+        full_re, full_im = ys_re + (0.0 * b - 0.0), ys_im + (0.0 + 0.5 * b)
+        rad = shift * (math.pi / 180.0)  # math.radians
+        cos, sin = np.ones(len(rad)), rad.copy()  # cos(+-0) = 1, sin(+-0) = +-0
+        for k in np.flatnonzero(rad != 0.0):
+            cos[k], sin[k] = math.cos(rad[k]), math.sin(rad[k])
+        a_re, a_im = tap * cos - 0.0 * sin, tap * sin + 0.0 * cos
+        q_re, q_im = _complex_quotient(np.array([full_re, -ys_re, -ys_re]),
+                                       np.array([full_im, -ys_im, -ys_im]),
+                                       np.array([tap * tap, a_re, a_re]),
+                                       np.array([np.zeros(len(tap)), -a_im, a_im]))
 
-        y = sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex).tocsr()
+        # branch after branch its four entries, then the bus shunts, plus a
+        # structural zero so every diagonal entry exists
+        shunt = np.array([(bus.shunt_g, bus.shunt_b) for bus in buses]).T / self.base_mva
+        vals = np.empty(4 * len(live) + n, dtype=complex)
+        vals.real = np.concatenate([np.vstack([q_re, full_re]).T.ravel(), shunt[0]])
+        vals.imag = np.concatenate([np.vstack([q_im, full_im]).T.ravel(), shunt[1]])
+        f, t = ends
+        diag = np.arange(n)
+        rows = np.concatenate([np.stack([f, f, t, t], axis=1).ravel(), diag])
+        cols = np.concatenate([np.stack([f, t, f, t], axis=1).ravel(), diag])
+
+        # COO to CSR sums the duplicates in listing order
+        y = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
         y.sum_duplicates()
         self.ybus = y
-        coo = y.tocoo()
-        self.y_row = coo.row.astype(np.int64)
-        self.y_col = coo.col.astype(np.int64)
-        self.g_val = coo.data.real.copy()
-        self.b_val = coo.data.imag.copy()
+        self.y_row = np.repeat(np.arange(n), np.diff(y.indptr))
+        self.y_col = y.indices.astype(np.int64)
+        self.g_val = y.data.real.copy()
+        self.b_val = y.data.imag.copy()
 
     # -- free-variable layout -----------------------------------------------
 
@@ -264,27 +281,14 @@ class NetworkModel:
     @functools.cached_property
     def jac_pattern(self) -> JacobianPattern:
         """The Jacobian's CSR pattern and the map from listed values into it."""
-        terms = self.row_of_bus[self.y_row] >= 0
-        i, k = self.y_row[terms], self.y_col[terms]
-        th, v = self.col[0], self.col[1]
-        cols = np.stack([th[i], th[k], v[i], v[k]], axis=1)
-        core = self.core_idx
-        p_term, p_core = self.row_of_bus[i], self.row_of_bus[core]
-        n = self.n_free
-        # row and column of each listed value, in the order the class lists them
-        rows = np.concatenate([np.tile(p_term, 4), np.tile(p_term + 1, 4), p_core, p_core + 1])
-        cols_all = np.concatenate([np.tile(cols.T.ravel(), 2), self.col[2, core], self.col[3, core]])
-        # sorted flat keys are CSR order; the sentinel, past every real key,
-        # is the spare bin of the values on fixed columns
-        sentinel = 2 * self.n_core * n
-        keys = np.where(cols_all >= 0, rows * n + cols_all, sentinel)
-        uniq, slot = np.unique(np.append(keys, sentinel), return_inverse=True)
-        csr_rows = uniq[:-1] // n
-        counts = np.bincount(csr_rows, minlength=2 * self.n_core)
-        return JacobianPattern(i=i, k=k, g=self.g_val[terms], b=self.b_val[terms],
-                               cols=cols, slot=slot[:-1], rows=csr_rows,
-                               indices=uniq[:-1] % n,
-                               indptr=np.concatenate([[0], np.cumsum(counts)]))
+        return _jac_pattern(self.y_row, self.y_col, self.g_val, self.b_val, self.row_of_bus,
+                            self.col, self.core_idx, self.n_free)
+
+    @functools.cached_property
+    def union(self) -> NetworkUnion:
+        """The network as a union of one, built on first use, through which
+        :func:`hdpf.residual.linearize` evaluates it."""
+        return NetworkUnion((self,))
 
     @functools.cached_property
     def jtj_pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -294,45 +298,13 @@ class NetworkModel:
         Pairs run row by row, so a bincount over their entries of J'J adds
         each entry's products in ascending row order, as a sparse J'J does.
         """
-        pat = self.jac_pattern
-        counts = np.diff(pat.indptr)
-        n_pairs = counts * counts
-        first = np.repeat(pat.indptr[:-1], n_pairs)
-        width = np.repeat(counts, n_pairs)
-        t = np.arange(int(n_pairs.sum())) - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
-        a = first + t // width
-        b = first + t % width
-        return a, b
+        return self.union.grams[0][0]
 
     @functools.cached_property
     def jtj_pattern(self) -> GramPattern:
         """CSC pattern of J'J + eps*I over the entries of the ``jtj_pairs``,
         ``col_a * n_free + col_b`` flat, and the diagonal."""
-        n = self.n_free
-        a, b = self.jtj_pairs
-        indices = self.jac_pattern.indices
-        target = indices[a] * n + indices[b]
-        keys = np.concatenate([target, np.arange(n) * (n + 1)])
-        if n * n <= 8 * len(keys):  # a small square: rank the keys by a mark in it, not a sort
-            rank = np.zeros(n * n, dtype=np.intp)
-            rank[keys] = 1
-            uniq = np.flatnonzero(rank)
-            rank[uniq] = np.arange(len(uniq))
-            slot = rank[keys]
-        else:
-            uniq, slot = np.unique(keys, return_inverse=True)
-        cols = uniq // n
-        counts = np.bincount(cols, minlength=n)
-        return GramPattern(slot=slot[:len(target)], diag=slot[len(target):],
-                           indices=(uniq % n).astype(np.int32),
-                           indptr=np.concatenate([[0], np.cumsum(counts)]).astype(np.int32),
-                           cols=cols)
-
-    @functools.cached_property
-    def union(self) -> NetworkUnion:
-        """The network as a union of one, built on first use, through which
-        :func:`hdpf.residual.linearize` evaluates it."""
-        return NetworkUnion((self,))
+        return self.union.grams[0][1]
 
     @functools.cached_property
     def q_slots(self) -> np.ndarray:
@@ -344,14 +316,136 @@ class NetworkModel:
         A term's four columns all lie in its Jacobian row, so every entry of
         its block is a pair of ``jtj_pairs`` and the pattern holds it.
         """
-        cols = self.jac_pattern.cols.T
-        r, c = cols[:, None, :], cols[None, :, :]
-        free = (r >= 0) & (c >= 0)
-        n = self.n_free
-        # the pattern's flat keys col * n_free + row, ascending in CSC order
-        keys = self.jtj_pattern.cols * n + self.jtj_pattern.indices
-        pos = np.searchsorted(keys, np.where(free, c * n + r, 0))
-        return np.where(free, pos, len(keys)).ravel()
+        return self.union.q_slots[0]
+
+
+def _jac_pattern(y_row, y_col, g_val, b_val, row_of_bus, col, core_idx,
+                 n_free: int) -> JacobianPattern:
+    """The Jacobian's CSR pattern and the map from listed values into it, of
+    a network or of a union of networks side by side: its admittance
+    nonzeros (``y_row``, ``y_col``, ``g_val``, ``b_val``), each bus's p
+    residual row (``row_of_bus``, -1 for a copy bus), the free-column table
+    ``col``, the core buses and the free-entry count."""
+    terms = row_of_bus[y_row] >= 0
+    i, k = y_row[terms], y_col[terms]
+    th, v = col[0], col[1]
+    cols = np.stack([th[i], th[k], v[i], v[k]], axis=1)
+    p_term, p_core = row_of_bus[i], row_of_bus[core_idx]
+    n, n_rows = n_free, 2 * len(core_idx)
+    # row and column of each listed value, in the order the class lists them
+    rows = np.concatenate([np.tile(p_term, 4), np.tile(p_term + 1, 4), p_core, p_core + 1])
+    cols_all = np.concatenate([np.tile(cols.T.ravel(), 2), col[2, core_idx], col[3, core_idx]])
+    # sorted flat keys are CSR order; the sentinel, past every real key,
+    # is the spare bin of the values on fixed columns
+    sentinel = n_rows * n
+    keys = np.where(cols_all >= 0, rows * n + cols_all, sentinel)
+    uniq, slot = np.unique(np.append(keys, sentinel), return_inverse=True)
+    csr_rows = uniq[:-1] // n
+    counts = np.bincount(csr_rows, minlength=n_rows)
+    return JacobianPattern(i=i, k=k, g=g_val[terms], b=b_val[terms],
+                           cols=cols, slot=slot[:-1], rows=csr_rows,
+                           indices=uniq[:-1] % n,
+                           indptr=np.concatenate([[0], np.cumsum(counts)]))
+
+
+def _gram_maps(pat: JacobianPattern, rows_at, free_at):
+    """Each block's ``jtj_pairs`` and :class:`GramPattern`, for the
+    block-diagonal Jacobian pattern ``pat`` whose blocks start at the
+    residual rows ``rows_at`` and free columns ``free_at`` (both ending
+    with the totals).
+
+    The pairs and their flat keys ``col_a * n_l + col_b``, in block l's own
+    columns, come from one pass over all blocks; each block then ranks its
+    keys and the diagonal's into its pattern, a sort or a mark in its n_l^2
+    square, whichever is cheaper.
+    """
+    counts = np.diff(pat.indptr)
+    n_pairs = counts * counts
+    pair_at = _offsets(n_pairs)
+    t = np.arange(pair_at[-1]) - np.repeat(pair_at[:-1], n_pairs)
+    row_pair, col_pair = np.divmod(t, np.repeat(counts, n_pairs))
+    del t
+    a = np.repeat(pat.indptr[:-1], n_pairs)
+    b = a + col_pair
+    a += row_pair
+    del row_pair, col_pair
+    n = np.diff(free_at)
+    nnz_at = pat.indptr[rows_at]
+    # each Jacobian nonzero's column in its block, and that times its block's n_l
+    blocks = np.repeat(np.arange(len(n)), np.diff(nnz_at))
+    local = pat.indices - free_at[blocks]
+    target = (local * n[blocks])[a]
+    target += local[b]
+    maps = []
+    for p0, p1, j0, n_l in zip(pair_at[rows_at[:-1]].tolist(), pair_at[rows_at[1:]].tolist(),
+                               nnz_at[:-1].tolist(), n.tolist()):
+        keys = np.concatenate([target[p0:p1], np.arange(n_l) * (n_l + 1)])
+        if n_l * n_l <= 8 * len(keys):  # a small square: rank the keys by a mark in it, not a sort
+            rank = np.zeros(n_l * n_l, dtype=np.intp)
+            rank[keys] = 1
+            uniq = np.flatnonzero(rank)
+            rank[uniq] = np.arange(len(uniq))
+            slot = rank[keys]
+        else:
+            uniq, slot = np.unique(keys, return_inverse=True)
+        cols = uniq // n_l
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n_l))])
+        pairs = a[p0:p1], b[p0:p1]
+        for v in pairs:  # rebased to the block's own Jacobian nonzeros
+            v -= j0
+        maps.append((pairs, GramPattern(slot=slot[:p1 - p0], diag=slot[p1 - p0:],
+                                        indices=(uniq % n_l).astype(np.int32),
+                                        indptr=indptr.astype(np.int32), cols=cols)))
+    return maps
+
+
+def _q_slots(pat: JacobianPattern, row_of_bus, grams, term_at) -> list[np.ndarray]:
+    """Each block's ``q_slots``, in one pass and without a search, for the
+    block-diagonal Jacobian pattern ``pat`` of a union of networks, with
+    its residual rows ``row_of_bus``, each block's ``jtj_pairs`` and
+    :class:`GramPattern` in ``grams`` and its first term in ``term_at``.
+
+    Entry (j1, j2) of a term's 4x4 block, both columns free, lies where the
+    pair (a, b) of the term's p row lies, a and b that row's nonzeros in
+    the term's columns j2 and j1: the pair numbered (a - start) * width +
+    (b - start) from the row's first pair.
+    """
+    n_terms = len(pat.i)
+    counts = np.diff(pat.indptr)
+    pair_at = _offsets(counts * counts)
+    pair_slot = np.concatenate([g.slot for _, g in grams])
+    nnz = np.array([len(g.indices) for _, g in grams], dtype=np.int64)
+    # each term's p row, its first nonzero and width, and the CSR position
+    # of its p-row derivatives, by column, as the pattern's slot sends them
+    row = row_of_bus[pat.i]
+    start, width = pat.indptr[row], counts[row]
+    at = pat.slot[:4 * n_terms].reshape(4, n_terms) - start
+    free = pat.cols.T >= 0
+    both = free[:, None, :] & free[None, :, :]
+    pairs = pair_at[row] + at[None, :, :] * width + at[:, None, :]
+    spare = np.repeat(nnz, np.diff(term_at))
+    pos = np.where(both, pair_slot[np.where(both, pairs, 0)], spare)
+    return [pos[:, :, t0:t1].ravel() for t0, t1 in zip(term_at[:-1].tolist(), term_at[1:].tolist())]
+
+
+def _complex_quotient(ar, ai, br, bi):
+    """(ar + j ai) / (br + j bi) elementwise, as real and imaginary parts,
+    by the algorithm and operation order of Python's complex division
+    (Smith's, CPython's ``_Py_c_quot``), so each quotient equals Python's
+    bit for bit, signed zeros included: scaled by the larger of |br| and
+    |bi|, NaN if either is NaN."""
+    if np.any((br == 0.0) & (bi == 0.0)):
+        raise ZeroDivisionError("complex division by zero")
+    by_re = np.abs(br) >= np.abs(bi)
+    big, small = np.where(by_re, br, bi), np.where(by_re, bi, br)
+    ratio = small / big
+    denom = big + small * ratio
+    # scaled by br: (ar + ai*ratio, ai - ar*ratio) / denom; by bi:
+    # (ar*ratio + ai, ai*ratio - ar) / denom, the same sums with the pair
+    # (u, w) swapped, as a float sum does not depend on the order of its terms
+    u, w = np.where(by_re, ar, ai), np.where(by_re, ai, ar)
+    ur = u * ratio
+    return (u + w * ratio) / denom, np.where(by_re, w - ur, ur - w) / denom
 
 
 def _offsets(sizes) -> np.ndarray:
@@ -370,44 +464,71 @@ class NetworkUnion:
     Jacobian pattern's term arrays, not the full admittance), the residual,
     the Jacobian's values and Q's curvature weights (each term's residual
     rows, by ``row_of_bus``), so one evaluation of the union evaluates
-    every network.  Everything is built from the networks' own maps when
-    the union is made.
+    every network.  Its Jacobian pattern is built when the union is made,
+    from the networks' admittance arrays put side by side; a union of one
+    network takes that network's.
+
+    ``bounds`` holds, for each network and then for the total, its first
+    residual row, free entry, Jacobian nonzero and term in the union, and
+    ``slices`` each network's slices of those four.
+
+    Every network's Gram maps and its ``q_slots`` are built for all
+    networks at once on first use (:attr:`grams`, :attr:`q_slots`), and
+    each network keeps them as its own, unless it had built its own first.
     """
 
     def __init__(self, nets):
         nets = self.nets = tuple(nets)
-        pats = [net.jac_pattern for net in nets]
         bus = _offsets([net.n_bus for net in nets])
         rows = _offsets([2 * net.n_core for net in nets])
         free = _offsets([net.n_free for net in nets])
-        jac = _offsets([len(pat.indices) for pat in pats])
         self.n_bus, self.n_core, self.n_free = int(bus[-1]), int(rows[-1]) // 2, int(free[-1])
+        if len(nets) == 1:
+            (net,) = nets
+            self.core_idx, self.row_of_bus = net.core_idx, net.row_of_bus
+            self.jac_pattern = net.jac_pattern
+        else:
+            def cat(arrays, shifts=None):
+                """The arrays one after another, each plus its shift if given."""
+                if shifts is not None:
+                    arrays = [a + shift for a, shift in zip(arrays, shifts)]
+                return np.concatenate(list(arrays))
 
-        def cat(arrays, shifts=None):
-            """The arrays one after another, each plus its shift if given."""
-            if shifts is not None:
-                arrays = [a + shift for a, shift in zip(arrays, shifts)]
-            return np.concatenate(list(arrays))
+            self.core_idx = cat([net.core_idx for net in nets], bus)
+            self.row_of_bus = cat(np.where(net.row_of_bus >= 0, net.row_of_bus + r, -1)
+                                  for net, r in zip(nets, rows))
+            col = np.concatenate([np.where(net.col >= 0, net.col + f, -1)
+                                  for net, f in zip(nets, free)], axis=1)
+            self.jac_pattern = _jac_pattern(
+                cat([net.y_row for net in nets], bus), cat([net.y_col for net in nets], bus),
+                cat(net.g_val for net in nets), cat(net.b_val for net in nets),
+                self.row_of_bus, col, self.core_idx, self.n_free)
+        pat = self.jac_pattern
+        # the terms are listed network after network, each by its row bus
+        self.bounds = np.stack([rows, free, pat.indptr[rows], np.searchsorted(pat.i, bus)],
+                               axis=1)
+        edges = self.bounds.tolist()
+        self.slices = [tuple(map(slice, lo, hi)) for lo, hi in zip(edges, edges[1:])]
 
-        self.core_idx = cat([net.core_idx for net in nets], bus)
-        self.row_of_bus = cat(np.where(net.row_of_bus >= 0, net.row_of_bus + r, -1)
-                              for net, r in zip(nets, rows))
-        # a network lists its term derivatives in eight blocks of n_terms
-        # values, then its injection entries in two blocks of n_core; the
-        # union lists each block of every network in turn, and sends a value
-        # on a fixed column to its own spare bin
-        blocks = [np.split(np.where(pat.slot < len(pat.indices), pat.slot + j, jac[-1]),
-                           np.cumsum([len(pat.i)] * 8 + [net.n_core]))
-                  for net, pat, j in zip(nets, pats, jac)]
-        self.jac_pattern = JacobianPattern(
-            i=cat([pat.i for pat in pats], bus), k=cat([pat.k for pat in pats], bus),
-            g=cat(pat.g for pat in pats), b=cat(pat.b for pat in pats),
-            cols=cat(np.where(pat.cols >= 0, pat.cols + f, -1) for pat, f in zip(pats, free)),
-            slot=cat(b[i] for i in range(10) for b in blocks),
-            rows=cat([pat.rows for pat in pats], rows),
-            indices=cat([pat.indices for pat in pats], free),
-            indptr=np.append(cat([pat.indptr[:-1] for pat in pats], jac), jac[-1]),
-        )
+    def _own(self, name: str, maps) -> list:
+        """Each network's map ``name``: its own if it has one, else its entry
+        of ``maps``, which it keeps."""
+        return [net.__dict__.setdefault(name, m) for net, m in zip(self.nets, maps)]
+
+    @functools.cached_property
+    def grams(self) -> list[tuple[tuple[np.ndarray, np.ndarray], GramPattern]]:
+        """Each network's :attr:`~NetworkModel.jtj_pairs` and
+        :attr:`~NetworkModel.jtj_pattern`, from one pass over the union's
+        Jacobian pattern."""
+        pairs, grams = zip(*_gram_maps(self.jac_pattern, self.bounds[:, 0], self.bounds[:, 1]))
+        return list(zip(self._own("jtj_pairs", pairs), self._own("jtj_pattern", grams)))
+
+    @functools.cached_property
+    def q_slots(self) -> list[np.ndarray]:
+        """Each network's :attr:`~NetworkModel.q_slots`, from one pass over
+        the union's terms."""
+        return self._own("q_slots", _q_slots(self.jac_pattern, self.row_of_bus, self.grams,
+                                             self.bounds[:, 3]))
 
 
 class StateVector:

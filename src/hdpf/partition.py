@@ -135,19 +135,24 @@ class PartitionedProblem:
     def exact_consensus(self) -> tuple[list[np.ndarray], FixedSystem]:
         """The system K of :func:`hdpf.driver._exact_z`, built on first
         use, and each region's map from its free entries to K's unknowns:
-        the regions' local entries, in region order, then z.  Each region
-        lists its values on its B's fixed pattern through its map."""
-        ends = np.cumsum([len(r.split.y_cols) for r in self.regions])
-        maps = []
-        for r, end in zip(self.regions, ends):
-            m = np.empty(r.net.n_free, dtype=np.int64)
-            m[r.split.y_cols] = np.arange(end - len(r.split.y_cols), end)
-            m[r.coupling_free_cols] = ends[-1] + r.z_cols  # distinct within a region
-            maps.append(m)
-        pats = [r.net.jtj_pattern for r in self.regions]
-        return maps, FixedSystem(np.concatenate([m[g.indices] for m, g in zip(maps, pats)]),
-                                 np.concatenate([m[g.cols] for m, g in zip(maps, pats)]),
-                                 ends[-1] + self.n_z, "exact-Hessian consensus matrix")
+        the regions' local entries, in region order, then z.  The regions'
+        B patterns, side by side in the union's free entries, are listed
+        through the maps at once."""
+        union = self.union
+        free_at = union.bounds[:, 1]
+        local = np.concatenate([r.split.local for r in self.regions])
+        n_local = int(local.sum())
+        m = np.empty(union.n_free, dtype=np.int64)
+        m[local] = np.arange(n_local)
+        # the coupling entries are distinct within a region
+        m[np.concatenate([r.coupling_free_cols + f for r, f in zip(self.regions, free_at)])] = (
+            n_local + np.concatenate([r.z_cols for r in self.regions]))
+        grams = [g for _, g in union.grams]
+        shift = np.repeat(free_at[:-1], [len(g.indices) for g in grams])
+        return ([m[free] for _, free, _, _ in union.slices],
+                FixedSystem(m[np.concatenate([g.indices for g in grams]) + shift],
+                            m[np.concatenate([g.cols for g in grams]) + shift],
+                            n_local + self.n_z, "exact-Hessian consensus matrix"))
 
     @property
     def n_z(self) -> int:

@@ -25,7 +25,8 @@ derivatives are written with ufunc ``out=`` into one preallocated
 listing, so an evaluation holds about fourteen arrays of the terms'
 length at its peak; J'J's pair products are multiplied in place.
 
-Assembly runs on index maps the network computes once (see
+Assembly runs on index maps built once per network, or once per problem
+for all its regions in one pass over their union (see
 :mod:`hdpf.network`): one ``np.bincount`` adds the term derivatives into
 the Jacobian's fixed CSR pattern, and :func:`linearize` forms ``g = J'r``
 and ``B = J'J + eps*I`` with one more each.  B has one form for every
@@ -45,7 +46,9 @@ over a :class:`~hdpf.network.NetworkUnion` of their networks, so the
 per-call cost is paid once per iteration, not once per region, diagnosed
 or not, with the same bits as each region evaluated alone by
 :func:`linearize`, which is that call over the network's union of one,
-``net.union``, built on its first call and kept.
+``net.union``, built on its first call and kept.  The union's first
+evaluation builds every region's Gram maps (and, with ``q``, its
+``q_slots``) at once; later ones reuse them.
 
 Every function here is a pure evaluation over networks and states; the
 only state a network, a union or a problem gains is index maps, a
@@ -54,6 +57,7 @@ network's union of one among them, built on first use and never changed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -214,10 +218,11 @@ def linearize_regions(union: NetworkUnion, states, eps: float,
     each network's r, g and Jacobian values are a slice of the union's.
     The values are filled into the fixed pattern and never wrapped in a
     sparse matrix: ``g`` is one bincount over the columns, and each
-    network's ``B = J'J + eps*I`` one bincount over its ``net.jtj_pairs``
-    from its own slice, into the values of ``net.jtj_pattern``.  Q's
-    curvature weights come from the same pass, each network's Q one
-    bincount over its ``net.q_slots`` from its own slice of the terms.
+    network's ``B = J'J + eps*I`` one bincount over its ``jtj_pairs``
+    from its own slice, into the values of its ``jtj_pattern``, both from
+    ``union.grams``.  Q's curvature weights come from the same pass, each
+    network's Q one bincount over its ``q_slots`` (``union.q_slots``) from
+    its own slice of the terms.
     Every sum adds in ascending row order, so they equal the sparse
     ``J.T @ r`` and ``J.T @ J + eps*I`` bit for bit, and every value equals
     that of the network evaluated alone.  ``eps`` must be positive and
@@ -238,15 +243,11 @@ def linearize_regions(union: NetworkUnion, states, eps: float,
     g = np.bincount(pat.indices, weights=jr, minlength=union.n_free)
     del jr
     lins = []
-    row = free = nnz = term = 0
-    for net in union.nets:
-        ends = (row + 2 * net.n_core, free + net.n_free, nnz + len(net.jac_pattern.indices),
-                term + len(net.jac_pattern.i))
+    for (rows, free, nnz, terms), (pairs, gram), slots in zip(
+            union.slices, union.grams, union.q_slots if q else itertools.repeat(None)):
         lins.append(RegionLinearization(
-            r=r[row:ends[0]], jac=None, g=g[free:ends[1]],
-            hess=_gram(net, vals[nnz:ends[2]], eps), eps=eps, pattern=net.jtj_pattern,
-            q=_curvature(net, *(w[term:ends[3]] for w in weights)) if q else None))
-        row, free, nnz, term = ends
+            r=r[rows], jac=None, g=g[free], hess=_gram(pairs, gram, vals[nnz], eps), eps=eps,
+            pattern=gram, q=_curvature(slots, gram, *(w[terms] for w in weights)) if q else None))
     return lins
 
 
@@ -267,24 +268,23 @@ def _curvature_weights(net, r: np.ndarray, terms):
     return w_p * tc + w_q * td, vk * b, vi * b, w_p * c + w_q * d
 
 
-def _curvature(net: NetworkModel, a, kb, ib, e) -> np.ndarray:
-    """Q's values on ``net.jtj_pattern`` from the curvature weights of the
-    network's terms: minus each term's 4x4 block, listed row by row as
-    ``net.q_slots`` expects, added once into the pattern."""
+def _curvature(slots: np.ndarray, gram: GramPattern, a, kb, ib, e) -> np.ndarray:
+    """Q's values on a network's B pattern ``gram`` from the curvature
+    weights of its terms: minus each term's 4x4 block, listed row by row as
+    the network's ``q_slots`` expect, added once into the pattern."""
     zero = np.zeros(len(a))
     vals = np.concatenate([a, -a, kb, ib,
                            -a, a, -kb, -ib,
                            kb, -kb, zero, -e,
                            ib, -ib, -e, zero])
     # the spare last bin collects the entries on fixed columns
-    return np.bincount(net.q_slots, weights=vals, minlength=len(net.jtj_pattern.indices) + 1)[:-1]
+    return np.bincount(slots, weights=vals, minlength=len(gram.indices) + 1)[:-1]
 
 
-def _gram(net: NetworkModel, vals: np.ndarray, eps: float) -> np.ndarray:
-    """B = J'J + eps*I's values on ``net.jtj_pattern`` from the network's
-    Jacobian values, one network's products at a time."""
-    a, b = net.jtj_pairs
-    gram = net.jtj_pattern
+def _gram(pairs, gram: GramPattern, vals: np.ndarray, eps: float) -> np.ndarray:
+    """B = J'J + eps*I's values on a network's B pattern ``gram`` from its
+    ``jtj_pairs`` and Jacobian values, one network's products at a time."""
+    a, b = pairs
     products = vals[a]
     products *= vals[b]
     data = np.bincount(gram.slot, weights=products, minlength=len(gram.indices))

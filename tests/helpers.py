@@ -43,6 +43,91 @@ def dense_admittance_pu(case: RawCase) -> np.ndarray:
     return y
 
 
+def scalar_ybus(case: RawCase) -> sp.csr_matrix:
+    """Y in per-unit as a CSR matrix, assembled one branch at a time in
+    Python ``complex`` arithmetic (standard pi model), the listing summed by
+    SciPy's COO to CSR conversion: each in-service branch's (f, f), (f, t),
+    (t, f), (t, t) entries in turn, then every bus's shunt on the diagonal."""
+    buses = sorted(case.buses, key=lambda b: b.id)
+    pos = {b.id: i for i, b in enumerate(buses)}
+    rows, cols, vals = [], [], []
+    for br in case.branches:
+        if not br.in_service:
+            continue
+        f, t = pos[br.from_bus], pos[br.to_bus]
+        tap = br.tap_ratio if br.tap_ratio != 0.0 else 1.0
+        shift = math.radians(br.phase_shift)
+        ys = 1.0 / complex(br.r, br.x)
+        ysh = 0.5j * br.total_line_charging_b
+        a = tap * complex(math.cos(shift), math.sin(shift))
+        rows += [f, f, t, t]
+        cols += [f, t, f, t]
+        vals += [(ys + ysh) / (tap * tap), -ys / a.conjugate(), -ys / a, ys + ysh]
+    n = len(buses)
+    rows += range(n)
+    cols += range(n)
+    vals += [complex(b.shunt_g / case.base_mva, b.shunt_b / case.base_mva) for b in buses]
+    y = sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex).tocsr()
+    y.sum_duplicates()
+    return y
+
+
+def gram_maps_alone(pat, n: int):
+    """A network's ``jtj_pairs`` and B pattern ``(slot, diag, indices,
+    indptr, cols)`` from its Jacobian pattern alone: every pair of nonzeros
+    in each row, row by row, and the sorted flat keys ``col_a * n + col_b``
+    of their products and of the diagonal, by ``np.unique``."""
+    a, b = [], []
+    for row in range(len(pat.indptr) - 1):
+        nz = np.arange(pat.indptr[row], pat.indptr[row + 1])
+        a.append(np.repeat(nz, len(nz)))
+        b.append(np.tile(nz, len(nz)))
+    a = np.concatenate(a + [np.zeros(0, dtype=np.int64)])
+    b = np.concatenate(b + [np.zeros(0, dtype=np.int64)])
+    target = pat.indices[a] * n + pat.indices[b]
+    uniq, slot = np.unique(np.concatenate([target, np.arange(n) * (n + 1)]), return_inverse=True)
+    cols = uniq // n
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
+    return (a, b), (slot[:len(target)], slot[len(target):], (uniq % n).astype(np.int32),
+                    indptr.astype(np.int32), cols)
+
+
+def q_slots_alone(pat, gram_cols, gram_indices, n: int) -> np.ndarray:
+    """Position in a network's B pattern of each entry (j1, j2) of every
+    term's 4x4 curvature block, entry-major, searched among its sorted
+    flat keys ``col * n + row``; the spare bin for an entry on a fixed
+    column."""
+    cols = pat.cols.T
+    r, c = cols[:, None, :], cols[None, :, :]
+    free = (r >= 0) & (c >= 0)
+    keys = gram_cols * n + gram_indices
+    pos = np.searchsorted(keys, np.where(free, c * n + r, 0))
+    return np.where(free, pos, len(keys)).ravel()
+
+
+def union_pattern_alone(nets):
+    """The Jacobian pattern arrays of the networks side by side, each
+    network's own pattern shifted: (slot, rows, indices, indptr, cols, i,
+    k, g, b), the union listing each of the ten value blocks (eight of
+    term derivatives, then the core buses' p and q injections) of every
+    network in turn, a value on a fixed column in the union's spare bin."""
+    pats = [net.jac_pattern for net in nets]
+    off = lambda sizes: np.concatenate([[0], np.cumsum(sizes)])
+    bus, rows = off([n.n_bus for n in nets]), off([2 * n.n_core for n in nets])
+    free, jac = off([n.n_free for n in nets]), off([len(p.indices) for p in pats])
+    blocks = [np.split(np.where(p.slot < len(p.indices), p.slot + j, jac[-1]),
+                       np.cumsum([len(p.i)] * 8 + [net.n_core]))
+              for net, p, j in zip(nets, pats, jac)]
+    return (np.concatenate([blk[i] for i in range(10) for blk in blocks]),
+            np.concatenate([p.rows + r for p, r in zip(pats, rows)]),
+            np.concatenate([p.indices + f for p, f in zip(pats, free)]),
+            np.append(np.concatenate([p.indptr[:-1] + j for p, j in zip(pats, jac)]), jac[-1]),
+            np.concatenate([np.where(p.cols >= 0, p.cols + f, -1) for p, f in zip(pats, free)]),
+            np.concatenate([p.i + o for p, o in zip(pats, bus)]),
+            np.concatenate([p.k + o for p, o in zip(pats, bus)]),
+            np.concatenate([p.g for p in pats]), np.concatenate([p.b for p in pats]))
+
+
 def complex_power_residual(net: NetworkModel, s: StateVector) -> np.ndarray:
     """Residual via S = diag(V) conj(Y V), interleaved (p, q) per core bus."""
     v = s.vm * np.exp(1j * s.theta)

@@ -636,6 +636,30 @@ def test_non_finite_step_ends_breakdown_with_last_valid_iterate(cases, bad):
     assert lams == ["lam"]
 
 
+def test_non_finite_step_in_a_later_region_shows_in_the_record(cases):
+    # a NaN step in the second of two regions, after a finite one in the
+    # first, is the record's dchi_inf: Python's max(0.1, nan) is 0.1
+    from hdpf.driver import _iterate
+    from hdpf.network import NetworkUnion, flat_start
+    from hdpf.residual import linearize_regions
+    from hdpf.trace import STATUS_BREAKDOWN
+
+    nets = [build_network(cases["case14"]), build_network(cases["case9"])]
+    union = NetworkUnion(nets)
+
+    def step(lins, chis):
+        new = [chi - np.linalg.solve(dense_b(lin), lin.g) for lin, chi in zip(lins, chis)]
+        new[1] = np.full_like(chis[1], np.nan)
+        return new, ["lam"] * 2, {"primal_residual": 0.0}
+
+    states, _, records, status = _iterate(
+        [flat_start(net) for net in nets], ["lam0"] * 2, SolverConfig(), step,
+        lambda states, eps: linearize_regions(union, states, eps))
+    assert status == STATUS_BREAKDOWN
+    assert len(records) == 1 and math.isnan(records[0].dchi_inf)
+    assert all(np.array_equal(s.free(), flat_start(net).free()) for s, net in zip(states, nets))
+
+
 def _count_evaluations(monkeypatch):
     """Spy the regions' evaluation, one call for every region, and the
     reference's; evaluations per network."""

@@ -1,5 +1,7 @@
 import glob
 import math
+import os
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +23,13 @@ from hdpf import (
 from hdpf.residual import residual
 
 from conftest import fixture_path
-from helpers import dense_admittance_pu
+from helpers import (
+    dense_admittance_pu,
+    gram_maps_alone,
+    q_slots_alone,
+    scalar_ybus,
+    union_pattern_alone,
+)
 
 SINGLE_LINE = """
 mpc.baseMVA = 100;
@@ -324,3 +332,182 @@ def test_in_place_edit_of_a_copy_changes_only_the_copy(cases, problems):
         assert np.array_equal(moved.free()[s.net.col[1, free_v]], s.vm[free_v] + 1e-4)
         assert not np.array_equal(moved.free(), before)
         assert np.array_equal(s.free(), before)
+
+
+# --- admittance bytes and per-problem index maps --------------------------------
+
+
+def _same_bytes(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_ybus(y, oracle) -> bool:
+    return all(_same_bytes(getattr(y, f), getattr(oracle, f)) for f in ("data", "indices", "indptr"))
+
+
+def _bench_problems():
+    """(name, manifest, cases) of the benchmark's generated grid-8x8 and
+    pair-808 at seed 1, built by ``bench/workloads.py``."""
+    bench = os.path.join(os.path.dirname(__file__), "..", "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    root = os.path.join(bench, "..")
+    return [(name, *workloads.load_source(workloads.WORKLOADS[name](root, 1)))
+            for name in ("grid-8x8", "pair-808")]
+
+
+def _all_problems():
+    from hdpf import load_manifest
+
+    return ([(os.path.basename(p), *load_manifest(p))
+             for p in sorted(glob.glob(fixture_path("*.manifest")))] + _bench_problems())
+
+
+def _region_cases(monkeypatch, manifest, raws):
+    """The problem partition builds, and each region's case, as build_network got it."""
+    import hdpf.network
+    from hdpf import partition
+
+    seen, real = [], hdpf.network.build_network
+    monkeypatch.setattr(hdpf.network, "build_network", lambda case: seen.append(case) or real(case))
+    p = partition(manifest, raws)
+    monkeypatch.setattr(hdpf.network, "build_network", real)
+    return p, seen
+
+
+def test_ybus_byte_identical_to_scalar_complex_oracle(monkeypatch):
+    # every shipped case file, every manifest's merged case and regions,
+    # and the benchmark's generated problems, signed zeros included
+    for path in glob.glob(fixture_path("*.m")):
+        case = parse_case_file(path)
+        if any(b.type == BusType.SLACK for b in case.buses):
+            assert _same_ybus(build_network(case).ybus, scalar_ybus(case)), path
+    for name, manifest, raws in _all_problems():
+        p, region_cases = _region_cases(monkeypatch, manifest, raws)
+        assert _same_ybus(p.merged_net.ybus, scalar_ybus(p.merged_case)), name
+        assert len(region_cases) == len(p.regions), name
+        for reg, case in zip(p.regions, region_cases):
+            assert _same_ybus(reg.net.ybus, scalar_ybus(case)), (name, reg.index)
+
+
+def test_ybus_byte_identical_with_shifters_taps_and_charging():
+    # one branch for each combination of signed and zero impedances, line
+    # charging of either sign or none, taps of 0 (read as 1), off-nominal
+    # or negative, and phase shifts of either sign, zero and -0.0 among
+    # them, each alone between two buses whose -0.0 shunts keep a signed
+    # zero in the sums; then all of them in one chain, with out-of-service
+    # branches and bus shunts
+    import itertools
+
+    impedances = [(0.0, 0.1), (-0.0, 0.1), (0.0, -0.1), (0.05, 0.0), (0.05, -0.0),
+                  (-0.05, 0.0), (-0.05, -0.0), (-0.05, 0.1), (0.05, 0.1)]
+    combos = list(itertools.product(impedances, (0.0, -0.0, 0.02, -0.02), (0.0, 1.0, 0.95, -1.1),
+                                    (0.0, -0.0, 30.0, -30.0, 180.0, 90.0)))
+    signed = set()
+    for (r, x), b, tap, shift in combos:
+        case = RawCase(100.0, (RawBus(1, BusType.SLACK, shunt_g=-0.0, shunt_b=-0.0),
+                               RawBus(2, BusType.PQ, shunt_g=-0.0, shunt_b=-0.0)),
+                       (RawGen(1),), (RawBranch(1, 2, r, x, b, tap, shift),))
+        y = build_network(case).ybus
+        assert _same_ybus(y, scalar_ybus(case)), (r, x, b, tap, shift)
+        signed.update(np.signbit(v[v == 0.0]).any() for v in (y.data.real, y.data.imag))
+    assert signed == {True, False}
+    n = len(combos) + 1
+    buses = (RawBus(1, BusType.SLACK),) + tuple(
+        RawBus(i, BusType.PQ, shunt_g=0.5 * (i % 3), shunt_b=-1.5 * (i % 2)) for i in range(2, n + 1))
+    branches = tuple(RawBranch(i + 1, i + 2, r, x, b, tap, shift)
+                     for i, ((r, x), b, tap, shift) in enumerate(combos))
+    branches += (RawBranch(1, 3, 0.3, 0.1, in_service=False), RawBranch(2, 9, 0.0, 0.0, in_service=False))
+    case = RawCase(100.0, buses, (RawGen(1),), branches)
+    assert _same_ybus(build_network(case).ybus, scalar_ybus(case))
+
+
+@pytest.mark.parametrize("r, x", [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)])
+def test_ybus_of_a_nan_impedance_matches_the_scalar_oracle(r, x):
+    # Python's complex division gives NaN for a NaN divisor, even one with
+    # a zero part, and raises nothing
+    case = RawCase(100.0, (RawBus(1, BusType.SLACK), RawBus(2, BusType.PQ)), (RawGen(1),),
+                   (RawBranch(1, 2, r, x),))
+    y, oracle = build_network(case).ybus, scalar_ybus(case)
+    assert np.array_equal(y.indices, oracle.indices) and np.array_equal(y.indptr, oracle.indptr)
+    assert np.array_equal(y.data, oracle.data, equal_nan=True) and np.isnan(y.data).any()
+
+
+def test_per_problem_maps_equal_each_network_alone(monkeypatch):
+    # the union's Jacobian pattern equals the regions' own ones side by
+    # side; each region's pairs, B pattern and q_slots, built for every
+    # region at once, equal those of the region alone; and each split's
+    # maps, on the dense and on the sparse path, equal a split on the B
+    # pattern built alone; B's keys are ranked by a mark in some regions
+    # and by a sort in others
+    import hdpf.condense
+    from hdpf import partition
+    from hdpf.condense import BlockSplit
+    from hdpf.network import GramPattern, NetworkUnion
+
+    ranks = set()
+    for name, manifest, raws in _all_problems():
+        p = partition(manifest, raws)
+        union = p.union
+        assert len(union.nets) == len(p.regions)
+        # a second partition's regions, whose maps are built network by network
+        alone = partition(manifest, raws)
+        pat = union.jac_pattern
+        fields = ("slot", "rows", "indices", "indptr", "cols", "i", "k", "g", "b")
+        for field, want in zip(fields, union_pattern_alone([r.net for r in alone.regions])):
+            assert _same_bytes(getattr(pat, field), want), (name, field)
+        for reg, other, q in zip(p.regions, alone.regions, union.q_slots):
+            net, own = reg.net, other.net
+            # a union of several never builds a region's own pattern
+            assert ("jac_pattern" in net.__dict__) == (len(p.regions) == 1), name
+            pairs, gram = gram_maps_alone(own.jac_pattern, own.n_free)
+            assert all(_same_bytes(x, y) for x, y in zip(net.jtj_pairs, pairs)), name
+            for field, want in zip(("slot", "diag", "indices", "indptr", "cols"), gram):
+                assert _same_bytes(getattr(net.jtj_pattern, field), want), (name, field)
+            assert q is net.q_slots
+            assert _same_bytes(q, q_slots_alone(own.jac_pattern, gram[4], gram[2], own.n_free))
+            ranks.add(own.n_free ** 2 <= 8 * (len(pairs[0]) + own.n_free))
+            for limit in (0, 10**9):
+                monkeypatch.setattr(hdpf.condense, "SPARSE_MIN_FREE", limit)
+                split = BlockSplit(net.jtj_pattern, net.n_free, reg.coupling_free_cols)
+                oracle = BlockSplit(GramPattern(*gram), own.n_free, other.coupling_free_cols)
+                assert split.dense == oracle.dense == (limit > 0)
+                for field in ("x_cols", "y_cols", "local", "src", "flat"):
+                    assert _same_bytes(getattr(split, field), getattr(oracle, field)), name
+                if not split.dense:
+                    for field in ("indices", "indptr", "_at"):
+                        assert _same_bytes(getattr(split.byy, field), getattr(oracle.byy, field))
+        # a union of one takes its network's own maps
+        one = NetworkUnion((alone.regions[0].net,))
+        assert one.jac_pattern is alone.regions[0].net.jac_pattern
+    assert ranks == {True, False}
+
+
+def test_cold_solve_builds_the_maps_once_for_the_union(problems, monkeypatch):
+    # a first solve builds the Jacobian pattern, the Gram maps and (when
+    # diagnosed) the q_slots once, for the regions' union, never region by
+    # region; a second solve builds nothing
+    import hdpf.network
+    from hdpf import SolverConfig, load_manifest, partition, solve
+
+    counts: dict[str, int] = {}
+    for name in ("_jac_pattern", "_gram_maps", "_q_slots"):
+        real = getattr(hdpf.network, name)
+
+        def spy(*args, _name=name, _real=real):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(hdpf.network, name, spy)
+    for manifest in ("case53.manifest", "case404.manifest"):
+        p = partition(*load_manifest(fixture_path(manifest)))
+        for cfg, built in ((SolverConfig(), {"_jac_pattern": 1, "_gram_maps": 1}),
+                           (SolverConfig(diagnose=True), {"_q_slots": 1}),
+                           (SolverConfig(diagnose=True), {})):
+            counts.clear()
+            _, _, trace = solve(p, cfg)
+            assert trace.converged and counts == built, (manifest, counts)
+        assert all("jac_pattern" not in r.net.__dict__ for r in p.regions), manifest
