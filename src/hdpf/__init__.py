@@ -31,8 +31,9 @@ from .comm import CommLedger, run_distributed
 from .condense import (
     CondensedQP,
     FactorizationError,
+    StackedQP,
     condense_region,
-    recover_local,
+    recover,
 )
 from .consensus import (
     ConsensusSolution,

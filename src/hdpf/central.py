@@ -41,9 +41,9 @@ def central_solve(net: NetworkModel,
     """
     if cfg is None:
         cfg = SolverConfig(tol_residual=TOL_REFERENCE)
-    (s,), _, records, status = _iterate(
-        [flat_start(net)], None, cfg, _full_space_step,
-        lambda states, eps: [_sparse_linearize(net, states[0], eps)])
+    s, _, records, status = _iterate(
+        flat_start(net), None, cfg, _full_space_step,
+        lambda state, eps: [_sparse_linearize(net, state, eps)])
     return s, SolveTrace(records=records, status=status)
 
 
@@ -60,7 +60,7 @@ def _sparse_linearize(net: NetworkModel, s: StateVector, eps: float) -> RegionLi
     return RegionLinearization(r=r, jac=None, g=g, hess=hess, eps=eps)
 
 
-def _full_space_step(lins, chis):
+def _full_space_step(lins, chi):
     """chi+ = chi - B^-1 g with B = J'J + eps*I, by one sparse LU
     factorization of the whole matrix: no condensation, no consensus.
 
@@ -69,12 +69,12 @@ def _full_space_step(lins, chis):
     of the returned state near machine precision.  B is dropped from
     ``lin`` once factored.
     """
-    (lin,), (chi,) = lins, chis
+    (lin,) = lins
     if len(chi) == 0:
-        return [chi.copy()], None, {"primal_residual": 0.0}
+        return chi.copy(), None, {"primal_residual": 0.0}
     lu = _sym_splu(lin.hess, "full-space Gauss-Newton matrix")
     lin.hess = None  # factored: free B before the next iterate's is formed
-    return [chi - lu.solve(lin.g)], None, {"primal_residual": 0.0}
+    return chi - lu.solve(lin.g), None, {"primal_residual": 0.0}
 
 
 def dense_kkt_solve(b_bars: list[np.ndarray], g_bars: list[np.ndarray],

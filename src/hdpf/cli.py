@@ -143,15 +143,16 @@ def _cmd_check(args) -> int:
 
         # the solver's first step from a flat start
         eps = SolverConfig().eps
-        states = [flat_start(r.net) for r in prob.regions]
-        lins = linearize_regions(prob.union, states, eps)
-        cqps, sol, chi_next = consensus_step(prob, lins, [s.free() for s in states])
+        state = flat_start(prob.union)
+        lins = linearize_regions(prob.union, state, eps)
+        stack, sol, chi_next = consensus_step(prob, lins, state.free())
+        cqps = stack.regions
         m = averaging_projector(cqps, prob.regions, n_z)
         idem = float(np.max(np.abs(m @ m - m)))
         print(f"averaging projector idempotence |M^2-M|_inf = {idem:.3e}")
         ok &= idem <= 1e-8
 
-        kkt = verify_kkt(cqps, prob.regions, sol, chi_next)
+        kkt = verify_kkt(cqps, prob.regions, sol, [chi_next[f] for _, f, *_ in prob.union.slices])
         scale = 1.0 + max(float(np.max(np.abs(c.g_bar))) if c.n_cpl else 0.0 for c in cqps)
         print(f"first-iteration KKT residuals: stationarity={kkt.stationarity:.3e} "
               f"dual={kkt.dual:.3e} primal={kkt.primal:.3e} (scale {scale:.3e})")

@@ -82,15 +82,17 @@ def run_distributed(p: PartitionedProblem, cfg: SolverConfig | None = None,
     ledger = CommLedger()
     iteration = itertools.count(1)
 
-    def metered_average(contributions, n_z, system):
+    def metered_average(values, payload, z_cols, system):
         k = next(iteration)
-        received = []
-        for reg, (cols, s_block, b_vec) in zip(p.regions, contributions):
-            n = len(cols)
-            buf = np.concatenate([s_block.ravel(), b_vec])
+        ends, blocks, vecs, at = p.stacking.ends, [], [], 0
+        for reg, a, b in zip(p.regions, ends, ends[1:]):
+            n = b - a
+            buf = np.concatenate([values[at:at + n * n], payload[a:b]])
             ledger.record(k, reg.index, len(buf), n)
-            received.append((cols, buf[:n * n].reshape(n, n), buf[n * n:]))
-        return weighted_average(received, n_z, system)
+            blocks.append(buf[:n * n])
+            vecs.append(buf[n * n:])
+            at += n * n
+        return weighted_average(np.concatenate(blocks), np.concatenate(vecs), z_cols, system)
 
     state, lams, trace = _solve(p, cfg, ref, metered_average)
     return state, lams, trace, ledger

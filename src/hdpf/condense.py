@@ -11,6 +11,10 @@ Every region runs this one algebra: take Byy, Byx and Bxx out of B, factor
 Byy once, solve it for the n_cpl + 1 right-hand sides [Byx, gy], and form
 b_bar (symmetrized) and g_bar = gx - w_x' gy from the solutions
 w_x = Byy^-1 Byx and w_y = Byy^-1 gy, which recovery reuses.
+The solver's iterate is one free vector for all regions, so each region
+writes its b_bar and b_bar x_k - g_bar straight into one
+:class:`StackedQP`, which the consensus pass reads as it is, and
+:func:`recover` sets every region's next free entries at once.
 
 B reaches condensation in one form: its values on the region's fixed pattern
 ``net.jtj_pattern`` (a 2-D B built by hand is read as its values on the full
@@ -60,6 +64,7 @@ lose every solve on it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +75,8 @@ from scipy.linalg import lapack
 from .network import GramPattern, csc_columns
 from .residual import RegionLinearization
 
-__all__ = ["FactorizationError", "FixedSystem", "BlockSplit", "CondensedQP", "condense_region",
-           "recover_local"]
+__all__ = ["FactorizationError", "FixedSystem", "BlockSplit", "CondensedQP", "StackedQP",
+           "condense_region", "recover"]
 
 _LOCAL_BLOCK = "local block of the regularized Gauss-Newton matrix"
 
@@ -181,7 +186,7 @@ class BlockSplit:
         self.local[self.x_cols] = False
         self.y_cols = np.flatnonzero(self.local)
         self.dense = n_free < SPARSE_MIN_FREE
-        ny, nx = len(self.y_cols), len(self.x_cols)
+        self.n_y, self.n_x = ny, nx = len(self.y_cols), len(self.x_cols)
         if pattern is None:
             cols, rows = np.divmod(np.arange(n_free * n_free), n_free)
         else:
@@ -205,7 +210,7 @@ class BlockSplit:
     def blocks(self, vals: np.ndarray):
         """(Byy, Byx, Bxx) of B's values ``vals``, the coupling blocks dense,
         and Byy dense on the dense path, else ``vals``, which :attr:`byy` lists."""
-        ny, nx = len(self.y_cols), len(self.x_cols)
+        ny, nx = self.n_y, self.n_x
         buf = np.zeros(ny * nx + nx * nx + (ny * ny if self.dense else 0))
         buf.put(self.flat, vals.take(self.src))
         byy = buf[ny * nx + nx * nx:].reshape(ny, ny) if self.dense else vals
@@ -224,7 +229,7 @@ def _cho_solve(byy: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise FactorizationError(f"{_LOCAL_BLOCK} is not positive definite: {info}-th leading "
                                  f"minor of the array is not positive definite "
                                  f"(LAPACK potrf info {info})")
-    if not len(byy):  # potrs rejects an empty factor
+    if not byy.size:  # potrs rejects an empty factor
         return rhs
     return lapack.dpotrs(factor, rhs, lower=1, overwrite_b=1)[0]
 
@@ -251,15 +256,14 @@ def condense_region(lin: RegionLinearization, cols: BlockSplit | np.ndarray,
     """Condense one region's model at the current iterate.  ``cols`` is
     the region's :class:`BlockSplit`, which keeps its maps and Byy's ordered
     system from call to call, or the coupling entries' free-vector columns,
-    split on ``lin.pattern`` (and, on the sparse path, ordered) for this call
-    alone.  A region with :data:`SPARSE_MIN_FREE` free entries or more
-    takes the sparse path."""
+    split on ``lin.pattern`` for this call alone.  A region with
+    :data:`SPARSE_MIN_FREE` free entries or more takes the sparse path."""
     split = cols if isinstance(cols, BlockSplit) else BlockSplit(lin.pattern, len(lin.g), cols)
     x_cols, y_cols = split.x_cols, split.y_cols
     # a 2-D B column by column, 1-D values as they are
     byy, byx, bxx = split.blocks(lin.hess.ravel(order="F"))
     gy = lin.g[y_cols]
-    rhs = np.empty((len(y_cols), len(x_cols) + 1), order="F")
+    rhs = np.empty((split.n_y, split.n_x + 1), order="F")
     rhs[:, :-1] = byx
     rhs[:, -1] = gy
     w = _cho_solve(byy, rhs) if split.dense else split.byy.solve(byy, rhs, spd=True)
@@ -271,23 +275,48 @@ def condense_region(lin: RegionLinearization, cols: BlockSplit | np.ndarray,
     )
 
 
-def recover_local(cqp: CondensedQP, x_target: np.ndarray, chi_free: np.ndarray) -> np.ndarray:
-    """Full-step recovery of chi+ = B^-1 (B chi - g - A^T lam) by blocks.
+class StackedQP:
+    """Regions' condensed models side by side: region l's ``regions[l]``,
+    its b_bar row by row at ``squares[l]:squares[l + 1]`` of ``b_bar`` (the
+    consensus system's value listing) and b_bar x_k - g_bar at
+    ``ends[l]:ends[l + 1]`` of ``payload``."""
+
+    def __init__(self, ends: list[int]):
+        self.ends = ends
+        self.squares = [0, *itertools.accumulate([(b - a) ** 2 for a, b in zip(ends, ends[1:])])]
+        self.b_bar, self.payload = np.empty(self.squares[-1]), np.empty(ends[-1])
+        self.regions: list[CondensedQP] = [None] * (len(ends) - 1)
+
+    @classmethod
+    def of(cls, cqps) -> StackedQP:
+        stack = cls([0, *itertools.accumulate([c.n_cpl for c in cqps])])
+        for l, c in enumerate(cqps):
+            stack.put(l, c)
+        return stack
+
+    def put(self, l: int, cqp: CondensedQP):
+        """Set region l's model, its b_bar and its payload."""
+        self.regions[l] = cqp
+        self.b_bar[self.squares[l]:self.squares[l + 1]] = cqp.b_bar.ravel()
+        self.payload[self.ends[l]:self.ends[l + 1]] = cqp.b_bar @ cqp.x_k - cqp.g_bar
+
+
+def recover(stack: StackedQP, chi: np.ndarray, x_target: np.ndarray, x_at, y_at) -> np.ndarray:
+    """Full-step recovery of chi+ = B^-1 (B chi - g - A^T lam) by blocks for
+    every region of ``stack``; ``chi`` holds their free vectors side by side,
+    their coupling entries at ``x_at`` and their local ones at ``y_at``.
 
     The one-pass optimality identity makes the coupling block of that solve
     equal to the consensus values E zbar, so the coupling entries are set to
-    ``x_target`` directly; routing them through the condensed block's
-    factorization instead would amplify rounding by the reciprocal of the
-    regularization (the region's own model is flat along copy-bus
-    directions).  The hidden entries take the step form of the same SPD
-    system's local block,
-
-        y+ = y - Byy^-1 (gy + Byx (x_target - x_k)) = y - (w_y + w_x (x_target - x_k)),
-
-    one product with the solutions condensation kept, through the
-    well-conditioned local block alone.
+    ``x_target`` directly, not through the condensed block's factorization,
+    which would amplify rounding by the reciprocal of the regularization.
+    The hidden entries take the step form of the same SPD system's local
+    block, y+ = y - Byy^-1 (gy + Byx (x_target - x_k)) = y - (w_y + w_x
+    (x_target - x_k)), one product per region with condensation's solutions.
     """
-    out = np.empty_like(chi_free)
-    out[cqp.x_cols] = x_target
-    out[cqp.y_cols] = chi_free[cqp.y_cols] - (cqp.w_y + cqp.w_x @ (x_target - cqp.x_k))
+    out = np.empty_like(chi)
+    out[x_at] = x_target
+    ends = stack.ends
+    out[y_at] = chi[y_at] - np.concatenate([c.w_y + c.w_x @ (x_target[a:b] - c.x_k)
+                                            for c, a, b in zip(stack.regions, ends, ends[1:])])
     return out

@@ -21,11 +21,13 @@ model is flat in.  From the payloads the coordinator solves
 
 and each region sets lam_l = (Bbar_l x_l^k - gbar_l) - Bbar_l E_l zbar.
 
-The weighted average is the only cross-region computation.  S is summed on
-its fixed pattern, the regions' z-column blocks, by one
-:class:`~hdpf.condense.FixedSystem` per problem (:func:`consensus_system`),
-which orders it on the first solve and keeps the order; contributions are
-accumulated in region order so repeated runs are bit-identical.
+The weighted average is the only cross-region computation.  It reads the
+payloads stacked (:class:`~hdpf.condense.StackedQP`), every Bbar_l in S's
+value listing.  S is summed on its fixed pattern, the regions' z-column
+blocks, by one :class:`~hdpf.condense.FixedSystem` per problem
+(:func:`consensus_system`), which orders it on the first solve and keeps
+the order; contributions are accumulated in region order so repeated runs
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .condense import CondensedQP, FactorizationError, FixedSystem
+from .condense import CondensedQP, FactorizationError, FixedSystem, StackedQP
 
 if TYPE_CHECKING:
     from .partition import RegionStructure
@@ -79,28 +81,19 @@ def consensus_system(z_cols, n_z: int) -> FixedSystem:
                        "consensus system")
 
 
-def weighted_average(contributions, n_z: int, system: FixedSystem | None = None) -> np.ndarray:
-    """Solve for the consensus vector from per-region payloads.
-
-    Each payload is ``(cols, block, vec)``: the region's z columns, the
-    ``Bbar`` block on them and ``Bbar x^k - gbar``, in region order.  The
-    system ``S = sum E' Bbar E`` is summed, sparse, on the fixed pattern of
-    ``system`` (a problem's :func:`consensus_system` for the payloads'
-    columns, kept from call to call, which orders S on its first solve; one
-    is built from them for this call alone when none is given) and factored
-    by SuperLU with the symmetric settings in its fill-reducing order.  Each
-    entry of S and of the right-hand side is summed over the regions in
-    region order, whatever the order of a region's columns.
+def weighted_average(values: np.ndarray, payload: np.ndarray, z_cols: np.ndarray,
+                     system: FixedSystem) -> np.ndarray:
+    """The consensus vector from the regions' stacked payloads: ``values``,
+    every ``Bbar`` on the region's z columns row by row, and ``payload``,
+    every ``Bbar x^k - gbar``, entry i at z column ``z_cols[i]``.
+    ``S = sum E' Bbar E`` is summed on the fixed pattern of ``system``, the
+    regions' :func:`consensus_system`, and factored by SuperLU; each entry
+    of S and of the right-hand side is summed in region order.
     """
-    if n_z == 0:
+    if system.n == 0:
         return np.zeros(0)
-    if system is None:
-        system = consensus_system([cols for cols, _, _ in contributions], n_z)
-    b = np.zeros(n_z)
-    for cols, _, vec in contributions:
-        b[cols] += vec
     try:
-        return system.solve(np.concatenate([block.ravel() for _, block, _ in contributions]), b)
+        return system.solve(values, np.bincount(z_cols, weights=payload, minlength=system.n))
     except FactorizationError as exc:
         raise FactorizationError(
             "consensus system is singular; some consensus column is untouched "
@@ -108,21 +101,26 @@ def weighted_average(contributions, n_z: int, system: FixedSystem | None = None)
         ) from exc
 
 
-def consensus_pass(cqps: list[CondensedQP], regions: list[RegionStructure],
-                   n_z: int, average=weighted_average) -> ConsensusSolution:
-    """One full sweep: the regions' payloads, the coordinator's average and
-    the multipliers.
+def consensus_pass(cqps: StackedQP | list[CondensedQP], regions: list[RegionStructure],
+                   n_z: int, average=weighted_average,
+                   system: FixedSystem | None = None) -> ConsensusSolution:
+    """One full sweep: the coordinator's average of the payloads of the
+    condensed models ``cqps`` (a :class:`StackedQP`, or a list stacked for
+    this call), then every multiplier, each region's a slice of one vector.
 
-    ``average(contributions, n_z)`` is the coordinator's step: it receives
-    the payloads ``(z_cols, Bbar, Bbar x^k - gbar)`` in region order and
-    returns zbar.  :func:`weighted_average` computes it directly;
-    :func:`hdpf.comm.run_distributed` passes one that carries the payloads
-    as metered buffers.
+    ``average`` is the coordinator's step, with the contract of
+    :func:`weighted_average`; :func:`hdpf.comm.run_distributed` passes one
+    that carries each region's payload as a metered buffer.  ``system`` is
+    the regions' :func:`consensus_system`, built for this call if not given.
     """
-    contribs = [(r.z_cols, c.b_bar, c.b_bar @ c.x_k - c.g_bar) for c, r in zip(cqps, regions)]
-    z_bar = average(contribs, n_z)
-    lams = [v - c.b_bar @ z_bar[cols] for c, (cols, _, v) in zip(cqps, contribs)]
-    return ConsensusSolution(z_bar=z_bar, lam=lams)
+    stack = cqps if isinstance(cqps, StackedQP) else StackedQP.of(cqps)
+    z_cols = np.concatenate([r.z_cols for r in regions])
+    system = system or consensus_system([r.z_cols for r in regions], n_z)
+    z_bar = average(stack.b_bar, stack.payload, z_cols, system)
+    ends, zx = stack.ends, z_bar[z_cols]
+    lam = stack.payload - np.concatenate([c.b_bar @ zx[a:b]
+                                          for c, a, b in zip(stack.regions, ends, ends[1:])])
+    return ConsensusSolution(z_bar=z_bar, lam=[lam[a:b] for a, b in zip(ends, ends[1:])])
 
 
 def _inf(v: np.ndarray) -> float:

@@ -1,11 +1,14 @@
 """The outer iteration, written once, and the distributed solve built on it.
 
-Every solver in the package runs the same loop, which evaluates each
-iterate exactly once, right where it is made: linearize every network at
-the start; then stop when the residual 2-norm is at most ``tol_residual``,
-take a step, linearize at the new iterate, and stop when the step's
-infinity norm is at most ``tol_step``.  Only the step differs.
-:func:`solve` condenses each region onto its coupling variables, makes one
+Every solver in the package runs the same loop on one state, which
+evaluates each iterate exactly once, right where it is made: linearize
+every network at the start; then stop when the residual 2-norm is at most
+``tol_residual``, take a step, linearize at the new iterate, and stop when
+the step's infinity norm is at most ``tol_step``.  Only the step differs.
+:func:`solve`'s iterate is one state of the regions' union, every region's
+free vector side by side, so its step, gaps and stitching are one
+operation each for all regions; only the condensation runs region by
+region.  It condenses each region onto its coupling variables, makes one
 consensus pass and recovers; :func:`hdpf.comm.run_distributed` runs the
 same step and pass with the coordinator's average carried by float
 buffers; and :func:`hdpf.central.central_solve` linearizes the merged
@@ -31,7 +34,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .condense import FactorizationError, condense_region, recover_local
+from .condense import FactorizationError, StackedQP, condense_region, recover
 from .consensus import consensus_pass, weighted_average
 from .network import ModelError, StateVector, flat_start
 from .partition import PartitionedProblem
@@ -66,6 +69,8 @@ class SolverConfig:
             raise ValueError("max_iter must be an integer")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if not isinstance(self.diagnose, (bool, np.bool_)):  # "no" and 2 are true too
+            raise ValueError("diagnose must be a bool")
 
 
 def comm_floats_per_iteration(p: PartitionedProblem) -> int:
@@ -73,39 +78,30 @@ def comm_floats_per_iteration(p: PartitionedProblem) -> int:
     return sum(r.n_cpl * r.n_cpl + 2 * r.n_cpl for r in p.regions)
 
 
-def stitch_state(p: PartitionedProblem, states: list[StateVector]) -> StateVector:
-    """Assemble the merged-case state from the regions' states: each
-    region's core (non-copy) buses, all four rows, at their merged positions."""
-    x = np.empty((4, p.merged_net.n_bus))
-    for reg, st in zip(p.regions, states):
-        core = ~reg.net.is_copy
-        x[:, reg.merged_ids[core] - 1] = st.x[:, core]
-    return StateVector(p.merged_net, *x)
+def stitch_state(p: PartitionedProblem, state: StateVector) -> StateVector:
+    """The merged-case state of the regions' union state: each merged bus
+    takes all four rows of its home region's core bus."""
+    return StateVector(p.merged_net, *state.x[:, p.stacking.home])
 
 
-def consensus_step(p: PartitionedProblem, lins, chis, average=weighted_average):
-    """One step of the distributed solver, from every region's linearization
-    and free vector: each region condenses its model onto its coupling
-    variables, one :func:`consensus_pass` through ``average`` on the
-    problem's :attr:`~hdpf.partition.PartitionedProblem.consensus` system
-    resolves the consensus, and each region recovers its step from its consensus values
-    ``E_l zbar``.  Returns the condensed models, the consensus solution and
-    the new free vectors, in region order.  Each region's B (``lin.hess``)
-    is set to None as soon as the region has condensed it, so no B outlives
-    its condensation.
-
-    The three functions are read from this module at call time, so a
-    wrapper set on its attribute (as bench/layers.py sets) sees every call.
+def consensus_step(p: PartitionedProblem, lins, chi, average=weighted_average):
+    """One step of the distributed solver at the union's free vector
+    ``chi``: each region condenses its model into one
+    :class:`~hdpf.condense.StackedQP` and drops its B (``lin.hess``), one
+    :func:`consensus_pass` through ``average`` on the problem's consensus
+    system resolves the consensus, and :func:`~hdpf.condense.recover` sets
+    every region's step from ``E_l zbar``.  Returns the stack, the consensus
+    solution and the new free vector.  ``condense_region`` and
+    ``consensus_pass`` are read from this module at call time, so a wrapper
+    set on its attribute (as bench/layers.py sets) sees every call.
     """
-    cqps = []
-    for lin, r, chi in zip(lins, p.regions, chis):
-        cqps.append(condense_region(lin, r.split, chi))
+    at = p.stacking
+    stack = StackedQP(at.ends)
+    for l, (lin, r, (_, free, *_)) in enumerate(zip(lins, p.regions, p.union.slices)):
+        stack.put(l, condense_region(lin, r.split, chi[free]))
         lin.hess = None
-    sol = consensus_pass(cqps, p.regions, p.n_z,
-                         lambda contribs, n_z: average(contribs, n_z, p.consensus))
-    new_free = [recover_local(c, sol.z_bar[r.z_cols], chi)
-                for c, r, chi in zip(cqps, p.regions, chis)]
-    return cqps, sol, new_free
+    sol = consensus_pass(stack, p.regions, p.n_z, average, p.consensus)
+    return stack, sol, recover(stack, chi, sol.z_bar[at.z_cols], at.x_at, at.y_at)
 
 
 def _lm_error(lins) -> float:
@@ -120,11 +116,10 @@ def _lm_error(lins) -> float:
     return math.sqrt(total)
 
 
-def _exact_z(p: PartitionedProblem, lins, chi_ks) -> np.ndarray | None:
-    """The consensus values z of the full-space step built from exact
-    second derivatives, against which ``condense_gap`` measures the
-    condensed step's coupling entries.  Each region's Q (``lin.q``) is set
-    to None once it has been summed into K.
+def _exact_z(p: PartitionedProblem, lins, chi) -> np.ndarray | None:
+    """The consensus values z of the exact-Hessian full-space step at the
+    union's free vector ``chi``, against which ``condense_gap`` measures the
+    condensed step; each region's Q is set to None once summed into K.
 
     The full-space QP takes each region's diagnosed linearization with
     curvature ``H_l = hess + q``, both values on B's fixed ``pattern``,
@@ -144,15 +139,16 @@ def _exact_z(p: PartitionedProblem, lins, chi_ks) -> np.ndarray | None:
         return np.zeros(0)
     maps, system = p.exact_consensus
     values, rhs = [], np.zeros(system.n)
-    for m, reg, lin, chi in zip(maps, p.regions, lins, chi_ks):
+    # the local unknowns are steps from chi, the coupling ones values
+    chi_x = np.zeros_like(chi)
+    chi_x[p.stacking.x_at] = chi[p.stacking.x_at]
+    for m, lin, (_, free, *_) in zip(maps, lins, p.union.slices):
         gram = lin.pattern
         h = lin.hess + lin.q
         lin.q = None
-        # the local unknowns are steps from chi, the coupling ones values
-        chi_x = np.where(reg.split.local, 0.0, chi)
         values.append(h)
-        rhs[m] += np.bincount(gram.indices, weights=h * chi_x[gram.cols],
-                              minlength=len(chi)) - lin.g
+        rhs[m] += np.bincount(gram.indices, weights=h * chi_x[free][gram.cols],
+                              minlength=len(lin.g)) - lin.g
     try:
         u = system.solve(np.concatenate(values), rhs)
     except FactorizationError:
@@ -160,114 +156,106 @@ def _exact_z(p: PartitionedProblem, lins, chi_ks) -> np.ndarray | None:
     return u[-p.n_z:] if np.all(np.isfinite(u)) else None
 
 
-def _max_abs(arrays) -> float:
-    """The largest magnitude over the arrays, 0.0 if they hold none, and NaN
-    if any entry is NaN (``np.max`` propagates it; Python's ``max(0.1, nan)``
-    is 0.1)."""
-    return float(np.max([np.max(np.abs(a), initial=0.0) for a in arrays], initial=0.0))
-
-
-def _iterate(states: list[StateVector], lams, cfg: SolverConfig, step, evaluate_fn,
+def _iterate(state: StateVector, lams, cfg: SolverConfig, step, evaluate_fn,
              comm_floats: int = 0, extras=None):
     """The outer iteration shared by every solver; it evaluates each iterate
     once, where it is made, so every iterate it returns has been evaluated.
 
-    ``evaluate_fn(states, eps)`` linearizes every network at its state, in
-    order, in one call, and raises :class:`ModelError` on an iterate it
-    cannot evaluate.  ``step(lins, chis)`` maps the linearizations and free
-    vectors of the current iterate to the next free vectors, their
-    multipliers and the step's record fields (``primal_residual`` and any
-    it measures); it may raise :class:`FactorizationError`.
-    ``extras(new_states, new_lins)`` returns the new iterate's optional
-    record fields, with ``new_lins`` None when it could not be evaluated.
-    Record k's ``wall_ns`` covers step k and the evaluation of the iterate
-    it made.  Returns the final states and multipliers, the records and the
-    status.
+    The iterate is one state, the merged network's or the regions' union's.
+    ``evaluate_fn(state, eps)`` linearizes every network at it, in order,
+    in one call, and raises :class:`ModelError` on an iterate it cannot
+    evaluate.  ``step(lins, chi)`` maps the linearizations and free vector
+    of the current iterate to the next free vector, its multipliers and the
+    step's record fields (``primal_residual`` and any it measures); it may
+    raise :class:`FactorizationError`.  ``extras(new_state, new_lins)``
+    returns the new iterate's optional record fields, with ``new_lins``
+    None when it could not be evaluated.  Record k's ``wall_ns`` covers
+    step k and the evaluation of the iterate it made.  Returns the final
+    state and multipliers, the records and the status.
     """
-    def evaluate(states):
+    def evaluate(state):
         try:
-            return evaluate_fn(states, cfg.eps)
+            return evaluate_fn(state, cfg.eps)
         except ModelError:
             return None
 
     records: list[IterationRecord] = []
-    lins = evaluate(states)
+    lins = evaluate(state)
     if lins is None:
-        return states, lams, records, STATUS_BREAKDOWN
+        return state, lams, records, STATUS_BREAKDOWN
     for k in range(1, cfg.max_iter + 1):
         t0 = time.perf_counter_ns()
-        rss = sum(float(lin.r @ lin.r) for lin in lins)
+        rss = sum([float(lin.r @ lin.r) for lin in lins])
         r_norm2 = math.sqrt(rss)
         if r_norm2 <= cfg.tol_residual:
-            return states, lams, records, STATUS_CONVERGED
-        chis = [s.free() for s in states]
+            return state, lams, records, STATUS_CONVERGED
+        chi = state.free()
         try:
-            new_free, new_lams, step_fields = step(lins, chis)
+            new_chi, new_lams, step_fields = step(lins, chi)
         except FactorizationError:
-            return states, lams, records, STATUS_BREAKDOWN
-        dchi = _max_abs(nf - chi for nf, chi in zip(new_free, chis))
-        new_states = [s.with_free(nf) for s, nf in zip(states, new_free)]
-        new_lins = evaluate(new_states)
-        fields = extras(new_states, new_lins) if extras else {}
+            return state, lams, records, STATUS_BREAKDOWN
+        dchi = float(np.max(np.abs(new_chi - chi), initial=0.0))  # NaN if any entry is
+        new_state = state.with_free(new_chi)
+        new_lins = evaluate(new_state)
+        fields = extras(new_state, new_lins) if extras else {}
         records.append(IterationRecord(
             iter=k, f=0.5 * rss, r_norm2=r_norm2, dchi_inf=dchi, comm_floats=comm_floats,
             wall_ns=time.perf_counter_ns() - t0, **step_fields, **fields,
         ))
         if new_lins is None:
-            return states, lams, records, STATUS_BREAKDOWN
-        states, lams, lins = new_states, new_lams, new_lins
+            return state, lams, records, STATUS_BREAKDOWN
+        state, lams, lins = new_state, new_lams, new_lins
         if dchi <= cfg.tol_step:
-            return states, lams, records, STATUS_CONVERGED
-    return states, lams, records, STATUS_MAX_ITER
+            return state, lams, records, STATUS_CONVERGED
+    return state, lams, records, STATUS_MAX_ITER
 
 
 def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | None,
            average) -> tuple[StateVector, list[np.ndarray], SolveTrace]:
     """The distributed solve with the coordinator's average as a parameter.
 
-    ``average(contributions, n_z, system)`` has the contract of
-    :func:`weighted_average`: it takes the regions' consensus payloads in
-    region order and the problem's consensus system, and returns zbar.  Each iteration takes one
-    :func:`consensus_step` through ``average``.
+    ``average`` has the contract of :func:`weighted_average`: it takes the
+    regions' stacked consensus payloads and the problem's consensus system,
+    and returns zbar.  Each iteration takes one :func:`consensus_step`
+    through ``average``.
     """
     if cfg is None:
         cfg = SolverConfig()
     ref_free = ref.free() if ref is not None else None
+    at = p.stacking
 
-    def evaluate(states, eps):
-        # one pass per iterate, Q included when diagnosed; the name is read
-        # at call time, so a wrapper set on this module's attribute (as
-        # bench/layers.py sets) sees every call
-        return linearize_regions(p.union, states, eps, cfg.diagnose)
+    def evaluate(state, eps):
+        # one pass per iterate, Q included when diagnosed; the name is read at call
+        # time, so a wrapper set on this module's attribute (bench/layers.py) sees it
+        return linearize_regions(p.union, state, eps, cfg.diagnose)
 
-    def step(lins, chis):
+    def step(lins, chi):
         # K's solve reads this iterate's B and Q, so it runs before condensation frees each B
-        z_exact = _exact_z(p, lins, chis) if cfg.diagnose else None
-        _, sol, new_free = consensus_step(p, lins, chis, average)
+        z_exact = _exact_z(p, lins, chi) if cfg.diagnose else None
+        _, sol, new_chi = consensus_step(p, lins, chi, average)
+        x_new = new_chi[at.x_at]
 
         def gap(z):  # the largest gap between the new coupling entries and z's
-            return _max_abs(nf[r.coupling_free_cols] - z[r.z_cols]
-                            for r, nf in zip(p.regions, new_free))
+            return float(np.max(np.abs(x_new - z[at.z_cols]), initial=0.0))
         fields = {"primal_residual": gap(sol.z_bar)}
         if cfg.diagnose:
             fields["condense_gap"] = None if z_exact is None else gap(z_exact)
-        return new_free, sol.lam, fields
+        return new_chi, sol.lam, fields
 
-    def extras(new_states, new_lins):
+    def extras(new_state, new_lins):
         fields = {}
         # attributed to the iterate just produced, like dist_to_ref; an
         # iterate that cannot be evaluated gets none and ends the run
         if cfg.diagnose and new_lins is not None:
             fields["lm_error"] = _lm_error(new_lins)
         if ref_free is not None:
-            fields["dist_to_ref"] = float(np.max(np.abs(stitch_state(p, new_states).free() - ref_free)))
+            fields["dist_to_ref"] = float(np.max(np.abs(stitch_state(p, new_state).free() - ref_free)))
         return fields
 
-    states, lams, records, status = _iterate(
-        [flat_start(r.net) for r in p.regions], [np.zeros(r.n_cpl) for r in p.regions],
-        cfg, step, evaluate,
+    state, lams, records, status = _iterate(
+        flat_start(p.union), [np.zeros(r.n_cpl) for r in p.regions], cfg, step, evaluate,
         comm_floats_per_iteration(p), extras)
-    return stitch_state(p, states), lams, SolveTrace(records=records, status=status)
+    return stitch_state(p, state), lams, SolveTrace(records=records, status=status)
 
 
 def solve(p: PartitionedProblem, cfg: SolverConfig | None = None,

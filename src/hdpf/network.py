@@ -62,10 +62,11 @@ when it is made, and on first use every network's ``jtj_pairs`` and
 ``q_slots`` (:attr:`NetworkUnion.q_slots`), which each network keeps as its
 own.  A partitioned problem builds the union of its regions on its first
 solve, so each problem's maps are built once, in one pass over the union,
-and never region by region; the solvers evaluate every region through it
-in one pass, Q included when diagnosed.  A network used alone builds the
-same maps through its union of one; the merged network, used for
-stitching and by the sparse reference, builds only its Jacobian's pattern.
+and never region by region.  The distributed solvers' iterate is one state
+of the union, every region's table side by side, evaluated in one pass, Q
+included when diagnosed.  A network used alone builds the same maps
+through its union of one; the merged network, used for stitching and by
+the sparse reference, builds only its Jacobian's pattern.
 
 Y is assembled from arrays of the in-service branches' parameters, each
 entry by the float operations of the scalar pi-model formula in Python's
@@ -272,6 +273,7 @@ class NetworkModel:
         self.n_free = int(self.free.sum())
         self.col = np.full(self.free.shape, -1, dtype=np.int64)
         self.col[self.free] = np.arange(self.n_free)
+        self.free_at = np.flatnonzero(self.free)  # each free entry's position in x.ravel()
 
         # every state entry that exists, free or fixed: 4 per core bus, 2 per copy
         self.n_state_entries = 4 * self.n_core + 2 * int(is_copy.sum())
@@ -469,8 +471,11 @@ class NetworkUnion:
     network takes that network's.
 
     ``bounds`` holds, for each network and then for the total, its first
-    residual row, free entry, Jacobian nonzero and term in the union, and
-    ``slices`` each network's slices of those four.
+    residual row, free entry, Jacobian nonzero, term and bus in the union,
+    and ``slices`` each network's slices of those five.
+
+    Its state is one (4, n_bus) table, the networks' side by side, as are
+    ``free`` and the specified values, which :func:`flat_start` reads.
 
     Every network's Gram maps and its ``q_slots`` are built for all
     networks at once on first use (:attr:`grams`, :attr:`q_slots`), and
@@ -483,9 +488,11 @@ class NetworkUnion:
         rows = _offsets([2 * net.n_core for net in nets])
         free = _offsets([net.n_free for net in nets])
         self.n_bus, self.n_core, self.n_free = int(bus[-1]), int(rows[-1]) // 2, int(free[-1])
+        for name in ("free", "theta_spec", "v_spec", "p_spec", "q_spec"):
+            setattr(self, name, np.concatenate([getattr(net, name) for net in nets], axis=-1))
         if len(nets) == 1:
             (net,) = nets
-            self.core_idx, self.row_of_bus = net.core_idx, net.row_of_bus
+            self.core_idx, self.row_of_bus, col = net.core_idx, net.row_of_bus, net.col
             self.jac_pattern = net.jac_pattern
         else:
             def cat(arrays, shifts=None):
@@ -503,9 +510,11 @@ class NetworkUnion:
                 cat([net.y_row for net in nets], bus), cat([net.y_col for net in nets], bus),
                 cat(net.g_val for net in nets), cat(net.b_val for net in nets),
                 self.row_of_bus, col, self.core_idx, self.n_free)
+        self.free_at = np.empty(self.n_free, dtype=np.int64)
+        self.free_at[col[col >= 0]] = np.flatnonzero(col >= 0)
         pat = self.jac_pattern
         # the terms are listed network after network, each by its row bus
-        self.bounds = np.stack([rows, free, pat.indptr[rows], np.searchsorted(pat.i, bus)],
+        self.bounds = np.stack([rows, free, pat.indptr[rows], np.searchsorted(pat.i, bus), bus],
                                axis=1)
         edges = self.bounds.tolist()
         self.slices = [tuple(map(slice, lo, hi)) for lo, hi in zip(edges, edges[1:])]
@@ -532,11 +541,13 @@ class NetworkUnion:
 
 
 class StateVector:
-    """A network's state as one (4, n_bus) table ``x`` with rows (theta, v,
-    p, q); ``theta``, ``vm``, ``p`` and ``q`` are writable views of its rows.
+    """A network's (or a union's) state as one (4, n_bus) table ``x`` with
+    rows (theta, v, p, q); ``theta``, ``vm``, ``p`` and ``q`` are writable
+    views of its rows.
 
-    The free vector is ``x[net.free]``, quantity-major in C order.  A copy
-    bus's p and q are never free, no residual reads them, and
+    The free vector is ``x.ravel()[net.free_at]``: ``x[net.free]``,
+    quantity-major in C order, or a union's networks' one after another.  A
+    copy bus's p and q are never free, no residual reads them, and
     :func:`flat_start` sets them to zero.
     """
 
@@ -552,8 +563,8 @@ class StateVector:
     q = property(lambda self: self.x[3])
 
     def free(self) -> np.ndarray:
-        """Free entries, quantity-major (theta, v, p, q blocks)."""
-        return self.x[self.net.free]
+        """Free entries, in the free vector's order."""
+        return self.x.take(self.net.free_at)
 
     def with_free(self, vec: np.ndarray) -> "StateVector":
         """New state with the free entries replaced; fixed entries untouched."""
@@ -561,7 +572,7 @@ class StateVector:
         if vec.shape != (n,):
             raise ValueError(f"free vector must have shape ({n},), got {vec.shape}")
         out = self.copy()
-        out.x[self.net.free] = vec
+        out.x.put(self.net.free_at, vec)
         return out
 
     def copy(self) -> "StateVector":
@@ -582,8 +593,9 @@ def build_network(case: RawCase) -> NetworkModel:
     return NetworkModel(case)
 
 
-def flat_start(net: NetworkModel) -> StateVector:
-    """Initial state: zero angles and unit magnitudes on all free entries.
+def flat_start(net: NetworkModel | NetworkUnion) -> StateVector:
+    """Initial state of a network or a union: zero angles and unit
+    magnitudes on all free entries.
 
     Fixed entries take their specified values, and the injections start at
     the specified net injection; a copy bus has no demand and no generator,

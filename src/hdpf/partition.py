@@ -36,8 +36,10 @@ buses contribute no rows.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -126,6 +128,22 @@ class PartitionedProblem:
         return NetworkUnion(r.net for r in self.regions)
 
     @functools.cached_property
+    def stacking(self) -> SimpleNamespace:
+        """Where the regions' entries lie over :attr:`union`, built on first
+        use: the union column of every coupling entry (``x_at``, each
+        region's in ``coupling_free_cols`` order) and local one (``y_at``),
+        the z column of each coupling entry (``z_cols``), each region's
+        first one (``ends``), and each merged bus's home core bus (``home``)."""
+        regions, free_at = self.regions, self.union.bounds[:, 1]
+        x_at = np.concatenate([r.coupling_free_cols + f for r, f in zip(regions, free_at)])
+        core = ~np.concatenate([r.net.is_copy for r in regions])
+        home = np.empty(int(core.sum()), dtype=np.int64)
+        home[np.concatenate([r.merged_ids for r in regions])[core] - 1] = np.flatnonzero(core)
+        return SimpleNamespace(x_at=x_at, y_at=np.setdiff1d(np.arange(self.union.n_free), x_at),
+                               z_cols=np.concatenate([r.z_cols for r in regions]), home=home,
+                               ends=[0, *itertools.accumulate(r.n_cpl for r in regions)])
+
+    @functools.cached_property
     def consensus(self) -> FixedSystem:
         """The coordinator's system on the regions' z columns, built on first
         use; every solve of the problem sums and orders S through this one."""
@@ -138,18 +156,14 @@ class PartitionedProblem:
         the regions' local entries, in region order, then z.  The regions'
         B patterns, side by side in the union's free entries, are listed
         through the maps at once."""
-        union = self.union
-        free_at = union.bounds[:, 1]
-        local = np.concatenate([r.split.local for r in self.regions])
-        n_local = int(local.sum())
+        union, at = self.union, self.stacking
+        n_local = len(at.y_at)
         m = np.empty(union.n_free, dtype=np.int64)
-        m[local] = np.arange(n_local)
-        # the coupling entries are distinct within a region
-        m[np.concatenate([r.coupling_free_cols + f for r, f in zip(self.regions, free_at)])] = (
-            n_local + np.concatenate([r.z_cols for r in self.regions]))
+        m[at.y_at] = np.arange(n_local)
+        m[at.x_at] = n_local + at.z_cols  # the coupling entries are distinct within a region
         grams = [g for _, g in union.grams]
-        shift = np.repeat(free_at[:-1], [len(g.indices) for g in grams])
-        return ([m[free] for _, free, _, _ in union.slices],
+        shift = np.repeat(union.bounds[:-1, 1], [len(g.indices) for g in grams])
+        return ([m[free] for _, free, *_ in union.slices],
                 FixedSystem(m[np.concatenate([g.indices for g in grams]) + shift],
                             m[np.concatenate([g.cols for g in grams]) + shift],
                             n_local + self.n_z, "exact-Hessian consensus matrix"))

@@ -42,13 +42,11 @@ plus ``eps`` on the diagonal and ``J.T @ r``, with ``J = jacobian(net,
 s)``, bit for bit, at every entry of the pattern.
 
 The solvers evaluate all regions in one call, :func:`linearize_regions`,
-over a :class:`~hdpf.network.NetworkUnion` of their networks, so the
-per-call cost is paid once per iteration, not once per region, diagnosed
-or not, with the same bits as each region evaluated alone by
-:func:`linearize`, which is that call over the network's union of one,
-``net.union``, built on its first call and kept.  The union's first
-evaluation builds every region's Gram maps (and, with ``q``, its
-``q_slots``) at once; later ones reuse them.
+at one state of a :class:`~hdpf.network.NetworkUnion` of their networks,
+diagnosed or not, with the same bits as each region evaluated alone by
+:func:`linearize`, that call over the network's union of one,
+``net.union``.  The union's first evaluation builds every region's Gram
+maps (and, with ``q``, its ``q_slots``) at once; later ones reuse them.
 
 Every function here is a pure evaluation over networks and states; the
 only state a network, a union or a problem gains is index maps, a
@@ -89,24 +87,21 @@ class RegionLinearization:
     pattern: GramPattern | None = None  # the network's jtj_pattern, from linearize
 
 
-def _checked_table(nets, states) -> np.ndarray:
-    """The states of ``nets`` side by side, one (4, total buses) table,
-    after checking that each fits its network and that every entry is
-    finite and every magnitude positive.  With several networks, a bad
-    state names its region, by its index in ``nets``, and bus positions
-    within it."""
-    if len(states) != len(nets) or any(s.x.shape != (4, net.n_bus)
-                                       for net, s in zip(nets, states)):
+def _checked_table(net, s: StateVector) -> np.ndarray:
+    """The state table of ``s``, after checking that it fits ``net``, a
+    network or a union, with every entry finite and every magnitude
+    positive; a union of several networks names a bad state's region."""
+    x = s.x
+    if x.shape != (4, net.n_bus):
         raise ValueError("state is dimensioned for a different network")
-    x = states[0].x if len(states) == 1 else np.concatenate([s.x for s in states], axis=1)
     for what, bad in (("non-finite state", ~np.isfinite(x).all(axis=0)),
                       ("non-positive voltage magnitude", x[1] <= 0.0)):
         if bad.any():
             pos, prefix = np.flatnonzero(bad), ""
-            if len(nets) > 1:
-                ends = np.cumsum([net.n_bus for net in nets])
-                k = int(np.searchsorted(ends, pos[0], side="right"))
-                pos = pos[pos < ends[k]] - (ends[k] - nets[k].n_bus)
+            if len(getattr(net, "nets", ())) > 1:
+                starts = net.bounds[:, 4]
+                k = int(np.searchsorted(starts, pos[0], side="right")) - 1
+                pos = pos[pos < starts[k + 1]] - starts[k]
                 prefix = f"region {k}: "
             raise ModelError(f"{prefix}{what} at bus position(s) {pos.tolist()}")
     return x
@@ -139,7 +134,7 @@ def _flow_terms(net, x: np.ndarray):
 
 def residual(net: NetworkModel, s: StateVector) -> np.ndarray:
     """Residual vector over core buses, rows (p_1, q_1, p_2, q_2, ...)."""
-    x = _checked_table((net,), (s,))
+    x = _checked_table(net, s)
     return _residual(net, x, _flow_terms(net, x))
 
 
@@ -160,7 +155,7 @@ def jacobian(net: NetworkModel, s: StateVector) -> sp.csr_matrix:
 def _residual_and_jacobian(net: NetworkModel, s: StateVector) -> tuple[np.ndarray, sp.csr_matrix]:
     """:func:`residual` and :func:`jacobian` from one state check and one
     evaluation of the flow terms."""
-    x = _checked_table((net,), (s,))
+    x = _checked_table(net, s)
     terms = _flow_terms(net, x)
     pat = net.jac_pattern
     return _residual(net, x, terms), sp.csr_matrix(
@@ -204,14 +199,14 @@ def linearize(net: NetworkModel, s: StateVector, eps: float,
     """Evaluate residual, gradient and regularized Hessian at s, and with
     ``q`` the diagnostic Q: :func:`linearize_regions` over the network's
     union of one, ``net.union``."""
-    return linearize_regions(net.union, (s,), eps, q)[0]
+    return linearize_regions(net.union, s, eps, q)[0]
 
 
-def linearize_regions(union: NetworkUnion, states, eps: float,
+def linearize_regions(union: NetworkUnion, state: StateVector, eps: float,
                       q: bool = False) -> list[RegionLinearization]:
     """Evaluate residual, gradient and regularized Hessian of every network
-    of ``union`` at its state in ``states``, in the union's order; with
-    ``q``, also each network's Q, the values of :func:`q_term`.
+    of ``union`` at the union's ``state`` (for a union of one, its
+    network's), in order; with ``q``, also each network's :func:`q_term`.
 
     The flow terms, the residual, the Jacobian's values and ``g = J'r``
     come from one pass over the union, whose Jacobian is block diagonal, so
@@ -231,7 +226,7 @@ def linearize_regions(union: NetworkUnion, states, eps: float,
     """
     if not 0.0 < eps < math.inf:  # NaN fails too
         raise ValueError(f"regularization must be positive and finite, got {eps}")
-    x = _checked_table(union.nets, states)
+    x = _checked_table(union, state)
     terms = _flow_terms(union, x)
     r = _residual(union, x, terms)
     vals = _jacobian_values(union, terms)
@@ -243,7 +238,7 @@ def linearize_regions(union: NetworkUnion, states, eps: float,
     g = np.bincount(pat.indices, weights=jr, minlength=union.n_free)
     del jr
     lins = []
-    for (rows, free, nnz, terms), (pairs, gram), slots in zip(
+    for (rows, free, nnz, terms, _), (pairs, gram), slots in zip(
             union.slices, union.grams, union.q_slots if q else itertools.repeat(None)):
         lins.append(RegionLinearization(
             r=r[rows], jac=None, g=g[free], hess=_gram(pairs, gram, vals[nnz], eps), eps=eps,

@@ -1,4 +1,5 @@
 import os
+import sys
 
 import pytest
 
@@ -13,6 +14,7 @@ from hdpf import (
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
 
 
 def fixture_path(name: str) -> str:
@@ -34,6 +36,24 @@ def problems():
         manifest, raws = load_manifest(fixture_path(f"{name}.manifest"))
         out[name] = partition(manifest, raws)
     return out
+
+
+def bench_source(name: str, seed: int = 1):
+    """(manifest, cases) of the benchmark's generated workload ``name`` at
+    ``seed``, built by ``bench/workloads.py``."""
+    sys.path.insert(0, BENCH)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(BENCH)
+    return workloads.load_source(workloads.WORKLOADS[name](os.path.join(BENCH, ".."), seed))
+
+
+@pytest.fixture(scope="session")
+def grid8x8():
+    """The benchmark's grid-8x8 at seed 1, partitioned: 64 regions, with
+    3-instance hyperedges."""
+    return partition(*bench_source("grid-8x8"))
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,23 @@ from hdpf.network import NetworkModel, StateVector
 from hdpf.residual import jacobian, residual
 
 
+def union_state(union, states) -> StateVector:
+    """The state of a union of networks from one state per network, their
+    tables side by side."""
+    return StateVector(union, *np.concatenate([s.x for s in states], axis=1))
+
+
+def region_states(p, state: StateVector) -> list[StateVector]:
+    """Each region's own state, from its buses' columns of the union state."""
+    bus = p.union.bounds[:, 4]
+    return [StateVector(r.net, *state.x[:, a:b]) for r, a, b in zip(p.regions, bus, bus[1:])]
+
+
+def region_free(p, chi: np.ndarray) -> list[np.ndarray]:
+    """Each region's free vector, its slice of the union's free vector."""
+    return [chi[free] for _, free, *_ in p.union.slices]
+
+
 def dense_admittance_pu(case: RawCase) -> np.ndarray:
     """Dense Y in per-unit including bus shunts."""
     ids = sorted(b.id for b in case.buses)

@@ -106,7 +106,7 @@ def test_zero_column_network_steps_without_factoring(monkeypatch):
     monkeypatch.setattr(spla, "splu", no_factor)
     lin = RegionLinearization(r=np.zeros(0), jac=None, g=np.zeros(0),
                               hess=sp.csc_matrix((0, 0)), eps=1e-10)
-    (out,), lams, fields = _full_space_step([lin], [np.zeros(0)])
+    out, lams, fields = _full_space_step([lin], np.zeros(0))
     assert out.shape == (0,)
     assert lams is None and fields == {"primal_residual": 0.0}
 
@@ -133,8 +133,9 @@ def test_reference_memory_below_quarter_of_one_dense_matrix(merged_nets):
 def test_full_space_step_drops_b_once_factored(merged_nets):
     net = merged_nets["twin14"]
     lin = _sparse_linearize(net, flat_start(net), 1e-10)
-    (out,), _, _ = _full_space_step([lin], [flat_start(net).free()])
-    assert lin.hess is None and np.all(np.isfinite(out))
+    chi = flat_start(net).free()
+    out, _, _ = _full_space_step([lin], chi)
+    assert lin.hess is None and out.shape == chi.shape and np.all(np.isfinite(out))
 
 
 def test_reference_memory_below_three_gram_matrices(merged_nets):

@@ -9,15 +9,15 @@ import scipy.sparse as sp
 import hdpf.condense
 from hdpf import (FactorizationError, SolverConfig, flat_start, load_manifest, partition,
                   run_distributed, solve)
-from hdpf.condense import (SPARSE_MIN_FREE, BlockSplit, FixedSystem, _sym_splu, condense_region,
-                           recover_local)
+from hdpf.condense import (SPARSE_MIN_FREE, BlockSplit, FixedSystem, StackedQP, _sym_splu,
+                           condense_region, recover)
 from hdpf.consensus import consensus_pass
 from hdpf.driver import consensus_step
 from hdpf.residual import RegionLinearization, linearize, linearize_regions
 from hdpf.trace import trace_signature
 
 from conftest import fixture_path
-from helpers import dense_b, random_spd
+from helpers import dense_b, random_spd, region_free
 
 # SPARSE_MIN_FREE values that put every model on the dense path (LAPACK's
 # Cholesky of a dense Byy) or on the sparse one (SuperLU in a kept order)
@@ -264,11 +264,10 @@ def test_cached_orders_keep_the_minimum_degree_fill(monkeypatch, problems):
         p = partition(*load_manifest(fixture_path(f"{name}.manifest")))
         if not p.n_z:
             continue
-        states = [flat_start(r.net) for r in p.regions]
+        state = flat_start(p.union)
         factors.clear()
         for _ in range(2):
-            consensus_step(p, linearize_regions(p.union, states, 1e-10),
-                           [st.free() for st in states])
+            consensus_step(p, linearize_regions(p.union, state, 1e-10), state.free())
         first, lu = first_and_later("consensus system")
         assert _fill(lu) == _fill(first), name
         assert np.array_equal(lu.perm_c, np.arange(p.n_z)), name
@@ -395,6 +394,11 @@ def test_fixed_system_rejects_indefinite_and_singular_matrices():
 # --- recovery -----------------------------------------------------------------
 
 
+def recover_local(cqp, x_target, chi):
+    """One region's recovery, through the stacked one over a stack of one."""
+    return recover(StackedQP.of([cqp]), chi, x_target, cqp.x_cols, cqp.y_cols)
+
+
 def test_recover_stationary_point(problems):
     # lam = 0 and g = 0: the next iterate is the current one
     p = problems["fig1"]
@@ -458,3 +462,29 @@ def test_recover_hidden_entries_match_block_solve_with_interleaved_coupling():
             # the in-place factorization works on a copy: the model is untouched
             np.testing.assert_array_equal(lin.hess, hess0)
             np.testing.assert_array_equal(lin.g, g0)
+
+
+@pytest.mark.parametrize("name", ["case53", "case1100", "grid-8x8"])
+def test_stacked_recovery_matches_the_block_solve_on_every_region(problems, grid8x8, name):
+    # the solver's step from a perturbed flat start: every region's local
+    # entries against a dense solve of its local block, its coupling
+    # entries exactly the consensus values z_bar[z_cols]
+    p = grid8x8 if name == "grid-8x8" else problems[name]
+    rng = np.random.default_rng(17)
+    flat = flat_start(p.union)
+    state = flat.with_free(flat.free() + rng.uniform(-0.01, 0.01, p.union.n_free))
+    lins = linearize_regions(p.union, state, 1e-10)
+    dense = [dense_b(lin) for lin in lins]  # the step frees each B
+    chi = state.free()
+    _, sol, new_chi = consensus_step(p, lins, chi)
+    at = p.stacking
+    assert np.array_equal(new_chi[at.x_at], sol.z_bar[at.z_cols])
+    for reg, b, lin, old, new in zip(p.regions, dense, lins, region_free(p, chi),
+                                     region_free(p, new_chi)):
+        x, y = reg.split.x_cols, reg.split.y_cols
+        x_target = sol.z_bar[reg.z_cols]
+        assert np.array_equal(new[x], x_target), (name, reg.index)
+        expected = old[y] - np.linalg.solve(b[np.ix_(y, y)],
+                                            lin.g[y] + b[np.ix_(y, x)] @ (x_target - old[x]))
+        err = np.max(np.abs(new[y] - expected))
+        assert err <= 1e-12 * np.max(np.abs(expected)), (name, reg.index, err)

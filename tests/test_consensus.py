@@ -11,6 +11,7 @@ from hdpf.consensus import (
     TOL_KKT,
     averaging_projector,
     consensus_pass,
+    consensus_system,
     verify_kkt,
     weighted_average,
 )
@@ -28,6 +29,14 @@ def _cqp(b, g, x_k):
 def _stub(cols):
     cols = np.asarray(cols, dtype=np.int64)
     return SimpleNamespace(z_cols=cols, n_cpl=len(cols))
+
+
+def _average(payloads, n_z):
+    """weighted_average of per-region payloads ``(cols, block, vec)``, stacked."""
+    cols = [c for c, _, _ in payloads]
+    return weighted_average(np.concatenate([b.ravel() for _, b, _ in payloads]),
+                            np.concatenate([v for _, _, v in payloads]),
+                            np.concatenate(cols), consensus_system(cols, n_z))
 
 
 def _alone(cqp):
@@ -57,7 +66,7 @@ def test_local_move_solves_stationarity():
 
 def test_weighted_average_equal_weights_is_mean():
     cols = np.array([0, 1])
-    z = weighted_average([(cols, np.eye(2), np.array([1.0, 3.0])),
+    z = _average([(cols, np.eye(2), np.array([1.0, 3.0])),
                           (cols, np.eye(2), np.array([3.0, 5.0]))], 2)
     np.testing.assert_allclose(z, [2.0, 4.0], atol=1e-14)
 
@@ -65,7 +74,7 @@ def test_weighted_average_equal_weights_is_mean():
 def test_weighted_average_respects_weights():
     # payload vectors are Bbar x: 3 * 1.0 and 1 * 5.0
     cols = np.array([0])
-    z = weighted_average([(cols, 3.0 * np.eye(1), np.array([3.0])),
+    z = _average([(cols, 3.0 * np.eye(1), np.array([3.0])),
                           (cols, np.eye(1), np.array([5.0]))], 1)
     np.testing.assert_allclose(z, [(3.0 * 1.0 + 5.0) / 4.0], atol=1e-14)
 
@@ -73,13 +82,13 @@ def test_weighted_average_respects_weights():
 def test_weighted_average_single_region_identity():
     b = random_spd(np.random.default_rng(0), 3)
     x = np.array([0.3, -0.1, 2.0])
-    z = weighted_average([(np.arange(3), b, b @ x)], 3)
+    z = _average([(np.arange(3), b, b @ x)], 3)
     np.testing.assert_allclose(z, x, atol=1e-12)
 
 
 def test_weighted_average_detects_untouched_column():
     with pytest.raises(FactorizationError, match="consensus"):
-        weighted_average([(np.array([0]), np.eye(1), np.zeros(1))], 2)
+        _average([(np.array([0]), np.eye(1), np.zeros(1))], 2)
 
 
 def test_weighted_average_ignores_column_order_within_a_region():
@@ -90,13 +99,13 @@ def test_weighted_average_ignores_column_order_within_a_region():
         cqps, regions, n_z = random_consensus_qp(rng)
         contribs = [(r.z_cols, c.b_bar, c.b_bar @ c.x_k - c.g_bar)
                     for c, r in zip(cqps, regions)]
-        z = weighted_average(contribs, n_z)
+        z = _average(contribs, n_z)
         l = max(range(len(contribs)), key=lambda i: len(contribs[i][0]))
         cols, s_block, b_vec = contribs[l]
         perm = rng.permutation(len(cols))
         permuted = list(contribs)
         permuted[l] = (cols[perm], s_block[np.ix_(perm, perm)], b_vec[perm])
-        assert np.array_equal(weighted_average(permuted, n_z), z)
+        assert np.array_equal(_average(permuted, n_z), z)
 
 
 def test_weighted_average_sparse_on_a_long_chain():
@@ -115,7 +124,7 @@ def test_weighted_average_sparse_on_a_long_chain():
         rhs[l:l + 2] += vec
     tracemalloc.start()
     try:
-        z = weighted_average(payloads, n_z)
+        z = _average(payloads, n_z)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -163,7 +172,7 @@ def test_dual_feasibility_holds_for_arbitrary_local_moves():
         x_arbitrary = [rng.standard_normal(c.n_cpl) for c in cqps]
         contribs = [(r.z_cols, c.b_bar, c.b_bar @ x)
                     for c, r, x in zip(cqps, regions, x_arbitrary)]
-        z = weighted_average(contribs, n_z)
+        z = _average(contribs, n_z)
         acc = np.zeros(n_z)
         for (cols, b, v) in contribs:
             np.add.at(acc, cols, v - b @ z[cols])

@@ -20,7 +20,7 @@ from hdpf.driver import consensus_step
 from hdpf.residual import linearize, residual
 from hdpf.trace import STATUS_CONVERGED, STATUS_MAX_ITER, IterationRecord, SolveTrace, trace_signature
 
-from helpers import dense_b
+from helpers import dense_b, region_free, region_states
 
 condense_module = importlib.import_module("hdpf.condense")
 # SPARSE_MIN_FREE values that put every region on the sparse or the dense path
@@ -57,15 +57,21 @@ def test_config_validation():
             SolverConfig(tol_residual=bad)
     for ok in (1, np.float64(1e-8), np.float32(1e-8), np.int64(1)):
         assert SolverConfig(tol_residual=ok).tol_residual == ok
+    # only a bool turns diagnostics on or off, though "no" and 2 are true
+    for bad in ("no", "", 2, 1, 0, 1.0, None, np.int64(1)):
+        with pytest.raises(ValueError, match="diagnose must be a bool"):
+            SolverConfig(diagnose=bad)
+    for ok in (True, False, np.bool_(True), np.bool_(False)):
+        assert SolverConfig(diagnose=ok).diagnose == ok
 
 
 def test_stitch_state_puts_core_buses_at_merged_positions(problems):
     rng = np.random.default_rng(13)
     for name in ("fig1", "twin14", "case53"):
         p = problems[name]
-        states = [StateVector(r.net, *rng.uniform(0.5, 1.5, (4, r.net.n_bus)))
-                  for r in p.regions]
-        stitched = stitch_state(p, states)
+        state = StateVector(p.union, *rng.uniform(0.5, 1.5, (4, p.union.n_bus)))
+        states = region_states(p, state)
+        stitched = stitch_state(p, state)
         placed = 0
         for reg, st in zip(p.regions, states):
             for i in np.flatnonzero(~reg.net.is_copy):
@@ -80,13 +86,56 @@ def test_consensus_step_is_the_solvers_step(problems):
     # one step from case53's flat start, stitched, is solve's first iterate
     p = problems["case53"]
     eps = SolverConfig().eps
-    states = [flat_start(r.net) for r in p.regions]
-    lins = [linearize(r.net, s, eps) for r, s in zip(p.regions, states)]
-    _, _, new_free = consensus_step(p, lins, [s.free() for s in states])
-    stitched = stitch_state(p, [s.with_free(nf) for s, nf in zip(states, new_free)])
+    state = flat_start(p.union)
+    lins = [linearize(r.net, s, eps) for r, s in zip(p.regions, region_states(p, state))]
+    _, _, new_chi = consensus_step(p, lins, state.free())
+    stitched = stitch_state(p, state.with_free(new_chi))
     state, _, trace = solve(p, SolverConfig(max_iter=1))
     assert trace.n_iter == 1
     assert stitched.x.tobytes() == state.x.tobytes()
+
+
+@pytest.mark.parametrize("diagnose", [False, True])
+def test_grid8x8_harness_is_the_direct_solve_and_agrees_with_the_reference(grid8x8, diagnose):
+    # 64 regions whose interior bus-4 hyperedges have three instances
+    p = grid8x8
+    assert len(p.regions) == 64
+    assert max(len(e.instances) for e in p.hypergraph.edges) == 3
+    cfg = SolverConfig(diagnose=diagnose)
+    state, lams, trace = solve(p, cfg)
+    h_state, h_lams, h_trace, ledger = run_distributed(p, cfg)
+    assert trace.converged and trace.n_iter > 1
+    assert state.x.tobytes() == h_state.x.tobytes()
+    assert len(lams) == len(h_lams) == len(p.regions)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(lams, h_lams))
+    assert trace_signature(trace) == trace_signature(h_trace)
+    if diagnose:
+        assert all(math.isfinite(r.lm_error) and math.isfinite(r.condense_gap)
+                   for r in trace.records)
+    assert ledger.total == trace.n_iter * sum(r.n_cpl ** 2 + 2 * r.n_cpl for r in p.regions)
+    ref, ref_trace = central_solve(p.merged_net)
+    assert ref_trace.converged
+    assert np.max(np.abs(state.free() - ref.free())) <= 2 * SolverConfig.tol_step
+
+
+def test_warm_solve_calls_grow_by_at_most_25_per_region_and_iteration(problems, grid8x8):
+    # cProfile's calls per iteration of a warm solve on grid-8x8 (64 regions)
+    # against twin14 (2 regions), over the 62 regions between them; about 50
+    # while each region's state, step and gaps were per-region arrays
+    import os
+    import sys
+
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
+    try:
+        from calls import calls_per_iteration
+    finally:
+        sys.path.pop(0)
+    counts = []
+    for p in (problems["twin14"], grid8x8):
+        solve(p)
+        counts.append(calls_per_iteration(lambda: solve(p)[2])[1])
+    slope = (counts[1] - counts[0]) / (len(grid8x8.regions) - len(problems["twin14"].regions))
+    assert slope <= 25, (counts, slope)
 
 
 def test_single_region_matches_central_iterate_for_iterate(problems, merged_nets):
@@ -232,7 +281,7 @@ def test_lm_error_on_csc_q_matches_the_dense_q(problems, monkeypatch):
     assert trace.converged and trace.n_iter > 1
     # calls run iterate by iterate, the flat start first; record k is iterate k's
     for k, rec in enumerate(trace.records, start=1):
-        states = calls[k][0][1]
+        states = region_states(p, calls[k][0][1])
         dense = [q_term(reg.net, s) for reg, s in zip(p.regions, states)]
         expected = math.sqrt(sum(
             np.sum((SolverConfig.eps * np.eye(len(q)) - q) ** 2) for q in dense))
@@ -287,9 +336,9 @@ def test_condense_gap_matches_saddle_point_oracle(monkeypatch, name):
     oracles, exact = [], []
     real = hdpf.driver._exact_z
 
-    def spy(p, lins, chi_ks):
-        oracles.append(_saddle_point_coupling(p, lins, chi_ks))
-        exact.append(real(p, lins, chi_ks))
+    def spy(p, lins, chi):
+        oracles.append(_saddle_point_coupling(p, lins, region_free(p, chi)))
+        exact.append(real(p, lins, chi))
         return exact[-1]
 
     monkeypatch.setattr(hdpf.driver, "_exact_z", spy)
@@ -301,8 +350,8 @@ def test_condense_gap_matches_saddle_point_oracle(monkeypatch, name):
         _, _, trace = solve(p, SolverConfig(diagnose=True))
         assert all(r.split.dense == (limit == ALL_DENSE) for r in p.regions)
         assert trace.converged and len(oracles) == len(steps) == len(trace.records) > 1
-        for oracle, z, (_, (_, _, new_free)), rec in zip(oracles, exact, steps, trace.records):
-            x_plus = [nf[r.coupling_free_cols] for r, nf in zip(p.regions, new_free)]
+        for oracle, z, (_, (_, _, new_chi)), rec in zip(oracles, exact, steps, trace.records):
+            x_plus = [nf[r.coupling_free_cols] for r, nf in zip(p.regions, region_free(p, new_chi))]
             gap, expected = _gap([z[r.z_cols] for r in p.regions], x_plus), _gap(oracle, x_plus)
             assert rec.condense_gap == gap
             assert abs(gap - expected) <= 1e-9 * (1.0 + expected), (limit, rec.iter, gap, expected)
@@ -618,17 +667,17 @@ def test_non_finite_step_ends_breakdown_with_last_valid_iterate(cases, bad):
     net = build_network(cases["case14"])
     calls = []
 
-    def step(lins, chis):
-        (lin,), (chi,) = lins, chis
+    def step(lins, chi):
+        (lin,) = lins
         calls.append(chi)
         if len(calls) == 1:
-            return [chi - np.linalg.solve(dense_b(lin), lin.g)], ["lam"], {"primal_residual": 0.0}
-        return [np.full_like(chi, bad)], ["broken"], {"primal_residual": 0.0}
+            return chi - np.linalg.solve(dense_b(lin), lin.g), ["lam"], {"primal_residual": 0.0}
+        return np.full_like(chi, bad), ["broken"], {"primal_residual": 0.0}
 
     union = NetworkUnion((net,))
-    (state,), lams, records, status = _iterate(
-        [flat_start(net)], ["lam0"], SolverConfig(), step,
-        lambda states, eps: linearize_regions(union, states, eps))
+    state, lams, records, status = _iterate(
+        flat_start(net), ["lam0"], SolverConfig(), step,
+        lambda state, eps: linearize_regions(union, state, eps))
     assert status == STATUS_BREAKDOWN
     assert len(records) == 2
     assert not math.isfinite(records[1].dchi_inf)
@@ -646,18 +695,22 @@ def test_non_finite_step_in_a_later_region_shows_in_the_record(cases):
 
     nets = [build_network(cases["case14"]), build_network(cases["case9"])]
     union = NetworkUnion(nets)
+    (_, first, *_), (_, second, *_) = union.slices
 
-    def step(lins, chis):
-        new = [chi - np.linalg.solve(dense_b(lin), lin.g) for lin, chi in zip(lins, chis)]
-        new[1] = np.full_like(chis[1], np.nan)
+    def step(lins, chi):
+        new = np.empty_like(chi)
+        new[first] = chi[first] - np.linalg.solve(dense_b(lins[0]), lins[0].g)
+        new[second] = np.nan
         return new, ["lam"] * 2, {"primal_residual": 0.0}
 
-    states, _, records, status = _iterate(
-        [flat_start(net) for net in nets], ["lam0"] * 2, SolverConfig(), step,
-        lambda states, eps: linearize_regions(union, states, eps))
+    state, _, records, status = _iterate(
+        flat_start(union), ["lam0"] * 2, SolverConfig(), step,
+        lambda state, eps: linearize_regions(union, state, eps))
     assert status == STATUS_BREAKDOWN
     assert len(records) == 1 and math.isnan(records[0].dchi_inf)
-    assert all(np.array_equal(s.free(), flat_start(net).free()) for s, net in zip(states, nets))
+    assert np.array_equal(state.x, flat_start(union).x)
+    assert all(np.array_equal(state.free()[free], flat_start(net).free())
+               for (_, free, *_), net in zip(union.slices, nets))
 
 
 def _count_evaluations(monkeypatch):
@@ -825,16 +878,16 @@ def test_factorization_failure_evaluates_each_iterate_once(cases, monkeypatch):
     counts = _count_evaluations(monkeypatch)
     steps = []
 
-    def step(lins, chis):
-        (lin,), (chi,) = lins, chis
+    def step(lins, chi):
+        (lin,) = lins
         steps.append(chi)
         if len(steps) == 2:
             raise FactorizationError("stub")
-        return [chi - np.linalg.solve(dense_b(lin), lin.g)], None, {"primal_residual": 0.0}
+        return chi - np.linalg.solve(dense_b(lin), lin.g), None, {"primal_residual": 0.0}
 
-    (state,), _, records, status = hdpf.driver._iterate(
-        [flat_start(net)], None, SolverConfig(), step,
-        lambda states, eps: hdpf.driver.linearize_regions(union, states, eps))
+    state, _, records, status = hdpf.driver._iterate(
+        flat_start(net), None, SolverConfig(), step,
+        lambda state, eps: hdpf.driver.linearize_regions(union, state, eps))
     assert status == STATUS_BREAKDOWN
     assert len(records) == 1
     assert np.array_equal(state.free(), steps[1])

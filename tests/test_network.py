@@ -1,7 +1,6 @@
 import glob
 import math
 import os
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +21,7 @@ from hdpf import (
 )
 from hdpf.residual import residual
 
-from conftest import fixture_path
+from conftest import bench_source, fixture_path
 from helpers import (
     dense_admittance_pu,
     gram_maps_alone,
@@ -348,15 +347,7 @@ def _same_ybus(y, oracle) -> bool:
 def _bench_problems():
     """(name, manifest, cases) of the benchmark's generated grid-8x8 and
     pair-808 at seed 1, built by ``bench/workloads.py``."""
-    bench = os.path.join(os.path.dirname(__file__), "..", "bench")
-    sys.path.insert(0, bench)
-    try:
-        import workloads
-    finally:
-        sys.path.remove(bench)
-    root = os.path.join(bench, "..")
-    return [(name, *workloads.load_source(workloads.WORKLOADS[name](root, 1)))
-            for name in ("grid-8x8", "pair-808")]
+    return [(name, *bench_source(name)) for name in ("grid-8x8", "pair-808")]
 
 
 def _all_problems():

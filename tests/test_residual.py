@@ -8,7 +8,7 @@ from hdpf import ModelError, build_network, central_solve, flat_start, parse_cas
 from hdpf.residual import jacobian, linearize, q_term, residual
 
 from helpers import (complex_jacobian, complex_power_residual, dense_b, fd_hessian_of_f,
-                     fd_jacobian, lm_hessian)
+                     fd_jacobian, lm_hessian, union_state)
 
 LOSSLESS_2BUS = """
 mpc.baseMVA = 100;
@@ -421,7 +421,7 @@ def test_batched_evaluation_equals_per_network_linearize(problems, monkeypatch, 
         flat = [flat_start(r.net) for r in p.regions]
         for states in (flat, [_random_state(r.net, rng) for r in p.regions]):
             for q in (False, True):
-                lins = linearize_regions(p.union, states, 1e-10, q=q)
+                lins = linearize_regions(p.union, union_state(p.union, states), 1e-10, q=q)
                 assert len(lins) == len(p.regions), name
                 for reg, s, lin in zip(p.regions, states, lins):
                     one = linearize(reg.net, s, 1e-10, q=q)
@@ -451,6 +451,6 @@ def test_bad_state_names_its_region(problems, row, bad, what):
     states[1].x[row, [1, 4]] = bad
     states[2].x[row, 0] = bad
     with pytest.raises(ModelError, match=rf"^region 1: {what} at bus position\(s\) \[1, 4\]$"):
-        linearize_regions(p.union, states, 1e-10)
+        linearize_regions(p.union, union_state(p.union, states), 1e-10)
     with pytest.raises(ModelError, match=rf"^{what} at bus position\(s\) \[1, 4\]$"):
         linearize(p.regions[1].net, states[1], 1e-10)
