@@ -12,10 +12,10 @@ The outputs are the state's bytes, the multipliers' bytes, the trace's
 ``lm_error``, ``condense_gap``, ``dist_to_ref``, and the status) and, for the
 harness, its ledger.  After the solves, each problem's index maps are
 hashed too, one line each, ``<problem> maps - <map> <sha1>``: the regions'
-union Jacobian pattern, every region's ``jtj_pairs`` and B pattern, its
-``q_slots``, its split maps (with Byy's ordered system on the sparse path)
-and every network's admittance matrix, merged and regional, by the bytes of
-its values, indices and pointers.  The problems are the shipped manifests
+union Jacobian pattern, every region's pairs, B pattern and curvature
+slots (the union's ``grams`` and ``q_slots``), its split maps (with Byy's
+ordered system on the sparse path) and every network's admittance matrix,
+merged and regional, by the bytes of its values, indices and pointers.  The problems are the shipped manifests
 and, with ``--bench``, the benchmark's generated workloads ``grid-8x8`` and
 ``pair-808`` at seeds 1 and 2.
 
@@ -81,16 +81,16 @@ def fingerprint(name: str, manifest, cases) -> list[str]:
 
 def _maps(p) -> dict[str, list]:
     """The arrays of each index map of a solved problem, by map."""
-    pat = p.union.jac_pattern
-    nets = [r.net for r in p.regions]
-    splits = [r.split for r in p.regions]
+    analysis = p.analyze(diagnose=True)
+    union, nets = analysis.union, [r.net for r in p.regions]
+    pat = union.jac_pattern
     return {
         "union": [pat.slot, pat.rows, pat.indices, pat.indptr, pat.cols],
-        "pairs": [v for net in nets for v in net.jtj_pairs],
-        "grams": [getattr(net.jtj_pattern, f) for net in nets
+        "pairs": [v for pairs, _ in union.grams for v in pairs],
+        "grams": [getattr(gram, f) for _, gram in union.grams
                   for f in ("slot", "diag", "indices", "indptr", "cols")],
-        "q_slots": [net.q_slots for net in nets],
-        "splits": [v for s in splits for v in (s.x_cols, s.y_cols, s.src, s.flat)
+        "q_slots": union.q_slots,
+        "splits": [v for s in analysis.splits for v in (s.x_cols, s.y_cols, s.src, s.flat)
                    + (() if s.byy is None else (s.byy.indices, s.byy.indptr, s.byy._at))],
         "ybus": [v for net in [p.merged_net] + nets
                  for v in (net.ybus.data, net.ybus.indices, net.ybus.indptr)],

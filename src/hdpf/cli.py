@@ -143,8 +143,9 @@ def _cmd_check(args) -> int:
 
         # the solver's first step from a flat start
         eps = SolverConfig().eps
-        state = flat_start(prob.union)
-        lins = linearize_regions(prob.union, state, eps)
+        union = prob.analyze().union
+        state = flat_start(union)
+        lins = linearize_regions(union, state, eps)
         stack, sol, chi_next = consensus_step(prob, lins, state.free())
         cqps = stack.regions
         m = averaging_projector(cqps, prob.regions, n_z)
@@ -152,7 +153,7 @@ def _cmd_check(args) -> int:
         print(f"averaging projector idempotence |M^2-M|_inf = {idem:.3e}")
         ok &= idem <= 1e-8
 
-        kkt = verify_kkt(cqps, prob.regions, sol, [chi_next[f] for _, f, *_ in prob.union.slices])
+        kkt = verify_kkt(cqps, prob.regions, sol, [chi_next[f] for _, f, *_ in union.slices])
         scale = 1.0 + max(float(np.max(np.abs(c.g_bar))) if c.n_cpl else 0.0 for c in cqps)
         print(f"first-iteration KKT residuals: stationarity={kkt.stationarity:.3e} "
               f"dual={kkt.dual:.3e} primal={kkt.primal:.3e} (scale {scale:.3e})")

@@ -81,10 +81,11 @@ def run_distributed(p: PartitionedProblem, cfg: SolverConfig | None = None,
     """Execute the solver through explicit messages and meter the traffic."""
     ledger = CommLedger()
     iteration = itertools.count(1)
+    ends = p.analyze().ends
 
     def metered_average(values, payload, z_cols, system):
         k = next(iteration)
-        ends, blocks, vecs, at = p.stacking.ends, [], [], 0
+        blocks, vecs, at = [], [], 0
         for reg, a, b in zip(p.regions, ends, ends[1:]):
             n = b - a
             buf = np.concatenate([values[at:at + n * n], payload[a:b]])

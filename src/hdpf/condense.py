@@ -16,10 +16,11 @@ writes its b_bar and b_bar x_k - g_bar straight into one
 :class:`StackedQP`, which the consensus pass reads as it is, and
 :func:`recover` sets every region's next free entries at once.
 
-B reaches condensation in one form: its values on the region's fixed pattern
-``net.jtj_pattern`` (a 2-D B built by hand is read as its values on the full
-n x n pattern).  A region's :class:`BlockSplit`, built from that pattern
-alone, keeps O(nnz) maps that scatter Byx, Bxx and Byy out of the values.
+B reaches condensation in one form: its values on the region's fixed pattern,
+its :class:`~hdpf.network.GramPattern` (a 2-D B built by hand is read as its
+values on the full n x n pattern).  A region's :class:`BlockSplit`, built
+from that pattern alone by the problem's analysis, keeps O(nnz) maps that
+scatter Byx, Bxx and Byy out of the values.
 Only Byy's form and factorization depend on the region's size, chosen here
 alone, once per split: below :data:`SPARSE_MIN_FREE` free entries Byy is
 dense, factored and solved by LAPACK's Cholesky (``potrf``, ``potrs``); from

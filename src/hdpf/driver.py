@@ -81,12 +81,12 @@ def comm_floats_per_iteration(p: PartitionedProblem) -> int:
 def stitch_state(p: PartitionedProblem, state: StateVector) -> StateVector:
     """The merged-case state of the regions' union state: each merged bus
     takes all four rows of its home region's core bus."""
-    return StateVector(p.merged_net, *state.x[:, p.stacking.home])
+    return StateVector(p.merged_net, *state.x[:, p.analyze().home])
 
 
 def consensus_step(p: PartitionedProblem, lins, chi, average=weighted_average):
     """One step of the distributed solver at the union's free vector
-    ``chi``: each region condenses its model into one
+    ``chi``: each region condenses its model on its split into one
     :class:`~hdpf.condense.StackedQP` and drops its B (``lin.hess``), one
     :func:`consensus_pass` through ``average`` on the problem's consensus
     system resolves the consensus, and :func:`~hdpf.condense.recover` sets
@@ -95,13 +95,13 @@ def consensus_step(p: PartitionedProblem, lins, chi, average=weighted_average):
     ``consensus_pass`` are read from this module at call time, so a wrapper
     set on its attribute (as bench/layers.py sets) sees every call.
     """
-    at = p.stacking
-    stack = StackedQP(at.ends)
-    for l, (lin, r, (_, free, *_)) in enumerate(zip(lins, p.regions, p.union.slices)):
-        stack.put(l, condense_region(lin, r.split, chi[free]))
+    a = p.analyze()
+    stack = StackedQP(a.ends)
+    for l, (lin, split, (_, free, *_)) in enumerate(zip(lins, a.splits, a.union.slices)):
+        stack.put(l, condense_region(lin, split, chi[free]))
         lin.hess = None
-    sol = consensus_pass(stack, p.regions, p.n_z, average, p.consensus)
-    return stack, sol, recover(stack, chi, sol.z_bar[at.z_cols], at.x_at, at.y_at)
+    sol = consensus_pass(stack, p.regions, p.n_z, average, a.consensus)
+    return stack, sol, recover(stack, chi, sol.z_bar[a.z_cols], a.x_at, a.y_at)
 
 
 def _lm_error(lins) -> float:
@@ -119,7 +119,8 @@ def _lm_error(lins) -> float:
 def _exact_z(p: PartitionedProblem, lins, chi) -> np.ndarray | None:
     """The consensus values z of the exact-Hessian full-space step at the
     union's free vector ``chi``, against which ``condense_gap`` measures the
-    condensed step; each region's Q is set to None once summed into K.
+    condensed step; each region's Q is set to None once summed into K, or
+    at once when there is no coupling.
 
     The full-space QP takes each region's diagnosed linearization with
     curvature ``H_l = hess + q``, both values on B's fixed ``pattern``,
@@ -129,20 +130,22 @@ def _exact_z(p: PartitionedProblem, lins, chi) -> np.ndarray | None:
     unknowns are the regions' local (non-coupling) steps, in region order,
     then ``z``; ``K = sum_l M_l' H_l M_l`` with ``M_l`` the 0/1 map from
     ``u`` to region l's free entries, so the maps and K's pattern are
-    built, and K is ordered, once per problem by its
-    :attr:`~hdpf.partition.PartitionedProblem.exact_consensus`.  The
+    built, and K is ordered, once per problem by its diagnosed
+    :meth:`~hdpf.partition.PartitionedProblem.analyze`.  The
     constraint picks distinct entries (full row rank), so ``K`` is singular
     exactly when the saddle-point KKT matrix is; z is then None, as it is
     for a non-finite solution.  Without coupling z is empty.
     """
     if p.n_z == 0:
+        for lin in lins:
+            lin.q = None
         return np.zeros(0)
-    maps, system = p.exact_consensus
-    values, rhs = [], np.zeros(system.n)
+    a = p.analyze(diagnose=True)
+    values, rhs = [], np.zeros(a.k_system.n)
     # the local unknowns are steps from chi, the coupling ones values
     chi_x = np.zeros_like(chi)
-    chi_x[p.stacking.x_at] = chi[p.stacking.x_at]
-    for m, lin, (_, free, *_) in zip(maps, lins, p.union.slices):
+    chi_x[a.x_at] = chi[a.x_at]
+    for m, lin, (_, free, *_) in zip(a.k_maps, lins, a.union.slices):
         gram = lin.pattern
         h = lin.hess + lin.q
         lin.q = None
@@ -150,7 +153,7 @@ def _exact_z(p: PartitionedProblem, lins, chi) -> np.ndarray | None:
         rhs[m] += np.bincount(gram.indices, weights=h * chi_x[free][gram.cols],
                               minlength=len(lin.g)) - lin.g
     try:
-        u = system.solve(np.concatenate(values), rhs)
+        u = a.k_system.solve(np.concatenate(values), rhs)
     except FactorizationError:
         return None
     return u[-p.n_z:] if np.all(np.isfinite(u)) else None
@@ -222,21 +225,21 @@ def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | N
     if cfg is None:
         cfg = SolverConfig()
     ref_free = ref.free() if ref is not None else None
-    at = p.stacking
+    a = p.analyze(cfg.diagnose)
 
     def evaluate(state, eps):
         # one pass per iterate, Q included when diagnosed; the name is read at call
         # time, so a wrapper set on this module's attribute (bench/layers.py) sees it
-        return linearize_regions(p.union, state, eps, cfg.diagnose)
+        return linearize_regions(a.union, state, eps, cfg.diagnose)
 
     def step(lins, chi):
         # K's solve reads this iterate's B and Q, so it runs before condensation frees each B
         z_exact = _exact_z(p, lins, chi) if cfg.diagnose else None
         _, sol, new_chi = consensus_step(p, lins, chi, average)
-        x_new = new_chi[at.x_at]
+        x_new = new_chi[a.x_at]
 
         def gap(z):  # the largest gap between the new coupling entries and z's
-            return float(np.max(np.abs(x_new - z[at.z_cols]), initial=0.0))
+            return float(np.max(np.abs(x_new - z[a.z_cols]), initial=0.0))
         fields = {"primal_residual": gap(sol.z_bar)}
         if cfg.diagnose:
             fields["condense_gap"] = None if z_exact is None else gap(z_exact)
@@ -253,7 +256,7 @@ def _solve(p: PartitionedProblem, cfg: SolverConfig | None, ref: StateVector | N
         return fields
 
     state, lams, records, status = _iterate(
-        flat_start(p.union), [np.zeros(r.n_cpl) for r in p.regions], cfg, step, evaluate,
+        flat_start(a.union), [np.zeros(r.n_cpl) for r in p.regions], cfg, step, evaluate,
         comm_floats_per_iteration(p), extras)
     return stitch_state(p, state), lams, SolveTrace(records=records, status=status)
 

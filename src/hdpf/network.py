@@ -33,40 +33,30 @@ where fixed, so ``col[0, i]`` is the free-vector column of bus i's angle;
 coupling selectors and the index maps below are read from it.
 
 The sparsity of everything :mod:`hdpf.residual` assembles depends on the
-network alone, so its index maps are computed once, on first use, and kept
-(``functools.cached_property``):
-
-- :attr:`NetworkModel.jac_pattern`: the Jacobian's terms (each admittance
-  nonzero (i, k) on a core row, as arrays of i, k, G_ik and B_ik, the only
-  admittance entries the evaluation reads, with its columns theta_i,
-  theta_k, v_i and v_k), its CSR pattern, and the slot in it of each term
-  derivative;
-- :attr:`NetworkModel.jtj_pairs`, for each Jacobian row every pair (a, b)
-  of its nonzeros, whose product adds into one entry of J'J;
-- :attr:`NetworkModel.jtj_pattern`, the CSC pattern of J'J + eps*I, the
-  column of each of its nonzeros, and the position in it of each pair's
-  product and of each diagonal entry;
-- :attr:`NetworkModel.q_slots`, the position in ``jtj_pattern`` of every
-  entry of each term's 4x4 curvature block in the diagnostic
-  :func:`hdpf.residual.q_term`;
-- :attr:`NetworkModel.union`, the network as a :class:`NetworkUnion` of
-  one, through which :func:`hdpf.residual.linearize` evaluates it.
+networks alone, so its index maps are computed once, on first use, and
+kept (``functools.cached_property``).  A network keeps its Jacobian's
+pattern, :attr:`NetworkModel.jac_pattern`: the Jacobian's terms (each
+admittance nonzero (i, k) on a core row, as arrays of i, k, G_ik and B_ik,
+the only admittance entries the evaluation reads, with its columns
+theta_i, theta_k, v_i and v_k), its CSR pattern, and the slot in it of
+each term derivative.
 
 A :class:`NetworkUnion` puts several networks side by side as one: their
 buses, admittance nonzeros, residual rows and free entries, each index
-shifted.  Every map is built by one function for a network and for a
-union alike, and a union builds each map once for all its networks: the
-Jacobian pattern from the networks' admittance arrays put side by side,
-when it is made, and on first use every network's ``jtj_pairs`` and
-``jtj_pattern`` (:attr:`NetworkUnion.grams`) and, when diagnosed, its
-``q_slots`` (:attr:`NetworkUnion.q_slots`), which each network keeps as its
-own.  A partitioned problem builds the union of its regions on its first
-solve, so each problem's maps are built once, in one pass over the union,
-and never region by region.  The distributed solvers' iterate is one state
-of the union, every region's table side by side, evaluated in one pass, Q
-included when diagnosed.  A network used alone builds the same maps
-through its union of one; the merged network, used for stitching and by
-the sparse reference, builds only its Jacobian's pattern.
+shifted.  Its Jacobian pattern is built from the networks' admittance
+arrays put side by side, and it builds and owns every other map, once for
+all its networks, in one pass: for each network every pair (a, b) of
+nonzeros sharing a Jacobian row, the CSC pattern of J'J + eps*I with the
+position in it of each pair's product and diagonal entry
+(:attr:`NetworkUnion.grams`), and the position in that pattern of every
+entry of each term's 4x4 curvature block in the diagnostic
+:func:`hdpf.residual.q_term` (:attr:`NetworkUnion.q_slots`).  A network
+alone is evaluated through its union of one, :attr:`NetworkModel.union`;
+a partitioned problem's regions through the union its analysis builds
+(:meth:`hdpf.partition.PartitionedProblem.analyze`), one state of it
+evaluated in one pass, Q included when diagnosed.  The merged network,
+used for stitching and by the sparse reference, builds only its
+Jacobian's pattern.
 
 Y is assembled from arrays of the in-service branches' parameters, each
 entry by the float operations of the scalar pi-model formula in Python's
@@ -131,7 +121,7 @@ class GramPattern:
     so a matrix built on them shares them instead of copying.
     """
 
-    slot: np.ndarray     # position of each jtj_pairs product
+    slot: np.ndarray     # position of each pair's product
     diag: np.ndarray     # position of each diagonal entry, by column
     indices: np.ndarray  # row of each nonzero, ascending within a column
     indptr: np.ndarray
@@ -292,34 +282,6 @@ class NetworkModel:
         :func:`hdpf.residual.linearize` evaluates it."""
         return NetworkUnion((self,))
 
-    @functools.cached_property
-    def jtj_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR positions (a, b) of every pair of nonzeros sharing a Jacobian
-        row.
-
-        Pairs run row by row, so a bincount over their entries of J'J adds
-        each entry's products in ascending row order, as a sparse J'J does.
-        """
-        return self.union.grams[0][0]
-
-    @functools.cached_property
-    def jtj_pattern(self) -> GramPattern:
-        """CSC pattern of J'J + eps*I over the entries of the ``jtj_pairs``,
-        ``col_a * n_free + col_b`` flat, and the diagonal."""
-        return self.union.grams[0][1]
-
-    @functools.cached_property
-    def q_slots(self) -> np.ndarray:
-        """Position in :attr:`jtj_pattern` of every entry of each term's 4x4
-        curvature block, listed as :func:`hdpf.residual.q_term` lists them
-        (row-major over the block, every term per entry); an entry on a
-        fixed column goes to the spare bin ``len(indices)``.
-
-        A term's four columns all lie in its Jacobian row, so every entry of
-        its block is a pair of ``jtj_pairs`` and the pattern holds it.
-        """
-        return self.union.q_slots[0]
-
 
 def _jac_pattern(y_row, y_col, g_val, b_val, row_of_bus, col, core_idx,
                  n_free: int) -> JacobianPattern:
@@ -351,10 +313,9 @@ def _jac_pattern(y_row, y_col, g_val, b_val, row_of_bus, col, core_idx,
 
 
 def _gram_maps(pat: JacobianPattern, rows_at, free_at):
-    """Each block's ``jtj_pairs`` and :class:`GramPattern`, for the
-    block-diagonal Jacobian pattern ``pat`` whose blocks start at the
-    residual rows ``rows_at`` and free columns ``free_at`` (both ending
-    with the totals).
+    """Each block's pairs and :class:`GramPattern`, for the block-diagonal
+    Jacobian pattern ``pat`` whose blocks start at the residual rows
+    ``rows_at`` and free columns ``free_at`` (both ending with the totals).
 
     The pairs and their flat keys ``col_a * n_l + col_b``, in block l's own
     columns, come from one pass over all blocks; each block then ranks its
@@ -402,10 +363,11 @@ def _gram_maps(pat: JacobianPattern, rows_at, free_at):
 
 
 def _q_slots(pat: JacobianPattern, row_of_bus, grams, term_at) -> list[np.ndarray]:
-    """Each block's ``q_slots``, in one pass and without a search, for the
-    block-diagonal Jacobian pattern ``pat`` of a union of networks, with
-    its residual rows ``row_of_bus``, each block's ``jtj_pairs`` and
-    :class:`GramPattern` in ``grams`` and its first term in ``term_at``.
+    """Each block's curvature slots (:attr:`NetworkUnion.q_slots`), in one
+    pass and without a search, for the block-diagonal Jacobian pattern
+    ``pat`` of a union of networks, with its residual rows ``row_of_bus``,
+    each block's pairs and :class:`GramPattern` in ``grams`` and its first
+    term in ``term_at``.
 
     Entry (j1, j2) of a term's 4x4 block, both columns free, lies where the
     pair (a, b) of the term's p row lies, a and b that row's nonzeros in
@@ -476,10 +438,6 @@ class NetworkUnion:
 
     Its state is one (4, n_bus) table, the networks' side by side, as are
     ``free`` and the specified values, which :func:`flat_start` reads.
-
-    Every network's Gram maps and its ``q_slots`` are built for all
-    networks at once on first use (:attr:`grams`, :attr:`q_slots`), and
-    each network keeps them as its own, unless it had built its own first.
     """
 
     def __init__(self, nets):
@@ -519,25 +477,23 @@ class NetworkUnion:
         edges = self.bounds.tolist()
         self.slices = [tuple(map(slice, lo, hi)) for lo, hi in zip(edges, edges[1:])]
 
-    def _own(self, name: str, maps) -> list:
-        """Each network's map ``name``: its own if it has one, else its entry
-        of ``maps``, which it keeps."""
-        return [net.__dict__.setdefault(name, m) for net, m in zip(self.nets, maps)]
-
     @functools.cached_property
     def grams(self) -> list[tuple[tuple[np.ndarray, np.ndarray], GramPattern]]:
-        """Each network's :attr:`~NetworkModel.jtj_pairs` and
-        :attr:`~NetworkModel.jtj_pattern`, from one pass over the union's
-        Jacobian pattern."""
-        pairs, grams = zip(*_gram_maps(self.jac_pattern, self.bounds[:, 0], self.bounds[:, 1]))
-        return list(zip(self._own("jtj_pairs", pairs), self._own("jtj_pattern", grams)))
+        """Each network's pairs, the positions (a, b) in its Jacobian's CSR
+        values of every two nonzeros sharing a row, row by row, so a
+        bincount over their products adds each entry of J'J in ascending row
+        order, as a sparse J'J does; and its :class:`GramPattern`."""
+        return _gram_maps(self.jac_pattern, self.bounds[:, 0], self.bounds[:, 1])
 
     @functools.cached_property
     def q_slots(self) -> list[np.ndarray]:
-        """Each network's :attr:`~NetworkModel.q_slots`, from one pass over
-        the union's terms."""
-        return self._own("q_slots", _q_slots(self.jac_pattern, self.row_of_bus, self.grams,
-                                             self.bounds[:, 3]))
+        """Each network's position in its :class:`GramPattern` of every entry
+        of each term's 4x4 curvature block, as :func:`hdpf.residual.q_term`
+        lists them (row-major over the block, every term per entry); an
+        entry on a fixed column goes to the spare bin ``len(indices)``.  A
+        term's four columns lie in one Jacobian row, so the pattern holds
+        every entry."""
+        return _q_slots(self.jac_pattern, self.row_of_bus, self.grams, self.bounds[:, 3])
 
 
 class StateVector:

@@ -31,6 +31,10 @@ The tie branch itself is materialized once in the merged case (oriented as
 written in the manifest) and as one image per region, each terminating at
 the local copy; bus balance rows are never double counted because copy
 buses contribute no rows.
+
+Every structure the solvers reuse from one iterate to the next depends on
+the decomposition alone; :meth:`PartitionedProblem.analyze` builds it all
+on a problem's first solve, not in :func:`partition`.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,6 +59,7 @@ __all__ = [
     "Hyperedge",
     "Hypergraph",
     "RegionStructure",
+    "ProblemAnalysis",
     "PartitionedProblem",
     "merge_cases",
     "partition",
@@ -99,12 +103,21 @@ class RegionStructure:
     def n_cpl(self) -> int:
         return len(self.coupling_free_cols)
 
-    @functools.cached_property
-    def split(self) -> BlockSplit:
-        """The free columns split into coupling and local ones, with the maps
-        that take B's blocks out of its values on ``net.jtj_pattern``, built
-        on first use."""
-        return BlockSplit(self.net.jtj_pattern, self.net.n_free, self.coupling_free_cols)
+
+@dataclass(eq=False)
+class ProblemAnalysis:
+    """What :meth:`PartitionedProblem.analyze` builds."""
+
+    union: NetworkUnion       # the regions' networks, owner of their Gram maps and q_slots
+    splits: list[BlockSplit]  # each region's, on its Gram pattern
+    x_at: np.ndarray          # union column of every coupling entry, coupling_free_cols order
+    y_at: np.ndarray          # union column of every local entry
+    z_cols: np.ndarray        # z column of every coupling entry
+    ends: list[int]           # each region's first coupling entry, then the total
+    home: np.ndarray          # each merged bus's home core bus in the union
+    consensus: FixedSystem    # the coordinator's S
+    k_maps: list[np.ndarray] | None = None  # each region's free entries -> K's unknowns,
+    k_system: FixedSystem | None = None     # and K; both None until diagnosed
 
 
 @dataclass
@@ -114,59 +127,54 @@ class PartitionedProblem:
     merged_of: dict[tuple[int, int], int]  # (region, local bus id) -> merged bus id
     merged_case: RawCase
     manifest: MergeManifest
+    _analysis: ProblemAnalysis | None = field(default=None, init=False, repr=False,
+                                              compare=False)
 
     @functools.cached_property
     def merged_net(self) -> NetworkModel:
         """The merged case's network, built on first use."""
         return network.build_network(self.merged_case)
 
-    @functools.cached_property
-    def union(self) -> NetworkUnion:
-        """The regions' networks as one, in region order, built on first
-        use; :func:`hdpf.residual.linearize_regions` evaluates them through
-        it in one pass."""
-        return NetworkUnion(r.net for r in self.regions)
-
-    @functools.cached_property
-    def stacking(self) -> SimpleNamespace:
-        """Where the regions' entries lie over :attr:`union`, built on first
-        use: the union column of every coupling entry (``x_at``, each
-        region's in ``coupling_free_cols`` order) and local one (``y_at``),
-        the z column of each coupling entry (``z_cols``), each region's
-        first one (``ends``), and each merged bus's home core bus (``home``)."""
-        regions, free_at = self.regions, self.union.bounds[:, 1]
-        x_at = np.concatenate([r.coupling_free_cols + f for r, f in zip(regions, free_at)])
-        core = ~np.concatenate([r.net.is_copy for r in regions])
-        home = np.empty(int(core.sum()), dtype=np.int64)
-        home[np.concatenate([r.merged_ids for r in regions])[core] - 1] = np.flatnonzero(core)
-        return SimpleNamespace(x_at=x_at, y_at=np.setdiff1d(np.arange(self.union.n_free), x_at),
-                               z_cols=np.concatenate([r.z_cols for r in regions]), home=home,
-                               ends=[0, *itertools.accumulate(r.n_cpl for r in regions)])
-
-    @functools.cached_property
-    def consensus(self) -> FixedSystem:
-        """The coordinator's system on the regions' z columns, built on first
-        use; every solve of the problem sums and orders S through this one."""
-        return consensus_system([r.z_cols for r in self.regions], self.n_z)
-
-    @functools.cached_property
-    def exact_consensus(self) -> tuple[list[np.ndarray], FixedSystem]:
-        """The system K of :func:`hdpf.driver._exact_z`, built on first
-        use, and each region's map from its free entries to K's unknowns:
-        the regions' local entries, in region order, then z.  The regions'
-        B patterns, side by side in the union's free entries, are listed
-        through the maps at once."""
-        union, at = self.union, self.stacking
-        n_local = len(at.y_at)
-        m = np.empty(union.n_free, dtype=np.int64)
-        m[at.y_at] = np.arange(n_local)
-        m[at.x_at] = n_local + at.z_cols  # the coupling entries are distinct within a region
-        grams = [g for _, g in union.grams]
-        shift = np.repeat(union.bounds[:-1, 1], [len(g.indices) for g in grams])
-        return ([m[free] for _, free, *_ in union.slices],
-                FixedSystem(m[np.concatenate([g.indices for g in grams]) + shift],
-                            m[np.concatenate([g.cols for g in grams]) + shift],
-                            n_local + self.n_z, "exact-Hessian consensus matrix"))
+    def analyze(self, diagnose: bool = False) -> ProblemAnalysis:
+        """The problem's analysis, built on the first call and kept: the
+        regions' union with every region's Gram maps, each region's split,
+        where the regions' entries lie over the union, and S's system; the
+        first call with ``diagnose`` adds the union's ``q_slots`` and the
+        system K of :func:`hdpf.driver._exact_z`."""
+        a = self._analysis
+        if a is None:
+            regions = self.regions
+            union = NetworkUnion(r.net for r in regions)
+            x_at = np.concatenate([r.coupling_free_cols + f
+                                   for r, f in zip(regions, union.bounds[:, 1])])
+            core = ~np.concatenate([r.net.is_copy for r in regions])
+            home = np.empty(int(core.sum()), dtype=np.int64)
+            home[np.concatenate([r.merged_ids for r in regions])[core] - 1] = np.flatnonzero(core)
+            a = self._analysis = ProblemAnalysis(
+                union=union,
+                splits=[BlockSplit(gram, r.net.n_free, r.coupling_free_cols)
+                        for r, (_, gram) in zip(regions, union.grams)],
+                x_at=x_at, y_at=np.setdiff1d(np.arange(union.n_free), x_at),
+                z_cols=np.concatenate([r.z_cols for r in regions]),
+                ends=[0, *itertools.accumulate(r.n_cpl for r in regions)], home=home,
+                consensus=consensus_system([r.z_cols for r in regions], self.n_z))
+        if diagnose and a.k_system is None:
+            union = a.union
+            union.q_slots  # the diagnosed evaluation's maps, built here with K's
+            # K's unknowns: the regions' local entries, in region order, then z;
+            # the regions' Gram patterns, side by side in the union's free
+            # entries, are listed through the maps at once
+            n_local = len(a.y_at)
+            m = np.empty(union.n_free, dtype=np.int64)
+            m[a.y_at] = np.arange(n_local)
+            m[a.x_at] = n_local + a.z_cols  # the coupling entries are distinct within a region
+            grams = [g for _, g in union.grams]
+            shift = np.repeat(union.bounds[:-1, 1], [len(g.indices) for g in grams])
+            a.k_maps = [m[free] for _, free, *_ in union.slices]
+            a.k_system = FixedSystem(m[np.concatenate([g.indices for g in grams]) + shift],
+                                     m[np.concatenate([g.cols for g in grams]) + shift],
+                                     n_local + self.n_z, "exact-Hessian consensus matrix")
+        return a
 
     @property
     def n_z(self) -> int:

@@ -25,32 +25,30 @@ derivatives are written with ufunc ``out=`` into one preallocated
 listing, so an evaluation holds about fourteen arrays of the terms'
 length at its peak; J'J's pair products are multiplied in place.
 
-Assembly runs on index maps built once per network, or once per problem
-for all its regions in one pass over their union (see
-:mod:`hdpf.network`): one ``np.bincount`` adds the term derivatives into
-the Jacobian's fixed CSR pattern, and :func:`linearize` forms ``g = J'r``
-and ``B = J'J + eps*I`` with one more each.  B has one form for every
-network: its values on the network's fixed pattern of B,
-``net.jtj_pattern``, a 1-D array that is never wrapped in a matrix, so a
-region's B costs its nonzeros, not n_free^2.  Q takes the same form, when
-asked for, from the same evaluation: one more bincount into B's pattern,
-which holds all of Q's entries; the public :func:`q_term` scatters those
-values dense, as an oracle.  A bincount adds in input order, and the maps
+Assembly runs on index maps that a :class:`~hdpf.network.NetworkUnion`
+builds once for all its networks (see :mod:`hdpf.network`): one
+``np.bincount`` adds the term derivatives into the Jacobian's fixed CSR
+pattern, and :func:`linearize` forms ``g = J'r`` and ``B = J'J + eps*I``
+with one more each.  B has one form for every network: its values on the
+network's fixed :class:`~hdpf.network.GramPattern`, a 1-D array never
+wrapped in a matrix, so a region's B costs its nonzeros, not n_free^2.  Q
+takes the same form, when asked for, from the same evaluation: one more
+bincount into B's pattern, which holds all of Q's entries; the public
+:func:`q_term` scatters those values dense, as an oracle.  A bincount adds in input order, and the maps
 list each entry's products in ascending Jacobian row, the order a sparse
 ``J.T @ J`` and ``J.T @ r`` use, so :func:`linearize` equals ``J.T @ J``
 plus ``eps`` on the diagonal and ``J.T @ r``, with ``J = jacobian(net,
 s)``, bit for bit, at every entry of the pattern.
 
 The solvers evaluate all regions in one call, :func:`linearize_regions`,
-at one state of a :class:`~hdpf.network.NetworkUnion` of their networks,
-diagnosed or not, with the same bits as each region evaluated alone by
-:func:`linearize`, that call over the network's union of one,
-``net.union``.  The union's first evaluation builds every region's Gram
-maps (and, with ``q``, its ``q_slots``) at once; later ones reuse them.
+at one state of the regions' union that the problem's analysis built
+(:meth:`hdpf.partition.PartitionedProblem.analyze`), diagnosed or not,
+with the same bits as each region evaluated alone by :func:`linearize`,
+that call over the network's union of one, ``net.union``.
 
 Every function here is a pure evaluation over networks and states; the
-only state a network, a union or a problem gains is index maps, a
-network's union of one among them, built on first use and never changed.
+only state a network or a union gains is index maps, built on first use
+and never changed.
 """
 
 from __future__ import annotations
@@ -84,7 +82,7 @@ class RegionLinearization:
     q: np.ndarray | None = None  # (nnz,) q_term's values on `pattern`, from the same pass;
                             # None unless asked for (a diagnosed solve), and once the
                             # step's exact-Hessian system has summed it
-    pattern: GramPattern | None = None  # the network's jtj_pattern, from linearize
+    pattern: GramPattern | None = None  # the network's B pattern in its union's grams
 
 
 def _checked_table(net, s: StateVector) -> np.ndarray:
@@ -187,7 +185,7 @@ def q_term(net: NetworkModel, s: StateVector) -> np.ndarray:
     oracle of the diagnostics (the gap between the regularized Gauss-Newton
     matrix and the true Hessian of f), which read only its values on B's
     pattern, from :func:`linearize`.  The injection entries add nothing."""
-    gram = net.jtj_pattern
+    gram = net.union.grams[0][1]
     q = np.zeros((net.n_free, net.n_free))
     # Q does not depend on eps, so any valid one serves
     q[gram.indices, gram.cols] = linearize(net, s, 1.0, q=True).q
@@ -213,11 +211,10 @@ def linearize_regions(union: NetworkUnion, state: StateVector, eps: float,
     each network's r, g and Jacobian values are a slice of the union's.
     The values are filled into the fixed pattern and never wrapped in a
     sparse matrix: ``g`` is one bincount over the columns, and each
-    network's ``B = J'J + eps*I`` one bincount over its ``jtj_pairs``
-    from its own slice, into the values of its ``jtj_pattern``, both from
-    ``union.grams``.  Q's curvature weights come from the same pass, each
-    network's Q one bincount over its ``q_slots`` (``union.q_slots``) from
-    its own slice of the terms.
+    network's ``B = J'J + eps*I`` one bincount over its pairs from its own
+    slice, into the values of its Gram pattern, both from ``union.grams``.
+    Q's curvature weights come from the same pass, each network's Q one
+    bincount over its ``union.q_slots`` from its own slice of the terms.
     Every sum adds in ascending row order, so they equal the sparse
     ``J.T @ r`` and ``J.T @ J + eps*I`` bit for bit, and every value equals
     that of the network evaluated alone.  ``eps`` must be positive and
@@ -266,7 +263,7 @@ def _curvature_weights(net, r: np.ndarray, terms):
 def _curvature(slots: np.ndarray, gram: GramPattern, a, kb, ib, e) -> np.ndarray:
     """Q's values on a network's B pattern ``gram`` from the curvature
     weights of its terms: minus each term's 4x4 block, listed row by row as
-    the network's ``q_slots`` expect, added once into the pattern."""
+    the network's curvature slots expect, added once into the pattern."""
     zero = np.zeros(len(a))
     vals = np.concatenate([a, -a, kb, ib,
                            -a, a, -kb, -ib,
@@ -278,7 +275,7 @@ def _curvature(slots: np.ndarray, gram: GramPattern, a, kb, ib, e) -> np.ndarray
 
 def _gram(pairs, gram: GramPattern, vals: np.ndarray, eps: float) -> np.ndarray:
     """B = J'J + eps*I's values on a network's B pattern ``gram`` from its
-    ``jtj_pairs`` and Jacobian values, one network's products at a time."""
+    pairs and Jacobian values, one network's products at a time."""
     a, b = pairs
     products = vals[a]
     products *= vals[b]

@@ -29,13 +29,13 @@ def union_state(union, states) -> StateVector:
 
 def region_states(p, state: StateVector) -> list[StateVector]:
     """Each region's own state, from its buses' columns of the union state."""
-    bus = p.union.bounds[:, 4]
+    bus = p.analyze().union.bounds[:, 4]
     return [StateVector(r.net, *state.x[:, a:b]) for r, a, b in zip(p.regions, bus, bus[1:])]
 
 
 def region_free(p, chi: np.ndarray) -> list[np.ndarray]:
     """Each region's free vector, its slice of the union's free vector."""
-    return [chi[free] for _, free, *_ in p.union.slices]
+    return [chi[free] for _, free, *_ in p.analyze().union.slices]
 
 
 def dense_admittance_pu(case: RawCase) -> np.ndarray:
@@ -90,7 +90,7 @@ def scalar_ybus(case: RawCase) -> sp.csr_matrix:
 
 
 def gram_maps_alone(pat, n: int):
-    """A network's ``jtj_pairs`` and B pattern ``(slot, diag, indices,
+    """A network's pairs and B pattern ``(slot, diag, indices,
     indptr, cols)`` from its Jacobian pattern alone: every pair of nonzeros
     in each row, row by row, and the sorted flat keys ``col_a * n + col_b``
     of their products and of the diagonal, by ``np.unique``."""

@@ -1,15 +1,23 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hdpf import build_network, parse_case_file, read_state, read_trace
+from hdpf import (
+    build_network,
+    parse_case_file,
+    read_state,
+    read_trace,
+    serialize_case,
+    serialize_manifest,
+)
 from hdpf.cli import main
 from hdpf.residual import residual
 
-from conftest import fixture_path
+from conftest import bench_source, fixture_path
 
 
 def test_solve_writes_trace_and_exits_zero(tmp_path, capsys):
@@ -101,6 +109,21 @@ def test_check_single_region(capsys):
     rc = main(["check", fixture_path("single14.manifest")])
     assert rc == 0
     assert "single region" in capsys.readouterr().out
+
+
+def test_check_on_three_instance_hyperedges(tmp_path, capsys):
+    # the benchmark's grid-8x8, 64 regions whose interior hyperedges have
+    # three instances, written out as case files and a manifest
+    manifest, cases = bench_source("grid-8x8")
+    names = tuple(f"region{l}.m" for l in range(len(cases)))
+    for name, case in zip(names, cases):
+        (tmp_path / name).write_text(serialize_case(case), encoding="utf-8")
+    path = tmp_path / "grid.manifest"
+    path.write_text(serialize_manifest(replace(manifest, region_files=names)), encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "regions=64" in out and "{2: 126, 3: 49}" in out
+    assert "full column rank" in out and "check: ok" in out
 
 
 def test_merge_materializes_loadable_case(tmp_path, capsys):

@@ -213,7 +213,7 @@ def test_condense_makes_one_factorization_per_region(problems, monkeypatch):
             s = flat_start(reg.net)
             lin = linearize(reg.net, s, 1e-10)
             shape = (reg.net.n_free - reg.n_cpl,) * 2
-            split = BlockSplit(reg.net.jtj_pattern, reg.net.n_free, reg.coupling_free_cols)
+            split = BlockSplit(lin.pattern, reg.net.n_free, reg.coupling_free_cols)
             for cols, kinds in ((reg.coupling_free_cols, fresh), (split, fresh),
                                 (split, ordered)):
                 calls.clear()
@@ -250,12 +250,12 @@ def test_cached_orders_keep_the_minimum_degree_fill(monkeypatch, problems):
         assert reg.net.n_free >= SPARSE_MIN_FREE
         s = flat_start(reg.net)
         lin = linearize(reg.net, s, 1e-10)
-        split = BlockSplit(reg.net.jtj_pattern, reg.net.n_free, reg.coupling_free_cols)
+        split = BlockSplit(lin.pattern, reg.net.n_free, reg.coupling_free_cols)
         factors.clear()
         condense_region(lin, split, s.free())
         condense_region(lin, split, s.free())
         y = split.y_cols
-        pat = reg.net.jtj_pattern
+        pat = lin.pattern
         byy = sp.csc_matrix((lin.hess, pat.indices, pat.indptr))[y][:, y]
         _, lu = first_and_later("local block of the regularized Gauss-Newton matrix")
         assert _fill(lu) == _fill(_sym_splu(byy, "Byy")), reg.index
@@ -264,10 +264,11 @@ def test_cached_orders_keep_the_minimum_degree_fill(monkeypatch, problems):
         p = partition(*load_manifest(fixture_path(f"{name}.manifest")))
         if not p.n_z:
             continue
-        state = flat_start(p.union)
+        union = p.analyze().union
+        state = flat_start(union)
         factors.clear()
         for _ in range(2):
-            consensus_step(p, linearize_regions(p.union, state, 1e-10), state.free())
+            consensus_step(p, linearize_regions(union, state, 1e-10), state.free())
         first, lu = first_and_later("consensus system")
         assert _fill(lu) == _fill(first), name
         assert np.array_equal(lu.perm_c, np.arange(p.n_z)), name
@@ -321,12 +322,12 @@ def test_cached_order_keeps_the_positive_definiteness_check(problems):
     reg = problems["case404"].regions[0]
     s = flat_start(reg.net)
     lin = linearize(reg.net, s, 1e-10)
-    split = BlockSplit(reg.net.jtj_pattern, reg.net.n_free, reg.coupling_free_cols)
+    split = BlockSplit(lin.pattern, reg.net.n_free, reg.coupling_free_cols)
     condense_region(lin, split, s.free())
     assert split.byy is not None
     bad = lin.hess.copy()
     y = split.y_cols[len(split.y_cols) // 2]
-    bad[reg.net.jtj_pattern.diag[y]] = -1.0  # Byy's diagonal entry (y, y)
+    bad[lin.pattern.diag[y]] = -1.0  # Byy's diagonal entry (y, y)
     with pytest.raises(FactorizationError, match="not positive definite"):
         condense_region(dataclasses.replace(lin, hess=bad), split, s.free())
 
@@ -471,17 +472,17 @@ def test_stacked_recovery_matches_the_block_solve_on_every_region(problems, grid
     # entries exactly the consensus values z_bar[z_cols]
     p = grid8x8 if name == "grid-8x8" else problems[name]
     rng = np.random.default_rng(17)
-    flat = flat_start(p.union)
-    state = flat.with_free(flat.free() + rng.uniform(-0.01, 0.01, p.union.n_free))
-    lins = linearize_regions(p.union, state, 1e-10)
+    at = p.analyze()
+    flat = flat_start(at.union)
+    state = flat.with_free(flat.free() + rng.uniform(-0.01, 0.01, at.union.n_free))
+    lins = linearize_regions(at.union, state, 1e-10)
     dense = [dense_b(lin) for lin in lins]  # the step frees each B
     chi = state.free()
     _, sol, new_chi = consensus_step(p, lins, chi)
-    at = p.stacking
     assert np.array_equal(new_chi[at.x_at], sol.z_bar[at.z_cols])
-    for reg, b, lin, old, new in zip(p.regions, dense, lins, region_free(p, chi),
-                                     region_free(p, new_chi)):
-        x, y = reg.split.x_cols, reg.split.y_cols
+    for reg, split, b, lin, old, new in zip(p.regions, at.splits, dense, lins,
+                                            region_free(p, chi), region_free(p, new_chi)):
+        x, y = split.x_cols, split.y_cols
         x_target = sol.z_bar[reg.z_cols]
         assert np.array_equal(new[x], x_target), (name, reg.index)
         expected = old[y] - np.linalg.solve(b[np.ix_(y, y)],

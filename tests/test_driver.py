@@ -69,7 +69,8 @@ def test_stitch_state_puts_core_buses_at_merged_positions(problems):
     rng = np.random.default_rng(13)
     for name in ("fig1", "twin14", "case53"):
         p = problems[name]
-        state = StateVector(p.union, *rng.uniform(0.5, 1.5, (4, p.union.n_bus)))
+        union = p.analyze().union
+        state = StateVector(union, *rng.uniform(0.5, 1.5, (4, union.n_bus)))
         states = region_states(p, state)
         stitched = stitch_state(p, state)
         placed = 0
@@ -86,7 +87,7 @@ def test_consensus_step_is_the_solvers_step(problems):
     # one step from case53's flat start, stitched, is solve's first iterate
     p = problems["case53"]
     eps = SolverConfig().eps
-    state = flat_start(p.union)
+    state = flat_start(p.analyze().union)
     lins = [linearize(r.net, s, eps) for r, s in zip(p.regions, region_states(p, state))]
     _, _, new_chi = consensus_step(p, lins, state.free())
     stitched = stitch_state(p, state.with_free(new_chi))
@@ -224,7 +225,8 @@ def test_diagnosed_solve_evaluates_curvature_once_per_iterate(problems, monkeypa
     # region's Q with the rest, and nothing evaluates flow terms besides it;
     # each iterate's Q serves its lm_error and then the next step's exact
     # solve, which drops it, so only the last iterate's Q is left;
-    # case53's regions take the dense path, case404's the sparse one
+    # case53's regions take the dense path, case404's the sparse one, and
+    # single14, without coupling, has no exact solve to drop it in
     residual_module = importlib.import_module("hdpf.residual")
     calls = _spy(monkeypatch, "linearize_regions",
                  keep=lambda lins: (lins, all(lin.q is not None for lin in lins)))
@@ -232,7 +234,7 @@ def test_diagnosed_solve_evaluates_curvature_once_per_iterate(problems, monkeypa
     real_flows = residual_module._flow_terms
     monkeypatch.setattr(residual_module, "_flow_terms",
                         lambda *args: flows.append(None) or real_flows(*args))
-    for name in ("case53", "case404"):
+    for name in ("case53", "case404", "single14"):
         calls.clear()
         flows.clear()
         p = problems[name]
@@ -240,7 +242,7 @@ def test_diagnosed_solve_evaluates_curvature_once_per_iterate(problems, monkeypa
         assert trace.converged and trace.n_iter > 1, name
         assert all(r.lm_error is not None for r in trace.records), name
         assert len(calls) == len(flows) == len(trace.records) + 1, name
-        assert all(args[0] is p.union and args[3] is True and evaluated
+        assert all(args[0] is p.analyze().union and args[3] is True and evaluated
                    for args, (_, evaluated) in calls), name
         assert all(lin.q is None for _, (lins, _) in calls[:-1] for lin in lins), name
         assert all(lin.q is not None for lin in calls[-1][1][0]), name
@@ -263,8 +265,8 @@ def test_diagnosed_sparse_region_forms_no_dense_square(problems, monkeypatch):
     finally:
         tracemalloc.stop()
     assert trace.converged and all(math.isfinite(r.lm_error) for r in trace.records)
-    assert calls and all(shape == (len(reg.net.jtj_pattern.indices),)
-                         for _, shapes in calls for reg, shape in zip(p.regions, shapes))
+    assert calls and all(shape == (len(gram.indices),) for _, shapes in calls
+                         for (_, gram), shape in zip(p.analyze().union.grams, shapes))
     n_free = max(r.net.n_free for r in p.regions)
     assert peak < 2 * n_free * n_free * 8, peak
 
@@ -348,7 +350,7 @@ def test_condense_gap_matches_saddle_point_oracle(monkeypatch, name):
         oracles.clear(), exact.clear(), steps.clear()
         p = _fresh(name)
         _, _, trace = solve(p, SolverConfig(diagnose=True))
-        assert all(r.split.dense == (limit == ALL_DENSE) for r in p.regions)
+        assert all(s.dense == (limit == ALL_DENSE) for s in p.analyze().splits)
         assert trace.converged and len(oracles) == len(steps) == len(trace.records) > 1
         for oracle, z, (_, (_, _, new_chi)), rec in zip(oracles, exact, steps, trace.records):
             x_plus = [nf[r.coupling_free_cols] for r, nf in zip(p.regions, region_free(p, new_chi))]
@@ -364,8 +366,8 @@ def test_condense_gap_on_the_sparse_path_matches_the_dense_path(problems, monkey
     monkeypatch.setattr(condense_module, "SPARSE_MIN_FREE", ALL_DENSE)
     p_dense = _fresh("case404")
     _, _, dense = solve(p_dense, SolverConfig(diagnose=True))
-    assert not any(r.split.dense for r in p.regions)
-    assert all(r.split.dense for r in p_dense.regions)
+    assert not any(s.dense for s in p.analyze().splits)
+    assert all(s.dense for s in p_dense.analyze().splits)
     assert sparse.converged and sparse.n_iter == dense.n_iter > 1
     for a, b in zip(sparse.records, dense.records):
         assert math.isfinite(a.condense_gap)
@@ -379,7 +381,7 @@ def test_sparse_and_dense_region_paths_agree(central_refs, monkeypatch, name):
         monkeypatch.setattr(condense_module, "SPARSE_MIN_FREE", limit)
         p = _fresh(name)
         runs[limit] = p, solve(p)
-        assert all(r.split.dense == (limit == ALL_DENSE) for r in p.regions)
+        assert all(s.dense == (limit == ALL_DENSE) for s in p.analyze().splits)
     (p, (s_sparse, lams, t_sparse)), (_, (s_dense, _, t_dense)) = runs[ALL_SPARSE], runs[ALL_DENSE]
     assert t_sparse.status == t_dense.status == STATUS_CONVERGED
     assert t_sparse.n_iter == t_dense.n_iter
@@ -779,18 +781,19 @@ def test_evaluation_maps_are_built_on_first_solve_and_kept():
 
     for name, dense in (("case53", True), ("case404", False)):
         p = partition(*load_manifest(fixture_path(f"{name}.manifest")))
-        assert "union" not in p.__dict__, name
-        assert all("split" not in r.__dict__ for r in p.regions), name
+        assert p._analysis is None, name
         solve(p)
-        union, splits = p.union, [r.split for r in p.regions]
+        analysis = p.analyze()
+        union, splits = analysis.union, list(analysis.splits)
         assert [id(net) for net in union.nets] == [id(r.net) for r in p.regions], name
-        for r, s in zip(p.regions, splits):
+        for (_, gram), s in zip(union.grams, splits):
             assert "gathers" not in s.__dict__ and (s.byy is None) == dense, name
             maps = (s.src, s.flat)
-            assert all(len(m) <= len(r.net.jtj_pattern.indices) for m in maps), name
+            assert all(len(m) <= len(gram.indices) for m in maps), name
         maps = [(s.src, s.byy) for s in splits]
         solve(p)
-        assert p.union is union and all(r.split is s for r, s in zip(p.regions, splits)), name
+        assert p.analyze() is analysis and analysis.union is union, name
+        assert all(a is b for a, b in zip(analysis.splits, splits)), name
         assert all(s.src is src and s.byy is byy
                    for s, (src, byy) in zip(splits, maps)), name
 
@@ -814,9 +817,10 @@ def test_solve_memory_below_half_of_the_dense_bs(problems):
     assert trace.converged
     assert peak < dense_bytes / 2, (peak, dense_bytes)
     # and each dense-path split keeps O(pattern nnz) map entries, not O(n_free^2)
-    for r in p.regions:
+    analysis = p.analyze()
+    for r, split, (_, gram) in zip(p.regions, analysis.splits, analysis.union.grams):
         assert r.net.n_free < condense_module.SPARSE_MIN_FREE
-        assert len(r.split.src) + len(r.split.flat) <= 2 * len(r.net.jtj_pattern.indices)
+        assert len(split.src) + len(split.flat) <= 2 * len(gram.indices)
 
 
 def test_diagnosed_solve_peaks_below_2_2_plain_solves(problems):
@@ -853,7 +857,7 @@ def test_each_b_is_freed_once_condensed(problems, monkeypatch, diagnose):
     step, freed = [], []
 
     def spy(lin, split, chi):
-        if split is p.regions[0].split:
+        if split is p.analyze().splits[0]:
             step.clear()
         freed.extend(earlier.hess is None for earlier in step)
         step.append(lin)

@@ -442,7 +442,7 @@ def test_per_problem_maps_equal_each_network_alone(monkeypatch):
     ranks = set()
     for name, manifest, raws in _all_problems():
         p = partition(manifest, raws)
-        union = p.union
+        union = p.analyze(diagnose=True).union
         assert len(union.nets) == len(p.regions)
         # a second partition's regions, whose maps are built network by network
         alone = partition(manifest, raws)
@@ -450,20 +450,20 @@ def test_per_problem_maps_equal_each_network_alone(monkeypatch):
         fields = ("slot", "rows", "indices", "indptr", "cols", "i", "k", "g", "b")
         for field, want in zip(fields, union_pattern_alone([r.net for r in alone.regions])):
             assert _same_bytes(getattr(pat, field), want), (name, field)
-        for reg, other, q in zip(p.regions, alone.regions, union.q_slots):
+        for reg, other, (union_pairs, union_gram), q in zip(p.regions, alone.regions,
+                                                            union.grams, union.q_slots):
             net, own = reg.net, other.net
             # a union of several never builds a region's own pattern
             assert ("jac_pattern" in net.__dict__) == (len(p.regions) == 1), name
             pairs, gram = gram_maps_alone(own.jac_pattern, own.n_free)
-            assert all(_same_bytes(x, y) for x, y in zip(net.jtj_pairs, pairs)), name
+            assert all(_same_bytes(x, y) for x, y in zip(union_pairs, pairs)), name
             for field, want in zip(("slot", "diag", "indices", "indptr", "cols"), gram):
-                assert _same_bytes(getattr(net.jtj_pattern, field), want), (name, field)
-            assert q is net.q_slots
+                assert _same_bytes(getattr(union_gram, field), want), (name, field)
             assert _same_bytes(q, q_slots_alone(own.jac_pattern, gram[4], gram[2], own.n_free))
             ranks.add(own.n_free ** 2 <= 8 * (len(pairs[0]) + own.n_free))
             for limit in (0, 10**9):
                 monkeypatch.setattr(hdpf.condense, "SPARSE_MIN_FREE", limit)
-                split = BlockSplit(net.jtj_pattern, net.n_free, reg.coupling_free_cols)
+                split = BlockSplit(union_gram, net.n_free, reg.coupling_free_cols)
                 oracle = BlockSplit(GramPattern(*gram), own.n_free, other.coupling_free_cols)
                 assert split.dense == oracle.dense == (limit > 0)
                 for field in ("x_cols", "y_cols", "local", "src", "flat"):
@@ -477,28 +477,75 @@ def test_per_problem_maps_equal_each_network_alone(monkeypatch):
     assert ranks == {True, False}
 
 
-def test_cold_solve_builds_the_maps_once_for_the_union(problems, monkeypatch):
-    # a first solve builds the Jacobian pattern, the Gram maps and (when
-    # diagnosed) the q_slots once, for the regions' union, never region by
-    # region; a second solve builds nothing
+def test_cold_solve_builds_the_maps_once_for_the_union(monkeypatch, capsys):
+    # partition builds none of a problem's analysis; a first solve builds
+    # the Jacobian pattern, the Gram maps, S and each region's split (with
+    # its Byy system on the sparse path) once, for the regions' union, never
+    # region by region, and no q_slots or K; a first diagnosed solve builds
+    # the q_slots and K once; a repeat solve of either kind builds nothing;
+    # `hdpf check` and a later solve of one problem share one analysis; and
+    # a SPARSE_MIN_FREE set before the first solve fixes each split's path
+    import importlib
+
+    import hdpf.cli
+    import hdpf.condense
     import hdpf.network
     from hdpf import SolverConfig, load_manifest, partition, solve
+    from hdpf.cli import main
 
     counts: dict[str, int] = {}
+
+    def spy(owner, name, key=lambda *args: None):
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            what = key(*args) or name
+            counts[what] = counts.get(what, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
     for name in ("_jac_pattern", "_gram_maps", "_q_slots"):
-        real = getattr(hdpf.network, name)
+        spy(hdpf.network, name)
+    spy(importlib.import_module("hdpf.partition"), "consensus_system")
+    spy(hdpf.condense.BlockSplit, "__init__", lambda *args: "BlockSplit")
+    # every fixed system by what it solves: S, a sparse-path Byy, K
+    spy(hdpf.condense.FixedSystem, "__init__", lambda *args: args[-1])
+    diagnosed = {"_q_slots": 1, "exact-Hessian consensus matrix": 1}
 
-        def spy(*args, _name=name, _real=real):
-            counts[_name] = counts.get(_name, 0) + 1
-            return _real(*args)
+    def fresh(path):
+        counts.clear()
+        p = partition(*load_manifest(path))
+        assert counts == {}, (path, counts)
+        return p
 
-        monkeypatch.setattr(hdpf.network, name, spy)
-    for manifest in ("case53.manifest", "case404.manifest"):
-        p = partition(*load_manifest(fixture_path(manifest)))
-        for cfg, built in ((SolverConfig(), {"_jac_pattern": 1, "_gram_maps": 1}),
-                           (SolverConfig(diagnose=True), {"_q_slots": 1}),
-                           (SolverConfig(diagnose=True), {})):
+    for manifest, n_sparse in (("case53.manifest", 0), ("case404.manifest", 2)):
+        path = fixture_path(manifest)
+        p = fresh(path)
+        plain = {"_jac_pattern": 1, "_gram_maps": 1, "consensus_system": 1,
+                 "consensus system": 1, "BlockSplit": len(p.regions)}
+        if n_sparse:
+            plain[hdpf.condense._LOCAL_BLOCK] = n_sparse
+        for cfg, built in ((SolverConfig(), plain), (SolverConfig(), {}),
+                           (SolverConfig(diagnose=True), diagnosed),
+                           (SolverConfig(diagnose=True), {}), (SolverConfig(), {})):
             counts.clear()
             _, _, trace = solve(p, cfg)
             assert trace.converged and counts == built, (manifest, counts)
         assert all("jac_pattern" not in r.net.__dict__ for r in p.regions), manifest
+        p = fresh(path)
+        _, _, trace = solve(p, SolverConfig(diagnose=True))
+        assert trace.converged and counts == {**plain, **diagnosed}, (manifest, counts)
+        # the check's step and a later solve of the same problem
+        p = fresh(path)
+        monkeypatch.setattr(hdpf.cli, "partition", lambda *args: p)
+        assert main(["check", path]) == 0 and "check: ok" in capsys.readouterr().out
+        assert counts == plain, (manifest, counts)
+        counts.clear()
+        _, _, trace = solve(p)
+        assert trace.converged and counts == {}, (manifest, counts)
+    for limit in (0, 10**9):
+        monkeypatch.setattr(hdpf.condense, "SPARSE_MIN_FREE", limit)
+        p = fresh(fixture_path("case53.manifest"))
+        solve(p)
+        assert all(s.dense == (limit > 0) for s in p.analyze().splits), limit

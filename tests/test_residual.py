@@ -263,7 +263,7 @@ def test_q_term_on_b_pattern_matches_dense_bit_for_bit(problems):
             flat = flat_start(net)
             for s in (flat, flat.with_free(flat.free() + rng.uniform(-0.1, 0.1, net.n_free))):
                 values, dense = linearize(net, s, 1e-10, q=True).q, q_term(net, s)
-                gram = net.jtj_pattern
+                gram = net.union.grams[0][1]
                 assert isinstance(dense, np.ndarray) and dense.shape == (net.n_free,) * 2, name
                 assert np.array_equal(values, dense[gram.indices, gram.cols]), name
                 off = np.ones_like(dense, dtype=bool)
@@ -273,17 +273,19 @@ def test_q_term_on_b_pattern_matches_dense_bit_for_bit(problems):
 
 def test_q_term_takes_the_form_of_b(problems):
     # Q's values lie on B's pattern, one value per entry as B's do, for
-    # every region, through a map of Q's entries the network builds once
+    # every region, through a map of Q's entries the network's union of one
+    # builds once
     for p in problems.values():
         for reg in p.regions:
             net = reg.net
             s = flat_start(net)
             lin = linearize(net, s, 1e-10, q=True)
-            assert lin.pattern is net.jtj_pattern
-            assert lin.q.shape == lin.hess.shape == (len(net.jtj_pattern.indices),)
-            slots = net.__dict__["q_slots"]
+            gram = net.union.grams[0][1]
+            assert lin.pattern is gram
+            assert lin.q.shape == lin.hess.shape == (len(gram.indices),)
+            slots = net.union.__dict__["q_slots"]
             linearize(net, s, 1e-10, q=True)
-            assert net.__dict__["q_slots"] is slots
+            assert net.union.__dict__["q_slots"] is slots
 
 
 # --- regularized Gauss-Newton matrix -----------------------------------------
@@ -353,7 +355,7 @@ def test_linearize_matches_sparse_oracle_bit_for_bit(problems):
                 assert j.has_canonical_format, name
                 lin = linearize(net, s, 1e-10)
                 gram = lin.pattern
-                assert gram is net.jtj_pattern, name
+                assert gram is net.union.grams[0][1], name
                 oracle = lm_hessian(j, 1e-10)
                 assert np.array_equal(lin.hess, oracle[gram.indices, gram.cols]), name
                 assert np.array_equal(dense_b(lin), oracle), name  # zero off the pattern
@@ -376,8 +378,9 @@ def test_linearize_builds_no_sparse_matrix(problems, monkeypatch):
 
 
 def test_index_maps_built_once_per_network(cases):
-    # every region, small or large, builds B's pattern, on which its values
-    # live, and keeps it, with the union of one through which it is evaluated
+    # every region, small or large, builds its Jacobian's pattern and the
+    # union of one through which it is evaluated, which builds B's pattern,
+    # on which its values live, and keeps it
     from hdpf import load_manifest, partition
 
     from conftest import fixture_path
@@ -385,17 +388,19 @@ def test_index_maps_built_once_per_network(cases):
     big = partition(*load_manifest(fixture_path("case404.manifest"))).regions[0].net
     for net in (build_network(cases["case14"]), big):
         lin = linearize(net, flat_start(net), 1e-10)
-        maps = {k: net.__dict__[k] for k in ("jac_pattern", "jtj_pairs", "jtj_pattern", "union")}
-        assert "q_slots" not in net.__dict__
-        assert lin.pattern is maps["jtj_pattern"]
+        maps = {k: net.__dict__[k] for k in ("jac_pattern", "union")}
+        grams = maps["union"].__dict__["grams"]
+        assert "q_slots" not in maps["union"].__dict__
+        assert lin.pattern is grams[0][1]
         lin = linearize(net, flat_start(net), 1e-10)
         assert all(net.__dict__[k] is v for k, v in maps.items())
-        assert lin.pattern is maps["jtj_pattern"]
+        assert maps["union"].__dict__["grams"] is grams
+        assert lin.pattern is grams[0][1]
     # the reference's linearization needs only the Jacobian's pattern
     merged = build_network(cases["case14"])
     central_solve(merged)
     assert "jac_pattern" in merged.__dict__
-    assert all(k not in merged.__dict__ for k in ("jtj_pairs", "q_slots", "union"))
+    assert "union" not in merged.__dict__
 
 
 # --- batched evaluation -------------------------------------------------------
@@ -419,13 +424,18 @@ def test_batched_evaluation_equals_per_network_linearize(problems, monkeypatch, 
     rng = np.random.default_rng(41)
     for name, p in problems.items():
         flat = [flat_start(r.net) for r in p.regions]
+        union = p.analyze().union
         for states in (flat, [_random_state(r.net, rng) for r in p.regions]):
             for q in (False, True):
-                lins = linearize_regions(p.union, union_state(p.union, states), 1e-10, q=q)
+                lins = linearize_regions(union, union_state(union, states), 1e-10, q=q)
                 assert len(lins) == len(p.regions), name
-                for reg, s, lin in zip(p.regions, states, lins):
+                for reg, s, lin, (_, gram) in zip(p.regions, states, lins, union.grams):
                     one = linearize(reg.net, s, 1e-10, q=q)
-                    assert lin.pattern is one.pattern is reg.net.jtj_pattern, name
+                    # each network's B pattern, the problem union's and the
+                    # network's union of one's, equal bit for bit
+                    assert lin.pattern is gram and one.pattern is reg.net.union.grams[0][1], name
+                    assert all(_same(getattr(gram, f), getattr(one.pattern, f))
+                               for f in ("slot", "diag", "indices", "indptr", "cols")), name
                     for field in ("r", "g", "hess"):
                         assert _same(getattr(lin, field), getattr(one, field)), \
                             (name, reg.index, field)
@@ -450,7 +460,8 @@ def test_bad_state_names_its_region(problems, row, bad, what):
     assert len(p.regions) == 3
     states[1].x[row, [1, 4]] = bad
     states[2].x[row, 0] = bad
+    union = p.analyze().union
     with pytest.raises(ModelError, match=rf"^region 1: {what} at bus position\(s\) \[1, 4\]$"):
-        linearize_regions(p.union, union_state(p.union, states), 1e-10)
+        linearize_regions(union, union_state(union, states), 1e-10)
     with pytest.raises(ModelError, match=rf"^{what} at bus position\(s\) \[1, 4\]$"):
         linearize(p.regions[1].net, states[1], 1e-10)
